@@ -217,9 +217,13 @@ Schedule::Choice Schedule::auto_select_with_cost(const CollapsedEval& cn,
   s.cfg.threads = h.threads;
 
   // Degenerate-domain guards stay ahead of the table: a fork/join can
-  // never pay for itself on a tiny domain, measured or not.
+  // never pay for itself on a tiny domain, measured or not.  One thread
+  // (or one iteration) is one contiguous row walk on the calling
+  // thread: a single recovery, then for_each_row.  threads = 1 keeps a
+  // tiny domain from forking an idle team.
   if (total <= 1 || nt <= 1) {
-    s = serial_sim(1);
+    s.scheme = Scheme::PerThread;
+    s.cfg.threads = 1;
     return ch;
   }
   if (total < 4 * static_cast<i64>(nt)) {

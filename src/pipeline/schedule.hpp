@@ -136,7 +136,10 @@ struct Schedule {
   /// Without a table — or when the table was calibrated on a different
   /// runtime SIMD ABI — the deterministic heuristic over depth, trip
   /// count and the per-level solver kinds bind() chose applies:
-  ///   * tiny domains (or one thread) run serially — no fork/join;
+  ///   * one thread or a tiny domain (<= 1 iteration) means one row
+  ///     walk on the calling thread: PerThread at threads = 1, one
+  ///     recovery and no fork/join, never the Fig. 10 SerialSim
+  ///     protocol;
   ///   * domains under ~4 iterations per thread use PerThread;
   ///   * a Search/Interpreted level makes recovery costly, so the
   ///     schemes with the fewest recoveries win (RowSegments: one per

@@ -23,6 +23,10 @@
 //                                  recoveries (the measurement protocol of
 //                                  Fig. 10: "root evaluations are performed
 //                                  12 times, to simulate ... 12 threads").
+//                                  A measurement protocol only, never
+//                                  picked for a one-thread run:
+//                                  auto_select gives those the
+//                                  per-thread row walk at threads = 1.
 //
 // Body contract: void(std::span<const i64> idx) where idx.size() ==
 // cn.depth().  Bodies must be safe to run concurrently on distinct
@@ -74,7 +78,8 @@ void collapsed_for_taskloop(const CollapsedEval& cn, i64 grainsize, Body&& body,
 /// Deliberately keeps the paper's exact Fig. 4 shape — element-wise
 /// increment() every iteration — so the measured control overhead stays
 /// comparable with the paper; the production schemes use row-arithmetic
-/// ranges instead.
+/// ranges instead.  auto_select's guards and heuristic never pick it;
+/// callers ask for it by name.
 template <class Body>
 void collapsed_serial_sim(const CollapsedEval& cn, int n_chunks, Body&& body) {
   run(cn, Schedule::serial_sim(n_chunks), static_cast<Body&&>(body));

@@ -1,5 +1,7 @@
 #include "serve/protocol.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <istream>
 #include <sstream>
 
@@ -45,9 +47,59 @@ ParamMap parse_params(const std::string& text) {
   return params;
 }
 
-/// Order-insensitive checksum over recovered tuples, so the parallel
-/// schemes all produce the same value: each tuple mixes to one word
-/// (splitmix-style) and the words sum mod 2^64.
+std::atomic<u64> g_walks{0};
+thread_local u64 tl_walk = 0;        ///< the walk tl_sum belongs to
+thread_local u64* tl_sum = nullptr;  ///< this thread's slot in that walk
+
+/// The run checksum's accumulator: per-thread cache-line-padded partial
+/// sums, added up once after the walk, so each tuple costs a plain add
+/// instead of an atomic one.  A thread claims a slot on its first tuple
+/// of a walk (the walk's serial number tells a stale claim from a live
+/// one), so any team gets distinct slots — the dispatcher's or a JIT
+/// kernel's, whatever OpenMP runtime it was built against.  Threads
+/// beyond kSlots share one atomic overflow sum.
+class PartialSums {
+ public:
+  void add(u64 v) {
+    if (tl_walk != id_) claim();
+    if (tl_sum != nullptr)
+      *tl_sum += v;
+    else
+      overflow_.fetch_add(v, std::memory_order_relaxed);
+  }
+
+  /// Call after the walk has joined.
+  u64 total() const {
+    u64 sum = overflow_.load(std::memory_order_relaxed);
+    const size_t claimed = std::min(next_.load(std::memory_order_relaxed), kSlots);
+    for (size_t i = 0; i < claimed; ++i) sum += slots_[i].sum;
+    return sum;
+  }
+
+ private:
+  static constexpr size_t kSlots = 64;
+
+  void claim() {
+    const size_t i = next_.fetch_add(1, std::memory_order_relaxed);
+    tl_sum = nullptr;
+    if (i < kSlots) {
+      slots_[i].sum = 0;
+      tl_sum = &slots_[i].sum;
+    }
+    tl_walk = id_;
+  }
+
+  struct alignas(64) Slot {
+    u64 sum;  ///< set when the slot is claimed
+  };
+  const u64 id_ = g_walks.fetch_add(1, std::memory_order_relaxed) + 1;
+  Slot slots_[kSlots];
+  std::atomic<size_t> next_{0};
+  std::atomic<u64> overflow_{0};
+};
+
+}  // namespace
+
 u64 tuple_mix(std::span<const i64> idx) {
   u64 h = 0x9e3779b97f4a7c15ULL;
   for (const i64 v : idx) {
@@ -58,8 +110,6 @@ u64 tuple_mix(std::span<const i64> idx) {
   }
   return h;
 }
-
-}  // namespace
 
 bool verb_has_nest(const std::string& verb) {
   return verb == "describe" || verb == "emit" || verb == "run" ||
@@ -224,12 +274,8 @@ Response handle_request(PlanCache& cache, const Request& req, const ServeLimits&
                         " [NRC-W005 serve-limit; the lint verb reports this "
                         "without refusing]");
       const Schedule::Choice choice = Schedule::auto_select_with_cost(plan.eval());
-      u64 checksum = 0;
-      auto body = [&](std::span<const i64> idx) {
-        const u64 mix = tuple_mix(idx);
-#pragma omp atomic
-        checksum += mix;
-      };
+      PartialSums checksum;
+      auto body = [&checksum](std::span<const i64> idx) { checksum.add(tuple_mix(idx)); };
       std::string jit_line;
       if (req.verb == "jitrun" || choice.jit_recommended) {
         // The explicit jitrun verb always takes the kernel path; the
@@ -242,7 +288,7 @@ Response handle_request(PlanCache& cache, const Request& req, const ServeLimits&
       } else {
         nrc::run(plan, choice.schedule, body);
       }
-      resp.payload = "checksum " + std::to_string(checksum) + "\ntrip " +
+      resp.payload = "checksum " + std::to_string(checksum.total()) + "\ntrip " +
                      std::to_string(plan.eval().trip_count()) + "\n" + jit_line;
     }
     return resp;

@@ -59,6 +59,7 @@
 //   <payload-bytes of error message>
 
 #include <iosfwd>
+#include <span>
 #include <string>
 
 #include "codegen/dsl_parser.hpp"
@@ -110,6 +111,12 @@ bool read_response(std::istream& is, Response& out);
 /// Auto-detect and parse the nest text (C-for vs DSL); throws
 /// ParseError.
 NestProgram parse_nest_text(const std::string& text);
+
+/// The run/jitrun checksum's per-tuple word: a chained splitmix mix of
+/// the recovered indices.  The reply's checksum is the sum of this over
+/// every visited tuple mod 2^64, so it does not depend on the schedule,
+/// the thread count or the visit order.
+u64 tuple_mix(std::span<const i64> idx);
 
 /// Serve one request against `cache`.  Never throws: every nrc::Error
 /// (parse failures, empty domains, refused limits) becomes an

@@ -6,10 +6,12 @@
 // requester joining the first build's future.  The happy path
 // (compile, run/fill differential against the odometer reference) and
 // the end-to-end surface (plan->jit(), describe(), the nrcd jitrun
-// verb and its stats counters) ride in the same suite.
+// verb and its stats counters, run/jitrun checksums against the
+// odometer at one and four threads) ride in the same suite.
 #include <gtest/gtest.h>
 
 #include <dirent.h>
+#include <omp.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -23,10 +25,13 @@
 #include <vector>
 
 #include "../test_util.hpp"
+#include "codegen/c_for_parser.hpp"
 #include "jit/jit_kernel.hpp"
 #include "jit/kernel_cache.hpp"
 #include "jit/toolchain.hpp"
+#include "pipeline/cost_model.hpp"
 #include "pipeline/plan_cache.hpp"
+#include "runtime/simd_abi.hpp"
 #include "serve/protocol.hpp"
 #include "support/error.hpp"
 
@@ -277,19 +282,22 @@ TEST(JitSurface, PlanJitAndDescribe) {
   EXPECT_NE(desc.find("jit:"), std::string::npos) << desc;
 }
 
+constexpr const char* kTriCFor =
+    "for (i = 0; i < N - 1; i++)\n"
+    "  for (j = i + 1; j < N; j++) {\n"
+    "    /* body */;\n"
+    "  }\n";
+
+serve::Request tri_request(const std::string& verb, i64 n) {
+  serve::Request r;
+  r.verb = verb;
+  r.params = {{"N", n}};
+  r.nest_text = kTriCFor;
+  return r;
+}
+
 TEST(JitSurface, ServeJitrunMatchesRunAndCountsInStats) {
-  constexpr const char* kTri =
-      "for (i = 0; i < N - 1; i++)\n"
-      "  for (j = i + 1; j < N; j++) {\n"
-      "    /* body */;\n"
-      "  }\n";
-  auto req = [&](const std::string& verb) {
-    serve::Request r;
-    r.verb = verb;
-    r.params = {{"N", 30}};
-    r.nest_text = kTri;
-    return r;
-  };
+  auto req = [](const std::string& verb) { return tri_request(verb, 30); };
   PlanCache cache(16, 2);
   const serve::Response run = serve::handle_request(cache, req("run"));
   ASSERT_TRUE(run.ok) << run.payload;
@@ -304,6 +312,85 @@ TEST(JitSurface, ServeJitrunMatchesRunAndCountsInStats) {
   const serve::Response st = serve::handle_request(cache, stats);
   ASSERT_TRUE(st.ok);
   EXPECT_NE(st.payload.find("jit cache:"), std::string::npos) << st.payload;
+}
+
+/// The run reply recomputed sequentially: serve::tuple_mix summed over
+/// the odometer walk (recover(1), then increment()).
+std::string odometer_run_reply(const CollapsedEval& cn) {
+  const i64 total = cn.trip_count();
+  const size_t d = static_cast<size_t>(cn.depth());
+  i64 idx[kMaxDepth];
+  u64 sum = 0;
+  cn.recover(1, {idx, d});
+  for (i64 pc = 1; pc <= total; ++pc) {
+    sum += serve::tuple_mix({idx, d});
+    if (pc < total) cn.increment({idx, d});
+  }
+  return "checksum " + std::to_string(sum) + "\ntrip " + std::to_string(total) + "\n";
+}
+
+/// Restores the OpenMP default team size and clears any installed cost
+/// table, so the other tests in this binary see neither.
+class ServeThreads : public ::testing::Test {
+ protected:
+  void SetUp() override { CostModel::clear_global(); }
+  void TearDown() override {
+    omp_set_num_threads(saved_threads_);
+    CostModel::clear_global();
+  }
+
+ private:
+  int saved_threads_ = omp_get_max_threads();
+};
+
+// The run and jitrun checksums sum per-thread partials; they must equal
+// the sequential odometer sum whichever team runs the walk — the
+// dispatcher's or a compiled kernel's (or its fallback), one thread or
+// four, with the cost table routing plain run to the kernel or not.
+TEST_F(ServeThreads, RunAndJitrunChecksumsMatchTheOdometerAtOneAndFourThreads) {
+  constexpr i64 kN = 60;
+  const auto plan =
+      CollapsePlan::build(parse_c_for_nest(kTriCFor).collapsed_nest(), {{"N", kN}});
+  const std::string want = odometer_run_reply(plan->eval());
+
+  PlanCache cache(16, 2);
+  for (const bool table : {false, true}) {
+    if (table) {
+      // A jit row that beats every library schedule: plain run routes
+      // to the kernel whenever the guard leaves the choice to the table.
+      CostEntry e;
+      e.profile = classify_solver_profile(plan->eval());
+      e.depth = plan->eval().depth();
+      e.lanes = simd::kGroupLanes;
+      e.engine_ns = 20.0;
+      e.block_ns = 1.0;
+      e.simd4_ns = 0.7;
+      e.simd8_ns = 0.5;
+      e.jit_ns = 1e-3;
+      CostModel m;
+      m.add(e);
+      CostModel::set_global(std::move(m));
+    }
+    for (const int nt : {1, 4}) {
+      omp_set_num_threads(nt);
+      const std::string where =
+          std::string(table ? "cost table" : "no table") + ", threads=" + std::to_string(nt);
+      // One thread never reaches the table; at four threads the table
+      // routes run through the compiled kernel.
+      EXPECT_EQ(Schedule::auto_select_with_cost(plan->eval()).jit_recommended,
+                table && nt > 1)
+          << where;
+
+      const serve::Response run = serve::handle_request(cache, tri_request("run", kN));
+      ASSERT_TRUE(run.ok) << where << ": " << run.payload;
+      EXPECT_EQ(run.payload, want) << where;
+
+      const serve::Response jitrun = serve::handle_request(cache, tri_request("jitrun", kN));
+      ASSERT_TRUE(jitrun.ok) << where << ": " << jitrun.payload;
+      EXPECT_EQ(jitrun.payload.substr(0, want.size()), want) << where;
+      EXPECT_NE(jitrun.payload.find("\njit "), std::string::npos) << where;
+    }
+  }
 }
 
 }  // namespace

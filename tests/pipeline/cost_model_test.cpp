@@ -183,7 +183,8 @@ TEST_F(CostModelGlobal, TinyDomainGuardsStayAheadOfTheTable) {
   const Collapsed col = collapse(testutil::triangular_strict());
   const CollapsedEval tiny = col.bind({{"N", 2}});  // 1 iteration
   const Schedule::Choice ch = Schedule::auto_select_with_cost(tiny, {});
-  EXPECT_EQ(ch.schedule.scheme, Scheme::SerialSim);
+  EXPECT_EQ(ch.schedule.scheme, Scheme::PerThread);
+  EXPECT_EQ(ch.schedule.cfg.threads, 1);
   EXPECT_FALSE(ch.from_cost_model);
 }
 

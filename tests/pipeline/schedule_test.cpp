@@ -97,14 +97,58 @@ TEST(Schedule, DefaultChunkResolvesRealThreadCountAtZero) {
 // ------------------------------------------------------------ auto_select
 
 TEST(AutoSelect, TinyDomainOrOneThreadRunsSerial) {
+  // One iteration or one thread: one row walk on the calling thread —
+  // PerThread pinned to one thread, decided before any cost table.
   const Collapsed col = collapse(testutil::triangular_inclusive());
   const CollapsedEval tiny = col.bind({{"N", 1}});  // 1 iteration
-  EXPECT_EQ(Schedule::auto_select(tiny).scheme, Scheme::SerialSim);
+  const Schedule::Choice t = Schedule::auto_select_with_cost(tiny);
+  EXPECT_EQ(t.schedule.scheme, Scheme::PerThread);
+  EXPECT_EQ(t.schedule.cfg.threads, 1);
+  EXPECT_FALSE(t.from_cost_model);
 
   const CollapsedEval cn = col.bind({{"N", 400}});
   AutoSelectHints one_thread;
   one_thread.threads = 1;
-  EXPECT_EQ(Schedule::auto_select(cn, one_thread).scheme, Scheme::SerialSim);
+  const Schedule::Choice o = Schedule::auto_select_with_cost(cn, one_thread);
+  EXPECT_EQ(o.schedule.scheme, Scheme::PerThread);
+  EXPECT_EQ(o.schedule.cfg.threads, 1);
+  EXPECT_FALSE(o.from_cost_model);
+}
+
+TEST(AutoSelect, OneThreadPickIsTheRowWalkOnEveryFuzzClass) {
+  // Over every fuzz class: the one-thread pick is never the Fig. 10
+  // SerialSim protocol, and running it visits exactly the odometer's
+  // tuple multiset.
+  constexpr u64 kSeeds = 20;
+  AutoSelectHints one_thread;
+  one_thread.threads = 1;
+  for (const testutil::FuzzClass cls : testutil::kFuzzClasses) {
+    i64 domains = 0;
+    for (u64 seed = 0x5100; seed < 0x5100 + kSeeds; ++seed) {
+      const testutil::FuzzNest fc = testutil::make_fuzz_nest(cls, seed);
+      if (fc.expect_empty) continue;
+      CollapseOptions opts;
+      opts.calibration = fc.calibration;
+      const Collapsed col = collapse(fc.nest, opts);
+      for (const i64 nv : testutil::fuzz_bind_values(fc)) {
+        ParamMap p = fc.fixed_params;
+        p["N"] = nv;
+        const CollapsedEval cn = col.bind(p);
+        const Schedule pick = Schedule::auto_select(cn, one_thread);
+        const std::string where = fc.repro() + "N=" + std::to_string(nv) + " pick=" + pick.describe();
+        ASSERT_NE(pick.scheme, Scheme::SerialSim) << where;
+        EXPECT_EQ(pick.scheme, Scheme::PerThread) << where;
+        EXPECT_EQ(pick.cfg.threads, 1) << where;
+        const testutil::DomainObservation ref = testutil::odometer_reference(cn);
+        ASSERT_TRUE(ref.track_tuples) << where;
+        EXPECT_TRUE(testutil::run_scheme_differential(
+            cn, ref, [&](auto&& visit) { run(cn, pick, visit); }))
+            << where;
+        ++domains;
+      }
+    }
+    EXPECT_GT(domains, 0) << testutil::fuzz_class_name(cls);
+  }
 }
 
 TEST(AutoSelect, SmallDomainUsesPerThread) {
