@@ -325,6 +325,17 @@ void analyze_bound_plan(NestCertificate& cert, const Collapsed& col,
   cert.emit_i64_safe = all_emit && !cert.total_saturated;
 }
 
+/// The certificate of a bound plan — the one analyze(plan) and the
+/// success path of analyze_nest() both return.
+void certify_bound(NestCertificate& cert, const Collapsed& col, const CollapsedEval& ev,
+                   IntervalPass& ip) {
+  cert.bind_ok = true;
+  cert.total_trip = ev.trip_count();
+  if (ip.evaluated && ip.total.hi >= kSat) cert.total_saturated = true;
+  check_partition_headroom(cert);
+  analyze_bound_plan(cert, col, ev, ip);
+}
+
 }  // namespace
 
 // ----------------------------------------------------------- public types
@@ -394,27 +405,22 @@ NestCertificate analyze_nest(const NestSpec& nest, const ParamMap& params,
   }
 
   IntervalPass ip = run_interval_pass(nest, params, cert);
-
-  // (a) The structural half of the trip-count check runs before the
-  // build so an adversarial domain gets its verdict even when bind()
-  // refuses it: saturation of the extent product proves the total may
-  // not fit i64 at all.
-  if (ip.evaluated && ip.total.hi >= kSat) {
-    cert.total_trip = kSat;
-    cert.total_saturated = true;
-    diag(cert, "NRC-W001", LintSeverity::Error, -1,
-         "total trip count may exceed i64 (extent product saturates)",
-         "shrink the parameter magnitudes or collapse fewer levels");
-  }
-
   try {
     const Collapsed col = collapse(nest, opts);
     const CollapsedEval ev = col.bind(params);
-    cert.bind_ok = true;
-    cert.total_trip = ev.trip_count();
-    check_partition_headroom(cert);
-    analyze_bound_plan(cert, col, ev, ip);
+    certify_bound(cert, col, ev, ip);
   } catch (const Error& e) {
+    // (a) The structural half of the trip-count check, for domains bind()
+    // refuses: saturation of the extent product proves the total may not
+    // fit i64 at all.  A domain that binds has its exact trip count,
+    // which check_partition_headroom judges instead.
+    if (ip.evaluated && ip.total.hi >= kSat) {
+      cert.total_trip = kSat;
+      cert.total_saturated = true;
+      diag(cert, "NRC-W001", LintSeverity::Error, -1,
+           "total trip count may exceed i64 (extent product saturates)",
+           "shrink the parameter magnitudes or collapse fewer levels");
+    }
     diag(cert, "NRC-E001", LintSeverity::Error, -1,
          std::string("collapse/bind failed: ") + e.what(),
          "the diagnostics above explain structural causes where the interval "
@@ -426,11 +432,7 @@ NestCertificate analyze_nest(const NestSpec& nest, const ParamMap& params,
 NestCertificate analyze(const CollapsePlan& plan) {
   NestCertificate cert;
   IntervalPass ip = run_interval_pass(plan.nest(), plan.params(), cert);
-  cert.bind_ok = true;
-  cert.total_trip = plan.eval().trip_count();
-  if (ip.evaluated && ip.total.hi >= kSat) cert.total_saturated = true;
-  check_partition_headroom(cert);
-  analyze_bound_plan(cert, plan.collapsed(), plan.eval(), ip);
+  certify_bound(cert, plan.collapsed(), plan.eval(), ip);
   return cert;
 }
 

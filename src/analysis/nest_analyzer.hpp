@@ -95,8 +95,10 @@ struct NestCertificate {
   /// every level; no nrc_wide (__int128) needed.
   bool emit_i64_safe = false;
 
-  /// Trip count, saturated at INT64_MAX when the interval pass proved it
-  /// may not fit (total_saturated set; NRC-W001 raised).
+  /// Trip count: the exact bind-time count when bind_ok; saturated at
+  /// INT64_MAX (with NRC-W001 raised) when bind() refused a domain whose
+  /// interval extent product saturates.  total_saturated records that
+  /// saturation either way; it withholds the f64/emit certificates.
   i64 total_trip = 0;
   bool total_saturated = false;
 

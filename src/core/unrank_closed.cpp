@@ -70,24 +70,26 @@ void select_convenient_branches(std::vector<LevelFormula>& levels, const Ranking
     LevelFormula& lf = levels[static_cast<size_t>(k)];
     if (lf.coeffs.empty()) continue;  // degree > max: search recovery
 
+    // Every branch of the level in one value-numbered program: the
+    // branches share their coefficient leaves and (Cardano, Ferrari) most
+    // of their radicals, and one pass per point scores them all.
     const int nb = root_branch_count(lf.degree);
     std::vector<Expr> roots;
-    std::vector<CompiledExpr> compiled;
     roots.reserve(static_cast<size_t>(nb));
-    compiled.reserve(static_cast<size_t>(nb));
-    for (int b = 0; b < nb; ++b) {
+    for (int b = 0; b < nb; ++b)
       roots.push_back(root_branch_expr(std::span<const Polynomial>(lf.coeffs), b));
-      compiled.emplace_back(roots.back(), slot_order);
-    }
+    const CompiledExpr compiled(roots, slot_order);
 
     std::vector<size_t> score(static_cast<size_t>(nb), 0);
+    std::vector<cld> values(static_cast<size_t>(nb));
     for (size_t i = 0; i < points.size(); ++i) {
       std::vector<i64> pt = base;
       for (int q = 0; q < k; ++q) pt[static_cast<size_t>(q)] = points[i][static_cast<size_t>(q)];
       pt[pc_slot] = pcs[i];
       const i64 expected = points[i][static_cast<size_t>(k)];
+      compiled.eval(pt, values);
       for (int b = 0; b < nb; ++b) {
-        const cld z = compiled[static_cast<size_t>(b)].eval(pt);
+        const cld z = values[static_cast<size_t>(b)];
         if (!std::isfinite(z.real()) || !std::isfinite(z.imag())) continue;
         const long double tol =
             1e-6L * std::max<long double>(1.0L, std::abs(z.real()));

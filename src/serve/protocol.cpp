@@ -233,11 +233,21 @@ Response handle_request(PlanCache& cache, const Request& req, const ServeLimits&
     const NestSpec nest = prog.collapsed_nest();
 
     if (req.verb == "lint") {
-      // The lint verb bypasses the cache on purpose: analyze_nest never
+      // A nest that builds is certified from its cached plan (a hit costs
+      // microseconds; a miss builds and caches the plan run would use).
+      // Only a failing build is analyzed uncached: analyze_nest never
       // throws, so broken nests (empty domains, overflowing trips,
       // unbound parameters) still get their diagnostics instead of an
-      // err response — and a failing build never cycles a cache entry.
-      NestCertificate cert = analyze_nest(nest, req.params);
+      // err response, and the failed build leaves no cache entry.
+      std::shared_ptr<const CollapsePlan> plan;
+      try {
+        GetResult got = cache.get_with_outcome(nest, req.params);
+        resp.outcome = get_outcome_name(got.outcome);
+        resp.build_ns = got.build_ns;
+        plan = std::move(got.plan);
+      } catch (const Error&) {
+      }
+      NestCertificate cert = plan ? analyze(*plan) : analyze_nest(nest, req.params);
       // Serving limits are analyzer diagnostics here: what run would
       // refuse, lint reports as NRC-W005 with the same numbers.
       if (cert.bind_ok && cert.total_trip > limits.max_run_trip) {

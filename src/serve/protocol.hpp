@@ -37,8 +37,11 @@
 //             that parse: bind failures, overflowing trips and unbound
 //             parameters come back as NRC-* diagnostics, and what run
 //             would refuse under ServeLimits is reported as NRC-W005.
-//             Bypasses the plan cache (a failing build never cycles an
-//             entry).
+//             Served from the plan cache: a nest that builds is certified
+//             from its cached plan (analyze(plan)), so the header carries
+//             the real outcome/build_ns.  Only a failing build is
+//             analyzed uncached (analyze_nest), and it leaves no cache
+//             entry.
 //   stats     (no nest section) -> the plan cache's stats_line() plus
 //             the process-global kernel cache's jit line (hits, misses,
 //             compiles, disk hits, fallbacks, summed compile ns)
@@ -120,7 +123,9 @@ u64 tuple_mix(std::span<const i64> idx);
 
 /// Serve one request against `cache`.  Never throws: every nrc::Error
 /// (parse failures, empty domains, refused limits) becomes an
-/// ok=false response with the message as payload.
+/// ok=false response with the message as payload — except under lint,
+/// which certifies the cached plan and turns a failing build into
+/// NRC-* diagnostics through the uncached analyze_nest().
 Response handle_request(PlanCache& cache, const Request& req,
                         const ServeLimits& limits = {});
 

@@ -1,5 +1,8 @@
 #include "symbolic/expr.hpp"
 
+#include <unordered_map>
+#include <utility>
+
 #include "support/error.hpp"
 
 namespace nrc {
@@ -90,34 +93,83 @@ Expr Expr::sqrt() const { return make(ExprOp::Sqrt, *this, Expr()); }
 Expr Expr::cbrt() const { return make(ExprOp::Cbrt, *this, Expr()); }
 
 namespace {
-std::string render(const ExprPtr& n) {
-  if (!n) return "?";
-  switch (n->op) {
-    case ExprOp::Const:
-      return n->cval.str();
-    case ExprOp::Cis:
-      return "cis(" + std::to_string(n->cis_k) + "/" + std::to_string(n->cis_n) + ")";
-    case ExprOp::Poly:
-      return "(" + n->poly.str() + ")";
-    case ExprOp::Add:
-      return "(" + render(n->a) + " + " + render(n->b) + ")";
-    case ExprOp::Sub:
-      return "(" + render(n->a) + " - " + render(n->b) + ")";
-    case ExprOp::Mul:
-      return "(" + render(n->a) + " * " + render(n->b) + ")";
-    case ExprOp::Div:
-      return "(" + render(n->a) + " / " + render(n->b) + ")";
-    case ExprOp::Neg:
-      return "(-" + render(n->a) + ")";
-    case ExprOp::Sqrt:
-      return "sqrt(" + render(n->a) + ")";
-    case ExprOp::Cbrt:
-      return "cbrt(" + render(n->a) + ")";
+// Renders into one buffer, each DAG node once: a node seen before copies
+// the span its first rendering wrote, so the cost is linear in the output
+// (the expanded tree) instead of in the number of root-to-leaf paths.
+class Renderer {
+ public:
+  std::string out;
+
+  void node(const ExprPtr& n) {
+    if (!n) {
+      out += "?";
+      return;
+    }
+    if (auto it = spans_.find(n.get()); it != spans_.end()) {
+      const auto [off, len] = it->second;
+      const size_t end = out.size();
+      out.resize(end + len);
+      out.copy(out.data() + end, len, off);  // source ends before `end`
+      return;
+    }
+    const size_t off = out.size();
+    switch (n->op) {
+      case ExprOp::Const:
+        out += n->cval.str();
+        break;
+      case ExprOp::Cis:
+        out += "cis(" + std::to_string(n->cis_k) + "/" + std::to_string(n->cis_n) + ")";
+        break;
+      case ExprOp::Poly:
+        out += "(" + n->poly.str() + ")";
+        break;
+      case ExprOp::Add:
+        binary(n, " + ");
+        break;
+      case ExprOp::Sub:
+        binary(n, " - ");
+        break;
+      case ExprOp::Mul:
+        binary(n, " * ");
+        break;
+      case ExprOp::Div:
+        binary(n, " / ");
+        break;
+      case ExprOp::Neg:
+        unary("(-", n, ")");
+        break;
+      case ExprOp::Sqrt:
+        unary("sqrt(", n, ")");
+        break;
+      case ExprOp::Cbrt:
+        unary("cbrt(", n, ")");
+        break;
+    }
+    spans_.emplace(n.get(), std::pair{off, out.size() - off});
   }
-  return "?";
-}
+
+ private:
+  void binary(const ExprPtr& n, const char* op) {
+    out += "(";
+    node(n->a);
+    out += op;
+    node(n->b);
+    out += ")";
+  }
+  void unary(const char* open, const ExprPtr& n, const char* close) {
+    out += open;
+    node(n->a);
+    out += close;
+  }
+
+  std::unordered_map<const ExprNode*, std::pair<size_t, size_t>> spans_;
+};
 }  // namespace
 
-std::string Expr::str() const { return render(node_); }
+std::string Expr::str() const {
+  Renderer r;
+  r.node(node_);
+  return std::move(r.out);
+}
 
 }  // namespace nrc

@@ -62,7 +62,9 @@ class Expr {
   Expr sqrt() const;
   Expr cbrt() const;
 
-  /// Human-readable rendering (Maxima-ish infix), mostly for diagnostics.
+  /// Human-readable rendering (Maxima-ish infix) of the expanded tree,
+  /// used by describe().  Each DAG node is rendered once per call and
+  /// its text copied at later uses, so the cost is linear in the output.
   std::string str() const;
 
  private:

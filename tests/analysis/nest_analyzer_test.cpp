@@ -69,6 +69,27 @@ TEST(NestAnalyzer, W001SaturatedTripCount) {
   EXPECT_EQ(cert.max_severity(), LintSeverity::Error);
 }
 
+// A bindable domain gets one certificate whichever entry point computes
+// it.  The cubic triangle's extent product N^3 saturates i64 at
+// N = 2.5e6, but bind() counts N^3/6 iterations exactly, which fits
+// with partition headroom: no NRC-W001, and analyze_nest() agrees with
+// analyze() of the built plan line for line.
+TEST(NestAnalyzer, BindableSaturatedExtentProductGetsThePlanCertificate) {
+  NestSpec nest;
+  nest.param("N")
+      .loop("i", aff::c(0), aff::v("N"))
+      .loop("j", aff::v("i"), aff::v("N"))
+      .loop("k", aff::v("j"), aff::v("N"));
+  const ParamMap params{{"N", 2'500'000}};
+  const NestCertificate cert = analyze_nest(nest, params);
+  EXPECT_TRUE(cert.bind_ok);
+  EXPECT_TRUE(cert.trip_i64_safe);
+  EXPECT_TRUE(cert.total_saturated);
+  EXPECT_FALSE(cert.has("NRC-W001")) << cert.str();
+  EXPECT_NE(cert.max_severity(), LintSeverity::Error) << cert.str();
+  EXPECT_EQ(cert.str(), analyze(*CollapsePlan::build(nest, params)).str());
+}
+
 // NRC-W001, headroom flavour: total fits i64 but exceeds 2^62, so
 // partition arithmetic (pc + chunk - 1) could overflow — error severity
 // on a plan that binds.

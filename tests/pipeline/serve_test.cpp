@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "../test_util.hpp"
+#include "analysis/nest_analyzer.hpp"
 #include "codegen/c_for_parser.hpp"
 #include "codegen/dsl_parser.hpp"
 #include "pipeline/plan_cache.hpp"
@@ -171,8 +172,9 @@ TEST(ServeHandle, LintReportsCertificateAndServeLimit) {
   ASSERT_TRUE(small.ok);
   EXPECT_NE(small.payload.find("lint: clean"), std::string::npos) << small.payload;
 
-  // Bind failures come back as diagnostics, not an err response, and
-  // lint bypasses the cache (no entry churned by the failing domain).
+  // Bind failures come back as diagnostics, not an err response: the
+  // failed build falls back to the uncached analyze_nest and leaves no
+  // cache entry behind.
   const size_t before = cache.size();
   const serve::Response unbound =
       serve::handle_request(cache, make_req("lint", {}, kTriCFor), limits);
@@ -185,6 +187,43 @@ TEST(ServeHandle, LintReportsCertificateAndServeLimit) {
       serve::handle_request(cache, make_req("run", {{"N", 100}}, kTriCFor), limits);
   ASSERT_FALSE(refused.ok);
   EXPECT_NE(refused.payload.find("NRC-W005"), std::string::npos) << refused.payload;
+}
+
+// lint certifies the cached plan: a primed key is a hit, a fresh one
+// builds and caches, and the payload is analyze_nest()'s certificate
+// for every bindable nest.
+TEST(ServeHandle, LintIsServedFromThePlanCache) {
+  PlanCache cache(16, 2);
+  const serve::ServeLimits limits;
+  ASSERT_TRUE(
+      serve::handle_request(cache, make_req("describe", {{"N", 50}}, kTriCFor), limits).ok);
+  const serve::Response hit =
+      serve::handle_request(cache, make_req("lint", {{"N", 50}}, kTriCFor), limits);
+  ASSERT_TRUE(hit.ok) << hit.payload;
+  EXPECT_EQ(hit.outcome, "hit");
+  EXPECT_EQ(hit.payload, analyze_nest(parse_c_for_nest(kTriCFor).collapsed_nest(),
+                                      {{"N", 50}})
+                             .str());
+
+  const size_t before = cache.size();
+  const serve::Response fresh =
+      serve::handle_request(cache, make_req("lint", {{"N", 60}}, kTriCFor), limits);
+  ASSERT_TRUE(fresh.ok) << fresh.payload;
+  EXPECT_EQ(fresh.outcome, "symbolic");
+  EXPECT_GT(fresh.build_ns, 0);
+  EXPECT_EQ(cache.size(), before + 1);
+
+  for (const auto& sc : testutil::closed_form_shapes()) {
+    const ParamMap p = testutil::uniform_params(sc.nest, 7);
+    if (!has_no_empty_ranges(sc.nest, p)) continue;  // outside the model
+    NestProgram prog;
+    prog.nest = sc.nest;
+    const serve::Response r =
+        serve::handle_request(cache, make_req("lint", p, render_nest_program(prog)), limits);
+    ASSERT_TRUE(r.ok) << sc.name << "\n" << r.payload;
+    EXPECT_NE(r.outcome, "-") << sc.name;
+    EXPECT_EQ(r.payload, analyze_nest(sc.nest, p).str()) << sc.name;
+  }
 }
 
 TEST(ServeHandle, ErrorsBecomeErrResponsesNotExceptions) {

@@ -4,6 +4,11 @@
 
 #include <cmath>
 
+#include "../test_util.hpp"
+#include "core/unrank_closed.hpp"
+#include "polyhedral/domain.hpp"
+#include "symbolic/root_formula.hpp"
+
 namespace nrc {
 namespace {
 
@@ -62,6 +67,85 @@ TEST(CompiledExpr, SharedSubtreeEvaluatedOnce) {
   // 3 instructions: poly(x), poly(y) fold? x and y are separate poly
   // leaves; s = add; mul: 4 instructions total (x, y, add, mul).
   EXPECT_EQ(ce.size(), 4u);
+}
+
+TEST(CompiledExpr, StructurallyEqualNodesMerge) {
+  // Two separately built x+y nodes are one value: x, y, add, mul.
+  const Expr s1 = Expr::variable("x") + Expr::variable("y");
+  const Expr s2 = Expr::variable("x") + Expr::variable("y");
+  ASSERT_NE(s1.ptr().get(), s2.ptr().get());
+  const CompiledExpr ce(s1 * s2, kOrder);
+  EXPECT_EQ(ce.size(), 4u);
+  EXPECT_NEAR(static_cast<double>(eval(s1 * s2, 2, 3).real()), 25.0, 1e-12);
+
+  // Different constants, roots of unity and operand orders stay apart.
+  EXPECT_EQ(CompiledExpr(Expr::variable("x") * Expr::constant(Rational(1, 3)) +
+                             Expr::variable("x") * Expr::constant(Rational(2, 3)),
+                         kOrder)
+                .size(),
+            6u);
+  EXPECT_EQ(CompiledExpr(Expr::cis(1, 3) + Expr::cis(2, 3), kOrder).size(), 3u);
+  EXPECT_EQ(CompiledExpr(Expr::variable("x") - Expr::variable("y") +
+                             (Expr::variable("y") - Expr::variable("x")),
+                         kOrder)
+                .size(),
+            5u);
+}
+
+bool same_value(long double a, long double b) {
+  if (std::isnan(a) || std::isnan(b)) return std::isnan(a) && std::isnan(b);
+  return a == b && std::signbit(a) == std::signbit(b);
+}
+
+TEST(CompiledExpr, MultiRootProgramMatchesEachSingleRootBitwise) {
+  // Every branch of every closed-form level of the fuzz nest classes,
+  // compiled into one program, evaluated on the calibration domain.
+  // Quartic levels are rare in the generator: the first ones appear at
+  // seed 144 (triangular and skewed).
+  bool degree_seen[5] = {};
+  for (testutil::FuzzClass cls : testutil::kFuzzClasses) {
+    for (u64 seed = 0; seed < 220; ++seed) {
+      const testutil::FuzzNest fc = testutil::make_fuzz_nest(cls, seed);
+      if (fc.expect_empty) continue;
+      const RankingSystem rs = build_ranking_system(fc.nest);
+      std::vector<std::string> slots = fc.nest.loop_vars();
+      for (const auto& p : fc.nest.params()) slots.push_back(p);
+      slots.push_back(kPcVar);
+      const auto points = domain_points(fc.nest, fc.calibration);
+      std::vector<i64> pt(slots.size(), 0);
+      for (size_t q = 0; q < slots.size(); ++q) {
+        const auto it = fc.calibration.find(slots[q]);
+        if (it != fc.calibration.end()) pt[q] = it->second;
+      }
+
+      for (const LevelFormula& lf : build_level_formulas(rs, 4)) {
+        if (lf.coeffs.empty()) continue;
+        degree_seen[lf.degree] = true;
+        const int nb = root_branch_count(lf.degree);
+        std::vector<Expr> roots;
+        std::vector<CompiledExpr> singles;
+        for (int b = 0; b < nb; ++b) {
+          roots.push_back(root_branch_expr(std::span<const Polynomial>(lf.coeffs), b));
+          singles.emplace_back(roots.back(), slots);
+        }
+        const CompiledExpr multi(roots, slots);
+        std::vector<cld> out(static_cast<size_t>(nb));
+        for (size_t i = 0; i < points.size(); ++i) {
+          for (size_t q = 0; q < points[i].size(); ++q) pt[q] = points[i][q];
+          pt.back() = static_cast<i64>(i) + 1;
+          multi.eval(pt, out);
+          for (int b = 0; b < nb; ++b) {
+            const cld one = singles[static_cast<size_t>(b)].eval(pt);
+            const cld all = out[static_cast<size_t>(b)];
+            ASSERT_TRUE(same_value(one.real(), all.real()) &&
+                        same_value(one.imag(), all.imag()))
+                << fc.repro() << "degree " << lf.degree << " branch " << b << " point " << i;
+          }
+        }
+      }
+    }
+  }
+  for (int d = 1; d <= 4; ++d) EXPECT_TRUE(degree_seen[d]) << "no degree-" << d << " level";
 }
 
 TEST(CompiledExpr, EmptyEvalThrows) {

@@ -2,8 +2,41 @@
 
 #include <gtest/gtest.h>
 
+#include "../test_util.hpp"
+#include "core/unrank_closed.hpp"
+#include "symbolic/root_formula.hpp"
+
 namespace nrc {
 namespace {
+
+/// Reference for Expr::str(): the plain tree-recursive rendering, which
+/// re-renders a shared subtree at every use.
+std::string render_tree(const ExprPtr& n) {
+  if (!n) return "?";
+  switch (n->op) {
+    case ExprOp::Const:
+      return n->cval.str();
+    case ExprOp::Cis:
+      return "cis(" + std::to_string(n->cis_k) + "/" + std::to_string(n->cis_n) + ")";
+    case ExprOp::Poly:
+      return "(" + n->poly.str() + ")";
+    case ExprOp::Add:
+      return "(" + render_tree(n->a) + " + " + render_tree(n->b) + ")";
+    case ExprOp::Sub:
+      return "(" + render_tree(n->a) + " - " + render_tree(n->b) + ")";
+    case ExprOp::Mul:
+      return "(" + render_tree(n->a) + " * " + render_tree(n->b) + ")";
+    case ExprOp::Div:
+      return "(" + render_tree(n->a) + " / " + render_tree(n->b) + ")";
+    case ExprOp::Neg:
+      return "(-" + render_tree(n->a) + ")";
+    case ExprOp::Sqrt:
+      return "sqrt(" + render_tree(n->a) + ")";
+    case ExprOp::Cbrt:
+      return "cbrt(" + render_tree(n->a) + ")";
+  }
+  return "?";
+}
 
 TEST(Expr, EmptyAndDereference) {
   Expr e;
@@ -65,6 +98,29 @@ TEST(Expr, SharedSubtrees) {
   const Expr x = Expr::variable("x");
   const Expr s = x + x;
   EXPECT_EQ(s.node().a.get(), s.node().b.get());
+}
+
+TEST(Expr, StrMatchesTreeRenderingOnSharedDags) {
+  EXPECT_EQ(Expr().str(), "?");
+  const Expr x = Expr::variable("x");
+  const Expr y = Expr::variable("y");
+  const Expr s = x + y;
+  const Expr t = (s * s - Expr::cis(1, 3) / s).cbrt();
+  for (const Expr& e : {s, s * s, t, -(t + t) * t.sqrt()})
+    EXPECT_EQ(e.str(), render_tree(e.ptr()));
+
+  // Every branch of every closed-form level of the degree-2..4 shapes:
+  // Cardano and Ferrari share most of their radicals across uses.
+  for (const NestSpec& nest : {testutil::triangular_strict(), testutil::tetrahedral_fig6(),
+                               testutil::simplex_4d(), testutil::simplex_4d_shifted()}) {
+    const RankingSystem rs = build_ranking_system(nest);
+    for (const LevelFormula& lf : build_level_formulas(rs, 4)) {
+      for (int b = 0; b < root_branch_count(lf.degree); ++b) {
+        const Expr root = root_branch_expr(std::span<const Polynomial>(lf.coeffs), b);
+        EXPECT_EQ(root.str(), render_tree(root.ptr())) << nest.str() << " branch " << b;
+      }
+    }
+  }
 }
 
 }  // namespace
