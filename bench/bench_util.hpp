@@ -19,11 +19,6 @@
 //                             current directory — pass an absolute path
 //                             in CI so out-of-tree binary dirs can't
 //                             silently drop the artifact)
-//   --cost-table=PATH  NRC_COST_TABLE_OUT
-//                             (bench_recovery_ns only) also persist the
-//                             measured rows as an nrc-cost-table v1 file
-//                             Schedule::auto_select can load via
-//                             NRC_COST_TABLE
 
 #include <omp.h>
 
@@ -43,7 +38,6 @@ struct Args {
   int sims = 12;
   int trials = 2;
   std::string out;
-  std::string cost_table;
   std::vector<std::string> kernels;
 
   static Args parse(int argc, char** argv) {
@@ -55,7 +49,6 @@ struct Args {
     if (const char* e = std::getenv("NRC_WARMUP")) a.warmup = std::atoi(e);
     if (const char* e = std::getenv("NRC_SIMS")) a.sims = std::atoi(e);
     if (const char* e = std::getenv("NRC_TRIALS")) a.trials = std::atoi(e);
-    if (const char* e = std::getenv("NRC_COST_TABLE_OUT")) a.cost_table = e;
     for (int i = 1; i < argc; ++i) {
       const std::string s = argv[i];
       auto val = [&](const char* prefix) -> const char* {
@@ -76,14 +69,12 @@ struct Args {
         a.trials = std::atoi(v);
       } else if (const char* v = val("--out=")) {
         a.out = v;
-      } else if (const char* v = val("--cost-table=")) {
-        a.cost_table = v;
       } else if (const char* v = val("--kernel=")) {
         a.kernels.emplace_back(v);
       } else if (s == "--help" || s == "-h") {
         std::printf(
             "flags: --scale=X --threads=N --reps=N --warmup=N --sims=N "
-            "--trials=N --out=PATH --cost-table=PATH --kernel=NAME (repeatable)\n");
+            "--trials=N --out=PATH --kernel=NAME (repeatable)\n");
         std::exit(0);
       } else {
         std::fprintf(stderr, "unknown flag: %s\n", s.c_str());

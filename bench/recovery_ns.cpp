@@ -40,26 +40,22 @@
 // quartic nests' block64 workload, or when a plan-cache hit is not at
 // least 10x cheaper than a cold collapse+bind (the pipeline's
 // analyze-once contract: repeated domains must skip symbolic build and
-// bind entirely), or when auto_select — the measured cost model or the
+// bind entirely), or when auto_select — its heuristic or the
 // one-thread / tiny-domain guard ahead of it — picks a schedule more
-// than 2x slower than the measured-best candidate on a gated nest (the
-// selection-accuracy floor), or when the runtime-compiled specialized
+// than 2x slower than the best of a fixed candidate list (per_thread,
+// row_segments, row_segments_chunked and simd_blocks_chunked at the
+// default chunk) on a gated nest (the selection-accuracy floor), or
+// when the runtime-compiled specialized
 // kernel (jit column: one-thread ns/iter, with its one-time compile as
 // jit_compile_ms) falls below 1.5x over the engine on the cubic/quartic
 // nests while a C toolchain is available (no toolchain skips the floor
 // with a note).
-//
-// The measured rows double as cost-model calibration:
-// --cost-table=PATH (or NRC_COST_TABLE_OUT) persists them as an
-// nrc-cost-table v1 file that Schedule::auto_select loads through
-// NRC_COST_TABLE; the selection-accuracy section below installs the
-// same table in-process and reports, per nest, the schedule the model
-// picks next to the measured-best candidate.
 
 #include <omp.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -340,80 +336,57 @@ int main(int argc, char** argv) {
     evals.push_back(cn);
   }
 
-  // ----------------------------------------------- cost-model calibration
-  // The measured engine/block/lane columns ARE the cost table: one
-  // entry per (solver profile, depth) class, stamped with this run's
-  // runtime ABI.
-  CostModel table;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    CostEntry e;
-    e.profile = classify_solver_profile(evals[i]);
-    e.depth = rows[i].depth;
-    e.lanes = simd::kGroupLanes;
-    e.engine_ns = rows[i].engine;
-    e.block_ns = rows[i].block;
-    e.simd4_ns = rows[i].simd;
-    e.simd8_ns = rows[i].simd8;
-    e.jit_ns = rows[i].jit;
-    e.jit_compile_ms = rows[i].jit_compile_ms;
-    table.add(e);
-  }
-  if (!args.cost_table.empty()) {
-    if (table.save_file(args.cost_table)) {
-      std::printf("wrote cost table %s (%zu entries, abi %s)\n",
-                  args.cost_table.c_str(), table.size(), table.abi().c_str());
-    } else {
-      std::fprintf(stderr, "FAIL: cannot write cost table %s\n",
-                   args.cost_table.c_str());
-      return 1;
-    }
-  }
-
   // --------------------------------------------- selection accuracy
-  // Install the freshly calibrated table and, per nest, measure every
-  // candidate schedule end to end; the model's pick must land within
-  // the enforced 2x of the measured best on the gated nests.
+  // Per nest, time the auto_select pick and every candidate end to end
+  // with the same tuple body (so the hints say it is not block-shaped);
+  // the pick must land within the enforced 2x of the best on the gated
+  // nests.
   struct SelRow {
     std::string chosen, best;
-    bool from_cost_model = false;
-    double predicted = 0;  ///< model's ns/iter for the pick (0: heuristic)
-    double measured = 0;   ///< measured ns/iter of the pick
-    double best_ns = 0;    ///< measured ns/iter of the best candidate
-    double ratio = 0;      ///< measured / best
+    double measured = 0;  ///< measured ns/iter of the pick
+    double best_ns = 0;   ///< measured ns/iter of the best candidate
+    double ratio = 0;     ///< measured / best
   };
   std::vector<SelRow> sels;
-  CostModel::set_global(table);
   {
+    // A new OpenMP team's threads can share cores until the kernel's
+    // load balancer spreads them: on a 4-vCPU VM, runs in the team's
+    // first second took 16-32 ms instead of 0.2 ms.  Keep the team busy
+    // for a second before timing anything.
+    const double warm_until = omp_get_wtime() + 1.0;
+#pragma omp parallel num_threads(args.threads)
+    while (omp_get_wtime() < warm_until) {
+    }
     AutoSelectHints hints;
     hints.threads = args.threads;
-    hints.block_body = true;
-    for (size_t i = 0; i < rows.size(); ++i) {
-      const CollapsedEval& cn = evals[i];
+    const RunConfig cfg{args.threads};
+    for (const CollapsedEval& cn : evals) {
       const i64 total = cn.trip_count();
-      auto measure = [&](const Schedule& s) {
-        return time_ns_per(total, trials, [&] {
-          thread_local i64 slot = 0;
-          run(cn, s, [](std::span<const i64> idx) { slot += idx[0]; });
-          g_sink = g_sink + slot;
-        });
-      };
-      const Schedule::Choice ch = Schedule::auto_select_with_cost(cn, hints);
-      SelRow sr;
-      sr.chosen = ch.schedule.describe();
-      sr.from_cost_model = ch.from_cost_model;
-      sr.predicted = ch.from_cost_model ? ch.est_ns_per_iter : 0.0;
-      sr.measured = measure(ch.schedule);
-      const CostEntry* e = table.lookup(classify_solver_profile(cn), cn.depth());
-      sr.best_ns = sr.measured;
-      sr.best = sr.chosen;
-      for (const Schedule& cand :
-           CostModel::candidate_schedules(e, total, hints, args.threads)) {
-        const double ns = measure(cand);
-        if (ns < sr.best_ns) {
-          sr.best_ns = ns;
-          sr.best = cand.describe();
+      const i64 chunk = default_chunk(total, args.threads);
+      const Schedule pick = Schedule::auto_select(cn, hints);
+      const Schedule scheds[] = {
+          pick, Schedule::per_thread(cfg), Schedule::row_segments(cfg),
+          Schedule::row_segments_chunked(chunk, cfg),
+          Schedule::simd_blocks_chunked(2 * simd::kGroupLanes, chunk, cfg)};
+      // Best of `trials`, timed round-robin so drift over the run hits
+      // the pick and the candidates alike.
+      std::vector<double> ns(std::size(scheds), 1e300);
+      for (int t = 0; t < trials; ++t) {
+        for (size_t c = 0; c < std::size(scheds); ++c) {
+          ns[c] = std::min(ns[c], time_ns_per(total, 1, [&] {
+                             thread_local i64 slot = 0;
+                             run(cn, scheds[c],
+                                 [](std::span<const i64> idx) { slot += idx[0]; });
+                             g_sink = g_sink + slot;
+                           }));
         }
       }
+      const size_t best = static_cast<size_t>(std::min_element(ns.begin(), ns.end()) - ns.begin());
+      SelRow sr;
+      sr.chosen = pick.describe();
+      sr.measured = ns[0];
+      sr.best = scheds[best].describe();
+      sr.best_ns = ns[best];
       sr.ratio = sr.best_ns > 0 ? sr.measured / sr.best_ns : 1.0;
       sels.push_back(sr);
     }
@@ -508,36 +481,35 @@ int main(int argc, char** argv) {
       "\n== selection accuracy: auto_select vs measured-best candidate "
       "(threads=%d) ==\n\n",
       args.threads);
-  std::printf("%-13s %-44s %9s %9s | %-44s %9s | %7s\n", "nest", "chosen schedule",
-              "pred[ns]", "meas[ns]", "measured best", "best[ns]", "ratio");
-  bench::rule(150);
+  std::printf("%-13s %-44s %9s | %-44s %9s | %7s\n", "nest", "chosen schedule",
+              "meas[ns]", "measured best", "best[ns]", "ratio");
+  bench::rule(140);
   bool sel_ok = true;
   for (size_t i = 0; i < rows.size(); ++i) {
     const SelRow& sr = sels[i];
-    std::printf("%-13s %-44s %9.3f %9.3f | %-44s %9.3f | %6.2fx%s\n",
-                rows[i].name.c_str(), sr.chosen.c_str(), sr.predicted, sr.measured,
-                sr.best.c_str(), sr.best_ns, sr.ratio,
-                sr.from_cost_model ? "" : "  (guard/heuristic)");
+    std::printf("%-13s %-44s %9.3f | %-44s %9.3f | %6.2fx\n", rows[i].name.c_str(),
+                sr.chosen.c_str(), sr.measured, sr.best.c_str(), sr.best_ns, sr.ratio);
     // Enforced floor: on the gated nests no pick may be more than 2x
-    // slower than the measured-best candidate — guard picks (tiny
-    // domain / one thread) included, though they never consult the
-    // table.
+    // slower than the best candidate — guard picks (tiny domain / one
+    // thread) included.
     if (rows[i].gate && sr.ratio > 2.0) sel_ok = false;
   }
-  bench::rule(150);
+  bench::rule(140);
   std::printf(
-      "chosen = Schedule::auto_select_with_cost under the calibrated table above\n"
-      "(pred = its ns/iter estimate; guard-picked schedules carry no estimate);\n"
-      "measured best = cheapest end-to-end candidate; ratio = chosen / best,\n"
-      "enforced <= 2x on the gated nests, guard picks included.\n");
+      "chosen = Schedule::auto_select; measured best = cheapest end-to-end run,\n"
+      "same tuple body, of the pick and the candidates per_thread, row_segments,\n"
+      "row_segments_chunked(default_chunk) and simd_blocks_chunked(2 x lane group,\n"
+      "default_chunk); ratio = chosen / best, enforced <= 2x on the gated nests,\n"
+      "guard picks included.\n");
 
   const std::string out_path = args.out.empty() ? "BENCH_recovery.json" : args.out;
   if (FILE* f = std::fopen(out_path.c_str(), "w")) {
     std::fprintf(f,
                  "{\n  \"bench\": \"recovery_ns\",\n  \"unit\": "
                  "\"ns_per_recovered_iteration\",\n  \"simd_abi\": \"%s\",\n"
-                 "  \"compiled_simd_abi\": \"%s\",\n  \"nests\": [\n",
-                 run_abi.c_str(), simd::abi_name());
+                 "  \"compiled_simd_abi\": \"%s\",\n  \"threads\": %d,\n"
+                 "  \"nests\": [\n",
+                 run_abi.c_str(), simd::abi_name(), args.threads);
     for (size_t i = 0; i < rows.size(); ++i) {
       const Row& r = rows[i];
       std::fprintf(f,
@@ -559,7 +531,6 @@ int main(int argc, char** argv) {
                    "\"speedup_jit_vs_engine\": %.3f, "
                    "\"speedup_bind_cached_vs_cold\": %.2f, "
                    "\"selection\": {\"chosen\": \"%s\", "
-                   "\"from_cost_model\": %s, \"predicted_ns_per_iter\": %.3f, "
                    "\"measured_ns_per_iter\": %.3f, \"best\": \"%s\", "
                    "\"best_ns_per_iter\": %.3f, \"ratio_vs_best\": %.3f}}%s\n",
                    r.name.c_str(), r.depth, static_cast<long long>(r.trip),
@@ -574,8 +545,7 @@ int main(int argc, char** argv) {
                    r.qblock > 0 ? r.qblock / r.block : 0.0,
                    r.jit > 0 ? r.engine / r.jit : 0.0,
                    r.bind_cached > 0 ? r.bind_cold / r.bind_cached : 0.0,
-                   sels[i].chosen.c_str(), sels[i].from_cost_model ? "true" : "false",
-                   sels[i].predicted, sels[i].measured, sels[i].best.c_str(),
+                   sels[i].chosen.c_str(), sels[i].measured, sels[i].best.c_str(),
                    sels[i].best_ns, sels[i].ratio,
                    i + 1 < rows.size() ? "," : "");
     }
@@ -626,7 +596,7 @@ int main(int argc, char** argv) {
   if (!sel_ok) {
     std::printf(
         "FAIL: auto_select picked a schedule more than 2x slower than the "
-        "measured-best candidate on a gated nest\n");
+        "best candidate on a gated nest\n");
     rc = 1;
   }
   return rc;

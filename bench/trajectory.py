@@ -34,7 +34,7 @@ SIMD512_FLOOR = 2.0     # enforced simd512-vs-block64 floor (avx512 runtime
 QUARTIC_FLOOR = 2.5     # enforced ferrari-vs-bytecode floor (quartic nests)
 BIND_FLOOR = 10.0       # enforced plan-cache-hit vs cold collapse+bind floor
 SELECT_CEIL = 2.0       # enforced auto_select-vs-measured-best ratio ceiling
-                        # (cost-model picks on gated nests only)
+                        # (gated nests, guard picks included)
 JIT_FLOOR = 1.5         # enforced jit-kernel-vs-engine floor (specialized
                         # compiled kernel on gated nests, toolchain runs only)
 
@@ -73,6 +73,7 @@ def main():
         "sha": args.sha[:10],
         "date": args.date,
         "simd_abi": current.get("simd_abi", "?"),
+        "threads": current.get("threads"),
         "nests": {},
     }
     for nest in current["nests"]:
@@ -106,7 +107,6 @@ def main():
         if sel:
             entry["nests"][nest["name"]]["selection"] = {
                 "chosen": sel.get("chosen"),
-                "from_cost_model": bool(sel.get("from_cost_model", False)),
                 "ratio_vs_best": sel.get("ratio_vs_best"),
                 "best": sel.get("best"),
             }
@@ -174,7 +174,7 @@ def main():
         f"simd512 ≥{SIMD512_FLOOR}x vs block64 on avx512 runs, "
         f"ferrari ≥{QUARTIC_FLOOR}x vs the PR 2 bytecode path on quartic "
         f"nests, plan-cache bind hit ≥{BIND_FLOOR:.0f}x vs a cold "
-        "collapse+bind on every nest, auto_select cost-model picks "
+        "collapse+bind on every nest, auto_select picks "
         f"≤{SELECT_CEIL:.0f}x the measured-best candidate on gated nests, "
         f"and the jit-compiled kernel ≥{JIT_FLOOR}x vs engine on gated "
         "nests when a C toolchain is present; enforced by "
@@ -210,14 +210,14 @@ def main():
             b = d.get("speedup_bind")
             cells.append(fmt(b if b else None, BIND_FLOOR if b else None))
             # Selection accuracy: chosen-vs-best ratio.  A ceiling, not a
-            # floor — mark ✓ when the cost-model pick stays ≤ SELECT_CEIL
-            # on a gated nest; guard/heuristic picks render unmarked.
+            # floor — mark ✓ when the pick stays ≤ SELECT_CEIL on a gated
+            # nest; ungated nests render unmarked.
             sel = d.get("selection")
             if sel is None or sel.get("ratio_vs_best") is None:
                 cells.append("—")
             else:
                 ratio = sel["ratio_vs_best"]
-                if d.get("gate") and sel.get("from_cost_model"):
+                if d.get("gate"):
                     cells.append(f"{ratio:.2f}x"
                                  + (" ✓" if ratio <= SELECT_CEIL else " ✗"))
                 else:

@@ -267,16 +267,11 @@ RecoveryStyle emission_style(const Schedule& s) {
       return s.chunk > 0 ? RecoveryStyle::Chunked : RecoveryStyle::PerThread;
     case Scheme::SimdBlocks:
     case Scheme::SimdBlocksChunked:
-    case Scheme::TiledTwoLevel:  // inner per-tile walk is the simd-block
-                                 // shape; the outer tiling is a schedule
-                                 // clause concern, not a recovery style
       return RecoveryStyle::SimdBlocks;
     case Scheme::PerThread:
     case Scheme::Taskloop:
     case Scheme::RowSegments:
     case Scheme::SerialSim:
-    case Scheme::DivideAndConquer:  // leaves are contiguous ranges with
-                                    // one recovery each: PerThread shape
       return RecoveryStyle::PerThread;
   }
   return RecoveryStyle::PerThread;

@@ -36,7 +36,6 @@
 #include "math/polynomial.hpp"
 #include "math/rational.hpp"
 #include "math/roots.hpp"
-#include "pipeline/cost_model.hpp"
 #include "pipeline/dispatch.hpp"
 #include "pipeline/plan.hpp"
 #include "pipeline/plan_cache.hpp"

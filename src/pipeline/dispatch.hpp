@@ -1,5 +1,5 @@
 #pragma once
-// The unified execution dispatcher: one entry point, twelve schemes.
+// The unified execution dispatcher: one entry point, ten schemes.
 //
 //   nrc::run(cn, schedule, body);
 //
@@ -282,66 +282,6 @@ void run_taskloop(const CollapsedEval& cn, i64 grainsize, int nt, Body& body) {
   }
 }
 
-/// Recursive binary split of [lo, hi] down to `grain`, the left half of
-/// each split deferred as an OpenMP task (work stealing), the right
-/// half iterated in place so the recursion depth stays
-/// O(log(total/grain)) while every level contributes one stealable
-/// task.  Leaves pay one recovery each (run_range_pref).  Must run
-/// inside an active parallel region (single construct); the implicit
-/// barrier at the end of that region completes all deferred tasks.
-template <bool PreferSegments, class Body>
-void dnc_split(const CollapsedEval& cn, i64 lo, i64 hi, i64 grain, Body& body) {
-  while (hi - lo + 1 > grain) {
-    const i64 mid = lo + (hi - lo) / 2;
-#pragma omp task
-    dnc_split<PreferSegments>(cn, lo, mid, grain, body);
-    lo = mid + 1;
-  }
-  run_range_pref<PreferSegments>(cn, lo, hi, body);
-}
-
-template <bool PreferSegments, class Body>
-void run_divide_and_conquer(const CollapsedEval& cn, i64 grainsize, int nt, Body& body) {
-  const i64 total = cn.trip_count();
-  if (total < 1) return;
-  const i64 grain = grainsize > 0 ? grainsize : default_chunk(total, nt);
-#pragma omp parallel num_threads(nt)
-#pragma omp single
-  dnc_split<PreferSegments>(cn, 1, total, grain, body);
-}
-
-/// Two-level tiling (RAJA Tile.hpp shape): the outer level assigns each
-/// thread a *contiguous* run of tiles — locality is the point, unlike
-/// the round-robin deal of the chunked schemes — and the inner level
-/// walks each tile as lane blocks of `vlen` (segment-only bodies get
-/// the row-segment walk instead, same tiles).
-template <class Body>
-void run_tiled_two_level(const CollapsedEval& cn, i64 tile, int vlen, int nt,
-                         Body& body) {
-  const i64 total = cn.trip_count();
-  if (total < 1) return;
-  const size_t d = static_cast<size_t>(cn.depth());
-  const i64 tl =
-      tile > 0 ? std::min(tile, total) : std::min(total, 8 * default_chunk(total, nt));
-  const i64 ntiles = chunk_count(total, tl);
-#pragma omp parallel num_threads(nt)
-  {
-    i64 t0, tcnt;
-    static_thread_range(ntiles, omp_get_num_threads(), omp_get_thread_num(), &t0, &tcnt);
-    for (i64 q = t0; q < t0 + tcnt; ++q) {
-      const i64 lo = 1 + (q - 1) * tl;
-      const i64 hi = chunk_end(total, lo, tl);
-      if constexpr (is_block_body_v<Body> || is_tuple_body_v<Body>) {
-        i64 idx[kMaxDepth];
-        cn.recover(lo, {idx, d});
-        run_blocks_pref(cn, {idx, d}, lo, hi, vlen, body);
-      } else {
-        run_segments(cn, lo, hi, body);
-      }
-    }
-  }
-}
-
 template <class Body>
 void run_simd_blocks(const CollapsedEval& cn, int vlen, int nt, Body& body) {
   const i64 total = cn.trip_count();
@@ -576,18 +516,6 @@ void run(const CollapsedEval& cn, const Schedule& s, Body&& body) {
     case Scheme::SerialSim:
       if constexpr (tup || seg) {
         detail::run_serial_sim(cn, s.serial_chunks, body);
-        return;
-      }
-      break;
-    case Scheme::DivideAndConquer:
-      if constexpr (tup || seg) {
-        detail::run_divide_and_conquer<true>(cn, s.grain, nt, body);
-        return;
-      }
-      break;
-    case Scheme::TiledTwoLevel:
-      if constexpr (blk || tup || seg) {
-        detail::run_tiled_two_level(cn, s.chunk, s.vlen, nt, body);
         return;
       }
       break;

@@ -81,11 +81,9 @@ class CollapsePlan : public std::enable_shared_from_this<CollapsePlan> {
   NestCertificate analyze() const;
 
   /// The symbolic report plus the pipeline lines: the bound parameters,
-  /// the auto-selected schedule, a cost-estimate line ("cost estimate:
-  /// 4.32 ns/iter (cost model, quadratic/d2)" when a calibrated cost
-  /// table drove the choice, "cost estimate: heuristic (no cost
-  /// table)" otherwise), and — for plans built through a PlanCache —
-  /// that cache's hit/miss/eviction counters.
+  /// the auto-selected schedule, the JIT kernel state for that
+  /// schedule, the static certificate, and — for plans built through a
+  /// PlanCache — that cache's hit/miss/eviction counters.
   std::string describe() const;
 
   /// Serialize everything needed to rebuild this plan bit-identically —

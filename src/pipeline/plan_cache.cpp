@@ -3,7 +3,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
 #include <functional>
 #include <future>
 #include <list>
@@ -39,42 +38,21 @@ std::string CollapsePlan::describe() const {
   s += "bound parameters:";
   for (const auto& [name, v] : eval_.params()) s += " " + name + "=" + std::to_string(v);
   s += " (trip count " + std::to_string(eval_.trip_count()) + ")\n";
-  const Schedule::Choice ch = Schedule::auto_select_with_cost(eval_);
-  s += "schedule (auto): " + ch.schedule.describe() + "\n";
-  // Cost-estimate line: the calibrated table's prediction when one
-  // drove the choice, the explicit fallback note otherwise — always
-  // present, always directly above the cache-stats line (serve clients
-  // key off the line order).
-  if (ch.from_cost_model) {
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), "cost estimate: %.2f ns/iter (cost model, %s)\n",
-                  ch.est_ns_per_iter, ch.profile.c_str());
-    s += buf;
-  } else {
-    s += "cost estimate: heuristic (no cost table)\n";
-  }
+  const Schedule sched = auto_schedule();
+  s += "schedule (auto): " + sched.describe() + "\n";
   // JIT state: a lock-only peek at the process-global kernel cache —
   // describe() must never trigger a compile.  Deterministic between
   // consecutive describes with no intervening jit activity, so it sits
   // with the other reproducible lines above "plan cache:".
-  {
-    std::string jit_line = "jit: ";
-    if (auto kernel = kernel_cache().peek(*this, ch.schedule)) {
-      jit_line += kernel->compiled()
-                      ? (kernel->info().from_disk ? "kernel compiled (disk cache)"
-                                                  : "kernel compiled")
-                      : kernel->status();
-    } else {
-      jit_line += "not compiled (plan->jit() / the jitrun verb compile on demand)";
-    }
-    if (ch.jit_recommended) {
-      char jbuf[64];
-      std::snprintf(jbuf, sizeof(jbuf), "; recommended (%.2f ns/iter amortized)",
-                    ch.jit_ns_per_iter);
-      jit_line += jbuf;
-    }
-    s += jit_line + "\n";
+  s += "jit: ";
+  if (auto kernel = kernel_cache().peek(*this, sched)) {
+    s += kernel->compiled()
+             ? (kernel->info().from_disk ? "kernel compiled (disk cache)" : "kernel compiled")
+             : kernel->status();
+  } else {
+    s += "not compiled (plan->jit() / the jitrun verb compile on demand)";
   }
+  s += "\n";
   // The static certificate: verdict summary plus one line per
   // diagnostic.  Deterministic for a given plan, so it sits above the
   // live cache-stats line (serve clients compare everything above

@@ -3,7 +3,6 @@
 #include <omp.h>
 
 #include "core/collapse.hpp"
-#include "pipeline/cost_model.hpp"
 #include "runtime/simd_abi.hpp"
 #include "support/error.hpp"
 
@@ -31,10 +30,6 @@ const char* scheme_name(Scheme s) {
       return "warp_sim";
     case Scheme::SerialSim:
       return "serial_sim";
-    case Scheme::DivideAndConquer:
-      return "divide_and_conquer";
-    case Scheme::TiledTwoLevel:
-      return "tiled_two_level";
   }
   return "?";
 }
@@ -117,28 +112,10 @@ Schedule Schedule::serial_sim(int n_chunks) {
   return s;
 }
 
-Schedule Schedule::divide_and_conquer(i64 grain, RunConfig c) {
-  Schedule s;
-  s.scheme = Scheme::DivideAndConquer;
-  s.grain = grain;
-  s.cfg = c;
-  return s;
-}
-
-Schedule Schedule::tiled_two_level(i64 tile, int vlen, RunConfig c) {
-  Schedule s;
-  s.scheme = Scheme::TiledTwoLevel;
-  s.chunk = tile;
-  s.vlen = vlen;
-  s.cfg = c;
-  return s;
-}
-
 void Schedule::validate() const {
   switch (scheme) {
     case Scheme::SimdBlocks:
     case Scheme::SimdBlocksChunked:
-    case Scheme::TiledTwoLevel:
       if (vlen < 1 || vlen > kMaxSimdLanes)
         throw SpecError(std::string(scheme_name(scheme)) + ": vlen out of range");
       break;
@@ -186,14 +163,6 @@ std::string Schedule::describe() const {
     case Scheme::SerialSim:
       field("n_chunks", std::to_string(serial_chunks));
       break;
-    case Scheme::DivideAndConquer:
-      field("grain", std::to_string(grain));
-      break;
-    case Scheme::TiledTwoLevel:
-      field("tile", std::to_string(chunk));
-      field("vlen", std::to_string(vlen));
-      field("abi", simd::runtime_abi());
-      break;
     default:
       break;
   }
@@ -204,44 +173,24 @@ std::string Schedule::describe() const {
 }
 
 Schedule Schedule::auto_select(const CollapsedEval& cn, const AutoSelectHints& h) {
-  return auto_select_with_cost(cn, h).schedule;
-}
-
-Schedule::Choice Schedule::auto_select_with_cost(const CollapsedEval& cn,
-                                                 const AutoSelectHints& h) {
   const i64 total = cn.trip_count();
   const int nt = h.threads > 0 ? h.threads : omp_get_max_threads();
 
-  Choice ch;
-  Schedule& s = ch.schedule;
+  Schedule s;
   s.cfg.threads = h.threads;
 
-  // Degenerate-domain guards stay ahead of the table: a fork/join can
-  // never pay for itself on a tiny domain, measured or not.  One thread
-  // (or one iteration) is one contiguous row walk on the calling
-  // thread: a single recovery, then for_each_row.  threads = 1 keeps a
-  // tiny domain from forking an idle team.
+  // Degenerate-domain guards: a fork/join can never pay for itself on a
+  // tiny domain.  One thread (or one iteration) is one contiguous row
+  // walk on the calling thread: a single recovery, then for_each_row.
+  // threads = 1 keeps a tiny domain from forking an idle team.
   if (total <= 1 || nt <= 1) {
     s.scheme = Scheme::PerThread;
     s.cfg.threads = 1;
-    return ch;
+    return s;
   }
   if (total < 4 * static_cast<i64>(nt)) {
     s.scheme = Scheme::PerThread;
-    return ch;
-  }
-
-  // Calibrated cost table first (pipeline/cost_model.hpp); the static
-  // heuristic below is the no-table fallback.
-  if (auto sel = CostModel::global().select(cn, h)) {
-    ch.schedule = sel->schedule;
-    ch.est_ns_per_iter = sel->ns_per_iter;
-    ch.from_cost_model = true;
-    ch.profile = std::string(solver_profile_name(sel->profile)) + "/d" +
-                 std::to_string(cn.depth());
-    ch.jit_recommended = sel->jit;
-    ch.jit_ns_per_iter = sel->jit_ns_per_iter;
-    return ch;
+    return s;
   }
 
   bool costly_recovery = false;   // a level with no usable formula
@@ -266,7 +215,7 @@ Schedule::Choice Schedule::auto_select_with_cost(const CollapsedEval& cn,
     // Recovery dominates: the per-thread schemes pay exactly one per
     // thread, and segment bodies cost nothing extra.
     s.scheme = Scheme::RowSegments;
-    return ch;
+    return s;
   }
 
   const i64 chunk = default_chunk(total, nt);
@@ -280,14 +229,19 @@ Schedule::Choice Schedule::auto_select_with_cost(const CollapsedEval& cn,
     s.scheme = Scheme::SimdBlocksChunked;
     s.vlen = h.vlen > 0 ? h.vlen : 2 * simd::kGroupLanes;
     s.chunk = chunk;
-    return ch;
+    return s;
   }
   // Production default (§V chunked, segment bodies): round-robin chunks
   // keep threads co-located, one recovery per chunk amortizes the
   // degree >= 3 solves, and the innermost range reaches the body whole.
   s.scheme = Scheme::RowSegmentsChunked;
   s.chunk = chunk;
-  return ch;
+  return s;
+}
+
+Schedule::Choice Schedule::auto_select_with_cost(const CollapsedEval& cn,
+                                                 const AutoSelectHints& h) {
+  return Choice{auto_select(cn, h)};
 }
 
 }  // namespace nrc

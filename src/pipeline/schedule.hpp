@@ -19,7 +19,7 @@
 // so runtime execution and generated C share one source of truth.
 // Schedule::auto_select() picks a scheme from the bound domain's shape
 // (depth, trip count, per-level solver kinds) when the caller has no
-// preference.
+// preference, with one fixed heuristic.
 
 #include <omp.h>
 
@@ -71,11 +71,6 @@ enum class Scheme {
                        ///< 4 per SIMD lane (recover4)
   WarpSim,             ///< §VI-B: W-strided lanes, one recovery per lane
   SerialSim,           ///< Fig. 10 protocol: serial, n_chunks recoveries
-  DivideAndConquer,    ///< recursive binary split of the collapsed range
-                       ///< down to `grain`, leaves as OpenMP tasks
-                       ///< (work stealing; one recovery per leaf)
-  TiledTwoLevel,       ///< outer contiguous tiles for locality (`chunk`
-                       ///< = tile size), inner simd-block walk per tile
 };
 
 const char* scheme_name(Scheme s);
@@ -111,12 +106,6 @@ struct Schedule {
   static Schedule simd_blocks_chunked(int vlen, i64 chunk, RunConfig c = {});
   static Schedule warp_sim(int warp_size, RunConfig c = {});
   static Schedule serial_sim(int n_chunks = 1);
-  /// Composite schemes (cost-model PR): recursive binary splitting to
-  /// `grain` (<= 0 picks default_chunk), and two-level tiling with
-  /// `tile` collapsed iterations per outer tile (<= 0 picks a default)
-  /// walked as lane blocks of `vlen` inside each tile.
-  static Schedule divide_and_conquer(i64 grain = 0, RunConfig c = {});
-  static Schedule tiled_two_level(i64 tile, int vlen, RunConfig c = {});
 
   /// Parameter validation; throws SpecError exactly where the legacy
   /// entry points threw (vlen outside [1, kMaxSimdLanes], warp_size < 1)
@@ -129,13 +118,8 @@ struct Schedule {
   std::string describe() const;
 
   /// Pick a scheme for a bound domain when the caller has no
-  /// preference.  When the process has a calibrated cost table loaded
-  /// (pipeline/cost_model.hpp: CostModel::global(), fed by the
-  /// NRC_COST_TABLE environment variable or set_global()), the choice
-  /// is a measured-cost minimization over the candidate schedules.
-  /// Without a table — or when the table was calibrated on a different
-  /// runtime SIMD ABI — the deterministic heuristic over depth, trip
-  /// count and the per-level solver kinds bind() chose applies:
+  /// preference: a deterministic heuristic over depth, trip count and
+  /// the per-level solver kinds bind() chose.
   ///   * one thread or a tiny domain (<= 1 iteration) means one row
   ///     walk on the calling thread: PerThread at threads = 1, one
   ///     recovery and no fork/join, never the Fig. 10 SerialSim
@@ -153,9 +137,7 @@ struct Schedule {
   static Schedule auto_select(const CollapsedEval& eval, const AutoSelectHints& hints = {});
 
   struct Choice;
-  /// auto_select plus provenance: the predicted cost when a calibrated
-  /// table drove the choice (CollapsePlan::describe's cost-estimate
-  /// line renders it).
+  /// auto_select, wrapped in a Choice.
   static Choice auto_select_with_cost(const CollapsedEval& eval,
                                       const AutoSelectHints& hints = {});
 };
@@ -163,16 +145,6 @@ struct Schedule {
 /// The result of Schedule::auto_select_with_cost.
 struct Schedule::Choice {
   Schedule schedule;
-  double est_ns_per_iter = -1.0;  ///< < 0: no cost-model estimate
-  bool from_cost_model = false;   ///< table-driven vs heuristic fallback
-  std::string profile;            ///< e.g. "quadratic/d2" when table-driven
-  /// The table's measured jit column beats every library schedule even
-  /// with the compile amortized over one full run — callers holding a
-  /// CollapsePlan should dispatch through plan->jit(schedule) (the
-  /// serve run verb does).  `schedule` stays the best library schedule
-  /// either way: it is the kernel's emission shape and the fallback.
-  bool jit_recommended = false;
-  double jit_ns_per_iter = -1.0;  ///< valid when jit_recommended
 };
 
 }  // namespace nrc

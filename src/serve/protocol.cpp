@@ -47,6 +47,33 @@ ParamMap parse_params(const std::string& text) {
   return params;
 }
 
+/// One line into `line` (without its '\n'), charging every byte it
+/// consumes, the newline included, to `budget`: a request past
+/// kMaxRequestBytes throws before the rest of it is buffered.  False at
+/// end of stream with nothing read, like std::getline.
+bool getline_capped(std::istream& is, std::string& line, size_t& budget) {
+  line.clear();
+  std::streambuf* sb = is.rdbuf();
+  size_t left = budget;  // a local: stores to `line` may alias `budget`
+  for (;;) {
+    const int c = sb->sbumpc();
+    if (c == std::char_traits<char>::eof()) {
+      budget = left;
+      is.setstate(std::ios::eofbit);
+      return !line.empty();
+    }
+    if (left == 0)
+      throw ParseError("request: over the " + std::to_string(kMaxRequestBytes) +
+                       "-byte request cap");
+    --left;
+    if (c == '\n') {
+      budget = left;
+      return true;
+    }
+    line.push_back(static_cast<char>(c));
+  }
+}
+
 std::atomic<u64> g_walks{0};
 thread_local u64 tl_walk = 0;        ///< the walk tl_sum belongs to
 thread_local u64* tl_sum = nullptr;  ///< this thread's slot in that walk
@@ -118,9 +145,10 @@ bool verb_has_nest(const std::string& verb) {
 
 bool read_request(std::istream& is, Request& out) {
   std::string line;
+  size_t budget = kMaxRequestBytes;
   // Skip blank lines between requests; EOF here is a clean end.
   for (;;) {
-    if (!std::getline(is, line)) return false;
+    if (!getline_capped(is, line, budget)) return false;
     if (!strip_ws(line).empty()) break;
   }
 
@@ -133,7 +161,7 @@ bool read_request(std::istream& is, Request& out) {
 
   if (verb_has_nest(req.verb)) {
     bool terminated = false;
-    while (std::getline(is, line)) {
+    while (getline_capped(is, line, budget)) {
       if (strip_ws(line) == ".") {
         terminated = true;
         break;
@@ -283,20 +311,17 @@ Response handle_request(PlanCache& cache, const Request& req, const ServeLimits&
                         std::to_string(limits.max_run_trip) +
                         " [NRC-W005 serve-limit; the lint verb reports this "
                         "without refusing]");
-      const Schedule::Choice choice = Schedule::auto_select_with_cost(plan.eval());
+      const Schedule sched = plan.auto_schedule();
       PartialSums checksum;
       auto body = [&checksum](std::span<const i64> idx) { checksum.add(tuple_mix(idx)); };
       std::string jit_line;
-      if (req.verb == "jitrun" || choice.jit_recommended) {
-        // The explicit jitrun verb always takes the kernel path; the
-        // plain run verb takes it only when the calibrated cost table
-        // says the amortized compile wins.  Either way the kernel's
-        // own fallback ladder guarantees an answer.
-        auto kernel = plan.jit(choice.schedule);
+      if (req.verb == "jitrun") {
+        // The kernel's own fallback ladder guarantees an answer.
+        auto kernel = plan.jit(sched);
         kernel->run(body);
-        if (req.verb == "jitrun") jit_line = "jit " + kernel->status() + "\n";
+        jit_line = "jit " + kernel->status() + "\n";
       } else {
-        nrc::run(plan, choice.schedule, body);
+        nrc::run(plan, sched, body);
       }
       resp.payload = "checksum " + std::to_string(checksum.total()) + "\ntrip " +
                      std::to_string(plan.eval().trip_count()) + "\n" + jit_line;

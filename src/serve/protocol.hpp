@@ -12,18 +12,18 @@
 //   <nest text: C-for or DSL lines>          (verbs that take a nest)
 //   .\n                                      lone-dot terminator
 //
+// One request may span at most kMaxRequestBytes, header line included;
+// read_request throws ParseError past that, and nrcd answers with an
+// error and drops the connection.
+//
 // Verbs:
 //   describe  nest+params -> the plan's describe() report (includes
-//             the auto-selected schedule and its cost-estimate line —
-//             table-driven prediction or the heuristic fallback note)
+//             the auto-selected schedule)
 //   emit      nest+params -> the collapsed nest as OpenMP C (the
 //             auto-selected schedule drives the emission style)
 //   run       nest+params -> execute through the dispatcher, reply with
-//             an order-insensitive checksum and the trip count.  When a
-//             calibrated cost table recommends the JIT (amortized
-//             compile + per-iteration beats every library schedule),
-//             execution routes through the compiled kernel
-//             transparently — same checksum, same framing.
+//             an order-insensitive checksum and the trip count.  run
+//             never compiles: jitrun is the one verb that reaches the JIT.
 //   jitrun    nest+params -> execute through the JIT-compiled
 //             specialized kernel (jit/jit_kernel.hpp) via the
 //             process-global KernelCache; replies with the run verb's
@@ -91,13 +91,16 @@ struct Response {
   i64 build_ns = 0;
 };
 
+/// Bytes read_request accepts for one request, header line included.
+inline constexpr size_t kMaxRequestBytes = size_t{1} << 20;
+
 /// True for verbs whose request carries a nest section ("describe",
 /// "emit", "run", "jitrun", "lint"); stats/quit are header-only.
 bool verb_has_nest(const std::string& verb);
 
 /// Read one request.  Returns false on a clean end-of-stream before a
-/// header; throws ParseError on a malformed header or a nest section
-/// missing its "." terminator.
+/// header; throws ParseError on a malformed header, a nest section
+/// missing its "." terminator, or a request over kMaxRequestBytes.
 bool read_request(std::istream& is, Request& out);
 
 /// Render a request in wire format (client side; used by the tests and

@@ -29,9 +29,7 @@
 #include "jit/jit_kernel.hpp"
 #include "jit/kernel_cache.hpp"
 #include "jit/toolchain.hpp"
-#include "pipeline/cost_model.hpp"
 #include "pipeline/plan_cache.hpp"
-#include "runtime/simd_abi.hpp"
 #include "serve/protocol.hpp"
 #include "support/error.hpp"
 
@@ -329,15 +327,11 @@ std::string odometer_run_reply(const CollapsedEval& cn) {
   return "checksum " + std::to_string(sum) + "\ntrip " + std::to_string(total) + "\n";
 }
 
-/// Restores the OpenMP default team size and clears any installed cost
-/// table, so the other tests in this binary see neither.
+/// Restores the OpenMP default team size, so the other tests in this
+/// binary see the default.
 class ServeThreads : public ::testing::Test {
  protected:
-  void SetUp() override { CostModel::clear_global(); }
-  void TearDown() override {
-    omp_set_num_threads(saved_threads_);
-    CostModel::clear_global();
-  }
+  void TearDown() override { omp_set_num_threads(saved_threads_); }
 
  private:
   int saved_threads_ = omp_get_max_threads();
@@ -346,7 +340,7 @@ class ServeThreads : public ::testing::Test {
 // The run and jitrun checksums sum per-thread partials; they must equal
 // the sequential odometer sum whichever team runs the walk — the
 // dispatcher's or a compiled kernel's (or its fallback), one thread or
-// four, with the cost table routing plain run to the kernel or not.
+// four.  Plain run never reaches the kernel cache; jitrun always does.
 TEST_F(ServeThreads, RunAndJitrunChecksumsMatchTheOdometerAtOneAndFourThreads) {
   constexpr i64 kN = 60;
   const auto plan =
@@ -354,42 +348,22 @@ TEST_F(ServeThreads, RunAndJitrunChecksumsMatchTheOdometerAtOneAndFourThreads) {
   const std::string want = odometer_run_reply(plan->eval());
 
   PlanCache cache(16, 2);
-  for (const bool table : {false, true}) {
-    if (table) {
-      // A jit row that beats every library schedule: plain run routes
-      // to the kernel whenever the guard leaves the choice to the table.
-      CostEntry e;
-      e.profile = classify_solver_profile(plan->eval());
-      e.depth = plan->eval().depth();
-      e.lanes = simd::kGroupLanes;
-      e.engine_ns = 20.0;
-      e.block_ns = 1.0;
-      e.simd4_ns = 0.7;
-      e.simd8_ns = 0.5;
-      e.jit_ns = 1e-3;
-      CostModel m;
-      m.add(e);
-      CostModel::set_global(std::move(m));
-    }
-    for (const int nt : {1, 4}) {
-      omp_set_num_threads(nt);
-      const std::string where =
-          std::string(table ? "cost table" : "no table") + ", threads=" + std::to_string(nt);
-      // One thread never reaches the table; at four threads the table
-      // routes run through the compiled kernel.
-      EXPECT_EQ(Schedule::auto_select_with_cost(plan->eval()).jit_recommended,
-                table && nt > 1)
-          << where;
+  for (const int nt : {1, 4}) {
+    omp_set_num_threads(nt);
+    const std::string where = "threads=" + std::to_string(nt);
 
-      const serve::Response run = serve::handle_request(cache, tri_request("run", kN));
-      ASSERT_TRUE(run.ok) << where << ": " << run.payload;
-      EXPECT_EQ(run.payload, want) << where;
+    const i64 before_run = kernel_cache().stats().lookups();
+    const serve::Response run = serve::handle_request(cache, tri_request("run", kN));
+    ASSERT_TRUE(run.ok) << where << ": " << run.payload;
+    EXPECT_EQ(run.payload, want) << where;
+    EXPECT_EQ(kernel_cache().stats().lookups(), before_run) << where;
 
-      const serve::Response jitrun = serve::handle_request(cache, tri_request("jitrun", kN));
-      ASSERT_TRUE(jitrun.ok) << where << ": " << jitrun.payload;
-      EXPECT_EQ(jitrun.payload.substr(0, want.size()), want) << where;
-      EXPECT_NE(jitrun.payload.find("\njit "), std::string::npos) << where;
-    }
+    const i64 before_jitrun = kernel_cache().stats().lookups();
+    const serve::Response jitrun = serve::handle_request(cache, tri_request("jitrun", kN));
+    ASSERT_TRUE(jitrun.ok) << where << ": " << jitrun.payload;
+    EXPECT_EQ(jitrun.payload.substr(0, want.size()), want) << where;
+    EXPECT_NE(jitrun.payload.find("\njit "), std::string::npos) << where;
+    EXPECT_GE(kernel_cache().stats().lookups(), before_jitrun + 1) << where;
   }
 }
 

@@ -31,12 +31,6 @@ TEST(Schedule, FactoriesCarryTheirParameters) {
   EXPECT_EQ(sc.cfg.threads, 3);
   EXPECT_EQ(Schedule::warp_sim(32).warp_size, 32);
   EXPECT_EQ(Schedule::serial_sim(12).serial_chunks, 12);
-  EXPECT_EQ(Schedule::divide_and_conquer(64).grain, 64);
-  const Schedule tt = Schedule::tiled_two_level(4096, 8, {5});
-  EXPECT_EQ(tt.scheme, Scheme::TiledTwoLevel);
-  EXPECT_EQ(tt.chunk, 4096);  // the tile rides the chunk field
-  EXPECT_EQ(tt.vlen, 8);
-  EXPECT_EQ(tt.cfg.threads, 5);
 }
 
 TEST(Schedule, ValidateThrowsExactlyWhereTheLegacyEntryPointsThrew) {
@@ -49,13 +43,6 @@ TEST(Schedule, ValidateThrowsExactlyWhereTheLegacyEntryPointsThrew) {
   EXPECT_NO_THROW(Schedule::chunked(-5).validate());
   EXPECT_NO_THROW(Schedule::taskloop(0).validate());
   EXPECT_NO_THROW(Schedule::row_segments_chunked(0).validate());
-  // TiledTwoLevel shares the simd vlen range; the tile itself has the
-  // documented non-positive fallback.
-  EXPECT_THROW(Schedule::tiled_two_level(64, 0).validate(), SpecError);
-  EXPECT_THROW(Schedule::tiled_two_level(64, kMaxSimdLanes + 1).validate(), SpecError);
-  EXPECT_NO_THROW(Schedule::tiled_two_level(0, 4).validate());
-  EXPECT_NO_THROW(Schedule::divide_and_conquer(0).validate());
-  EXPECT_NO_THROW(Schedule::divide_and_conquer(-3).validate());
 }
 
 TEST(Schedule, DescribeNamesSchemeAndParameters) {
@@ -72,10 +59,6 @@ TEST(Schedule, DescribeNamesSchemeAndParameters) {
             "simd_blocks_chunked(vlen=8, chunk=64, abi=" + abi + ", threads=2)");
   EXPECT_EQ(Schedule::warp_sim(32).describe(), "warp_sim(warp_size=32)");
   EXPECT_EQ(Schedule::serial_sim(12).describe(), "serial_sim(n_chunks=12)");
-  EXPECT_EQ(Schedule::divide_and_conquer(256).describe(),
-            "divide_and_conquer(grain=256)");
-  EXPECT_EQ(Schedule::tiled_two_level(4096, 8, {2}).describe(),
-            "tiled_two_level(tile=4096, vlen=8, abi=" + abi + ", threads=2)");
 }
 
 TEST(Schedule, DefaultChunkResolvesRealThreadCountAtZero) {
@@ -98,13 +81,12 @@ TEST(Schedule, DefaultChunkResolvesRealThreadCountAtZero) {
 
 TEST(AutoSelect, TinyDomainOrOneThreadRunsSerial) {
   // One iteration or one thread: one row walk on the calling thread —
-  // PerThread pinned to one thread, decided before any cost table.
+  // PerThread pinned to one thread.
   const Collapsed col = collapse(testutil::triangular_inclusive());
   const CollapsedEval tiny = col.bind({{"N", 1}});  // 1 iteration
   const Schedule::Choice t = Schedule::auto_select_with_cost(tiny);
   EXPECT_EQ(t.schedule.scheme, Scheme::PerThread);
   EXPECT_EQ(t.schedule.cfg.threads, 1);
-  EXPECT_FALSE(t.from_cost_model);
 
   const CollapsedEval cn = col.bind({{"N", 400}});
   AutoSelectHints one_thread;
@@ -112,7 +94,6 @@ TEST(AutoSelect, TinyDomainOrOneThreadRunsSerial) {
   const Schedule::Choice o = Schedule::auto_select_with_cost(cn, one_thread);
   EXPECT_EQ(o.schedule.scheme, Scheme::PerThread);
   EXPECT_EQ(o.schedule.cfg.threads, 1);
-  EXPECT_FALSE(o.from_cost_model);
 }
 
 TEST(AutoSelect, OneThreadPickIsTheRowWalkOnEveryFuzzClass) {
@@ -228,12 +209,6 @@ TEST(Dispatch, EverySchemeVisitsTheExactDomain) {
       Schedule::simd_blocks_chunked(4, total + 1, {3}),
       Schedule::warp_sim(6, {3}),
       Schedule::serial_sim(5),
-      Schedule::divide_and_conquer(0, {3}),
-      Schedule::divide_and_conquer(1, {3}),
-      Schedule::divide_and_conquer(total + 3, {3}),
-      Schedule::tiled_two_level(1, 4, {3}),
-      Schedule::tiled_two_level(7, 8, {3}),
-      Schedule::tiled_two_level(total + 2, 4, {3}),
   };
   for (const Schedule& s : schedules) {
     EXPECT_TRUE(testutil::run_scheme_differential(
@@ -319,13 +294,6 @@ TEST(Emission, StyleMappingCoversEveryScheme) {
   EXPECT_EQ(emission_style(Schedule::simd_blocks_chunked(8, 64)),
             RecoveryStyle::SimdBlocks);
   EXPECT_EQ(emission_style(Schedule::warp_sim(32)), RecoveryStyle::PerIteration);
-  // The composite schemes lower to their closest flat emission shape:
-  // D&C tasks have no OpenMP-C equivalent the emitter produces, so the
-  // per-thread recovery shape stands in; the two-level tile walk is the
-  // simd-block walk with a coarser outer grain.
-  EXPECT_EQ(emission_style(Schedule::divide_and_conquer(64)), RecoveryStyle::PerThread);
-  EXPECT_EQ(emission_style(Schedule::tiled_two_level(4096, 8)),
-            RecoveryStyle::SimdBlocks);
 }
 
 TEST(Emission, OmpScheduleClauseFollowsTheSchedule) {
@@ -337,8 +305,6 @@ TEST(Emission, OmpScheduleClauseFollowsTheSchedule) {
   // §VI-B's coalesced consecutive-iteration deal, expressed in OpenMP.
   EXPECT_EQ(emission_omp_schedule(Schedule::warp_sim(32)), "static, 1");
   EXPECT_EQ(emission_omp_schedule(Schedule::per_thread()), "static");
-  EXPECT_EQ(emission_omp_schedule(Schedule::divide_and_conquer(64)), "static");
-  EXPECT_EQ(emission_omp_schedule(Schedule::tiled_two_level(4096, 8)), "static");
 }
 
 TEST(Emission, WarpScheduleEmitsCoalescedPerIteration) {

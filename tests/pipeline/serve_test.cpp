@@ -84,6 +84,47 @@ TEST(ServeProtocol, MalformedRequestsThrowParseError) {
   EXPECT_THROW(serve::read_response(truncated_resp, resp), ParseError);
 }
 
+/// read_request on `wire`: the ParseError message, or "" when it parsed.
+std::string read_request_error(const std::string& wire) {
+  std::istringstream is(wire);
+  serve::Request req;
+  try {
+    serve::read_request(is, req);
+  } catch (const ParseError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ServeProtocol, RequestsOverTheByteCapThrowParseError) {
+  const size_t two_mib = 2 * serve::kMaxRequestBytes;
+  const std::string line(79, 'x');
+  std::string nest;
+  while (nest.size() < two_mib) nest += line + "\n";
+
+  // An unterminated nest section: without the cap it would be buffered
+  // whole before the missing '.' is noticed.
+  const std::string unterminated = "describe N=5\n" + nest;
+  EXPECT_NE(read_request_error(unterminated).find("request cap"), std::string::npos);
+  // One 2 MiB header line.
+  const std::string header = "describe " + std::string(two_mib, 'N') + "\n.\n";
+  EXPECT_NE(read_request_error(header).find("request cap"), std::string::npos);
+
+  // The cap stops the read near 1 MiB, not at the end of the stream.
+  std::istringstream is(unterminated);
+  serve::Request req;
+  EXPECT_THROW(serve::read_request(is, req), ParseError);
+  EXPECT_LE(static_cast<size_t>(is.tellg()), serve::kMaxRequestBytes + 1);
+
+  // A request of exactly the cap, terminator included, still reads; one
+  // byte more does not.
+  const std::string head = "describe N=5\n";
+  const std::string body = nest.substr(0, serve::kMaxRequestBytes - head.size() - 3);
+  ASSERT_EQ((head + body + "\n.\n").size(), serve::kMaxRequestBytes);
+  EXPECT_EQ(read_request_error(head + body + "\n.\n"), "");
+  EXPECT_NE(read_request_error(head + body + "x\n.\n").find("request cap"), std::string::npos);
+}
+
 TEST(ServeHandle, DescribeAttributesColdHitSymbolic) {
   PlanCache cache(16, 2);
   const serve::Request req = make_req("describe", {{"N", 100}}, kTriCFor);

@@ -166,24 +166,6 @@ std::vector<SchemeCase> scheme_matrix(i64 total, int nt, bool full) {
                    collapsed_serial_sim(c, sims, v);
                  }});
   }
-  // The two composite schemes have no legacy collapsed_for_* wrapper
-  // (they were born inside the unified dispatcher), so their legacy
-  // runner is empty and check_executors always takes the nrc::run path.
-  for (const i64 grain : {i64{0} /* cost-model default */, i64{1}, i64{4}, total + 3,
-                          kHugeChunk}) {
-    m.push_back({10, "divide_and_conquer g=" + std::to_string(grain),
-                 Schedule::divide_and_conquer(grain, {nt}), nullptr});
-  }
-  // Tile 1 degenerates every tile to one iteration; tile 3 with vlen 8
-  // forces lane groups wider than the tile; total + 2 and the huge tile
-  // collapse the outer level to a single tile.
-  for (const auto& [tile, vlen] :
-       {std::pair<i64, int>{1, 4}, {3, 8}, {7, 3}, {total + 2, 4}, {kHugeChunk, 8}}) {
-    m.push_back({11,
-                 "tiled_two_level t=" + std::to_string(tile) +
-                     " v=" + std::to_string(vlen),
-                 Schedule::tiled_two_level(tile, vlen, {nt}), nullptr});
-  }
   return m;
 }
 
@@ -206,19 +188,19 @@ void check_executors(const CollapsedEval& cn, const std::string& repro, bool ful
 
   const int thread_counts[] = {1, 3, 8};
   const int nt = thread_counts[rotation % 3];
-  const int group = static_cast<int>(rotation % 12);
+  const int group = static_cast<int>(rotation % 10);
   const bool legacy_path = (rotation / 10) % 2 == 1;
 
   for (const SchemeCase& sc : scheme_matrix(total, nt, full)) {
     if (!full && sc.group != group) continue;
-    if (full || !legacy_path || !sc.legacy) {
+    if (full || !legacy_path) {
       EXPECT_TRUE(testutil::run_scheme_differential(
           cn, ref, [&](auto&& visit) { nrc::run(cn, sc.sched, visit); }))
           << repro << "scheme=" << sc.label << " path=nrc::run("
           << sc.sched.describe() << ")";
       ++tally->scheme_runs;
     }
-    if (sc.legacy && (full || legacy_path)) {
+    if (full || legacy_path) {
       EXPECT_TRUE(testutil::run_scheme_differential(
           cn, ref, [&](auto&& visit) { sc.legacy(cn, Visit(visit)); }))
           << repro << "scheme=" << sc.label << " path=legacy";
