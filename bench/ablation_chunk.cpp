@@ -16,7 +16,7 @@
 #include "bench_util.hpp"
 #include "kernels/data.hpp"
 #include "runtime/baselines.hpp"
-#include "runtime/execute.hpp"
+#include "pipeline/dispatch.hpp"
 
 using namespace nrc;
 
@@ -29,13 +29,13 @@ void sweep(const char* name, const CollapsedEval& cn,
               static_cast<long long>(cn.trip_count()));
   std::printf("  %-16s %10s %14s\n", "chunk", "time[s]", "vs per-thread");
   const double t_block = time_best(
-      [&] { collapsed_for_per_thread(cn, body, {args.threads}); }, args.reps,
+      [&] { run(cn, Schedule::per_thread({args.threads}), body); }, args.reps,
       args.warmup);
   std::printf("  %-16s %10.4f %13.1f%%\n", "per-thread", t_block, 0.0);
   for (i64 chunk : {i64{64}, i64{256}, i64{1024}, i64{4096}, i64{16384}, i64{65536}}) {
     if (chunk * 2 >= cn.trip_count()) break;
     const double t = time_best(
-        [&] { collapsed_for_chunked(cn, chunk, body, {args.threads}); }, args.reps,
+        [&] { run(cn, Schedule::chunked(chunk, {args.threads}), body); }, args.reps,
         args.warmup);
     std::printf("  %-16lld %10.4f %+13.1f%%\n", static_cast<long long>(chunk), t,
                 100.0 * (t_block - t) / t_block);

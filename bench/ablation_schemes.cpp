@@ -16,9 +16,7 @@
 #include "kernels/data.hpp"
 #include "kernels/registry.hpp"
 #include "runtime/baselines.hpp"
-#include "runtime/execute.hpp"
-#include "runtime/simd.hpp"
-#include "runtime/warp.hpp"
+#include "pipeline/dispatch.hpp"
 
 using namespace nrc;
 
@@ -52,28 +50,26 @@ int main(int argc, char** argv) {
                 static_cast<long long>(cn.trip_count()));
 
     const double t_thread =
-        run_with([&] { collapsed_for_per_thread(cn, body, {args.threads}); });
+        run_with([&] { run(cn, Schedule::per_thread({args.threads}), body); });
     const double t_iter = run_with([&] {
-      collapsed_for_per_iteration(cn, body, OmpSchedule::Static, {args.threads});
+      run(cn, Schedule::per_iteration(OmpSchedule::Static, {args.threads}), body);
     });
     const double t_chunk =
-        run_with([&] { collapsed_for_chunked(cn, 1024, body, {args.threads}); });
+        run_with([&] { run(cn, Schedule::chunked(1024, {args.threads}), body); });
     const double t_simd = run_with([&] {
-      collapsed_for_simd_blocks(
-          cn, 8,
+      run(cn, Schedule::simd_blocks(8, {args.threads}),
           [&](int lanes, const i64* const* cols) {
             double acc = 0.0;
             for (int l = 0; l < lanes; ++l)
               for (int k = 0; k < cn.depth(); ++k)
                 acc += static_cast<double>(cols[k][l]);
             sink = sink + acc;
-          },
-          args.threads);
+          });
     });
     const double t_warp =
-        run_with([&] { collapsed_for_warp_sim(cn, 32, body, args.threads); });
+        run_with([&] { run(cn, Schedule::warp_sim(32, {args.threads}), body); });
     const double t_task =
-        run_with([&] { collapsed_for_taskloop(cn, 1024, body, {args.threads}); });
+        run_with([&] { run(cn, Schedule::taskloop(1024, {args.threads}), body); });
 
     auto row = [&](const char* label, double t) {
       std::printf("  %-22s %10.4f s   %6.2fx vs per-thread\n", label, t,

@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
   }
   bench::rule(96);
   std::printf(
-      "overhead = (t_collapsed_serial - t_original_serial) / t_original_serial.\n"
+      "overhead = (t_serial_collapsed - t_serial_original) / t_serial_original.\n"
       "'scalar' is the paper's exact Fig. 4 protocol (element-wise index\n"
       "incrementation): mostly small, largest on fully-collapsed light-body\n"
       "nests (paper: covariance/symm; here symm/utma/skewstencil).\n"

@@ -11,7 +11,6 @@
 #include "bench_util.hpp"
 #include "kernels/correlation.hpp"
 #include "runtime/baselines.hpp"
-#include "runtime/execute.hpp"
 
 using namespace nrc;
 

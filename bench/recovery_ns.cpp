@@ -25,11 +25,14 @@
 // history and guard behaviour match production chunk starts.  Results go
 // to stdout and BENCH_recovery.json (ns per recovered iteration, per
 // scheme; --out=PATH overrides the location) so successive PRs have a
-// perf trajectory.  Exit status is non-zero when the compiled engine
-// falls below the enforced 2.5x floor against the interpreter on a
-// gated nest (the target stays >= 3x; the floor leaves headroom for
-// shared-runner noise), when a vector build's (runtime abi avx2 or
-// avx512) simd64 path falls below 1.2x over block64 on the cubic and
+// perf trajectory.  The JSON also records each column's spread (the
+// fastest and slowest of its per-trial timings; the tables print the
+// fastest) and the run's provenance: cpu, nproc, git_sha and git_dirty,
+// as benchmark/run.py records them.  Exit status is non-zero when the
+// compiled engine falls below the enforced 2.5x floor against the
+// interpreter on a gated nest (the target stays >= 3x; the floor leaves
+// headroom for shared-runner noise), when a vector build's (runtime abi
+// avx2 or avx512) simd64 path falls below 1.2x over block64 on the cubic and
 // quartic nests (the floor was 2x against PR 2's scalar block path;
 // PR 3 made that scalar baseline itself 2-3x faster), when an AVX-512
 // run's simd512 path falls below 2x over block64 on the same gated
@@ -53,9 +56,14 @@
 
 #include <omp.h>
 
+#include <sched.h>
+
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <iterator>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -131,17 +139,75 @@ std::vector<i64> probe_pcs(i64 total, size_t n) {
   return pcs;
 }
 
-/// Best-of-trials wall time for fn() per inner element, in ns.
+/// Fastest and slowest of a column's per-trial timings, ns per element.
+struct Spread {
+  double min = 1e300, max = 0;
+  void add(double ns) {
+    min = std::min(min, ns);
+    max = std::max(max, ns);
+  }
+};
+
+/// Per-trial wall time for fn() per inner element, in ns, over `trials`
+/// runs.
 template <class Fn>
-double time_ns_per(i64 elements, int trials, Fn&& fn) {
-  double best = 1e300;
+Spread time_trials(i64 elements, int trials, Fn&& fn) {
+  Spread s;
   for (int t = 0; t < trials; ++t) {
     const double t0 = omp_get_wtime();
     fn();
-    const double dt = omp_get_wtime() - t0;
-    best = std::min(best, dt);
+    s.add((omp_get_wtime() - t0) * 1e9 / static_cast<double>(elements));
   }
-  return best * 1e9 / static_cast<double>(elements);
+  return s;
+}
+
+/// A shell command's stdout; nullopt when it cannot run or fails.
+std::optional<std::string> command_output(const std::string& cmd) {
+  FILE* p = ::popen((cmd + " 2>/dev/null").c_str(), "r");
+  if (!p) return std::nullopt;
+  std::string out;
+  char buf[512];
+  while (std::fgets(buf, sizeof(buf), p)) out += buf;
+  if (::pclose(p) != 0) return std::nullopt;
+  return out;
+}
+
+/// The host and checkout a run measured, with the names and sources
+/// benchmark/run.py's provenance() uses: the cpu model name from
+/// /proc/cpuinfo, the cpus this process may run on, and the checkout's
+/// HEAD plus whether tracked files differ from it (null when git or
+/// the checkout is missing).
+std::string provenance_json() {
+  std::string cpu = "unknown";
+  std::ifstream info("/proc/cpuinfo");
+  for (std::string line; std::getline(info, line);) {
+    if (line.rfind("model name", 0) == 0) {
+      cpu = line.substr(line.find_first_not_of(" \t", line.find(':') + 1));
+      break;
+    }
+  }
+  cpu_set_t set;
+  const int nproc = ::sched_getaffinity(0, sizeof(set), &set) == 0 ? CPU_COUNT(&set) : 0;
+  const std::string git =
+      "git -C '" + std::filesystem::path(__FILE__).parent_path().parent_path().string() + "' ";
+  const auto sha = command_output(git + "rev-parse HEAD");
+  const auto status =
+      sha ? command_output(git + "status --porcelain --untracked-files=no") : std::nullopt;
+  return "\"cpu\": \"" + cpu + "\", \"nproc\": " + std::to_string(nproc) +
+         ", \"git_sha\": \"" + (sha ? sha->substr(0, sha->find('\n')) : "unknown") +
+         "\", \"git_dirty\": " + (status ? (status->empty() ? "false" : "true") : "null");
+}
+
+/// {"column": [min, max], ...} over a row's recorded spreads.
+std::string spread_json(const std::vector<std::pair<const char*, Spread>>& spread) {
+  std::string out;
+  char buf[128];
+  for (const auto& [column, s] : spread) {
+    std::snprintf(buf, sizeof(buf), "%s\"%s\": [%.3f, %.3f]", out.empty() ? "" : ", ", column,
+                  s.min, s.max);
+    out += buf;
+  }
+  return out;
 }
 
 volatile i64 g_sink = 0;
@@ -168,6 +234,9 @@ int main(int argc, char** argv) {
     double jit_compile_ms = 0;  ///< one cold out-of-process specialize+compile
     bool jit_compiled = false;
     bool gate = false, gate_simd = false, gate_quartic = false;
+    /// Per-column min and max of the per-trial timings, keyed by the
+    /// JSON column name.
+    std::vector<std::pair<const char*, Spread>> spread;
   };
   std::vector<Row> rows;
   std::vector<CollapsedEval> evals;  // row-parallel, for the selection report
@@ -190,15 +259,22 @@ int main(int argc, char** argv) {
     row.gate_simd = bn.gate_simd;
     row.gate_quartic = bn.gate_quartic;
 
+    // Times one column: records its spread and returns the best trial.
+    auto timed = [&](const char* column, i64 elements, auto&& fn) {
+      const Spread s = time_trials(elements, trials, fn);
+      row.spread.emplace_back(column, s);
+      return s.min;
+    };
+
     i64 idx[kMaxDepth];
     i64 sink = 0;
-    row.interp = time_ns_per(static_cast<i64>(nprobes), trials, [&] {
+    row.interp = timed("interpreter", static_cast<i64>(nprobes), [&] {
       for (const i64 pc : pcs) {
         cn.recover_interpreted(pc, {idx, d});
         sink += idx[0];
       }
     });
-    row.engine = time_ns_per(static_cast<i64>(nprobes), trials, [&] {
+    row.engine = timed("engine", static_cast<i64>(nprobes), [&] {
       for (const i64 pc : pcs) {
         cn.recover(pc, {idx, d});
         sink += idx[0];
@@ -206,7 +282,7 @@ int main(int argc, char** argv) {
     });
     constexpr i64 kBlock = 64;
     i64 block_buf[kBlock * kMaxDepth];
-    row.block = time_ns_per(static_cast<i64>(nprobes) * kBlock, trials, [&] {
+    row.block = timed("block64", static_cast<i64>(nprobes) * kBlock, [&] {
       for (const i64 pc : pcs) {
         const i64 lo = std::min<i64>(pc, std::max<i64>(1, cn.trip_count() - kBlock + 1));
         const i64 got =
@@ -219,7 +295,7 @@ int main(int argc, char** argv) {
     // per-iteration cost the lane-batched chunked scheme pays.
     i64 simd_buf[4 * kBlock * kMaxDepth];
     i64 rows4[4];
-    row.simd = time_ns_per(static_cast<i64>(nprobes) * 4 * kBlock, trials, [&] {
+    row.simd = timed("simd64", static_cast<i64>(nprobes) * 4 * kBlock, [&] {
       for (const i64 pc : pcs) {
         const i64 lo =
             std::min<i64>(pc, std::max<i64>(1, cn.trip_count() - 4 * kBlock + 1));
@@ -236,7 +312,7 @@ int main(int argc, char** argv) {
     // the 2x floor only gates runs whose runtime abi is avx512.
     i64 simd_buf8[8 * kBlock * kMaxDepth];
     i64 rows8[8];
-    row.simd8 = time_ns_per(static_cast<i64>(nprobes) * 8 * kBlock, trials, [&] {
+    row.simd8 = timed("simd512", static_cast<i64>(nprobes) * 8 * kBlock, [&] {
       for (const i64 pc : pcs) {
         const i64 lo =
             std::min<i64>(pc, std::max<i64>(1, cn.trip_count() - 8 * kBlock + 1));
@@ -249,7 +325,7 @@ int main(int argc, char** argv) {
     // Lane-batched formula recovery of 4 consecutive pcs (the §VI-B
     // warp-shaped primitive: one independent solve per lane).
     i64 batch_buf[4 * kMaxDepth];
-    row.batch4 = time_ns_per(static_cast<i64>(nprobes) * 4, trials, [&] {
+    row.batch4 = timed("batch4", static_cast<i64>(nprobes) * 4, [&] {
       for (const i64 pc : pcs) {
         const i64 lo = std::min<i64>(pc, std::max<i64>(1, cn.trip_count() - 3));
         const i64 pcs4[4] = {lo, lo + 1, lo + 2, lo + 3};
@@ -267,7 +343,7 @@ int main(int argc, char** argv) {
       CollapsedEval pr2 = cn;
       pr2.use_bytecode_quartics();
       pr2.set_f64_guards(false);
-      row.qblock = time_ns_per(static_cast<i64>(nprobes) * kBlock, trials, [&] {
+      row.qblock = timed("quartic_block64", static_cast<i64>(nprobes) * kBlock, [&] {
         for (const i64 pc : pcs) {
           const i64 lo =
               std::min<i64>(pc, std::max<i64>(1, pr2.trip_count() - kBlock + 1));
@@ -280,7 +356,7 @@ int main(int argc, char** argv) {
     // pays one sharded lookup.  The enforced >= 10x floor below is the
     // pipeline's analyze-once contract.
     constexpr i64 kBinds = 200;
-    row.bind_cold = time_ns_per(kBinds, trials, [&] {
+    row.bind_cold = timed("bind_cold", kBinds, [&] {
       for (i64 q = 0; q < kBinds; ++q) {
         const auto plan = CollapsePlan::build(bn.nest, bn.params);
         sink += plan->eval().trip_count();
@@ -288,19 +364,19 @@ int main(int argc, char** argv) {
     });
     PlanCache cache(8, 4);
     (void)cache.get(bn.nest, bn.params);  // prime: every timed get is a hit
-    row.bind_cached = time_ns_per(kBinds, trials, [&] {
+    row.bind_cached = timed("bind_cached", kBinds, [&] {
       for (i64 q = 0; q < kBinds; ++q) {
         const auto plan = cache.get(bn.nest, bn.params);
         sink += plan->eval().trip_count();
       }
     });
-    row.search = time_ns_per(static_cast<i64>(nprobes), trials, [&] {
+    row.search = timed("search", static_cast<i64>(nprobes), [&] {
       for (const i64 pc : pcs) {
         cn.recover_search(pc, {idx, d});
         sink += idx[0];
       }
     });
-    row.newton = time_ns_per(static_cast<i64>(nprobes), trials, [&] {
+    row.newton = timed("newton", static_cast<i64>(nprobes), [&] {
       for (const i64 pc : pcs) {
         nu.recover(pc, {idx, d});
         sink += idx[0];
@@ -323,7 +399,7 @@ int main(int argc, char** argv) {
       if (kernel->compiled()) {
         const int ambient = omp_get_max_threads();
         omp_set_num_threads(1);
-        row.jit = time_ns_per(cn.trip_count(), trials, [&] {
+        row.jit = timed("jit", cn.trip_count(), [&] {
           i64 slot = 0;
           kernel->run([&](std::span<const i64> t) { slot += t[0]; });
           sink += slot;
@@ -346,6 +422,7 @@ int main(int argc, char** argv) {
     double measured = 0;  ///< measured ns/iter of the pick
     double best_ns = 0;   ///< measured ns/iter of the best candidate
     double ratio = 0;     ///< measured / best
+    Spread measured_spread, best_spread;
   };
   std::vector<SelRow> sels;
   {
@@ -370,23 +447,27 @@ int main(int argc, char** argv) {
           Schedule::simd_blocks_chunked(2 * simd::kGroupLanes, chunk, cfg)};
       // Best of `trials`, timed round-robin so drift over the run hits
       // the pick and the candidates alike.
-      std::vector<double> ns(std::size(scheds), 1e300);
+      std::vector<Spread> ns(std::size(scheds));
       for (int t = 0; t < trials; ++t) {
         for (size_t c = 0; c < std::size(scheds); ++c) {
-          ns[c] = std::min(ns[c], time_ns_per(total, 1, [&] {
-                             thread_local i64 slot = 0;
-                             run(cn, scheds[c],
-                                 [](std::span<const i64> idx) { slot += idx[0]; });
-                             g_sink = g_sink + slot;
-                           }));
+          ns[c].add(time_trials(total, 1, [&] {
+                      thread_local i64 slot = 0;
+                      run(cn, scheds[c], [](std::span<const i64> idx) { slot += idx[0]; });
+                      g_sink = g_sink + slot;
+                    }).min);
         }
       }
-      const size_t best = static_cast<size_t>(std::min_element(ns.begin(), ns.end()) - ns.begin());
+      const size_t best = static_cast<size_t>(
+          std::min_element(ns.begin(), ns.end(),
+                           [](const Spread& a, const Spread& b) { return a.min < b.min; }) -
+          ns.begin());
       SelRow sr;
       sr.chosen = pick.describe();
-      sr.measured = ns[0];
+      sr.measured = ns[0].min;
+      sr.measured_spread = ns[0];
       sr.best = scheds[best].describe();
-      sr.best_ns = ns[best];
+      sr.best_ns = ns[best].min;
+      sr.best_spread = ns[best];
       sr.ratio = sr.best_ns > 0 ? sr.measured / sr.best_ns : 1.0;
       sels.push_back(sr);
     }
@@ -508,8 +589,10 @@ int main(int argc, char** argv) {
                  "{\n  \"bench\": \"recovery_ns\",\n  \"unit\": "
                  "\"ns_per_recovered_iteration\",\n  \"simd_abi\": \"%s\",\n"
                  "  \"compiled_simd_abi\": \"%s\",\n  \"threads\": %d,\n"
+                 "  \"trials\": %d,\n  %s,\n"
                  "  \"nests\": [\n",
-                 run_abi.c_str(), simd::abi_name(), args.threads);
+                 run_abi.c_str(), simd::abi_name(), args.threads, trials,
+                 provenance_json().c_str());
     for (size_t i = 0; i < rows.size(); ++i) {
       const Row& r = rows[i];
       std::fprintf(f,
@@ -532,7 +615,9 @@ int main(int argc, char** argv) {
                    "\"speedup_bind_cached_vs_cold\": %.2f, "
                    "\"selection\": {\"chosen\": \"%s\", "
                    "\"measured_ns_per_iter\": %.3f, \"best\": \"%s\", "
-                   "\"best_ns_per_iter\": %.3f, \"ratio_vs_best\": %.3f}}%s\n",
+                   "\"best_ns_per_iter\": %.3f, \"ratio_vs_best\": %.3f, "
+                   "\"measured_spread\": [%.3f, %.3f], \"best_spread\": [%.3f, %.3f]}, "
+                   "\"spread\": {%s}}%s\n",
                    r.name.c_str(), r.depth, static_cast<long long>(r.trip),
                    simd::kGroupLanes,
                    r.gate ? "true" : "false", r.gate_simd ? "true" : "false",
@@ -546,7 +631,9 @@ int main(int argc, char** argv) {
                    r.jit > 0 ? r.engine / r.jit : 0.0,
                    r.bind_cached > 0 ? r.bind_cold / r.bind_cached : 0.0,
                    sels[i].chosen.c_str(), sels[i].measured, sels[i].best.c_str(),
-                   sels[i].best_ns, sels[i].ratio,
+                   sels[i].best_ns, sels[i].ratio, sels[i].measured_spread.min,
+                   sels[i].measured_spread.max, sels[i].best_spread.min,
+                   sels[i].best_spread.max, spread_json(r.spread).c_str(),
                    i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");

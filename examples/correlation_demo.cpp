@@ -78,9 +78,8 @@ body {
   });
 
   const double t_collapsed = time_best([&] {
-    collapsed_for_chunked(cn, default_chunk(cn.trip_count(), threads),
-                          [&](std::span<const i64> ij) { body(ij[0], ij[1]); },
-                          {threads});
+    run(cn, Schedule::chunked(default_chunk(cn.trip_count(), threads), {threads}),
+        [&](std::span<const i64> ij) { body(ij[0], ij[1]); });
   });
   const bool ok = nearly_equal(a.checksum(), ref);
 

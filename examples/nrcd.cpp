@@ -24,7 +24,10 @@
 //
 // Transport is deliberately boring: one POSIX listening socket, one
 // detached thread per connection, a streambuf over the fd so the
-// protocol module reads the socket like any istream.
+// protocol module reads the socket like any istream.  Replies go out
+// with send(MSG_NOSIGNAL): a client that hangs up with replies unread
+// fails the write on its own connection, which is then dropped, instead
+// of raising SIGPIPE and taking the whole server down.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -80,7 +83,7 @@ class FdStreambuf : public std::streambuf {
     const char* p = pbase();
     ssize_t left = pptr() - pbase();
     while (left > 0) {
-      const ssize_t n = ::write(fd_, p, static_cast<size_t>(left));
+      const ssize_t n = ::send(fd_, p, static_cast<size_t>(left), MSG_NOSIGNAL);
       if (n <= 0) return false;
       p += n;
       left -= n;
@@ -112,7 +115,7 @@ void serve_connection(int fd) {
     }
     const serve::Response resp = serve::handle_request(plan_cache(), req);
     out << serve::format_response(resp) << std::flush;
-    if (req.verb == "quit") break;
+    if (!out || req.verb == "quit") break;  // !out: the client hung up
   }
   ::close(fd);
 }

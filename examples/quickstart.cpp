@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
   //        pairs, regardless of the triangle's skew.  (Per-thread
   //        accumulators; the executor opens its own parallel region.)
   std::vector<double> acc(static_cast<size_t>(omp_get_max_threads()), 0.0);
-  collapsed_for_per_thread(cn, [&](std::span<const i64> ij) {
+  run(cn, Schedule::per_thread(), [&](std::span<const i64> ij) {
     acc[static_cast<size_t>(omp_get_thread_num())] +=
         1.0 / static_cast<double>(ij[0] + ij[1] + 1);
   });

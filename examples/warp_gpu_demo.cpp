@@ -38,11 +38,11 @@ int main(int argc, char** argv) {
               static_cast<long long>(N), static_cast<long long>(cn.trip_count()), W);
 
   c.fill_zero();
-  const double t_warp = time_best([&] { collapsed_for_warp_sim(cn, W, body); });
+  const double t_warp = time_best([&] { run(cn, Schedule::warp_sim(W), body); });
   const double ref = c.checksum();
 
   c.fill_zero();
-  const double t_thread = time_best([&] { collapsed_for_per_thread(cn, body); });
+  const double t_thread = time_best([&] { run(cn, Schedule::per_thread(), body); });
   const bool ok = nearly_equal(c.checksum(), ref);
 
   std::printf("warp-sim (recover once, %d increments per step): %8.4f s\n", W, t_warp);

@@ -220,8 +220,8 @@ class CollapsedEval {
   /// Lane-strided (structure-of-arrays) batched recovery: one full solve
   /// at pc_lo, then SIMD row fills.  Column k holds index k of every
   /// recovered row — out[k*stride + r] for row r — which is exactly the
-  /// layout the SIMD kernel bodies consume (collapsed_for_simd_blocks),
-  /// so no scalar transpose sits between recovery and execution.
+  /// layout the lane-block bodies of Schedule::simd_blocks consume, so
+  /// no scalar transpose sits between recovery and execution.
   /// `stride` is the column pitch and must be >= the produced row count
   /// min(n, trip_count() - pc_lo + 1); out must hold depth()*stride
   /// values.  Returns the number of rows produced.  Zero heap allocation.

@@ -7,7 +7,7 @@
 
 #include "kernels/data.hpp"
 #include "kernels/registry.hpp"
-#include "runtime/execute.hpp"
+#include "pipeline/dispatch.hpp"
 
 namespace nrc {
 
@@ -26,6 +26,45 @@ class KernelBase : public IKernel {
     col_ = collapse(nest);
     params_ = params;
     eval_.emplace(col_.bind(params));
+  }
+
+  /// Run one of the five collapsed Variants through nrc::run; the
+  /// other three are the kernel's own loops and do nothing here.
+  /// `best` is the kernel's fastest body: a row-segment body (§VI-A)
+  /// where the innermost loop should vectorize, else the tuple body.
+  /// `tuple` is the tuple body.  The Fig. 10 serial protocol and the
+  /// two static schemes take `best`, so segment kernels run the
+  /// row-segment schemes and tuple kernels the §V scalar ones; the
+  /// scalar Fig. 10 variant and the per-iteration dynamic scheme take
+  /// `tuple`.
+  template <class Best, class Tuple>
+  void run_collapsed(Variant v, int threads, int sims, Best& best, Tuple& tuple) const {
+    constexpr bool seg = detail::is_segment_body_v<Best>;
+    const CollapsedEval& cn = *eval_;
+    const i64 chunk = default_chunk(cn.trip_count(), threads);
+    switch (v) {
+      case Variant::SerialCollapsedSim:
+        nrc::run(cn, Schedule::serial_sim(sims), best);
+        break;
+      case Variant::SerialCollapsedSimScalar:
+        nrc::run(cn, Schedule::serial_sim(sims), tuple);
+        break;
+      case Variant::CollapsedStatic:
+        nrc::run(cn,
+                 seg ? Schedule::row_segments_chunked(chunk, {threads})
+                     : Schedule::chunked(chunk, {threads}),
+                 best);
+        break;
+      case Variant::CollapsedStaticBlock:
+        nrc::run(cn, seg ? Schedule::row_segments({threads}) : Schedule::per_thread({threads}),
+                 best);
+        break;
+      case Variant::CollapsedDynamic:
+        nrc::run(cn, Schedule::per_iteration(OmpSchedule::Dynamic, {threads}), tuple);
+        break;
+      default:
+        break;
+    }
   }
 
   /// Scaled problem size: round(base * scale), floored at `floor_sz`.

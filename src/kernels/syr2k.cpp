@@ -50,12 +50,6 @@ void Syr2kKernel::run(Variant v, int threads, int root_eval_sims) {
         for (i64 i = 0; i < n_; ++i)
           for (i64 j = 0; j < i + 1; ++j) body(i, j);
         break;
-      case Variant::SerialCollapsedSim:
-        collapsed_serial_sim(*eval_, root_eval_sims, span_body);
-        break;
-      case Variant::SerialCollapsedSimScalar:
-        collapsed_serial_sim(*eval_, root_eval_sims, span_body);
-        break;
       case Variant::OuterStatic:
   #pragma omp parallel for schedule(static) num_threads(threads)
         for (i64 i = 0; i < n_; ++i)
@@ -66,17 +60,8 @@ void Syr2kKernel::run(Variant v, int threads, int root_eval_sims) {
         for (i64 i = 0; i < n_; ++i)
           for (i64 j = 0; j < i + 1; ++j) body(i, j);
         break;
-      case Variant::CollapsedStatic:
-        collapsed_for_chunked(*eval_,
-                              default_chunk(eval_->trip_count(), threads),
-                              span_body, {threads});
-        break;
-      case Variant::CollapsedStaticBlock:
-        collapsed_for_per_thread(*eval_, span_body, {threads});
-        break;
-      case Variant::CollapsedDynamic:
-        collapsed_for_per_iteration(*eval_, span_body, OmpSchedule::Dynamic, {threads});
-        break;
+      default:
+        run_collapsed(v, threads, root_eval_sims, span_body, span_body);
     }
   }
 }

@@ -60,12 +60,6 @@ void CorrelationTiledKernel::run(Variant v, int threads, int root_eval_sims) {
       for (i64 it = 0; it < nt_; ++it)
         for (i64 jt = it; jt < nt_; ++jt) tile_body(it, jt);
       break;
-    case Variant::SerialCollapsedSim:
-      collapsed_serial_sim(*eval_, root_eval_sims, span_body);
-      break;
-    case Variant::SerialCollapsedSimScalar:
-      collapsed_serial_sim(*eval_, root_eval_sims, span_body);
-      break;
     case Variant::OuterStatic:
 #pragma omp parallel for schedule(static) num_threads(threads)
       for (i64 it = 0; it < nt_; ++it)
@@ -76,17 +70,8 @@ void CorrelationTiledKernel::run(Variant v, int threads, int root_eval_sims) {
       for (i64 it = 0; it < nt_; ++it)
         for (i64 jt = it; jt < nt_; ++jt) tile_body(it, jt);
       break;
-    case Variant::CollapsedStatic:
-      collapsed_for_chunked(*eval_,
-                              default_chunk(eval_->trip_count(), threads),
-                              span_body, {threads});
-      break;
-    case Variant::CollapsedStaticBlock:
-      collapsed_for_per_thread(*eval_, span_body, {threads});
-      break;
-    case Variant::CollapsedDynamic:
-      collapsed_for_per_iteration(*eval_, span_body, OmpSchedule::Dynamic, {threads});
-      break;
+    default:
+      run_collapsed(v, threads, root_eval_sims, span_body, span_body);
   }
 }
 
@@ -146,12 +131,6 @@ void CovarianceTiledKernel::run(Variant v, int threads, int root_eval_sims) {
       for (i64 it = 0; it < nt_; ++it)
         for (i64 jt = it; jt < nt_; ++jt) tile_body(it, jt);
       break;
-    case Variant::SerialCollapsedSim:
-      collapsed_serial_sim(*eval_, root_eval_sims, span_body);
-      break;
-    case Variant::SerialCollapsedSimScalar:
-      collapsed_serial_sim(*eval_, root_eval_sims, span_body);
-      break;
     case Variant::OuterStatic:
 #pragma omp parallel for schedule(static) num_threads(threads)
       for (i64 it = 0; it < nt_; ++it)
@@ -162,17 +141,8 @@ void CovarianceTiledKernel::run(Variant v, int threads, int root_eval_sims) {
       for (i64 it = 0; it < nt_; ++it)
         for (i64 jt = it; jt < nt_; ++jt) tile_body(it, jt);
       break;
-    case Variant::CollapsedStatic:
-      collapsed_for_chunked(*eval_,
-                              default_chunk(eval_->trip_count(), threads),
-                              span_body, {threads});
-      break;
-    case Variant::CollapsedStaticBlock:
-      collapsed_for_per_thread(*eval_, span_body, {threads});
-      break;
-    case Variant::CollapsedDynamic:
-      collapsed_for_per_iteration(*eval_, span_body, OmpSchedule::Dynamic, {threads});
-      break;
+    default:
+      run_collapsed(v, threads, root_eval_sims, span_body, span_body);
   }
 }
 

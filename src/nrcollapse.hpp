@@ -11,9 +11,13 @@
 //       .loop("j", nrc::aff::v("i") + 1, nrc::aff::v("N"));
 //   auto col = nrc::collapse(nest);
 //   auto cn  = col.bind({{"N", 5000}});
-//   nrc::collapsed_for_per_thread(cn, [&](std::span<const nrc::i64> ij) {
+//   nrc::run(cn, nrc::Schedule::per_thread(), [&](std::span<const nrc::i64> ij) {
 //     /* body using ij[0], ij[1] */
 //   });
+//
+// nrc::run is the one way to run a collapsed loop: the Schedule value
+// names the scheme and carries its parameters (pipeline/schedule.hpp),
+// and Schedule::auto_select picks one when the caller has no preference.
 
 #include "codegen/c_emitter.hpp"
 #include "codegen/c_for_parser.hpp"
@@ -45,11 +49,7 @@
 #include "polyhedral/lexmin.hpp"
 #include "polyhedral/nest.hpp"
 #include "runtime/baselines.hpp"
-#include "runtime/execute.hpp"
-#include "runtime/segments.hpp"
-#include "runtime/simd.hpp"
 #include "runtime/thread_stats.hpp"
-#include "runtime/warp.hpp"
 #include "serve/protocol.hpp"
 #include "serve/serialization.hpp"
 #include "symbolic/compile.hpp"

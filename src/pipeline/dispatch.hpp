@@ -4,17 +4,15 @@
 //   nrc::run(cn, schedule, body);
 //
 // runs the collapsed domain of `cn` under the scheme named by the
-// Schedule descriptor (pipeline/schedule.hpp).  Every legacy
-// collapsed_for_* function (runtime/execute.hpp, segments.hpp,
-// simd.hpp, warp.hpp) is a thin wrapper that builds the matching
-// Schedule and calls this dispatcher, so the §V/§VI scheme
-// implementations — and the chunking/thread-range arithmetic they
-// share (static_thread_range, chunk_count/chunk_end, the parallel
-// drivers) — live exactly once, here.
+// Schedule descriptor (pipeline/schedule.hpp).  It is the one way to
+// run a collapsed loop: kernels, benches, examples and tests all call
+// it with a Schedule value, so the §V/§VI scheme implementations — and
+// the chunking/thread-range arithmetic they share
+// (static_thread_range, chunk_count/chunk_end, the parallel drivers) —
+// live exactly once, here.
 //
-// Body shapes.  The dispatcher accepts the three body contracts the
-// legacy entry points defined and adapts between them where the
-// adaptation is free:
+// Body shapes.  The dispatcher accepts three body contracts and adapts
+// between them where the adaptation is free:
 //   * tuple body    void(std::span<const i64> idx)            — any scheme
 //   * segment body  void(std::span<const i64> prefix, i64 j0, i64 j1)
 //                   — native to RowSegments/RowSegmentsChunked (and the
@@ -426,8 +424,8 @@ void run_serial_sim(const CollapsedEval& cn, int n_chunks, Body& body) {
 /// The unified dispatcher: run the collapsed domain of `cn` under the
 /// scheme described by `s` with `body` (see the header comment for the
 /// accepted body shapes).  Throws SpecError on invalid Schedule
-/// parameters — exactly where the legacy entry points threw — and on a
-/// body shape no adaptation covers.
+/// parameters (Schedule::validate) and on a body shape no adaptation
+/// covers.
 template <class Body>
 void run(const CollapsedEval& cn, const Schedule& s, Body&& body) {
   s.validate();
@@ -463,11 +461,11 @@ void run(const CollapsedEval& cn, const Schedule& s, Body&& body) {
     case Scheme::Chunked:
     case Scheme::RowSegmentsChunked:
       if constexpr (tup || seg) {
-        // The tie-break keeps each legacy scheme's native body shape.
+        // The tie-break keeps each scheme's native body shape.
         constexpr bool prefer_seg_chunked = true;
         if (s.chunk <= 0) {
-          // Legacy semantics: a non-positive chunk falls back to the
-          // per-thread split of the same body family.
+          // A non-positive chunk falls back to the per-thread split
+          // of the same body family.
           detail::parallel_static_ranges(total, nt, [&](i64 lo, i64 hi) {
             if (s.scheme == Scheme::Chunked)
               detail::run_range_pref<false>(cn, lo, hi, body);

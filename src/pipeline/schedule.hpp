@@ -4,15 +4,12 @@
 // The paper's value proposition is "collapse once, run anywhere": one
 // closed-form ranking serves every execution scheme.  The runtime
 // implements ten schemes (paper §V scalar, §VI-A row-segment/SIMD-block,
-// §VI-B warp, plus the Fig. 10 serial simulator); historically each was
-// its own free function re-encoding its parameters in its signature,
-// and the C emitter kept a parallel copy of that knowledge in its own
-// option struct.  `Schedule` is the single value type naming a scheme
-// and carrying every scheme parameter, consumed by
+// §VI-B warp, plus the Fig. 10 serial simulator).  `Schedule` is the
+// single value type naming a scheme and carrying every scheme
+// parameter, consumed by
 //
-//   * nrc::run(eval_or_plan, schedule, body)  — the one dispatcher every
-//     collapsed_for_* entry point is a thin wrapper over
-//     (pipeline/dispatch.hpp), and
+//   * nrc::run(eval_or_plan, schedule, body)  — the one way to run a
+//     collapsed loop (pipeline/dispatch.hpp), and
 //   * EmitOptions — the C emitter derives its emission style and OpenMP
 //     pragma from the same descriptor (codegen/c_emitter.hpp),
 //
@@ -55,9 +52,8 @@ inline i64 default_chunk(i64 total, int threads) {
 /// Maximum lanes a SIMD block scheme may materialize per body call.
 inline constexpr int kMaxSimdLanes = 256;
 
-/// Every execution scheme the runtime implements.  One enumerator per
-/// legacy collapsed_for_* entry point (PerIteration covers both its
-/// static and dynamic OpenMP flavours via Schedule::omp).
+/// Every execution scheme the runtime implements (PerIteration covers
+/// both its static and dynamic OpenMP flavours via Schedule::omp).
 enum class Scheme {
   PerIteration,        ///< Fig. 3: full recovery at every iteration
   PerThread,           ///< §V: contiguous block per thread, one recovery each
@@ -88,14 +84,14 @@ struct Schedule {
   Scheme scheme = Scheme::PerThread;
   OmpSchedule omp = OmpSchedule::Static;  ///< PerIteration only
   i64 chunk = 0;          ///< chunked schemes; <= 0 falls back to the
-                          ///< unchunked parent scheme (legacy semantics)
+                          ///< unchunked parent scheme
   i64 grain = 0;          ///< Taskloop; <= 0 picks default_chunk
   int vlen = 8;           ///< SimdBlocks / SimdBlocksChunked
   int warp_size = 32;     ///< WarpSim
   int serial_chunks = 1;  ///< SerialSim (the Fig. 10 recovery count)
   RunConfig cfg{};        ///< thread count (0 = OpenMP default)
 
-  // Named constructors mirroring the ten legacy entry points.
+  // Named constructors, one per scheme.
   static Schedule per_iteration(OmpSchedule o = OmpSchedule::Static, RunConfig c = {});
   static Schedule per_thread(RunConfig c = {});
   static Schedule chunked(i64 chunk, RunConfig c = {});
@@ -107,10 +103,9 @@ struct Schedule {
   static Schedule warp_sim(int warp_size, RunConfig c = {});
   static Schedule serial_sim(int n_chunks = 1);
 
-  /// Parameter validation; throws SpecError exactly where the legacy
-  /// entry points threw (vlen outside [1, kMaxSimdLanes], warp_size < 1)
-  /// and nowhere else: a non-positive chunk/grain is a documented
-  /// fallback, not an error.
+  /// Parameter validation; throws SpecError for vlen outside
+  /// [1, kMaxSimdLanes] and warp_size < 1, and nowhere else: a
+  /// non-positive chunk/grain is a documented fallback, not an error.
   void validate() const;
 
   /// One-line human-readable rendering, e.g.

@@ -131,10 +131,10 @@ TEST(ValidateAcrossSchemes, SegmentAndBlockAgreeOnChecksum) {
   const Collapsed col = collapse(testutil::triangular_inclusive());
   const CollapsedEval cn = col.bind({{"N", 64}});
   std::vector<double> a(64 * 64, 0.0), b(64 * 64, 0.0);
-  collapsed_for_per_thread(cn, [&](std::span<const i64> ij) {
+  nrc::run(cn, Schedule::per_thread(), [&](std::span<const i64> ij) {
     a[static_cast<size_t>(ij[0] * 64 + ij[1])] = static_cast<double>(ij[0] - ij[1]);
   });
-  collapsed_for_row_segments(cn, [&](std::span<const i64> prefix, i64 j0, i64 j1) {
+  nrc::run(cn, Schedule::row_segments(), [&](std::span<const i64> prefix, i64 j0, i64 j1) {
     for (i64 j = j0; j < j1; ++j)
       b[static_cast<size_t>(prefix[0] * 64 + j)] = static_cast<double>(prefix[0] - j);
   });

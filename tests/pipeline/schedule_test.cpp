@@ -272,6 +272,8 @@ TEST(Dispatch, InvalidScheduleParametersThrow) {
   const Collapsed col = collapse(testutil::triangular_inclusive());
   const CollapsedEval cn = col.bind({{"N", 8}});
   const auto noop = [](std::span<const i64>) {};
+  const auto block_noop = [](int, const i64* const*) {};
+  EXPECT_THROW(run(cn, Schedule::simd_blocks(0), block_noop), SpecError);
   EXPECT_THROW(run(cn, Schedule::simd_blocks(kMaxSimdLanes + 1), noop), SpecError);
   EXPECT_THROW(run(cn, Schedule::warp_sim(0), noop), SpecError);
 }

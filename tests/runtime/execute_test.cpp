@@ -1,94 +1,41 @@
 // Every execution scheme must visit exactly the original nest's
 // iteration set — the fundamental safety property of the transformation.
-#include "runtime/execute.hpp"
+#include "pipeline/dispatch.hpp"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <limits>
 #include <mutex>
-#include <set>
 
 #include "../test_util.hpp"
-#include "runtime/segments.hpp"
-#include "runtime/simd.hpp"
-#include "runtime/warp.hpp"
 
 namespace nrc {
 namespace {
 
 using Tuple = std::vector<i64>;
-
-/// Collect visited tuples (thread-safe) and compare to the brute walk.
-class VisitCollector {
- public:
-  explicit VisitCollector(int depth) : depth_(depth) {}
-
-  auto body() {
-    return [this](std::span<const i64> idx) {
-      const Tuple t(idx.begin(), idx.end());
-      std::lock_guard<std::mutex> lock(mu_);
-      auto [it, inserted] = visited_.insert(t);
-      if (!inserted) ++duplicates_;
-    };
-  }
-
-  void expect_matches(const NestSpec& nest, const ParamMap& params) const {
-    const auto pts = domain_points(nest, params);
-    EXPECT_EQ(duplicates_, 0) << "some iteration was executed twice";
-    EXPECT_EQ(visited_.size(), pts.size());
-    for (const auto& p : pts) EXPECT_TRUE(visited_.count(p)) << "missing point";
-  }
-
- private:
-  int depth_;
-  mutable std::mutex mu_;
-  std::set<Tuple> visited_;
-  int duplicates_ = 0;
-};
+using testutil::run_covers;
 
 class ExecuteSchemes : public ::testing::TestWithParam<int> {};  // threads
 
 TEST_P(ExecuteSchemes, PerThreadCoversDomain) {
-  const NestSpec nest = testutil::tetrahedral_fig6();
-  const Collapsed col = collapse(nest);
-  const ParamMap p{{"N", 14}};
-  const CollapsedEval cn = col.bind(p);
-  VisitCollector vc(cn.depth());
-  collapsed_for_per_thread(cn, vc.body(), {GetParam()});
-  vc.expect_matches(nest, p);
+  EXPECT_TRUE(run_covers(testutil::tetrahedral_fig6(), {{"N", 14}},
+                         Schedule::per_thread({GetParam()})));
 }
 
 TEST_P(ExecuteSchemes, PerIterationStaticCoversDomain) {
-  const NestSpec nest = testutil::triangular_strict();
-  const Collapsed col = collapse(nest);
-  const ParamMap p{{"N", 40}};
-  const CollapsedEval cn = col.bind(p);
-  VisitCollector vc(cn.depth());
-  collapsed_for_per_iteration(cn, vc.body(), OmpSchedule::Static, {GetParam()});
-  vc.expect_matches(nest, p);
+  EXPECT_TRUE(run_covers(testutil::triangular_strict(), {{"N", 40}},
+                         Schedule::per_iteration(OmpSchedule::Static, {GetParam()})));
 }
 
 TEST_P(ExecuteSchemes, PerIterationDynamicCoversDomain) {
-  const NestSpec nest = testutil::trapezoidal_skewed();
-  const Collapsed col = collapse(nest);
-  const ParamMap p{{"T", 9}, {"N", 7}};
-  const CollapsedEval cn = col.bind(p);
-  VisitCollector vc(cn.depth());
-  collapsed_for_per_iteration(cn, vc.body(), OmpSchedule::Dynamic, {GetParam()});
-  vc.expect_matches(nest, p);
+  EXPECT_TRUE(run_covers(testutil::trapezoidal_skewed(), {{"T", 9}, {"N", 7}},
+                         Schedule::per_iteration(OmpSchedule::Dynamic, {GetParam()})));
 }
 
 TEST_P(ExecuteSchemes, ChunkedCoversDomain) {
-  const NestSpec nest = testutil::triangular_lower();
-  const Collapsed col = collapse(nest);
-  const ParamMap p{{"N", 33}};
-  const CollapsedEval cn = col.bind(p);
-  for (i64 chunk : {1, 3, 16, 1000}) {
-    VisitCollector vc(cn.depth());
-    collapsed_for_chunked(cn, chunk, vc.body(), {GetParam()});
-    vc.expect_matches(nest, p);
-  }
+  for (i64 chunk : {1, 3, 16, 1000})
+    EXPECT_TRUE(run_covers(testutil::triangular_lower(), {{"N", 33}},
+                           Schedule::chunked(chunk, {GetParam()})));
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, ExecuteSchemes, ::testing::Values(1, 2, 7, 12));
@@ -99,7 +46,7 @@ TEST(ExecuteSchemes, SerialPreservesLexicographicOrder) {
   const ParamMap p{{"N", 8}};
   const CollapsedEval cn = col.bind(p);
   std::vector<Tuple> order;
-  collapsed_serial(cn, [&](std::span<const i64> idx) {
+  nrc::run(cn, Schedule::serial_sim(), [&](std::span<const i64> idx) {
     order.emplace_back(idx.begin(), idx.end());
   });
   EXPECT_EQ(order, domain_points(nest, p));
@@ -113,7 +60,7 @@ TEST(ExecuteSchemes, SerialSimMatchesSerialForAnyChunkCount) {
   const auto expect = domain_points(nest, p);
   for (int sims : {1, 2, 5, 12, 100, 100000}) {
     std::vector<Tuple> order;
-    collapsed_serial_sim(cn, sims, [&](std::span<const i64> idx) {
+    nrc::run(cn, Schedule::serial_sim(sims), [&](std::span<const i64> idx) {
       order.emplace_back(idx.begin(), idx.end());
     });
     EXPECT_EQ(order, expect) << "sims=" << sims;
@@ -128,14 +75,13 @@ TEST(ExecuteSchemes, PerThreadBlocksAreContiguousRanks) {
   const CollapsedEval cn = col.bind({{"N", 30}});
   std::mutex mu;
   std::map<int, std::vector<i64>> per_thread;
-  collapsed_for_per_thread(
-      cn,
+  nrc::run(
+      cn, Schedule::per_thread({4}),
       [&](std::span<const i64> idx) {
         const i64 r = cn.rank(idx);
         std::lock_guard<std::mutex> lock(mu);
         per_thread[omp_get_thread_num()].push_back(r);
-      },
-      {4});
+      });
   for (auto& [t, ranks] : per_thread) {
     std::sort(ranks.begin(), ranks.end());
     for (size_t q = 1; q < ranks.size(); ++q)
@@ -143,60 +89,33 @@ TEST(ExecuteSchemes, PerThreadBlocksAreContiguousRanks) {
   }
 }
 
-TEST(ExecuteSchemes, EmptyWorkIsSafe) {
-  // trip_count >= 1 is guaranteed by bind(); single-iteration domains
-  // must not break any scheme.
-  NestSpec n;
-  n.param("N").loop("i", aff::c(0), aff::v("N")).loop("j", aff::v("i"), aff::v("N"));
-  const Collapsed col = collapse(n);
-  const CollapsedEval cn = col.bind({{"N", 1}});
-  ASSERT_EQ(cn.trip_count(), 1);
-  std::atomic<int> count{0};
-  collapsed_for_per_thread(cn, [&](std::span<const i64>) { ++count; }, {8});
-  EXPECT_EQ(count.load(), 1);
-}
-
 // ---------------------------------------------------------------------------
 // Integer edge cases surfaced by the executor fuzzer (PR 4).
 
 constexpr i64 kI64Max = std::numeric_limits<i64>::max();
 
-TEST(ExecuteSchemes, ChunkCountOverflowNearI64MaxStillCoversDomain) {
-  // (total + chunk - 1) / chunk wraps for chunk near the i64 maximum,
-  // making the chunk count non-positive — the pre-fix executor then
-  // visited ZERO iterations without any error, the worst possible
-  // failure mode for a "practically infinite chunk" caller.
-  const Collapsed col = collapse(testutil::triangular_strict());
-  const CollapsedEval cn = col.bind({{"N", 12}});
-  for (const i64 chunk : {kI64Max, kI64Max - 1, kI64Max / 2}) {
-    std::atomic<i64> count{0};
-    collapsed_for_chunked(cn, chunk, [&](std::span<const i64>) { ++count; }, {4});
-    EXPECT_EQ(count.load(), cn.trip_count()) << "chunk=" << chunk;
-  }
-}
-
-TEST(ExecuteSchemes, TaskloopGrainOverflowNearI64MaxStillCoversDomain) {
-  // Same wrap through the taskloop's task count.
-  const Collapsed col = collapse(testutil::triangular_lower());
-  const CollapsedEval cn = col.bind({{"N", 10}});
-  for (const i64 grain : {kI64Max, kI64Max - 1}) {
-    std::atomic<i64> count{0};
-    collapsed_for_taskloop(cn, grain, [&](std::span<const i64>) { ++count; }, {4});
-    EXPECT_EQ(count.load(), cn.trip_count()) << "grain=" << grain;
-  }
-}
-
-TEST(ExecuteSchemes, ChunkLargerThanTotalIsOneFullChunk) {
-  // chunk > total must degrade to a single chunk covering the whole
-  // range (and (q + 1) * chunk may never be formed: it overflows long
-  // before the chunk count does).
-  const Collapsed col = collapse(testutil::tetrahedral_fig6());
-  const ParamMap p{{"N", 9}};
-  const CollapsedEval cn = col.bind(p);
-  for (const i64 chunk : {cn.trip_count() + 1, 2 * cn.trip_count(), kI64Max / 3}) {
-    VisitCollector vc(cn.depth());
-    collapsed_for_chunked(cn, chunk, vc.body(), {3});
-    vc.expect_matches(testutil::tetrahedral_fig6(), p);
+TEST(HostileChunks, EveryChunkedScheduleCoversDomain) {
+  // One table for the chunk and grain extremes, run through nrc::run
+  // with each scheme's native body shape:
+  //   * near the i64 maximum: ceil(total / chunk) and lo + chunk - 1
+  //     must not wrap (the naive forms made the chunk count
+  //     non-positive and visited ZERO iterations without an error);
+  //   * above total: one chunk covers the whole range;
+  //   * 0 and below: the documented fallback (the unchunked parent
+  //     scheme; default_chunk for a taskloop grain).
+  const i64 kI64Min = std::numeric_limits<i64>::min();
+  const ParamMap p{{"N", 11}};
+  for (const NestSpec& nest : {testutil::triangular_strict(), testutil::triangular_lower(),
+                               testutil::tetrahedral_fig6()}) {
+    const i64 total = collapse(nest).bind(p).trip_count();
+    for (const i64 c : {kI64Max, kI64Max - 1, kI64Max / 2, kI64Max / 3, total + 1, 2 * total,
+                        i64{0}, i64{-1}, kI64Min}) {
+      for (const Schedule& s :
+           {Schedule::chunked(c, {4}), Schedule::taskloop(c, {4}),
+            Schedule::row_segments_chunked(c, {4}), Schedule::simd_blocks_chunked(4, c, {3}),
+            Schedule::simd_blocks_chunked(8, c, {4})})
+        EXPECT_TRUE(run_covers(nest, p, s)) << "total=" << total;
+    }
   }
 }
 
@@ -207,34 +126,12 @@ TEST(ExecuteSchemes, SinglePointDomainSafeAcrossAllSchemes) {
   // including the chunked/taskloop/simd/warp parameter extremes.
   NestSpec n;
   n.param("N").loop("i", aff::c(0), aff::v("N")).loop("j", aff::v("i"), aff::v("N"));
-  const Collapsed col = collapse(n);
-  const CollapsedEval cn = col.bind({{"N", 1}});
-  ASSERT_EQ(cn.trip_count(), 1);
-  const auto ref = testutil::odometer_reference(cn);
-  EXPECT_TRUE(testutil::run_scheme_differential(cn, ref, [&](auto&& visit) {
-    collapsed_for_per_iteration(cn, visit, OmpSchedule::Static, {7});
-  })) << "per_iteration";
-  EXPECT_TRUE(testutil::run_scheme_differential(cn, ref, [&](auto&& visit) {
-    collapsed_for_per_thread(cn, visit, {7});
-  })) << "per_thread";
-  EXPECT_TRUE(testutil::run_scheme_differential(cn, ref, [&](auto&& visit) {
-    collapsed_for_chunked(cn, kI64Max, visit, {7});
-  })) << "chunked";
-  EXPECT_TRUE(testutil::run_scheme_differential(cn, ref, [&](auto&& visit) {
-    collapsed_for_taskloop(cn, kI64Max, visit, {7});
-  })) << "taskloop";
-  EXPECT_TRUE(testutil::run_scheme_differential(cn, ref, [&](auto&& visit) {
-    collapsed_for_row_segments(cn, testutil::segment_adapter(cn, visit), 7);
-  })) << "row_segments";
-  EXPECT_TRUE(testutil::run_scheme_differential(cn, ref, [&](auto&& visit) {
-    collapsed_for_simd_blocks(cn, 8, testutil::block_adapter(cn, visit), 7);
-  })) << "simd_blocks";
-  EXPECT_TRUE(testutil::run_scheme_differential(cn, ref, [&](auto&& visit) {
-    collapsed_for_warp_sim(cn, 64, visit, 7);
-  })) << "warp_sim";
-  EXPECT_TRUE(testutil::run_scheme_differential(cn, ref, [&](auto&& visit) {
-    collapsed_serial_sim(cn, 1000, visit);
-  })) << "serial_sim";
+  for (const Schedule& s :
+       {Schedule::per_iteration(OmpSchedule::Static, {7}), Schedule::per_thread({8}),
+        Schedule::chunked(kI64Max, {7}), Schedule::taskloop(kI64Max, {7}),
+        Schedule::row_segments({7}), Schedule::simd_blocks(8, {7}), Schedule::warp_sim(64, {7}),
+        Schedule::serial_sim(1000)})
+    EXPECT_TRUE(run_covers(n, {{"N", 1}}, s));
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // end-to-end — every parallel scheme (§V per-thread/chunked, §VI-A SIMD
 // blocks, §VI-B warp) and the generated C must visit exactly the
 // original nest's iteration space — so this harness drives every
-// collapsed_for_* executor, the serial simulators and the codegen round
+// nrc::run Schedule, the serial simulator and the codegen round
 // trip over the same seeded random nests the recovery fuzzer uses
 // (testutil::make_fuzz_nest: triangular/tiled/skewed/degenerate), under
 // varied thread counts and scheme parameters (chunk > total, chunk near
@@ -33,7 +33,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <functional>
 #include <limits>
 #include <string>
 #include <vector>
@@ -41,10 +40,6 @@
 #include "../test_util.hpp"
 #include "codegen/c_emitter.hpp"
 #include "jit/toolchain.hpp"
-#include "runtime/execute.hpp"
-#include "runtime/segments.hpp"
-#include "runtime/simd.hpp"
-#include "runtime/warp.hpp"
 
 namespace nrc {
 namespace {
@@ -65,22 +60,11 @@ struct FuzzTally {
   i64 scheme_runs = 0;
 };
 
-using testutil::block_adapter;
-using testutil::segment_adapter;
-
-/// Type-erased tuple visitor / legacy-runner pair, so the whole scheme
-/// matrix fits in one table.
-using Visit = std::function<void(std::span<const i64>)>;
-using LegacyRunner = std::function<void(const CollapsedEval&, const Visit&)>;
-
-/// One entry of the scheme matrix: the Schedule descriptor the unified
-/// dispatcher executes, plus the legacy collapsed_for_* call it must be
-/// equivalent to.  `group` mirrors the long slice's rotation layout.
+/// One entry of the scheme matrix: the Schedule descriptor nrc::run
+/// executes.  `group` mirrors the long slice's rotation layout.
 struct SchemeCase {
   int group;
-  std::string label;
   Schedule sched;
-  LegacyRunner legacy;
 };
 
 /// The scheme/parameter matrix as one table of Schedules (the hostile
@@ -91,95 +75,47 @@ struct SchemeCase {
 /// all thread counts.
 std::vector<SchemeCase> scheme_matrix(i64 total, int nt, bool full) {
   std::vector<SchemeCase> m;
-  m.push_back({0, "per_iteration/static", Schedule::per_iteration(OmpSchedule::Static, {nt}),
-               [nt](const CollapsedEval& c, const Visit& v) {
-                 collapsed_for_per_iteration(c, v, OmpSchedule::Static, {nt});
-               }});
-  m.push_back({0, "per_iteration/dynamic",
-               Schedule::per_iteration(OmpSchedule::Dynamic, {nt}),
-               [nt](const CollapsedEval& c, const Visit& v) {
-                 collapsed_for_per_iteration(c, v, OmpSchedule::Dynamic, {nt});
-               }});
+  m.push_back({0, Schedule::per_iteration(OmpSchedule::Static, {nt})});
+  m.push_back({0, Schedule::per_iteration(OmpSchedule::Dynamic, {nt})});
   for (const int t : {1, 3, 8}) {
     if (!full && t != nt) continue;
-    m.push_back({1, "per_thread t=" + std::to_string(t), Schedule::per_thread({t}),
-                 [t](const CollapsedEval& c, const Visit& v) {
-                   collapsed_for_per_thread(c, v, {t});
-                 }});
+    m.push_back({1, Schedule::per_thread({t})});
   }
-  for (const i64 chunk : {i64{1}, i64{7}, total, total + 9, kHugeChunk}) {
-    m.push_back({2, "chunked c=" + std::to_string(chunk), Schedule::chunked(chunk, {nt}),
-                 [chunk, nt](const CollapsedEval& c, const Visit& v) {
-                   collapsed_for_chunked(c, chunk, v, {nt});
-                 }});
-  }
-  for (const i64 grain : {i64{0} /* default */, i64{4}, total + 3, kHugeChunk}) {
-    m.push_back({3, "taskloop g=" + std::to_string(grain), Schedule::taskloop(grain, {nt}),
-                 [grain, nt](const CollapsedEval& c, const Visit& v) {
-                   collapsed_for_taskloop(c, grain, v, {nt});
-                 }});
-  }
-  m.push_back({4, "row_segments", Schedule::row_segments({nt}),
-               [nt](const CollapsedEval& c, const Visit& v) {
-                 collapsed_for_row_segments(c, segment_adapter(c, v), nt);
-               }});
-  for (const i64 chunk : {i64{3}, total + 5, kHugeChunk}) {
-    m.push_back({5, "row_segments_chunked c=" + std::to_string(chunk),
-                 Schedule::row_segments_chunked(chunk, {nt}),
-                 [chunk, nt](const CollapsedEval& c, const Visit& v) {
-                   collapsed_for_row_segments_chunked(c, chunk, segment_adapter(c, v), nt);
-                 }});
-  }
+  for (const i64 chunk : {i64{1}, i64{7}, total, total + 9, kHugeChunk})
+    m.push_back({2, Schedule::chunked(chunk, {nt})});
+  for (const i64 grain : {i64{0} /* default */, i64{4}, total + 3, kHugeChunk})
+    m.push_back({3, Schedule::taskloop(grain, {nt})});
+  m.push_back({4, Schedule::row_segments({nt})});
+  for (const i64 chunk : {i64{3}, total + 5, kHugeChunk})
+    m.push_back({5, Schedule::row_segments_chunked(chunk, {nt})});
   // vlen 4 and 8 are the two lane-group widths (vlen = kGroupLanes and
   // 2x/1x of it depending on the abi leg); 1 and 3 force the degenerate
   // and non-divisor block shapes.
-  for (const int vlen : {1, 3, 4, 8}) {
-    m.push_back({6, "simd_blocks v=" + std::to_string(vlen),
-                 Schedule::simd_blocks(vlen, {nt}),
-                 [vlen, nt](const CollapsedEval& c, const Visit& v) {
-                   collapsed_for_simd_blocks(c, vlen, block_adapter(c, v), nt);
-                 }});
-  }
+  for (const int vlen : {1, 3, 4, 8})
+    m.push_back({6, Schedule::simd_blocks(vlen, {nt})});
   // {8, 3}: chunk smaller than the wide lane group, so every group's
   // trailing chunks route through the 4-lane/scalar tail batching.
   for (const auto& [vlen, chunk] :
        {std::pair<int, i64>{3, 2}, {4, total + 1}, {8, 3}, {8, kHugeChunk}}) {
-    m.push_back({7,
-                 "simd_blocks_chunked v=" + std::to_string(vlen) +
-                     " c=" + std::to_string(chunk),
-                 Schedule::simd_blocks_chunked(vlen, chunk, {nt}),
-                 [vlen, chunk, nt](const CollapsedEval& c, const Visit& v) {
-                   collapsed_for_simd_blocks_chunked(c, vlen, chunk, block_adapter(c, v),
-                                                     nt);
-                 }});
+    m.push_back({7, Schedule::simd_blocks_chunked(vlen, chunk, {nt})});
   }
-  for (const i64 W : {i64{1}, i64{2}, i64{7}, total + 6}) {
-    m.push_back({8, "warp W=" + std::to_string(W),
-                 Schedule::warp_sim(static_cast<int>(W), {nt}),
-                 [W, nt](const CollapsedEval& c, const Visit& v) {
-                   collapsed_for_warp_sim(c, static_cast<int>(W), v, nt);
-                 }});
-  }
-  for (const int sims : {1, 3, 1000000}) {
-    m.push_back({9, "serial_sim n=" + std::to_string(sims), Schedule::serial_sim(sims),
-                 [sims](const CollapsedEval& c, const Visit& v) {
-                   collapsed_serial_sim(c, sims, v);
-                 }});
-  }
+  for (const i64 W : {i64{1}, i64{2}, i64{7}, total + 6})
+    m.push_back({8, Schedule::warp_sim(static_cast<int>(W), {nt})});
+  for (const int sims : {1, 3, 1000000})
+    m.push_back({9, Schedule::serial_sim(sims)});
   return m;
 }
 
-/// Cross-check every execution scheme over one bound domain, through
-/// BOTH execution paths: nrc::run(cn, Schedule, visit) — the unified
-/// dispatcher, whose internal tuple->segment/block adaptation this
-/// exercises — and the legacy collapsed_for_* wrapper (with the
-/// adapters the legacy body contracts need).  The two paths must
-/// produce the identical tuple multiset and checksum, which pins the
-/// wrappers to the dispatcher.  In full mode the whole matrix runs both
-/// ways; the long slice rotates a seed-selected group per domain and
-/// alternates the path so 10k domains per class stay affordable under
-/// sanitizers (every scheme still runs thousands of times per class
-/// through each path, just not on every domain).
+/// Cross-check every execution scheme over one bound domain through
+/// nrc::run(cn, Schedule, body), twice for the schemes with a body
+/// shape of their own: once with the tuple visitor (the dispatcher's
+/// tuple->segment/block adaptation) and once with the native segment or
+/// lane-block body (testutil::run_native).  Both runs must visit the
+/// odometer's exact tuple multiset and checksum.  In full mode the whole
+/// matrix runs; the long slice rotates a seed-selected group per domain
+/// so 10k domains per class stay affordable under sanitizers (every
+/// scheme still runs thousands of times per class, just not on every
+/// domain).
 void check_executors(const CollapsedEval& cn, const std::string& repro, bool full,
                      u64 rotation, FuzzTally* tally) {
   const i64 total = cn.trip_count();
@@ -189,21 +125,17 @@ void check_executors(const CollapsedEval& cn, const std::string& repro, bool ful
   const int thread_counts[] = {1, 3, 8};
   const int nt = thread_counts[rotation % 3];
   const int group = static_cast<int>(rotation % 10);
-  const bool legacy_path = (rotation / 10) % 2 == 1;
 
   for (const SchemeCase& sc : scheme_matrix(total, nt, full)) {
     if (!full && sc.group != group) continue;
-    if (full || !legacy_path) {
+    EXPECT_TRUE(testutil::run_scheme_differential(
+        cn, ref, [&](auto&& visit) { nrc::run(cn, sc.sched, visit); }))
+        << repro << "scheme=" << sc.sched.describe() << " body=tuple";
+    ++tally->scheme_runs;
+    if (testutil::has_native_shape(sc.sched.scheme)) {
       EXPECT_TRUE(testutil::run_scheme_differential(
-          cn, ref, [&](auto&& visit) { nrc::run(cn, sc.sched, visit); }))
-          << repro << "scheme=" << sc.label << " path=nrc::run("
-          << sc.sched.describe() << ")";
-      ++tally->scheme_runs;
-    }
-    if (full || legacy_path) {
-      EXPECT_TRUE(testutil::run_scheme_differential(
-          cn, ref, [&](auto&& visit) { sc.legacy(cn, Visit(visit)); }))
-          << repro << "scheme=" << sc.label << " path=legacy";
+          cn, ref, [&](auto&& visit) { testutil::run_native(cn, sc.sched, visit); }))
+          << repro << "scheme=" << sc.sched.describe() << " body=native";
       ++tally->scheme_runs;
     }
   }

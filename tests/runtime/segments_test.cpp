@@ -1,4 +1,4 @@
-#include "runtime/segments.hpp"
+#include "pipeline/dispatch.hpp"
 
 #include <gtest/gtest.h>
 
@@ -43,13 +43,12 @@ TEST_P(SegmentThreads, CoversDomainOnAllShapes) {
     const CollapsedEval cn = col.bind(p);
     std::mutex mu;
     std::vector<Segment> segs;
-    collapsed_for_row_segments(
-        cn,
+    nrc::run(
+        cn, Schedule::row_segments({GetParam()}),
         [&](std::span<const i64> prefix, i64 j0, i64 j1) {
           std::lock_guard<std::mutex> lock(mu);
           segs.push_back({{prefix.begin(), prefix.end()}, j0, j1});
-        },
-        GetParam());
+        });
     expect_covers(segs, sc.nest, p);
   }
 }
@@ -62,12 +61,11 @@ TEST(Segments, SingleThreadSegmentsAreMaximalRows) {
   const Collapsed col = collapse(tri);
   const CollapsedEval cn = col.bind({{"N", 9}});
   std::vector<Segment> segs;
-  collapsed_for_row_segments(
-      cn,
+  nrc::run(
+      cn, Schedule::row_segments({1}),
       [&](std::span<const i64> prefix, i64 j0, i64 j1) {
         segs.push_back({{prefix.begin(), prefix.end()}, j0, j1});
-      },
-      1);
+      });
   ASSERT_EQ(segs.size(), 8u);  // N-1 rows
   for (const auto& s : segs) {
     EXPECT_EQ(s.j0, s.prefix[0] + 1);
@@ -82,13 +80,12 @@ TEST(Segments, MidRowCutsOnlyAtBlockBoundaries) {
   const int threads = 4;
   std::mutex mu;
   std::vector<Segment> segs;
-  collapsed_for_row_segments(
-      cn,
+  nrc::run(
+      cn, Schedule::row_segments({threads}),
       [&](std::span<const i64> prefix, i64 j0, i64 j1) {
         std::lock_guard<std::mutex> lock(mu);
         segs.push_back({{prefix.begin(), prefix.end()}, j0, j1});
-      },
-      threads);
+      });
   expect_covers(segs, tri, {{"N", 31}});
   // At most 2 partial segments per thread boundary: total segments
   // bounded by rows + 2 * threads.
@@ -102,8 +99,8 @@ TEST(Segments, SerialSimMatchesOrderForAnyChunkCount) {
   const auto expect = domain_points(nest, {{"N", 9}});
   for (int sims : {1, 2, 12, 50}) {
     std::vector<std::vector<i64>> pts;
-    collapsed_serial_segments_sim(cn, sims, [&](std::span<const i64> prefix, i64 j0,
-                                                i64 j1) {
+    nrc::run(cn, Schedule::serial_sim(sims), [&](std::span<const i64> prefix, i64 j0,
+                                                 i64 j1) {
       for (i64 j = j0; j < j1; ++j) {
         std::vector<i64> p(prefix.begin(), prefix.end());
         p.push_back(j);
@@ -120,12 +117,11 @@ TEST(Segments, Depth1NestGivesEmptyPrefix) {
   const Collapsed col = collapse(n);
   const CollapsedEval cn = col.bind({{"N", 10}});
   std::vector<Segment> segs;
-  collapsed_for_row_segments(
-      cn,
+  nrc::run(
+      cn, Schedule::row_segments({1}),
       [&](std::span<const i64> prefix, i64 j0, i64 j1) {
         segs.push_back({{prefix.begin(), prefix.end()}, j0, j1});
-      },
-      1);
+      });
   ASSERT_EQ(segs.size(), 1u);
   EXPECT_TRUE(segs[0].prefix.empty());
   EXPECT_EQ(segs[0].j0, 3);
@@ -143,41 +139,16 @@ TEST(Segments, SegmentSumMatchesElementwiseSum) {
   });
   std::mutex mu;
   long double got = 0.0L;
-  collapsed_for_row_segments(
-      cn,
+  nrc::run(
+      cn, Schedule::row_segments({6}),
       [&](std::span<const i64> prefix, i64 j0, i64 j1) {
         long double local = 0.0L;
         for (i64 j = j0; j < j1; ++j)
           local += static_cast<long double>(5 * prefix[0] - j);
         std::lock_guard<std::mutex> lock(mu);
         got += local;
-      },
-      6);
+      });
   EXPECT_EQ(static_cast<double>(got), static_cast<double>(expect));
-}
-
-
-TEST(RowSegmentsChunked, ChunkCountOverflowNearI64MaxStillCoversDomain) {
-  // (total + chunk - 1) / chunk wraps for chunk near the i64 maximum;
-  // the pre-fix executor computed a non-positive chunk count and
-  // visited ZERO segments silently (executor fuzzer regression, PR 4).
-  const NestSpec nest = testutil::triangular_strict();
-  const Collapsed col = collapse(nest);
-  const ParamMap p{{"N", 13}};
-  const CollapsedEval cn = col.bind(p);
-  for (const i64 chunk :
-       {std::numeric_limits<i64>::max(), std::numeric_limits<i64>::max() - 1}) {
-    std::mutex mu;
-    std::vector<Segment> segs;
-    collapsed_for_row_segments_chunked(
-        cn, chunk,
-        [&](std::span<const i64> prefix, i64 j0, i64 j1) {
-          std::lock_guard<std::mutex> lock(mu);
-          segs.push_back({{prefix.begin(), prefix.end()}, j0, j1});
-        },
-        4);
-    expect_covers(segs, nest, p);
-  }
 }
 
 }  // namespace

@@ -1,11 +1,9 @@
-#include "runtime/simd.hpp"
+#include "pipeline/dispatch.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <limits>
 #include <mutex>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -15,59 +13,32 @@ namespace nrc {
 namespace {
 
 TEST(SimdBlocks, CoversDomainForVariousLaneCounts) {
-  const NestSpec nest = testutil::triangular_strict();
-  const Collapsed col = collapse(nest);
-  const ParamMap p{{"N", 26}};
-  const CollapsedEval cn = col.bind(p);
-  const auto pts = domain_points(nest, p);
-
-  for (int vlen : {1, 2, 4, 8, 13, 64}) {
-    std::mutex mu;
-    std::set<std::pair<i64, i64>> seen;
-    i64 lanes_total = 0;
-    collapsed_for_simd_blocks(
-        cn, vlen,
-        [&](int lanes, const i64* const* cols) {
-          std::lock_guard<std::mutex> lock(mu);
-          lanes_total += lanes;
-          for (int l = 0; l < lanes; ++l) seen.emplace(cols[0][l], cols[1][l]);
-        },
-        4);
-    EXPECT_EQ(lanes_total, cn.trip_count()) << "vlen=" << vlen;
-    EXPECT_EQ(seen.size(), pts.size()) << "vlen=" << vlen;
-  }
+  for (int vlen : {1, 2, 4, 8, 13, 64})
+    EXPECT_TRUE(testutil::run_covers(testutil::triangular_strict(), {{"N", 26}},
+                                     Schedule::simd_blocks(vlen, {4})));
 }
 
 TEST(SimdBlocks, LanesWithinBlockAreConsecutive) {
   const NestSpec nest = testutil::triangular_lower();
   const Collapsed col = collapse(nest);
   const CollapsedEval cn = col.bind({{"N", 20}});
-  collapsed_for_simd_blocks(
-      cn, 8,
+  nrc::run(
+      cn, Schedule::simd_blocks(8, {1}),
       [&](int lanes, const i64* const* cols) {
         for (int l = 1; l < lanes; ++l) {
           const i64 a[] = {cols[0][l - 1], cols[1][l - 1]};
           const i64 b[] = {cols[0][l], cols[1][l]};
           EXPECT_EQ(cn.rank({b, 2}), cn.rank({a, 2}) + 1);
         }
-      },
-      1);
+      });
 }
 
 TEST(SimdBlocks, BlockNeverExceedsVlen) {
   const NestSpec nest = testutil::triangular_strict();
   const Collapsed col = collapse(nest);
   const CollapsedEval cn = col.bind({{"N", 19}});
-  collapsed_for_simd_blocks(
-      cn, 4, [&](int lanes, const i64* const*) { EXPECT_LE(lanes, 4); }, 3);
-}
-
-TEST(SimdBlocks, RejectsBadVlen) {
-  const Collapsed col = collapse(testutil::triangular_strict());
-  const CollapsedEval cn = col.bind({{"N", 8}});
-  auto noop = [](int, const i64* const*) {};
-  EXPECT_THROW(collapsed_for_simd_blocks(cn, 0, noop), SpecError);
-  EXPECT_THROW(collapsed_for_simd_blocks(cn, kMaxSimdLanes + 1, noop), SpecError);
+  nrc::run(cn, Schedule::simd_blocks(4, {3}),
+           [&](int lanes, const i64* const*) { EXPECT_LE(lanes, 4); });
 }
 
 TEST(SimdAbi, FillHelpersCoverTails) {
@@ -95,47 +66,13 @@ TEST(SimdAbi, FillHelpersCoverTails) {
 }
 
 TEST(SimdBlocksChunked, CoversDomainForVariousChunks) {
-  const NestSpec nest = testutil::tetrahedral_fig6();
-  const Collapsed col = collapse(nest);
+  // Chunk sizes around trip_count()/4 exercise full lane groups,
+  // partial tail groups and the single-chunk degenerate case.
   const ParamMap p{{"N", 9}};
-  const CollapsedEval cn = col.bind(p);
-  const size_t d = static_cast<size_t>(cn.depth());
-
-  // Chunk sizes around trip_count()/4 exercise full 4-groups, partial
-  // tail groups and the single-chunk degenerate case.
-  for (i64 chunk : {i64{1}, i64{5}, i64{16}, i64{64}, cn.trip_count()}) {
-    std::mutex mu;
-    std::set<std::vector<i64>> seen;
-    i64 lanes_total = 0;
-    collapsed_for_simd_blocks_chunked(
-        cn, 8, chunk,
-        [&](int lanes, const i64* const* cols) {
-          std::lock_guard<std::mutex> lock(mu);
-          lanes_total += lanes;
-          for (int l = 0; l < lanes; ++l) {
-            std::vector<i64> t(d);
-            for (size_t k = 0; k < d; ++k) t[k] = cols[k][l];
-            seen.insert(std::move(t));
-          }
-        },
-        3);
-    EXPECT_EQ(lanes_total, cn.trip_count()) << "chunk=" << chunk;
-    EXPECT_EQ(static_cast<i64>(seen.size()), cn.trip_count()) << "chunk=" << chunk;
-  }
-}
-
-TEST(SimdBlocksChunked, FallsBackToPerThreadOnNonPositiveChunk) {
-  const CollapsedEval cn = collapse(testutil::triangular_strict()).bind({{"N", 11}});
-  i64 lanes_total = 0;
-  std::mutex mu;
-  collapsed_for_simd_blocks_chunked(
-      cn, 4, 0,
-      [&](int lanes, const i64* const*) {
-        std::lock_guard<std::mutex> lock(mu);
-        lanes_total += lanes;
-      },
-      2);
-  EXPECT_EQ(lanes_total, cn.trip_count());
+  const i64 total = collapse(testutil::tetrahedral_fig6()).bind(p).trip_count();
+  for (i64 chunk : {i64{1}, i64{5}, i64{16}, i64{64}, total})
+    EXPECT_TRUE(testutil::run_covers(testutil::tetrahedral_fig6(), p,
+                                     Schedule::simd_blocks_chunked(8, chunk, {3})));
 }
 
 TEST(SimdBlocks, ComputesSameSumAsSerial) {
@@ -152,8 +89,8 @@ TEST(SimdBlocks, ComputesSameSumAsSerial) {
 
   std::mutex mu;
   long double got = 0.0L;
-  collapsed_for_simd_blocks(
-      cn, 8,
+  nrc::run(
+      cn, Schedule::simd_blocks(8, {4}),
       [&](int lanes, const i64* const* cols) {
         long double local = 0.0L;
 #pragma omp simd reduction(+ : local)
@@ -161,38 +98,8 @@ TEST(SimdBlocks, ComputesSameSumAsSerial) {
           local += static_cast<long double>(cols[0][l] * 3 + cols[1][l]);
         std::lock_guard<std::mutex> lock(mu);
         got += local;
-      },
-      4);
+      });
   EXPECT_EQ(static_cast<double>(got), static_cast<double>(expect));
-}
-
-
-TEST(SimdBlocksChunked, ChunkCountOverflowNearI64MaxStillCoversDomain) {
-  // Same i64 wrap as the scalar chunked scheme, through the lane-block
-  // executor's group math (executor fuzzer regression, PR 4).
-  const Collapsed col = collapse(testutil::triangular_lower());
-  const CollapsedEval cn = col.bind({{"N", 11}});
-  const size_t d = static_cast<size_t>(cn.depth());
-  for (const i64 chunk :
-       {std::numeric_limits<i64>::max(), std::numeric_limits<i64>::max() - 1}) {
-    std::mutex mu;
-    std::multiset<std::vector<i64>> seen;
-    collapsed_for_simd_blocks_chunked(
-        cn, 4, chunk,
-        [&](int lanes, const i64* const* cols) {
-          std::lock_guard<std::mutex> lock(mu);
-          for (int l = 0; l < lanes; ++l) {
-            std::vector<i64> t(d);
-            for (size_t k = 0; k < d; ++k) t[k] = cols[k][l];
-            seen.insert(std::move(t));
-          }
-        },
-        4);
-    EXPECT_EQ(static_cast<i64>(seen.size()), cn.trip_count()) << "chunk=" << chunk;
-    EXPECT_EQ(static_cast<i64>(std::set<std::vector<i64>>(seen.begin(), seen.end()).size()),
-              cn.trip_count())
-        << "duplicated lanes, chunk=" << chunk;
-  }
 }
 
 }  // namespace

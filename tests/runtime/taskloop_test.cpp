@@ -1,35 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <mutex>
-#include <set>
 
 #include "../test_util.hpp"
-#include "runtime/execute.hpp"
+#include "pipeline/dispatch.hpp"
 
 namespace nrc {
 namespace {
 
 TEST(Taskloop, CoversDomainForVariousGrains) {
-  const NestSpec nest = testutil::triangular_strict();
-  const Collapsed col = collapse(nest);
-  const ParamMap p{{"N", 35}};
-  const CollapsedEval cn = col.bind(p);
-  const auto pts = domain_points(nest, p);
-
-  for (i64 grain : {i64{0} /* default */, i64{1}, i64{7}, i64{100}, i64{100000}}) {
-    std::mutex mu;
-    std::multiset<std::pair<i64, i64>> seen;
-    collapsed_for_taskloop(
-        cn, grain,
-        [&](std::span<const i64> ij) {
-          std::lock_guard<std::mutex> lock(mu);
-          seen.emplace(ij[0], ij[1]);
-        },
-        {4});
-    EXPECT_EQ(static_cast<i64>(seen.size()), cn.trip_count()) << "grain=" << grain;
-    for (const auto& q : pts)
-      EXPECT_EQ(seen.count({q[0], q[1]}), 1u) << "grain=" << grain;
-  }
+  for (i64 grain : {i64{0} /* default */, i64{1}, i64{7}, i64{100}, i64{100000}})
+    EXPECT_TRUE(testutil::run_covers(testutil::triangular_strict(), {{"N", 35}},
+                                     Schedule::taskloop(grain, {4})));
 }
 
 TEST(Taskloop, ComputesSameReductionAsSerial) {
@@ -45,14 +27,13 @@ TEST(Taskloop, ComputesSameReductionAsSerial) {
 
   std::mutex mu;
   long double got = 0.0L;
-  collapsed_for_taskloop(
-      cn, 16,
+  nrc::run(
+      cn, Schedule::taskloop(16, {8}),
       [&](std::span<const i64> t) {
         const long double v = static_cast<long double>(t[0] * 100 + t[1] * 10 + t[2]);
         std::lock_guard<std::mutex> lock(mu);
         got += v;
-      },
-      {8});
+      });
   EXPECT_EQ(static_cast<double>(got), static_cast<double>(expect));
 }
 
@@ -61,9 +42,8 @@ TEST(Taskloop, SingleThreadPreservesChunkOrderWithinTask) {
   const Collapsed col = collapse(nest);
   const CollapsedEval cn = col.bind({{"N", 12}});
   std::vector<std::pair<i64, i64>> order;
-  collapsed_for_taskloop(
-      cn, 1000000,  // one big task: fully sequential
-      [&](std::span<const i64> ij) { order.emplace_back(ij[0], ij[1]); }, {1});
+  nrc::run(cn, Schedule::taskloop(1000000, {1}),  // one big task: fully sequential
+           [&](std::span<const i64> ij) { order.emplace_back(ij[0], ij[1]); });
   const auto pts = domain_points(nest, {{"N", 12}});
   ASSERT_EQ(order.size(), pts.size());
   for (size_t q = 0; q < pts.size(); ++q) {

@@ -1,4 +1,4 @@
-#include "runtime/warp.hpp"
+#include "pipeline/dispatch.hpp"
 
 #include <gtest/gtest.h>
 
@@ -33,26 +33,9 @@ namespace nrc {
 namespace {
 
 TEST(WarpSim, CoversDomainForVariousWarpSizes) {
-  const NestSpec nest = testutil::triangular_strict();
-  const Collapsed col = collapse(nest);
-  const ParamMap p{{"N", 24}};
-  const CollapsedEval cn = col.bind(p);
-  const auto pts = domain_points(nest, p);
-
-  for (int W : {1, 2, 8, 32, 1000 /* > total: lanes beyond domain idle */}) {
-    std::mutex mu;
-    std::multiset<std::pair<i64, i64>> seen;
-    collapsed_for_warp_sim(
-        cn, W,
-        [&](std::span<const i64> idx) {
-          std::lock_guard<std::mutex> lock(mu);
-          seen.emplace(idx[0], idx[1]);
-        },
-        4);
-    EXPECT_EQ(static_cast<i64>(seen.size()), cn.trip_count()) << "W=" << W;
-    for (const auto& q : pts)
-      EXPECT_EQ(seen.count({q[0], q[1]}), 1u) << "W=" << W;
-  }
+  for (int W : {1, 2, 8, 32, 1000 /* > total: lanes beyond domain idle */})
+    EXPECT_TRUE(testutil::run_covers(testutil::triangular_strict(), {{"N", 24}},
+                                     Schedule::warp_sim(W, {4})));
 }
 
 TEST(WarpSim, LaneVisitsStrideWRanks) {
@@ -64,14 +47,13 @@ TEST(WarpSim, LaneVisitsStrideWRanks) {
   const int W = 8;
   std::mutex mu;
   std::map<i64, std::vector<i64>> ranks_by_lane;
-  collapsed_for_warp_sim(
-      cn, W,
+  nrc::run(
+      cn, Schedule::warp_sim(W, {2}),
       [&](std::span<const i64> idx) {
         const i64 r = cn.rank(idx);
         std::lock_guard<std::mutex> lock(mu);
         ranks_by_lane[(r - 1) % W].push_back(r);
-      },
-      2);
+      });
   for (auto& [lane, ranks] : ranks_by_lane) {
     std::sort(ranks.begin(), ranks.end());
     EXPECT_EQ(ranks.front(), lane + 1);
@@ -90,22 +72,15 @@ TEST(WarpSim, ConsecutiveRanksAcrossLanesAtEachStep) {
   const int W = static_cast<int>(cn.trip_count());
   std::mutex mu;
   std::set<i64> first_step;
-  collapsed_for_warp_sim(
-      cn, W,
+  nrc::run(
+      cn, Schedule::warp_sim(W, {4}),
       [&](std::span<const i64> idx) {
         std::lock_guard<std::mutex> lock(mu);
         first_step.insert(cn.rank(idx));
-      },
-      4);
+      });
   EXPECT_EQ(static_cast<i64>(first_step.size()), cn.trip_count());
   EXPECT_EQ(*first_step.begin(), 1);
   EXPECT_EQ(*first_step.rbegin(), cn.trip_count());
-}
-
-TEST(WarpSim, RejectsBadWarpSize) {
-  const Collapsed col = collapse(testutil::triangular_strict());
-  const CollapsedEval cn = col.bind({{"N", 8}});
-  EXPECT_THROW(collapsed_for_warp_sim(cn, 0, [](std::span<const i64>) {}), SpecError);
 }
 
 /// Evaluator wrapper that makes advance() fail on demand without
@@ -170,7 +145,7 @@ TEST(WarpSim, HugeWarpSizeAllocatesOnlyForLiveLanes) {
   std::atomic<i64> visits{0};
   g_big_alloc_bytes = 0;
   g_count_big_allocs = true;
-  collapsed_for_warp_sim(cn, 1 << 22, [&](std::span<const i64>) { ++visits; }, 2);
+  nrc::run(cn, Schedule::warp_sim(1 << 22, {2}), [&](std::span<const i64>) { ++visits; });
   g_count_big_allocs = false;
   EXPECT_EQ(visits.load(), cn.trip_count());
   EXPECT_EQ(g_big_alloc_bytes.load(), 0)

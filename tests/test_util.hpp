@@ -3,8 +3,8 @@
 // shapes the property tests sweep over, the seeded random nest
 // generator behind the randomized differential fuzzer
 // (tests/core/differential_fuzz_test.cpp), and the scheme-differential
-// harness the executor fuzzer drives every collapsed_for_* scheme
-// through (tests/runtime/executor_fuzz_test.cpp).
+// harness the executor fuzzer drives every nrc::run Schedule through
+// (tests/runtime/executor_fuzz_test.cpp).
 
 #include <gtest/gtest.h>
 
@@ -592,7 +592,7 @@ class SchemeCollector {
 /// as needed), and the visited multiset/checksum is compared against
 /// the odometer reference.  Usage:
 ///   EXPECT_TRUE(run_scheme_differential(cn, ref, [&](auto&& visit) {
-///     collapsed_for_chunked(cn, chunk, visit, {threads});
+///     nrc::run(cn, Schedule::chunked(chunk, {threads}), visit);
 ///   })) << repro << " scheme=chunked";
 template <class RunScheme>
 ::testing::AssertionResult run_scheme_differential(const CollapsedEval& cn,
@@ -632,6 +632,49 @@ auto block_adapter(const CollapsedEval& cn, Visit& visit) {
       visit(std::span<const i64>(t, d));
     }
   };
+}
+
+/// True when `s` has a body shape of its own: row segments for the
+/// RowSegments schemes, SoA lane blocks for the SimdBlocks schemes.
+inline bool has_native_shape(Scheme s) {
+  return s == Scheme::RowSegments || s == Scheme::RowSegmentsChunked ||
+         s == Scheme::SimdBlocks || s == Scheme::SimdBlocksChunked;
+}
+
+/// nrc::run(cn, s, ...) with the body shape native to the scheme,
+/// adapted back to the tuple visitor `visit`; schemes without a native
+/// shape get `visit` itself.
+template <class Visit>
+void run_native(const CollapsedEval& cn, const Schedule& s, Visit& visit) {
+  switch (s.scheme) {
+    case Scheme::RowSegments:
+    case Scheme::RowSegmentsChunked:
+      nrc::run(cn, s, segment_adapter(cn, visit));
+      return;
+    case Scheme::SimdBlocks:
+    case Scheme::SimdBlocksChunked:
+      nrc::run(cn, s, block_adapter(cn, visit));
+      return;
+    default:
+      nrc::run(cn, s, visit);
+  }
+}
+
+/// Run `s` over `nest` bound at `params` through run_native and compare
+/// the visits with the brute-force walk of the original nest: every
+/// point exactly once, nothing outside it.
+inline ::testing::AssertionResult run_covers(const NestSpec& nest, const ParamMap& params,
+                                             const Schedule& s) {
+  DomainObservation ref;
+  ref.track_tuples = true;
+  walk_domain(nest, params, [&](std::span<const i64> t) {
+    ++ref.visits;
+    ref.checksum += tuple_mix(t);
+    ++ref.tuples[std::vector<i64>(t.begin(), t.end())];
+  });
+  const CollapsedEval cn = collapse(nest).bind(params);
+  return run_scheme_differential(cn, ref, [&](auto&& visit) { run_native(cn, s, visit); })
+         << " (" << s.describe() << ")";
 }
 
 }  // namespace nrc::testutil
