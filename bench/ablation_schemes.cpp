@@ -5,6 +5,7 @@
 //   chunked(1024)          — §V second scheme
 //   simd-blocks(8)         — §VI-A block precomputation scheme
 //   warp-sim(32)           — §VI-B GPU warp pattern on the CPU
+//   chunks(1024, dynamic)  — §V chunks claimed from one shared counter
 //
 // Run on one heavy-body kernel (correlation) and one light-body kernel
 // (utma): the per-iteration penalty is invisible under a heavy body and
@@ -68,8 +69,9 @@ int main(int argc, char** argv) {
     });
     const double t_warp =
         run_with([&] { run(cn, Schedule::warp_sim(32, {args.threads}), body); });
-    const double t_task =
-        run_with([&] { run(cn, Schedule::taskloop(1024, {args.threads}), body); });
+    const double t_dyn = run_with([&] {
+      run(cn, Schedule::row_segments_chunked(1024, {args.threads}, OmpSchedule::Dynamic), body);
+    });
 
     auto row = [&](const char* label, double t) {
       std::printf("  %-22s %10.4f s   %6.2fx vs per-thread\n", label, t,
@@ -80,7 +82,7 @@ int main(int argc, char** argv) {
     row("chunked(1024)", t_chunk);
     row("simd-blocks(8)", t_simd);
     row("warp-sim(32)", t_warp);
-    row("taskloop(1024)", t_task);
+    row("chunks(1024, dynamic)", t_dyn);
     std::printf("\n");
   }
   return 0;

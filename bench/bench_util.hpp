@@ -1,6 +1,7 @@
 #pragma once
 // Shared plumbing for the benchmark harnesses: argument/environment
-// parsing and table formatting.
+// parsing, table formatting and the provenance block of the JSON
+// artifacts.
 //
 // Common knobs (flags override environment variables):
 //   --scale=X    NRC_SCALE    problem-size multiplier (1.0 = defaults;
@@ -21,11 +22,17 @@
 //                             silently drop the artifact)
 
 #include <omp.h>
+#include <sched.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace nrc::bench {
@@ -98,6 +105,66 @@ struct Args {
 inline void rule(int width = 118) {
   for (int i = 0; i < width; ++i) std::putchar('-');
   std::putchar('\n');
+}
+
+/// Fastest and slowest of a column's per-trial timings.
+struct Spread {
+  double min = 1e300, max = 0;
+  void add(double v) {
+    min = std::min(min, v);
+    max = std::max(max, v);
+  }
+};
+
+/// {"column": [min, max], ...} over a row's recorded spreads, printed
+/// with `decimals` digits after the point.
+inline std::string spread_json(const std::vector<std::pair<const char*, Spread>>& spread,
+                               int decimals = 3) {
+  std::string out;
+  char buf[128];
+  for (const auto& [column, s] : spread) {
+    std::snprintf(buf, sizeof(buf), "%s\"%s\": [%.*f, %.*f]", out.empty() ? "" : ", ", column,
+                  decimals, s.min, decimals, s.max);
+    out += buf;
+  }
+  return out;
+}
+
+/// A shell command's stdout; nullopt when it cannot run or fails.
+inline std::optional<std::string> command_output(const std::string& cmd) {
+  FILE* p = ::popen((cmd + " 2>/dev/null").c_str(), "r");
+  if (!p) return std::nullopt;
+  std::string out;
+  char buf[512];
+  while (std::fgets(buf, sizeof(buf), p)) out += buf;
+  if (::pclose(p) != 0) return std::nullopt;
+  return out;
+}
+
+/// The host and checkout a run measured, with the names and sources
+/// benchmark/run.py's provenance() uses: the cpu model name from
+/// /proc/cpuinfo, the cpus this process may run on, and the checkout's
+/// HEAD plus whether tracked files differ from it (null when git or
+/// the checkout is missing).
+inline std::string provenance_json() {
+  std::string cpu = "unknown";
+  std::ifstream info("/proc/cpuinfo");
+  for (std::string line; std::getline(info, line);) {
+    if (line.rfind("model name", 0) == 0) {
+      cpu = line.substr(line.find_first_not_of(" \t", line.find(':') + 1));
+      break;
+    }
+  }
+  cpu_set_t set;
+  const int nproc = ::sched_getaffinity(0, sizeof(set), &set) == 0 ? CPU_COUNT(&set) : 0;
+  const std::string git =
+      "git -C '" + std::filesystem::path(__FILE__).parent_path().parent_path().string() + "' ";
+  const auto sha = command_output(git + "rev-parse HEAD");
+  const auto status =
+      sha ? command_output(git + "status --porcelain --untracked-files=no") : std::nullopt;
+  return "\"cpu\": \"" + cpu + "\", \"nproc\": " + std::to_string(nproc) +
+         ", \"git_sha\": \"" + (sha ? sha->substr(0, sha->find('\n')) : "unknown") +
+         "\", \"git_dirty\": " + (status ? (status->empty() ? "false" : "true") : "null");
 }
 
 }  // namespace nrc::bench

@@ -6,20 +6,23 @@
 //   * original nest, outermost loop schedule(static),
 //   * original nest, outermost loop schedule(dynamic),
 //   * collapsed loop, schedule(static) with per-thread recovery (§V),
+//     and the same chunks claimed from one counter (coll-dyn),
 // and reports gain = (t_baseline - t_collapsed) / t_baseline — one table
-// row per bar pair of the paper's figure.
+// row per bar pair of the paper's figure.  benchmark/'s paper_kernels
+// workload reads the static collapsed variant only.
 //
 // Measurement: minimum over `reps` runs per trial, min-merged over
 // `trials` whole-suite passes (spaced repetitions ride out the
-// multi-second vCPU interference bursts of shared hosts).
+// multi-second vCPU interference bursts of shared hosts); the JSON adds
+// each column's slowest trial and the host.
 //
 // Expected shape (paper §VII): large positive gains vs static
 // everywhere; vs dynamic mostly positive or near zero (tiled variants
 // ~0), with ltmp the one loser because its inner reduction loop cannot
 // be collapsed and keeps the imbalance.
 
-#include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <map>
 #include <memory>
 
@@ -32,12 +35,23 @@ using namespace nrc;
 
 namespace {
 
+/// The timed columns in table order: variant, JSON key, table header.
+struct Column { Variant v; const char* key; const char* head; };
+constexpr Column kColumns[] = {
+    {Variant::OuterStatic, "t_static", "static[s]"},
+    {Variant::OuterDynamic, "t_dynamic", "dynamic[s]"},
+    {Variant::CollapsedStatic, "t_collapsed_chunked", "coll-ck[s]"},
+    {Variant::CollapsedDynamicChunks, "t_collapsed_dynamic_chunks", "coll-dyn[s]"},
+    {Variant::CollapsedStaticBlock, "t_collapsed_block", "coll-pt[s]"},
+};
+constexpr size_t kCols = std::size(kColumns);
+enum { kStatic, kDynamic, kChunked, kDynChunks };
+
 struct Row {
-  double t_static = 1e300;
-  double t_dynamic = 1e300;
-  double t_collapsed = 1e300;
-  double t_block = 1e300;
+  bench::Spread t[kCols];  ///< per column: fastest and slowest trial, seconds
   bool ok = true;
+  /// (t_baseline - t_collapsed) / t_baseline over the fastest trials.
+  double gain(int base, int coll) const { return (t[base].min - t[coll].min) / t[base].min; }
 };
 
 }  // namespace
@@ -61,65 +75,70 @@ int main(int argc, char** argv) {
   for (int trial = 0; trial < std::max(1, args.trials); ++trial) {
     for (auto& kernel : kernels) {
       Row& row = rows[kernel->info().name];
-      auto timed = [&](Variant v) {
-        return time_best([&] { kernel->run(v, args.threads, args.sims); }, args.reps,
-                         trial == 0 ? args.warmup : 0);
-      };
-      row.t_static = std::min(row.t_static, timed(Variant::OuterStatic));
-      const double ref = kernel->checksum();
-      row.t_dynamic = std::min(row.t_dynamic, timed(Variant::OuterDynamic));
-      row.ok = row.ok && nearly_equal(kernel->checksum(), ref);
-      row.t_collapsed = std::min(row.t_collapsed, timed(Variant::CollapsedStatic));
-      row.ok = row.ok && nearly_equal(kernel->checksum(), ref);
-      row.t_block = std::min(row.t_block, timed(Variant::CollapsedStaticBlock));
-      row.ok = row.ok && nearly_equal(kernel->checksum(), ref);
+      double ref = 0;
+      for (size_t c = 0; c < kCols; ++c) {
+        row.t[c].add(time_best([&] { kernel->run(kColumns[c].v, args.threads, args.sims); },
+                               args.reps, trial == 0 ? args.warmup : 0));
+        if (c == 0) ref = kernel->checksum();
+        row.ok = row.ok && nearly_equal(kernel->checksum(), ref);
+      }
     }
   }
 
-  std::printf("%-18s %11s %11s %11s %11s %13s %13s  %s\n", "kernel", "static[s]",
-              "dynamic[s]", "coll-ck[s]", "coll-pt[s]", "gain-vs-stat", "gain-vs-dyn",
-              "check");
-  bench::rule();
+  std::printf("%-18s", "kernel");
+  for (const Column& col : kColumns) std::printf(" %11s", col.head);
+  std::printf(" %12s %11s %11s  %s\n", "gain-vs-stat", "gain-vs-dyn", "dyn-vs-dyn", "check");
+  bench::rule(134);
   int bad = 0;
   for (const auto& kernel : kernels) {
     const Row& row = rows[kernel->info().name];
     if (!row.ok) ++bad;
-    const double gain_s = (row.t_static - row.t_collapsed) / row.t_static;
-    const double gain_d = (row.t_dynamic - row.t_collapsed) / row.t_dynamic;
-    std::printf("%-18s %11.4f %11.4f %11.4f %11.4f %12.1f%% %12.1f%%  %s\n",
-                kernel->info().name.c_str(), row.t_static, row.t_dynamic,
-                row.t_collapsed, row.t_block, 100.0 * gain_s, 100.0 * gain_d,
+    std::printf("%-18s", kernel->info().name.c_str());
+    for (const bench::Spread& t : row.t) std::printf(" %11.4f", t.min);
+    std::printf(" %11.1f%% %10.1f%% %10.1f%%  %s\n", 100.0 * row.gain(kStatic, kChunked),
+                100.0 * row.gain(kDynamic, kChunked), 100.0 * row.gain(kDynamic, kDynChunks),
                 row.ok ? "ok" : "MISMATCH");
   }
-  bench::rule();
+  bench::rule(134);
   std::printf(
-      "coll-ck = §V chunked scheme (headline, used for the gains);\n"
+      "coll-ck = §V chunked scheme, chunks dealt round-robin (headline, used for\n"
+      "the gains); coll-dyn = the same chunks claimed from one counter;\n"
       "coll-pt = §V per-thread block scheme.\n"
-      "gain = (t_baseline - t_collapsed_chunked) / t_baseline; positive means\n"
-      "the collapsed loop is faster.  Paper shape: collapsed wins clearly vs\n"
+      "gain = (t_baseline - t_collapsed_chunked) / t_baseline; dyn-vs-dyn is the\n"
+      "same with coll-dyn against the dynamic baseline.  Positive means the\n"
+      "collapsed loop is faster.  Paper shape: collapsed wins clearly vs\n"
       "static; vs dynamic it wins or ties except ltmp.\n");
 
   // JSON artifact for the perf-trajectory dashboard (bench/trajectory.py
   // merges it next to BENCH_recovery.json so end-to-end kernel
-  // regressions surface alongside the solver microbenchmarks).
+  // regressions surface alongside the solver microbenchmarks).  Each
+  // column's spread is its fastest and slowest trial.
   const std::string out_path = args.out.empty() ? "BENCH_fig9.json" : args.out;
   if (FILE* f = std::fopen(out_path.c_str(), "w")) {
     std::fprintf(f,
                  "{\n  \"bench\": \"fig9_gains\",\n  \"unit\": \"seconds\",\n"
-                 "  \"threads\": %d,\n  \"scale\": %.3f,\n  \"kernels\": [\n",
-                 args.threads, args.scale);
+                 "  \"threads\": %d,\n  \"scale\": %.3f,\n  \"reps\": %d,\n"
+                 "  \"trials\": %d,\n  %s,\n  \"kernels\": [\n",
+                 args.threads, args.scale, args.reps, args.trials,
+                 bench::provenance_json().c_str());
     size_t i = 0;
     for (const auto& kernel : kernels) {
       const Row& row = rows[kernel->info().name];
-      const double gain_s = (row.t_static - row.t_collapsed) / row.t_static;
-      const double gain_d = (row.t_dynamic - row.t_collapsed) / row.t_dynamic;
+      std::string times;
+      std::vector<std::pair<const char*, bench::Spread>> spread;
+      for (size_t c = 0; c < kCols; ++c) {
+        char buf[96];
+        std::snprintf(buf, sizeof buf, "\"%s\": %.6f, ", kColumns[c].key, row.t[c].min);
+        times += buf;
+        spread.emplace_back(kColumns[c].key, row.t[c]);
+      }
       std::fprintf(f,
-                   "    {\"name\": \"%s\", \"t_static\": %.6f, \"t_dynamic\": %.6f, "
-                   "\"t_collapsed_chunked\": %.6f, \"t_collapsed_block\": %.6f, "
-                   "\"gain_vs_static\": %.4f, \"gain_vs_dynamic\": %.4f, "
-                   "\"checksum_ok\": %s}%s\n",
-                   kernel->info().name.c_str(), row.t_static, row.t_dynamic,
-                   row.t_collapsed, row.t_block, gain_s, gain_d,
+                   "    {\"name\": \"%s\", %s\"gain_vs_static\": %.4f, "
+                   "\"gain_vs_dynamic\": %.4f, \"gain_dynamic_chunks_vs_dynamic\": %.4f, "
+                   "\"spread\": {%s}, \"checksum_ok\": %s}%s\n",
+                   kernel->info().name.c_str(), times.c_str(), row.gain(kStatic, kChunked),
+                   row.gain(kDynamic, kChunked), row.gain(kDynamic, kDynChunks),
+                   bench::spread_json(spread, 6).c_str(),
                    row.ok ? "true" : "false", ++i < kernels.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");

@@ -46,8 +46,9 @@
 // bind entirely), or when auto_select — its heuristic or the
 // one-thread / tiny-domain guard ahead of it — picks a schedule more
 // than 2x slower than the best of a fixed candidate list (per_thread,
-// row_segments, row_segments_chunked and simd_blocks_chunked at the
-// default chunk) on a gated nest (the selection-accuracy floor), or
+// row_segments, row_segments_chunked in its static and dynamic flavour
+// and simd_blocks_chunked at the default chunk) on a gated nest (the
+// selection-accuracy floor), or
 // when the runtime-compiled specialized
 // kernel (jit column: one-thread ns/iter, with its one-time compile as
 // jit_compile_ms) falls below 1.5x over the engine on the cubic/quartic
@@ -56,14 +57,9 @@
 
 #include <omp.h>
 
-#include <sched.h>
-
 #include <algorithm>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <iterator>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -71,6 +67,7 @@
 #include "nrcollapse.hpp"
 
 using namespace nrc;
+using bench::Spread;
 
 namespace {
 
@@ -139,15 +136,6 @@ std::vector<i64> probe_pcs(i64 total, size_t n) {
   return pcs;
 }
 
-/// Fastest and slowest of a column's per-trial timings, ns per element.
-struct Spread {
-  double min = 1e300, max = 0;
-  void add(double ns) {
-    min = std::min(min, ns);
-    max = std::max(max, ns);
-  }
-};
-
 /// Per-trial wall time for fn() per inner element, in ns, over `trials`
 /// runs.
 template <class Fn>
@@ -159,55 +147,6 @@ Spread time_trials(i64 elements, int trials, Fn&& fn) {
     s.add((omp_get_wtime() - t0) * 1e9 / static_cast<double>(elements));
   }
   return s;
-}
-
-/// A shell command's stdout; nullopt when it cannot run or fails.
-std::optional<std::string> command_output(const std::string& cmd) {
-  FILE* p = ::popen((cmd + " 2>/dev/null").c_str(), "r");
-  if (!p) return std::nullopt;
-  std::string out;
-  char buf[512];
-  while (std::fgets(buf, sizeof(buf), p)) out += buf;
-  if (::pclose(p) != 0) return std::nullopt;
-  return out;
-}
-
-/// The host and checkout a run measured, with the names and sources
-/// benchmark/run.py's provenance() uses: the cpu model name from
-/// /proc/cpuinfo, the cpus this process may run on, and the checkout's
-/// HEAD plus whether tracked files differ from it (null when git or
-/// the checkout is missing).
-std::string provenance_json() {
-  std::string cpu = "unknown";
-  std::ifstream info("/proc/cpuinfo");
-  for (std::string line; std::getline(info, line);) {
-    if (line.rfind("model name", 0) == 0) {
-      cpu = line.substr(line.find_first_not_of(" \t", line.find(':') + 1));
-      break;
-    }
-  }
-  cpu_set_t set;
-  const int nproc = ::sched_getaffinity(0, sizeof(set), &set) == 0 ? CPU_COUNT(&set) : 0;
-  const std::string git =
-      "git -C '" + std::filesystem::path(__FILE__).parent_path().parent_path().string() + "' ";
-  const auto sha = command_output(git + "rev-parse HEAD");
-  const auto status =
-      sha ? command_output(git + "status --porcelain --untracked-files=no") : std::nullopt;
-  return "\"cpu\": \"" + cpu + "\", \"nproc\": " + std::to_string(nproc) +
-         ", \"git_sha\": \"" + (sha ? sha->substr(0, sha->find('\n')) : "unknown") +
-         "\", \"git_dirty\": " + (status ? (status->empty() ? "false" : "true") : "null");
-}
-
-/// {"column": [min, max], ...} over a row's recorded spreads.
-std::string spread_json(const std::vector<std::pair<const char*, Spread>>& spread) {
-  std::string out;
-  char buf[128];
-  for (const auto& [column, s] : spread) {
-    std::snprintf(buf, sizeof(buf), "%s\"%s\": [%.3f, %.3f]", out.empty() ? "" : ", ", column,
-                  s.min, s.max);
-    out += buf;
-  }
-  return out;
 }
 
 volatile i64 g_sink = 0;
@@ -423,6 +362,7 @@ int main(int argc, char** argv) {
     double best_ns = 0;   ///< measured ns/iter of the best candidate
     double ratio = 0;     ///< measured / best
     Spread measured_spread, best_spread;
+    std::string candidates_json;  ///< every candidate's describe(): min ns/iter
   };
   std::vector<SelRow> sels;
   {
@@ -444,17 +384,22 @@ int main(int argc, char** argv) {
       const Schedule scheds[] = {
           pick, Schedule::per_thread(cfg), Schedule::row_segments(cfg),
           Schedule::row_segments_chunked(chunk, cfg),
+          Schedule::row_segments_chunked(chunk, cfg, OmpSchedule::Dynamic),
           Schedule::simd_blocks_chunked(2 * simd::kGroupLanes, chunk, cfg)};
       // Best of `trials`, timed round-robin so drift over the run hits
-      // the pick and the candidates alike.
+      // the pick and the candidates alike.  Round -1 runs every schedule
+      // once untimed: the team warm-up above does not always outlast a
+      // new team's core sharing (a 2-thread run once read 11x on its
+      // first nest), and each nest's first round pays its cold caches.
       std::vector<Spread> ns(std::size(scheds));
-      for (int t = 0; t < trials; ++t) {
+      for (int t = -1; t < trials; ++t) {
         for (size_t c = 0; c < std::size(scheds); ++c) {
-          ns[c].add(time_trials(total, 1, [&] {
-                      thread_local i64 slot = 0;
-                      run(cn, scheds[c], [](std::span<const i64> idx) { slot += idx[0]; });
-                      g_sink = g_sink + slot;
-                    }).min);
+          const double dt = time_trials(total, 1, [&] {
+                              thread_local i64 slot = 0;
+                              run(cn, scheds[c], [](std::span<const i64> idx) { slot += idx[0]; });
+                              g_sink = g_sink + slot;
+                            }).min;
+          if (t >= 0) ns[c].add(dt);
         }
       }
       const size_t best = static_cast<size_t>(
@@ -469,6 +414,12 @@ int main(int argc, char** argv) {
       sr.best_ns = ns[best].min;
       sr.best_spread = ns[best];
       sr.ratio = sr.best_ns > 0 ? sr.measured / sr.best_ns : 1.0;
+      for (size_t c = 1; c < std::size(scheds); ++c) {
+        char buf[160];
+        std::snprintf(buf, sizeof buf, "%s\"%s\": %.3f", c > 1 ? ", " : "",
+                      scheds[c].describe().c_str(), ns[c].min);
+        sr.candidates_json += buf;
+      }
       sels.push_back(sr);
     }
   }
@@ -562,26 +513,27 @@ int main(int argc, char** argv) {
       "\n== selection accuracy: auto_select vs measured-best candidate "
       "(threads=%d) ==\n\n",
       args.threads);
-  std::printf("%-13s %-44s %9s | %-44s %9s | %7s\n", "nest", "chosen schedule",
+  std::printf("%-13s %-56s %9s | %-56s %9s | %7s\n", "nest", "chosen schedule",
               "meas[ns]", "measured best", "best[ns]", "ratio");
-  bench::rule(140);
+  bench::rule(164);
   bool sel_ok = true;
   for (size_t i = 0; i < rows.size(); ++i) {
     const SelRow& sr = sels[i];
-    std::printf("%-13s %-44s %9.3f | %-44s %9.3f | %6.2fx\n", rows[i].name.c_str(),
+    std::printf("%-13s %-56s %9.3f | %-56s %9.3f | %6.2fx\n", rows[i].name.c_str(),
                 sr.chosen.c_str(), sr.measured, sr.best.c_str(), sr.best_ns, sr.ratio);
     // Enforced floor: on the gated nests no pick may be more than 2x
     // slower than the best candidate — guard picks (tiny domain / one
     // thread) included.
     if (rows[i].gate && sr.ratio > 2.0) sel_ok = false;
   }
-  bench::rule(140);
+  bench::rule(164);
   std::printf(
       "chosen = Schedule::auto_select; measured best = cheapest end-to-end run,\n"
       "same tuple body, of the pick and the candidates per_thread, row_segments,\n"
-      "row_segments_chunked(default_chunk) and simd_blocks_chunked(2 x lane group,\n"
-      "default_chunk); ratio = chosen / best, enforced <= 2x on the gated nests,\n"
-      "guard picks included.\n");
+      "row_segments_chunked(default_chunk) static and omp=dynamic, and\n"
+      "simd_blocks_chunked(2 x lane group, default_chunk); ratio = chosen / best,\n"
+      "enforced <= 2x on the gated nests, guard picks included.  Every schedule\n"
+      "runs one discarded round first.\n");
 
   const std::string out_path = args.out.empty() ? "BENCH_recovery.json" : args.out;
   if (FILE* f = std::fopen(out_path.c_str(), "w")) {
@@ -592,7 +544,7 @@ int main(int argc, char** argv) {
                  "  \"trials\": %d,\n  %s,\n"
                  "  \"nests\": [\n",
                  run_abi.c_str(), simd::abi_name(), args.threads, trials,
-                 provenance_json().c_str());
+                 bench::provenance_json().c_str());
     for (size_t i = 0; i < rows.size(); ++i) {
       const Row& r = rows[i];
       std::fprintf(f,
@@ -616,7 +568,8 @@ int main(int argc, char** argv) {
                    "\"selection\": {\"chosen\": \"%s\", "
                    "\"measured_ns_per_iter\": %.3f, \"best\": \"%s\", "
                    "\"best_ns_per_iter\": %.3f, \"ratio_vs_best\": %.3f, "
-                   "\"measured_spread\": [%.3f, %.3f], \"best_spread\": [%.3f, %.3f]}, "
+                   "\"measured_spread\": [%.3f, %.3f], \"best_spread\": [%.3f, %.3f], "
+                   "\"candidates\": {%s}}, "
                    "\"spread\": {%s}}%s\n",
                    r.name.c_str(), r.depth, static_cast<long long>(r.trip),
                    simd::kGroupLanes,
@@ -633,7 +586,8 @@ int main(int argc, char** argv) {
                    sels[i].chosen.c_str(), sels[i].measured, sels[i].best.c_str(),
                    sels[i].best_ns, sels[i].ratio, sels[i].measured_spread.min,
                    sels[i].measured_spread.max, sels[i].best_spread.min,
-                   sels[i].best_spread.max, spread_json(r.spread).c_str(),
+                   sels[i].best_spread.max, sels[i].candidates_json.c_str(),
+                   bench::spread_json(r.spread).c_str(),
                    i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");

@@ -269,7 +269,6 @@ RecoveryStyle emission_style(const Schedule& s) {
     case Scheme::SimdBlocksChunked:
       return RecoveryStyle::SimdBlocks;
     case Scheme::PerThread:
-    case Scheme::Taskloop:
     case Scheme::RowSegments:
     case Scheme::SerialSim:
       return RecoveryStyle::PerThread;
@@ -286,8 +285,12 @@ std::string emission_omp_schedule(const Schedule& s) {
     case Scheme::Chunked:
     case Scheme::RowSegmentsChunked:
       // chunk <= 0 lowers to the PerThread style (see emission_style),
-      // whose contiguous static split needs a plain schedule(static).
-      return s.chunk > 0 ? "static, " + std::to_string(s.chunk) : "static";
+      // whose contiguous static split needs a plain schedule(static) in
+      // either flavour.  The per-chunk recovery test (pc - 1) % chunk
+      // holds under dynamic too: every claim starts on a chunk boundary.
+      if (s.chunk <= 0) return "static";
+      return (s.omp == OmpSchedule::Dynamic ? "dynamic, " : "static, ") +
+             std::to_string(s.chunk);
     default:
       return "static";
   }

@@ -5,8 +5,8 @@
 //   * PerIteration — Fig. 3: closed-form recovery at every iteration;
 //   * PerThread    — Fig. 4: firstprivate flag, one recovery per thread,
 //                    then original-nest index incrementation;
-//   * Chunked      — §V: schedule(static, CHUNK) with one recovery per
-//                    chunk;
+//   * Chunked      — §V: schedule(static, CHUNK) or schedule(dynamic,
+//                    CHUNK) with one recovery per chunk;
 //   * SimdBlocks   — §VI-A: precompute vlength index tuples, omp simd
 //                    body.
 // Degree <= 2 recoveries use plain sqrt/floor (as Fig. 3); degree >= 3
@@ -21,13 +21,13 @@
 // The emitter consumes the same Schedule descriptor the runtime
 // dispatcher executes (pipeline/schedule.hpp), so a scheme choice made
 // once — by hand or by Schedule::auto_select — drives library execution
-// and generated C from one source of truth.  Each of the ten runtime
+// and generated C from one source of truth.  Each of the nine runtime
 // schemes maps onto the nearest of the four emission styles
 // (emission_style below): the chunked schemes emit the Chunked style
-// with their chunk, the SIMD block schemes the SimdBlocks style with
-// their vlen, the per-thread family (per_thread, taskloop,
-// row_segments, serial_sim) the Fig. 4 PerThread style, and warp_sim
-// emits PerIteration under schedule(static, 1) — the coalesced
+// with their chunk and static/dynamic flavour, the SIMD block schemes
+// the SimdBlocks style with their vlen, the per-thread family
+// (per_thread, row_segments, serial_sim) the Fig. 4 PerThread style,
+// and warp_sim emits PerIteration under schedule(static, 1) — the coalesced
 // consecutive-iteration deal §VI-B targets, expressed in OpenMP.
 //
 // emit_verification_program wraps the original and the collapsed
@@ -46,7 +46,7 @@ namespace nrc {
 enum class RecoveryStyle {
   PerIteration,  ///< Fig. 3: recovery at every iteration
   PerThread,     ///< Fig. 4: one recovery per thread + incrementation
-  Chunked,       ///< §V: schedule(static, CHUNK), recovery per chunk
+  Chunked,       ///< §V: schedule(static|dynamic, CHUNK), recovery per chunk
   SimdBlocks,    ///< §VI-A: precompute vlength index tuples, omp simd body
 };
 
@@ -54,15 +54,15 @@ enum class RecoveryStyle {
 RecoveryStyle emission_style(const Schedule& s);
 
 /// The OpenMP schedule clause body the emitted pragma carries for a
-/// Schedule, e.g. "static", "dynamic", "static, 512".
+/// Schedule, e.g. "static", "dynamic", "static, 512", "dynamic, 512".
 std::string emission_omp_schedule(const Schedule& s);
 
 struct NestCertificate;
 
 struct EmitOptions {
   /// The scheme to emit; the default Schedule is the Fig. 4 per-thread
-  /// scheme.  scheme parameters (chunk, vlen, PerIteration's
-  /// static/dynamic flavour) come from here — a non-positive chunk
+  /// scheme.  scheme parameters (chunk, vlen, the static/dynamic
+  /// flavour) come from here — a non-positive chunk
   /// lowers to the PerThread style, exactly the fallback nrc::run
   /// executes for the same descriptor.
   Schedule schedule{};

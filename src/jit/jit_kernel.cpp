@@ -76,8 +76,9 @@ constexpr const char* kCbVar = "nrc_cb";
 }  // namespace
 
 std::string JitKernel::schedule_key(const Schedule& s) {
-  // Only the emission-relevant fragment: thread count, grain and
-  // warp-size differences execute the same generated code.
+  // Only the emission-relevant fragment: thread-count and warp-size
+  // differences execute the same generated code; the omp clause keeps
+  // the static and dynamic chunked flavours apart.
   std::string key;
   switch (emission_style(s)) {
     case RecoveryStyle::PerIteration:

@@ -28,15 +28,16 @@ class KernelBase : public IKernel {
     eval_.emplace(col_.bind(params));
   }
 
-  /// Run one of the five collapsed Variants through nrc::run; the
+  /// Run one of the six collapsed Variants through nrc::run; the
   /// other three are the kernel's own loops and do nothing here.
   /// `best` is the kernel's fastest body: a row-segment body (§VI-A)
   /// where the innermost loop should vectorize, else the tuple body.
   /// `tuple` is the tuple body.  The Fig. 10 serial protocol and the
-  /// two static schemes take `best`, so segment kernels run the
-  /// row-segment schemes and tuple kernels the §V scalar ones; the
+  /// three chunked/blocked schemes take `best`, so segment kernels run
+  /// the row-segment schemes and tuple kernels the §V scalar ones; the
   /// scalar Fig. 10 variant and the per-iteration dynamic scheme take
-  /// `tuple`.
+  /// `tuple`.  CollapsedDynamicChunks is CollapsedStatic's chunk and
+  /// body with chunks claimed from one counter instead of dealt.
   template <class Best, class Tuple>
   void run_collapsed(Variant v, int threads, int sims, Best& best, Tuple& tuple) const {
     constexpr bool seg = detail::is_segment_body_v<Best>;
@@ -50,11 +51,15 @@ class KernelBase : public IKernel {
         nrc::run(cn, Schedule::serial_sim(sims), tuple);
         break;
       case Variant::CollapsedStatic:
+      case Variant::CollapsedDynamicChunks: {
+        const OmpSchedule o = v == Variant::CollapsedStatic ? OmpSchedule::Static
+                                                            : OmpSchedule::Dynamic;
         nrc::run(cn,
-                 seg ? Schedule::row_segments_chunked(chunk, {threads})
-                     : Schedule::chunked(chunk, {threads}),
+                 seg ? Schedule::row_segments_chunked(chunk, {threads}, o)
+                     : Schedule::chunked(chunk, {threads}, o),
                  best);
         break;
+      }
       case Variant::CollapsedStaticBlock:
         nrc::run(cn, seg ? Schedule::row_segments({threads}) : Schedule::per_thread({threads}),
                  best);

@@ -28,6 +28,8 @@ const char* variant_name(Variant v) {
       return "outer-dynamic";
     case Variant::CollapsedStatic:
       return "collapsed-static";
+    case Variant::CollapsedDynamicChunks:
+      return "collapsed-dynamic-chunks";
     case Variant::CollapsedStaticBlock:
       return "collapsed-static-block";
     case Variant::CollapsedDynamic:

@@ -38,6 +38,7 @@ enum class Variant {
   OuterStatic,
   OuterDynamic,
   CollapsedStatic,
+  CollapsedDynamicChunks,
   CollapsedStaticBlock,
   CollapsedDynamic,
 };

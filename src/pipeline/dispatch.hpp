@@ -1,5 +1,5 @@
 #pragma once
-// The unified execution dispatcher: one entry point, ten schemes.
+// The unified execution dispatcher: one entry point, nine schemes.
 //
 //   nrc::run(cn, schedule, body);
 //
@@ -9,7 +9,9 @@
 // it with a Schedule value, so the §V/§VI scheme implementations — and
 // the chunking/thread-range arithmetic they share
 // (static_thread_range, chunk_count/chunk_end, the parallel drivers) —
-// live exactly once, here.
+// live exactly once, here.  Schedule::omp picks the deal for
+// PerIteration and for the two chunked schemes: static (fixed,
+// round-robin) or dynamic (claimed from one shared counter).
 //
 // Body shapes.  The dispatcher accepts three body contracts and adapts
 // between them where the adaptation is free:
@@ -103,12 +105,22 @@ void parallel_static_ranges(i64 total, int nt, RangeFn&& fn) {
   }
 }
 
-/// schedule(static, chunk) semantics: chunks dealt to threads
-/// round-robin (the deal keeps threads co-located in the iteration
-/// space, preserving shared-cache streaming).
+/// Chunks of `chunk` pcs, dealt by `omp`.  Static: schedule(static,
+/// chunk) semantics, chunks dealt to threads round-robin (the deal keeps
+/// threads co-located in the iteration space, preserving shared-cache
+/// streaming).  Dynamic: threads claim chunk indices from one shared
+/// counter (schedule(dynamic, 1)), so a delayed thread claims fewer
+/// chunks instead of holding up the whole run; claims still advance in
+/// pc order, which keeps the co-location.
 template <class RangeFn>
-void parallel_chunk_ranges(i64 total, i64 chunk, int nt, RangeFn&& fn) {
+void parallel_chunk_ranges(i64 total, i64 chunk, OmpSchedule omp, int nt, RangeFn&& fn) {
   const i64 nchunks = chunk_count(total, chunk);
+  if (omp == OmpSchedule::Dynamic) {
+#pragma omp parallel for schedule(dynamic, 1) num_threads(nt)
+    for (i64 q = 0; q < nchunks; ++q)
+      fn(1 + q * chunk, chunk_end(total, 1 + q * chunk, chunk));
+    return;
+  }
 #pragma omp parallel num_threads(nt)
   {
     const i64 t = omp_get_thread_num();
@@ -259,23 +271,6 @@ void run_per_iteration(const CollapsedEval& cn, OmpSchedule sched, int nt, Body&
       i64 idx[kMaxDepth];
       cn.recover(pc, {idx, static_cast<size_t>(cn.depth())});
       body(std::span<const i64>(idx, static_cast<size_t>(cn.depth())));
-    }
-  }
-}
-
-template <bool PreferSegments, class Body>
-void run_taskloop(const CollapsedEval& cn, i64 grainsize, int nt, Body& body) {
-  const i64 total = cn.trip_count();
-  const i64 grain = grainsize > 0 ? grainsize : default_chunk(total, nt);
-  const i64 ntasks = chunk_count(total, grain);
-#pragma omp parallel num_threads(nt)
-#pragma omp single
-  {
-#pragma omp taskloop grainsize(1)
-    for (i64 q = 0; q < ntasks; ++q) {
-      const i64 lo = 1 + q * grain;
-      const i64 hi = chunk_end(total, lo, grain);
-      run_range_pref<PreferSegments>(cn, lo, hi, body);
     }
   }
 }
@@ -443,49 +438,27 @@ void run(const CollapsedEval& cn, const Schedule& s, Body&& body) {
       }
       break;
     case Scheme::PerThread:
-      if constexpr (tup || seg) {
-        detail::parallel_static_ranges(total, nt, [&](i64 lo, i64 hi) {
-          detail::run_range_pref<false>(cn, lo, hi, body);
-        });
-        return;
-      }
-      break;
     case Scheme::RowSegments:
-      if constexpr (tup || seg) {
-        detail::parallel_static_ranges(total, nt, [&](i64 lo, i64 hi) {
-          detail::run_range_pref<true>(cn, lo, hi, body);
-        });
-        return;
-      }
-      break;
     case Scheme::Chunked:
     case Scheme::RowSegmentsChunked:
       if constexpr (tup || seg) {
-        // The tie-break keeps each scheme's native body shape.
-        constexpr bool prefer_seg_chunked = true;
-        if (s.chunk <= 0) {
-          // A non-positive chunk falls back to the per-thread split
-          // of the same body family.
-          detail::parallel_static_ranges(total, nt, [&](i64 lo, i64 hi) {
-            if (s.scheme == Scheme::Chunked)
-              detail::run_range_pref<false>(cn, lo, hi, body);
-            else
-              detail::run_range_pref<prefer_seg_chunked>(cn, lo, hi, body);
-          });
-          return;
-        }
-        detail::parallel_chunk_ranges(total, s.chunk, nt, [&](i64 lo, i64 hi) {
-          if (s.scheme == Scheme::Chunked)
-            detail::run_range_pref<false>(cn, lo, hi, body);
+        // The range schemes differ in partition and in the tie-break
+        // that keeps each scheme's native body shape.
+        const bool segments =
+            s.scheme == Scheme::RowSegments || s.scheme == Scheme::RowSegmentsChunked;
+        const auto walk = [&](i64 lo, i64 hi) {
+          if (segments)
+            detail::run_range_pref<true>(cn, lo, hi, body);
           else
-            detail::run_range_pref<prefer_seg_chunked>(cn, lo, hi, body);
-        });
-        return;
-      }
-      break;
-    case Scheme::Taskloop:
-      if constexpr (tup || seg) {
-        detail::run_taskloop<false>(cn, s.grain, nt, body);
+            detail::run_range_pref<false>(cn, lo, hi, body);
+        };
+        // The unchunked schemes, and a non-positive chunk in either
+        // flavour, take the per-thread split.
+        const bool chunked = s.scheme == Scheme::Chunked || s.scheme == Scheme::RowSegmentsChunked;
+        if (chunked && s.chunk > 0)
+          detail::parallel_chunk_ranges(total, s.chunk, s.omp, nt, walk);
+        else
+          detail::parallel_static_ranges(total, nt, walk);
         return;
       }
       break;

@@ -16,8 +16,6 @@ const char* scheme_name(Scheme s) {
       return "per_thread";
     case Scheme::Chunked:
       return "chunked";
-    case Scheme::Taskloop:
-      return "taskloop";
     case Scheme::RowSegments:
       return "row_segments";
     case Scheme::RowSegmentsChunked:
@@ -34,82 +32,40 @@ const char* scheme_name(Scheme s) {
   return "?";
 }
 
+// Designated initializers name each scheme's parameters; the rest keep
+// their member defaults.
 Schedule Schedule::per_iteration(OmpSchedule o, RunConfig c) {
-  Schedule s;
-  s.scheme = Scheme::PerIteration;
-  s.omp = o;
-  s.cfg = c;
-  return s;
+  return {.scheme = Scheme::PerIteration, .omp = o, .cfg = c};
 }
 
-Schedule Schedule::per_thread(RunConfig c) {
-  Schedule s;
-  s.scheme = Scheme::PerThread;
-  s.cfg = c;
-  return s;
-}
+Schedule Schedule::per_thread(RunConfig c) { return {.scheme = Scheme::PerThread, .cfg = c}; }
 
-Schedule Schedule::chunked(i64 chunk, RunConfig c) {
-  Schedule s;
-  s.scheme = Scheme::Chunked;
-  s.chunk = chunk;
-  s.cfg = c;
-  return s;
-}
-
-Schedule Schedule::taskloop(i64 grain, RunConfig c) {
-  Schedule s;
-  s.scheme = Scheme::Taskloop;
-  s.grain = grain;
-  s.cfg = c;
-  return s;
+Schedule Schedule::chunked(i64 chunk, RunConfig c, OmpSchedule o) {
+  return {.scheme = Scheme::Chunked, .omp = o, .chunk = chunk, .cfg = c};
 }
 
 Schedule Schedule::row_segments(RunConfig c) {
-  Schedule s;
-  s.scheme = Scheme::RowSegments;
-  s.cfg = c;
-  return s;
+  return {.scheme = Scheme::RowSegments, .cfg = c};
 }
 
-Schedule Schedule::row_segments_chunked(i64 chunk, RunConfig c) {
-  Schedule s;
-  s.scheme = Scheme::RowSegmentsChunked;
-  s.chunk = chunk;
-  s.cfg = c;
-  return s;
+Schedule Schedule::row_segments_chunked(i64 chunk, RunConfig c, OmpSchedule o) {
+  return {.scheme = Scheme::RowSegmentsChunked, .omp = o, .chunk = chunk, .cfg = c};
 }
 
 Schedule Schedule::simd_blocks(int vlen, RunConfig c) {
-  Schedule s;
-  s.scheme = Scheme::SimdBlocks;
-  s.vlen = vlen;
-  s.cfg = c;
-  return s;
+  return {.scheme = Scheme::SimdBlocks, .vlen = vlen, .cfg = c};
 }
 
 Schedule Schedule::simd_blocks_chunked(int vlen, i64 chunk, RunConfig c) {
-  Schedule s;
-  s.scheme = Scheme::SimdBlocksChunked;
-  s.vlen = vlen;
-  s.chunk = chunk;
-  s.cfg = c;
-  return s;
+  return {.scheme = Scheme::SimdBlocksChunked, .chunk = chunk, .vlen = vlen, .cfg = c};
 }
 
 Schedule Schedule::warp_sim(int warp_size, RunConfig c) {
-  Schedule s;
-  s.scheme = Scheme::WarpSim;
-  s.warp_size = warp_size;
-  s.cfg = c;
-  return s;
+  return {.scheme = Scheme::WarpSim, .warp_size = warp_size, .cfg = c};
 }
 
 Schedule Schedule::serial_sim(int n_chunks) {
-  Schedule s;
-  s.scheme = Scheme::SerialSim;
-  s.serial_chunks = n_chunks;
-  return s;
+  return {.scheme = Scheme::SerialSim, .serial_chunks = n_chunks};
 }
 
 void Schedule::validate() const {
@@ -144,9 +100,7 @@ std::string Schedule::describe() const {
     case Scheme::Chunked:
     case Scheme::RowSegmentsChunked:
       field("chunk", std::to_string(chunk));
-      break;
-    case Scheme::Taskloop:
-      field("grain", std::to_string(grain));
+      if (omp == OmpSchedule::Dynamic) field("omp", "dynamic");
       break;
     case Scheme::SimdBlocks:
       field("vlen", std::to_string(vlen));
@@ -231,10 +185,12 @@ Schedule Schedule::auto_select(const CollapsedEval& cn, const AutoSelectHints& h
     s.chunk = chunk;
     return s;
   }
-  // Production default (§V chunked, segment bodies): round-robin chunks
-  // keep threads co-located, one recovery per chunk amortizes the
+  // Production default (§V chunked, segment bodies): threads claim
+  // chunks from one shared counter, so a delayed thread claims fewer
+  // instead of holding up the run; one recovery per chunk amortizes the
   // degree >= 3 solves, and the innermost range reaches the body whole.
   s.scheme = Scheme::RowSegmentsChunked;
+  s.omp = OmpSchedule::Dynamic;
   s.chunk = chunk;
   return s;
 }

@@ -3,10 +3,12 @@
 //
 // The paper's value proposition is "collapse once, run anywhere": one
 // closed-form ranking serves every execution scheme.  The runtime
-// implements ten schemes (paper §V scalar, §VI-A row-segment/SIMD-block,
-// §VI-B warp, plus the Fig. 10 serial simulator).  `Schedule` is the
-// single value type naming a scheme and carrying every scheme
-// parameter, consumed by
+// implements nine schemes (paper §V scalar, §VI-A row-segment/SIMD-block,
+// §VI-B warp, plus the Fig. 10 serial simulator); the chunked ones come
+// in a static flavour (chunks dealt round-robin) and a dynamic one
+// (chunks claimed from one shared counter).  `Schedule` is the single
+// value type naming a scheme and carrying every scheme parameter,
+// consumed by
 //
 //   * nrc::run(eval_or_plan, schedule, body)  — the one way to run a
 //     collapsed loop (pipeline/dispatch.hpp), and
@@ -34,10 +36,11 @@ struct RunConfig {
 
 enum class OmpSchedule { Static, Dynamic };
 
-/// Default chunk size for the §V chunked scheme: small enough that the
-/// round-robin deal keeps all threads co-located in the iteration space
-/// (shared-cache streaming, like dynamic scheduling achieves), large
-/// enough to amortize the per-chunk recovery.  threads == 0 means "the
+/// Default chunk size for the §V chunked schemes: 32 chunks per thread,
+/// small enough that either deal (round-robin or claimed) keeps all
+/// threads co-located in the iteration space and leaves the dynamic
+/// flavour slack to balance with, large enough to amortize the
+/// per-chunk recovery.  threads == 0 means "the
 /// OpenMP default team", so it resolves through omp_get_max_threads()
 /// exactly like the dispatcher does — treating it as one thread made
 /// the chunks ~max_threads× too large under the actual default team.
@@ -52,16 +55,16 @@ inline i64 default_chunk(i64 total, int threads) {
 /// Maximum lanes a SIMD block scheme may materialize per body call.
 inline constexpr int kMaxSimdLanes = 256;
 
-/// Every execution scheme the runtime implements (PerIteration covers
-/// both its static and dynamic OpenMP flavours via Schedule::omp).
+/// Every execution scheme the runtime implements.  PerIteration,
+/// Chunked and RowSegmentsChunked each come in a static and a dynamic
+/// OpenMP flavour, selected by Schedule::omp.
 enum class Scheme {
   PerIteration,        ///< Fig. 3: full recovery at every iteration
   PerThread,           ///< §V: contiguous block per thread, one recovery each
-  Chunked,             ///< §V: schedule(static, chunk), recovery per chunk
-  Taskloop,            ///< grains as OpenMP tasks, one recovery per grain
+  Chunked,             ///< §V: chunks of `chunk`, recovery per chunk
   RowSegments,         ///< §VI-A production form: per-thread blocks as
                        ///< maximal innermost runs (vectorizable bodies)
-  RowSegmentsChunked,  ///< row segments inside round-robin chunks
+  RowSegmentsChunked,  ///< row segments inside chunks, either deal
   SimdBlocks,          ///< §VI-A: SoA lane blocks of vlen tuples per call
   SimdBlocksChunked,   ///< lane blocks inside chunks; chunk starts solved
                        ///< 4 per SIMD lane (recover4)
@@ -82,10 +85,10 @@ struct AutoSelectHints {
 /// copy it, store it in tables, hand it to nrc::run() and the emitter.
 struct Schedule {
   Scheme scheme = Scheme::PerThread;
-  OmpSchedule omp = OmpSchedule::Static;  ///< PerIteration only
+  OmpSchedule omp = OmpSchedule::Static;  ///< PerIteration and the two
+                                          ///< chunked schemes: the deal
   i64 chunk = 0;          ///< chunked schemes; <= 0 falls back to the
-                          ///< unchunked parent scheme
-  i64 grain = 0;          ///< Taskloop; <= 0 picks default_chunk
+                          ///< unchunked parent scheme (static split)
   int vlen = 8;           ///< SimdBlocks / SimdBlocksChunked
   int warp_size = 32;     ///< WarpSim
   int serial_chunks = 1;  ///< SerialSim (the Fig. 10 recovery count)
@@ -94,10 +97,11 @@ struct Schedule {
   // Named constructors, one per scheme.
   static Schedule per_iteration(OmpSchedule o = OmpSchedule::Static, RunConfig c = {});
   static Schedule per_thread(RunConfig c = {});
-  static Schedule chunked(i64 chunk, RunConfig c = {});
-  static Schedule taskloop(i64 grain, RunConfig c = {});
+  static Schedule chunked(i64 chunk, RunConfig c = {},
+                          OmpSchedule o = OmpSchedule::Static);
   static Schedule row_segments(RunConfig c = {});
-  static Schedule row_segments_chunked(i64 chunk, RunConfig c = {});
+  static Schedule row_segments_chunked(i64 chunk, RunConfig c = {},
+                                       OmpSchedule o = OmpSchedule::Static);
   static Schedule simd_blocks(int vlen, RunConfig c = {});
   static Schedule simd_blocks_chunked(int vlen, i64 chunk, RunConfig c = {});
   static Schedule warp_sim(int warp_size, RunConfig c = {});
@@ -105,11 +109,12 @@ struct Schedule {
 
   /// Parameter validation; throws SpecError for vlen outside
   /// [1, kMaxSimdLanes] and warp_size < 1, and nowhere else: a
-  /// non-positive chunk/grain is a documented fallback, not an error.
+  /// non-positive chunk is a documented fallback, not an error.
   void validate() const;
 
   /// One-line human-readable rendering, e.g.
-  /// "row_segments_chunked(chunk=512, threads=8)".
+  /// "row_segments_chunked(chunk=512, omp=dynamic, threads=8)"; the
+  /// static chunked flavour prints no omp field.
   std::string describe() const;
 
   /// Pick a scheme for a bound domain when the caller has no
@@ -123,12 +128,12 @@ struct Schedule {
   ///   * a Search/Interpreted level makes recovery costly, so the
   ///     schemes with the fewest recoveries win (RowSegments: one per
   ///     thread, vectorizable bodies at zero extra recoveries);
-  ///   * degree >= 3 levels (Cubic/Quartic/Program) pay more per
-  ///     recovery, so chunks amortize it: RowSegmentsChunked with
-  ///     default_chunk;
   ///   * cheap recoveries (division/quadratic) take SimdBlocksChunked
-  ///     when the caller's body is block-shaped, RowSegmentsChunked
-  ///     otherwise.
+  ///     when the caller's body is block-shaped;
+  ///   * every other closed-form domain takes dynamic RowSegmentsChunked
+  ///     with default_chunk: one recovery per claimed chunk amortizes
+  ///     even degree >= 3 solves, and claiming from one counter
+  ///     balances the load as it runs.
   static Schedule auto_select(const CollapsedEval& eval, const AutoSelectHints& hints = {});
 
   struct Choice;

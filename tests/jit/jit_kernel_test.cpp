@@ -262,6 +262,9 @@ TEST(KernelCache, KeyIgnoresThreadCountButNotEmissionStyle) {
             KernelCache::kernel_key(*plan, Schedule::per_iteration()));
   EXPECT_NE(KernelCache::kernel_key(*plan, Schedule::simd_blocks(4)),
             KernelCache::kernel_key(*plan, Schedule::simd_blocks(8)));
+  // The static and dynamic chunk deals emit different clauses.
+  EXPECT_NE(JitKernel::schedule_key(Schedule::chunked(64)),
+            JitKernel::schedule_key(Schedule::chunked(64, {}, OmpSchedule::Dynamic)));
   // Different plans never alias.
   EXPECT_NE(KernelCache::kernel_key(*plan, Schedule::per_thread()),
             KernelCache::kernel_key(*tri_plan(13), Schedule::per_thread()));

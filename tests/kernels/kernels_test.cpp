@@ -25,8 +25,8 @@ TEST_P(KernelVariants, AllVariantsMatchSerialChecksum) {
 
   for (Variant v : {Variant::SerialCollapsedSim, Variant::SerialCollapsedSimScalar,
                     Variant::OuterStatic, Variant::OuterDynamic,
-                    Variant::CollapsedStatic, Variant::CollapsedStaticBlock,
-                    Variant::CollapsedDynamic}) {
+                    Variant::CollapsedStatic, Variant::CollapsedDynamicChunks,
+                    Variant::CollapsedStaticBlock, Variant::CollapsedDynamic}) {
     kernel->run(v, 4, 12);
     EXPECT_TRUE(nearly_equal(kernel->checksum(), expect))
         << variant_name(v) << ": " << kernel->checksum() << " vs " << expect;

@@ -22,7 +22,7 @@ TEST(Schedule, FactoriesCarryTheirParameters) {
   EXPECT_EQ(Schedule::per_thread().scheme, Scheme::PerThread);
   EXPECT_EQ(Schedule::per_iteration(OmpSchedule::Dynamic).omp, OmpSchedule::Dynamic);
   EXPECT_EQ(Schedule::chunked(77).chunk, 77);
-  EXPECT_EQ(Schedule::taskloop(9).grain, 9);
+  EXPECT_EQ(Schedule::chunked(9, {}, OmpSchedule::Dynamic).omp, OmpSchedule::Dynamic);
   EXPECT_EQ(Schedule::row_segments_chunked(33).chunk, 33);
   EXPECT_EQ(Schedule::simd_blocks(16).vlen, 16);
   const Schedule sc = Schedule::simd_blocks_chunked(4, 128, {3});
@@ -38,10 +38,10 @@ TEST(Schedule, ValidateThrowsExactlyWhereTheLegacyEntryPointsThrew) {
   EXPECT_THROW(Schedule::simd_blocks(kMaxSimdLanes + 1).validate(), SpecError);
   EXPECT_THROW(Schedule::simd_blocks_chunked(0, 8).validate(), SpecError);
   EXPECT_THROW(Schedule::warp_sim(0).validate(), SpecError);
-  // Non-positive chunk/grain are documented fallbacks, not errors.
+  // Non-positive chunks are documented fallbacks, not errors.
   EXPECT_NO_THROW(Schedule::chunked(0).validate());
   EXPECT_NO_THROW(Schedule::chunked(-5).validate());
-  EXPECT_NO_THROW(Schedule::taskloop(0).validate());
+  EXPECT_NO_THROW(Schedule::chunked(0, {}, OmpSchedule::Dynamic).validate());
   EXPECT_NO_THROW(Schedule::row_segments_chunked(0).validate());
 }
 
@@ -51,6 +51,9 @@ TEST(Schedule, DescribeNamesSchemeAndParameters) {
   EXPECT_EQ(Schedule::per_iteration(OmpSchedule::Dynamic).describe(),
             "per_iteration(omp=dynamic)");
   EXPECT_EQ(Schedule::chunked(512).describe(), "chunked(chunk=512)");
+  // Only the dynamic chunked flavour names its deal.
+  EXPECT_EQ(Schedule::row_segments_chunked(64, {4}, OmpSchedule::Dynamic).describe(),
+            "row_segments_chunked(chunk=64, omp=dynamic, threads=4)");
   // The simd schemes report the runtime leg so a log line pins down
   // which ABI actually ran (compile-time macros alone can't).
   const std::string abi = simd::runtime_abi();
@@ -153,13 +156,14 @@ TEST(AutoSelect, CostlyRecoveryPrefersFewestRecoveries) {
   EXPECT_EQ(Schedule::auto_select(cn, h).scheme, Scheme::RowSegments);
 }
 
-TEST(AutoSelect, CheapClosedFormsTakeChunkedSegments) {
+TEST(AutoSelect, CheapClosedFormsTakeDynamicChunkedSegments) {
   const Collapsed col = collapse(testutil::triangular_strict());
   const CollapsedEval cn = col.bind({{"N", 500}});
   AutoSelectHints h;
   h.threads = 4;
   const Schedule s = Schedule::auto_select(cn, h);
   EXPECT_EQ(s.scheme, Scheme::RowSegmentsChunked);
+  EXPECT_EQ(s.omp, OmpSchedule::Dynamic);
   EXPECT_EQ(s.chunk, default_chunk(cn.trip_count(), 4));
 }
 
@@ -202,7 +206,8 @@ TEST(Dispatch, EverySchemeVisitsTheExactDomain) {
       Schedule::per_thread({3}),
       Schedule::chunked(7, {3}),
       Schedule::chunked(0, {3}),  // per-thread fallback
-      Schedule::taskloop(5, {3}),
+      Schedule::chunked(5, {3}, OmpSchedule::Dynamic),
+      Schedule::row_segments_chunked(0, {3}, OmpSchedule::Dynamic),
       Schedule::row_segments({3}),
       Schedule::row_segments_chunked(11, {3}),
       Schedule::simd_blocks(4, {3}),
@@ -283,7 +288,6 @@ TEST(Dispatch, InvalidScheduleParametersThrow) {
 TEST(Emission, StyleMappingCoversEveryScheme) {
   EXPECT_EQ(emission_style(Schedule::per_iteration()), RecoveryStyle::PerIteration);
   EXPECT_EQ(emission_style(Schedule::per_thread()), RecoveryStyle::PerThread);
-  EXPECT_EQ(emission_style(Schedule::taskloop(4)), RecoveryStyle::PerThread);
   EXPECT_EQ(emission_style(Schedule::row_segments()), RecoveryStyle::PerThread);
   EXPECT_EQ(emission_style(Schedule::serial_sim()), RecoveryStyle::PerThread);
   EXPECT_EQ(emission_style(Schedule::chunked(64)), RecoveryStyle::Chunked);
@@ -304,6 +308,9 @@ TEST(Emission, OmpScheduleClauseFollowsTheSchedule) {
             "dynamic");
   EXPECT_EQ(emission_omp_schedule(Schedule::chunked(256)), "static, 256");
   EXPECT_EQ(emission_omp_schedule(Schedule::chunked(0)), "static");  // per-thread fallback
+  EXPECT_EQ(emission_omp_schedule(Schedule::row_segments_chunked(8, {}, OmpSchedule::Dynamic)),
+            "dynamic, 8");
+  EXPECT_EQ(emission_omp_schedule(Schedule::chunked(0, {}, OmpSchedule::Dynamic)), "static");
   // §VI-B's coalesced consecutive-iteration deal, expressed in OpenMP.
   EXPECT_EQ(emission_omp_schedule(Schedule::warp_sim(32)), "static, 1");
   EXPECT_EQ(emission_omp_schedule(Schedule::per_thread()), "static");

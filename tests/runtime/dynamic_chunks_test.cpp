@@ -8,13 +8,22 @@
 namespace nrc {
 namespace {
 
-TEST(Taskloop, CoversDomainForVariousGrains) {
-  for (i64 grain : {i64{0} /* default */, i64{1}, i64{7}, i64{100}, i64{100000}})
+// The dynamic flavour of the chunked schemes: threads claim chunks from
+// one shared counter, one recovery per claim.
+constexpr OmpSchedule kDyn = OmpSchedule::Dynamic;
+
+TEST(DynamicChunks, CoversDomainForVariousChunks) {
+  // 0 is the documented per-thread fallback; the rest split the domain
+  // into many chunks (1, 7), a few (100) or one (100000).
+  for (i64 chunk : {i64{0}, i64{1}, i64{7}, i64{100}, i64{100000}}) {
     EXPECT_TRUE(testutil::run_covers(testutil::triangular_strict(), {{"N", 35}},
-                                     Schedule::taskloop(grain, {4})));
+                                     Schedule::chunked(chunk, {4}, kDyn)));
+    EXPECT_TRUE(testutil::run_covers(testutil::triangular_strict(), {{"N", 35}},
+                                     Schedule::row_segments_chunked(chunk, {4}, kDyn)));
+  }
 }
 
-TEST(Taskloop, ComputesSameReductionAsSerial) {
+TEST(DynamicChunks, ComputesSameReductionAsSerial) {
   const NestSpec nest = testutil::tetrahedral_fig6();
   const Collapsed col = collapse(nest);
   const ParamMap p{{"N", 13}};
@@ -28,7 +37,7 @@ TEST(Taskloop, ComputesSameReductionAsSerial) {
   std::mutex mu;
   long double got = 0.0L;
   nrc::run(
-      cn, Schedule::taskloop(16, {8}),
+      cn, Schedule::chunked(16, {8}, kDyn),
       [&](std::span<const i64> t) {
         const long double v = static_cast<long double>(t[0] * 100 + t[1] * 10 + t[2]);
         std::lock_guard<std::mutex> lock(mu);
@@ -37,12 +46,14 @@ TEST(Taskloop, ComputesSameReductionAsSerial) {
   EXPECT_EQ(static_cast<double>(got), static_cast<double>(expect));
 }
 
-TEST(Taskloop, SingleThreadPreservesChunkOrderWithinTask) {
+TEST(DynamicChunks, SingleThreadPreservesOrderWithinAndAcrossChunks) {
+  // One thread claims chunks 0, 1, 2, ... in turn and walks each in
+  // rank order, so the visits reproduce the original nest's order.
   const NestSpec nest = testutil::triangular_lower();
   const Collapsed col = collapse(nest);
   const CollapsedEval cn = col.bind({{"N", 12}});
   std::vector<std::pair<i64, i64>> order;
-  nrc::run(cn, Schedule::taskloop(1000000, {1}),  // one big task: fully sequential
+  nrc::run(cn, Schedule::chunked(7, {1}, kDyn),
            [&](std::span<const i64> ij) { order.emplace_back(ij[0], ij[1]); });
   const auto pts = domain_points(nest, {{"N", 12}});
   ASSERT_EQ(order.size(), pts.size());

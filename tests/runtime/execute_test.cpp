@@ -95,14 +95,14 @@ TEST(ExecuteSchemes, PerThreadBlocksAreContiguousRanks) {
 constexpr i64 kI64Max = std::numeric_limits<i64>::max();
 
 TEST(HostileChunks, EveryChunkedScheduleCoversDomain) {
-  // One table for the chunk and grain extremes, run through nrc::run
+  // One table for the chunk extremes, run through nrc::run
   // with each scheme's native body shape:
   //   * near the i64 maximum: ceil(total / chunk) and lo + chunk - 1
   //     must not wrap (the naive forms made the chunk count
   //     non-positive and visited ZERO iterations without an error);
   //   * above total: one chunk covers the whole range;
   //   * 0 and below: the documented fallback (the unchunked parent
-  //     scheme; default_chunk for a taskloop grain).
+  //     scheme), in the static and the dynamic flavour alike.
   const i64 kI64Min = std::numeric_limits<i64>::min();
   const ParamMap p{{"N", 11}};
   for (const NestSpec& nest : {testutil::triangular_strict(), testutil::triangular_lower(),
@@ -111,9 +111,10 @@ TEST(HostileChunks, EveryChunkedScheduleCoversDomain) {
     for (const i64 c : {kI64Max, kI64Max - 1, kI64Max / 2, kI64Max / 3, total + 1, 2 * total,
                         i64{0}, i64{-1}, kI64Min}) {
       for (const Schedule& s :
-           {Schedule::chunked(c, {4}), Schedule::taskloop(c, {4}),
-            Schedule::row_segments_chunked(c, {4}), Schedule::simd_blocks_chunked(4, c, {3}),
-            Schedule::simd_blocks_chunked(8, c, {4})})
+           {Schedule::chunked(c, {4}), Schedule::chunked(c, {4}, OmpSchedule::Dynamic),
+            Schedule::row_segments_chunked(c, {4}),
+            Schedule::row_segments_chunked(c, {4}, OmpSchedule::Dynamic),
+            Schedule::simd_blocks_chunked(4, c, {3}), Schedule::simd_blocks_chunked(8, c, {4})})
         EXPECT_TRUE(run_covers(nest, p, s)) << "total=" << total;
     }
   }
@@ -123,12 +124,12 @@ TEST(ExecuteSchemes, SinglePointDomainSafeAcrossAllSchemes) {
   // The smallest domain bind() admits (trip_count() == 0 is
   // unrepresentable: bind() rejects empty domains, which the recovery
   // fuzzer asserts) must flow through every scheme exactly once —
-  // including the chunked/taskloop/simd/warp parameter extremes.
+  // including the chunked/simd/warp parameter extremes.
   NestSpec n;
   n.param("N").loop("i", aff::c(0), aff::v("N")).loop("j", aff::v("i"), aff::v("N"));
   for (const Schedule& s :
        {Schedule::per_iteration(OmpSchedule::Static, {7}), Schedule::per_thread({8}),
-        Schedule::chunked(kI64Max, {7}), Schedule::taskloop(kI64Max, {7}),
+        Schedule::chunked(kI64Max, {7}), Schedule::chunked(kI64Max, {7}, OmpSchedule::Dynamic),
         Schedule::row_segments({7}), Schedule::simd_blocks(8, {7}), Schedule::warp_sim(64, {7}),
         Schedule::serial_sim(1000)})
     EXPECT_TRUE(run_covers(n, {{"N", 1}}, s));

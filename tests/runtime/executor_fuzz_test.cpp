@@ -68,7 +68,7 @@ struct SchemeCase {
 };
 
 /// The scheme/parameter matrix as one table of Schedules (the hostile
-/// parameter classes — chunk/grain > total and near the i64 maximum,
+/// parameter classes — chunk > total and near the i64 maximum, <= 0,
 /// vlen non-divisors, warp_size > total — are unchanged from the
 /// pre-pipeline call-site matrix).  `nt` is the rotation-selected
 /// thread count; in full mode the per-thread group additionally sweeps
@@ -83,8 +83,12 @@ std::vector<SchemeCase> scheme_matrix(i64 total, int nt, bool full) {
   }
   for (const i64 chunk : {i64{1}, i64{7}, total, total + 9, kHugeChunk})
     m.push_back({2, Schedule::chunked(chunk, {nt})});
-  for (const i64 grain : {i64{0} /* default */, i64{4}, total + 3, kHugeChunk})
-    m.push_back({3, Schedule::taskloop(grain, {nt})});
+  // Group 3: the dynamic flavour of both chunked schemes (chunks
+  // claimed from one counter); 0 is the per-thread fallback.
+  for (const i64 chunk : {i64{0}, i64{1}, total + 3, kHugeChunk}) {
+    m.push_back({3, Schedule::chunked(chunk, {nt}, OmpSchedule::Dynamic)});
+    m.push_back({3, Schedule::row_segments_chunked(chunk, {nt}, OmpSchedule::Dynamic)});
+  }
   m.push_back({4, Schedule::row_segments({nt})});
   for (const i64 chunk : {i64{3}, total + 5, kHugeChunk})
     m.push_back({5, Schedule::row_segments_chunked(chunk, {nt})});
@@ -346,6 +350,8 @@ int roundtrip_case(const FuzzNest& fc) {
     };
     EmitOptions chunked;
     chunked.schedule = Schedule::chunked(5);
+    EmitOptions chunked_dyn;
+    chunked_dyn.schedule = Schedule::chunked(5, {}, OmpSchedule::Dynamic);
     EmitOptions simd;
     simd.schedule = Schedule::simd_blocks(4);
     EmitOptions periter;
@@ -379,12 +385,14 @@ int roundtrip_case(const FuzzNest& fc) {
 
     // OpenMP emission: order-insensitive checksum (PerThread and
     // Chunked exercise the firstprivate-recovery and per-chunk-recovery
-    // parallel shapes; warp_sim exercises the Schedule-derived
+    // parallel shapes, the latter under schedule(static, 5) and
+    // schedule(dynamic, 5); warp_sim exercises the Schedule-derived
     // schedule(static, 1) coalesced emission; SimdBlocks stays serial
     // above because an atomic inside its `omp simd` lane loop would be
     // non-conforming).
-    for (const StyleCase& sc : {StyleCase{"thread_omp", {}}, StyleCase{"chunk_omp", chunked},
-                                StyleCase{"warp_omp", warp}}) {
+    for (const StyleCase& sc :
+         {StyleCase{"thread_omp", {}}, StyleCase{"chunk_omp", chunked},
+          StyleCase{"chunk_omp_dynamic", chunked_dyn}, StyleCase{"warp_omp", warp}}) {
       EmitOptions opt = sc.opt;
       opt.parallel = true;
       prog.body = checksum_body(fc.nest);
