@@ -27,12 +27,20 @@
 // scheme's native shape.  A shape no adaptation covers (a block body on
 // a scalar scheme, say) throws SpecError.
 //
+// A tuple body's span (and a segment body's prefix) is valid only for
+// the duration of that call, and may point at walker-local storage
+// rather than at one tuple that lives across calls: copy it to keep it.
+// The range schemes run depths 1-4 through depth-specialised walks that
+// build a fresh register-resident tuple per iteration
+// (run_scalar_range_d); deeper nests share one depth-generic walk.
+//
 // Bodies must be safe to run concurrently on distinct iterations (the
 // collapsed loops carry no dependence by assumption).
 
 #include <omp.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <span>
 #include <type_traits>
@@ -108,17 +116,31 @@ void parallel_static_ranges(i64 total, int nt, RangeFn&& fn) {
 /// Chunks of `chunk` pcs, dealt by `omp`.  Static: schedule(static,
 /// chunk) semantics, chunks dealt to threads round-robin (the deal keeps
 /// threads co-located in the iteration space, preserving shared-cache
-/// streaming).  Dynamic: threads claim chunk indices from one shared
-/// counter (schedule(dynamic, 1)), so a delayed thread claims fewer
-/// chunks instead of holding up the whole run; claims still advance in
-/// pc order, which keeps the co-location.
+/// streaming).  Dynamic: threads claim runs of consecutive chunks from
+/// one shared counter, so a delayed thread claims less instead of
+/// holding up the whole run; claims advance in pc order, which keeps the
+/// co-location.  A claim takes 1/(4 * threads) of the chunks left (at
+/// least one) and walks them as one range, with one recovery: the first
+/// claims are at most 1/16 of the domain on 4 threads, the last ones
+/// single chunks, and a run makes O(threads * log(chunks)) claims instead
+/// of one per chunk.  (Claiming chunk by chunk costs more than a whole
+/// per-thread run once the body's work hoists out of the row walk.)
 template <class RangeFn>
 void parallel_chunk_ranges(i64 total, i64 chunk, OmpSchedule omp, int nt, RangeFn&& fn) {
   const i64 nchunks = chunk_count(total, chunk);
   if (omp == OmpSchedule::Dynamic) {
-#pragma omp parallel for schedule(dynamic, 1) num_threads(nt)
-    for (i64 q = 0; q < nchunks; ++q)
-      fn(1 + q * chunk, chunk_end(total, 1 + q * chunk, chunk));
+    std::atomic<i64> next{0};
+#pragma omp parallel num_threads(nt)
+    {
+      const i64 share = 4 * static_cast<i64>(omp_get_num_threads());
+      for (;;) {
+        const i64 take = std::max<i64>(1, (nchunks - next.load()) / share);
+        const i64 q = next.fetch_add(take);
+        if (q >= nchunks) break;
+        const i64 q_last = std::min(nchunks, q + take) - 1;
+        fn(1 + q * chunk, chunk_end(total, 1 + q_last * chunk, chunk));
+      }
+    }
     return;
   }
 #pragma omp parallel num_threads(nt)
@@ -132,13 +154,47 @@ void parallel_chunk_ranges(i64 total, i64 chunk, OmpSchedule omp, int nt, RangeF
 
 // ------------------------------------------------------ range executors
 
+/// The depth-D tuple walk of run_scalar_range.  The row prefix is copied
+/// once per row into a local array, and every iteration builds a fresh
+/// block-local tuple from it: with no tuple living in memory across
+/// iterations the compiler keeps it in registers, as in a plain
+/// fixed-depth nest.  (Writing j into one persistent tuple instead makes
+/// the loop reload spilled pointers per tuple, or vector-load the tuple
+/// right after the scalar store of j, which stalls store forwarding.)
+/// The tuple array is kMaxDepth long and zero past D: a body written for
+/// a deeper nest also instantiates the shallower walks it never runs,
+/// and its fixed indices past D would draw -Warray-bounds from a t[D].
+/// The zero slots are dead stores, and the array still lives in
+/// registers.
+template <size_t D, class Body>
+void run_scalar_range_d(const CollapsedEval& cn, i64 lo, i64 hi, Body& body) {
+  cn.for_each_row(lo, hi, [&](const i64* row, i64 j_begin, i64 j_end) {
+    i64 prefix[D];
+    for (size_t k = 0; k + 1 < D; ++k) prefix[k] = row[k];
+    for (i64 j = j_begin; j < j_end; ++j) {
+      i64 t[kMaxDepth] = {};
+      for (size_t k = 0; k + 1 < D; ++k) t[k] = prefix[k];
+      t[D - 1] = j;
+      body(std::span<const i64>(t, D));
+    }
+  });
+}
+
 /// Run the contiguous pc range [lo, hi] (1-based, inclusive) with one
 /// costly recovery at lo and row arithmetic afterwards (for_each_row):
 /// the innermost bound is evaluated once per row instead of once per
 /// iteration, so the scalar production schemes pay one prefix solve per
-/// chunk and O(1) work per iteration.
+/// chunk and O(1) work per iteration.  Depths 1-4 take the specialised
+/// walk above; deeper nests walk the working tuple in place.
 template <class Body>
 void run_scalar_range(const CollapsedEval& cn, i64 lo, i64 hi, Body&& body) {
+  switch (cn.depth()) {
+    case 1: return run_scalar_range_d<1>(cn, lo, hi, body);
+    case 2: return run_scalar_range_d<2>(cn, lo, hi, body);
+    case 3: return run_scalar_range_d<3>(cn, lo, hi, body);
+    case 4: return run_scalar_range_d<4>(cn, lo, hi, body);
+    default: break;
+  }
   const size_t d = static_cast<size_t>(cn.depth());
   cn.for_each_row(lo, hi, [&](i64* idx, i64 j_begin, i64 j_end) {
     const std::span<const i64> tuple(idx, d);

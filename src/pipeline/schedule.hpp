@@ -131,9 +131,9 @@ struct Schedule {
   ///   * cheap recoveries (division/quadratic) take SimdBlocksChunked
   ///     when the caller's body is block-shaped;
   ///   * every other closed-form domain takes dynamic RowSegmentsChunked
-  ///     with default_chunk: one recovery per claimed chunk amortizes
-  ///     even degree >= 3 solves, and claiming from one counter
-  ///     balances the load as it runs.
+  ///     with default_chunk: one recovery per claim (a run of chunks)
+  ///     amortizes even degree >= 3 solves, and claiming from one
+  ///     counter balances the load as it runs.
   static Schedule auto_select(const CollapsedEval& eval, const AutoSelectHints& hints = {});
 
   struct Choice;

@@ -5,7 +5,8 @@
 // asserts that recover(), recover_block(), recover_search() and the
 // NewtonUnranker perform no allocation after bind-time setup — the
 // property the §V chunked schemes rely on to keep per-chunk recovery
-// overhead flat.
+// overhead flat — and that neither does the tuple walk nrc::run drives
+// a range scheme's body with.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -200,6 +201,28 @@ TEST(NoAllocation, NewtonRecoveryHotPath) {
   for (i64 pc = 1; pc <= 500; ++pc) nu.recover(pc, {idx, d});
   const long long after = g_allocations.load();
   EXPECT_EQ(after, before) << "NewtonUnranker::recover() allocated";
+}
+
+TEST(NoAllocation, TupleWalkHotPath) {
+  // The range schemes' tuple walk: the depth-specialised walks (2-4)
+  // and the depth-generic one (5) keep the tuple on the stack.
+  std::vector<Case> cases;
+  cases.push_back({"triangular", collapse(testutil::triangular_strict()).bind({{"N", 300}})});
+  cases.push_back({"tetrahedral", collapse(testutil::tetrahedral_fig6()).bind({{"N", 40}})});
+  cases.push_back({"simplex_quartic", collapse(testutil::simplex_4d()).bind({{"N", 20}})});
+  cases.push_back({"simplex_5d", collapse(testutil::simplex_5d()).bind({{"N", 12}})});
+  const Schedule s = Schedule::per_thread({1});
+  for (auto& c : cases) {
+    i64 sum = 0;
+    const auto body = [&sum](std::span<const i64> idx) { sum += idx.back(); };
+    nrc::run(c.cn, s, body);  // warm-up: thread team, lazy paths
+
+    const long long before = g_allocations.load();
+    nrc::run(c.cn, s, body);
+    const long long after = g_allocations.load();
+    EXPECT_EQ(after, before) << c.name << ": the tuple walk allocated";
+    EXPECT_NE(sum, 0) << c.name;
+  }
 }
 
 TEST(NoAllocation, CounterItselfWorks) {

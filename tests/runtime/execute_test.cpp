@@ -90,6 +90,63 @@ TEST(ExecuteSchemes, PerThreadBlocksAreContiguousRanks) {
 }
 
 // ---------------------------------------------------------------------------
+// The range schemes walk tuple bodies through one specialised walk per
+// depth 1-4 and a depth-generic walk beyond; every branch must visit
+// exactly the domain, in odometer order on one thread.
+
+/// A rectangular tower over a triangular base, `depth` levels deep.
+NestSpec triangle_tower(int depth) {
+  NestSpec n;
+  n.param("N");
+  n.loop("t0", aff::c(0), aff::v("N"));
+  n.loop("t1", aff::v("t0"), aff::v("N"));
+  for (int k = 2; k < depth; ++k) n.loop("t" + std::to_string(k), aff::c(0), aff::c(2));
+  return n;
+}
+
+TEST(TupleWalk, EveryDepthVisitsTheExactDomain) {
+  NestSpec line;
+  line.param("N").loop("i", aff::c(2), aff::v("N") + 5);
+  const std::vector<std::pair<NestSpec, i64>> nests = {
+      {line, 9},
+      {testutil::triangular_strict(), 9},
+      {testutil::tetrahedral_fig6(), 7},
+      {testutil::simplex_4d(), 6},
+      {testutil::simplex_5d(), 5},
+      {triangle_tower(kMaxDepth), 3},
+  };
+  for (const auto& [nest, n] : nests) {
+    const ParamMap p{{"N", n}};
+    const CollapsedEval cn = collapse(nest).bind(p);
+    ASSERT_EQ(cn.depth(), nest.depth());
+    const size_t depth = static_cast<size_t>(cn.depth());
+    const std::vector<Tuple> expect = domain_points(nest, p);
+    const i64 total = cn.trip_count();
+    for (const int threads : {1, 4}) {
+      std::vector<Schedule> schedules{Schedule::per_thread({threads})};
+      for (const i64 chunk : {i64{1}, i64{7}, total + 3}) {
+        schedules.push_back(Schedule::chunked(chunk, {threads}));
+        schedules.push_back(Schedule::chunked(chunk, {threads}, OmpSchedule::Dynamic));
+        schedules.push_back(Schedule::row_segments_chunked(chunk, {threads}));
+      }
+      for (const Schedule& s : schedules) {
+        std::mutex mu;
+        std::vector<Tuple> got;
+        i64 wrong_size = 0;
+        nrc::run(cn, s, [&](std::span<const i64> idx) {
+          std::lock_guard<std::mutex> lock(mu);
+          if (idx.size() != depth) ++wrong_size;
+          got.emplace_back(idx.begin(), idx.end());
+        });
+        if (threads > 1) std::sort(got.begin(), got.end());
+        EXPECT_EQ(wrong_size, 0) << "depth " << depth << " " << s.describe();
+        EXPECT_EQ(got, expect) << "depth " << depth << " " << s.describe();
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Integer edge cases surfaced by the executor fuzzer (PR 4).
 
 constexpr i64 kI64Max = std::numeric_limits<i64>::max();

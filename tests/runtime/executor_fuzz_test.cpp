@@ -9,6 +9,8 @@
 // the i64 max, vlen non-divisors, warp_size > total), and diffs the
 // visited tuple multiset plus an order-insensitive checksum against the
 // sequential odometer reference (testutil::run_scheme_differential).
+// A separate depth-class loop adds depth-1 and depth-6 nests, which
+// make_fuzz_nest does not draw, under the tuple-body range schemes.
 //
 // The codegen round trip emits the collapsed C for closed-form-solvable
 // fuzz nests, compiles it with the system C compiler (the
@@ -34,6 +36,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -198,6 +201,121 @@ TEST(ExecutorFuzz, Skewed) {
 TEST(ExecutorFuzz, Degenerate) {
   run_fuzz(FuzzClass::Degenerate, env_i64("NRC_EXEC_FUZZ_FAST_DOMAINS", 30), 0x7400,
            /*full=*/true);
+}
+
+// ------------------------------------------------------------ depth classes
+//
+// make_fuzz_nest draws depths 2-5 (and other suites are seeded from its
+// draw), so depth 1 and depth 6 get a generator of their own here.  The
+// range schemes walk tuple bodies through one specialised walk per depth
+// 1-4 and a depth-generic walk beyond, so these two classes reach both
+// ends of that switch.  Each nest is run through every tuple-body range
+// scheme of the matrix, hostile chunks included.
+
+/// A random depth-`depth` nest valid for every N in [1, kFuzzMaxN]: level
+/// 0 is [c, c + a*N + w), optionally offset by the S parameter; every
+/// later level is a constant range, a constant-width chain on the
+/// previous iterator, or (at most three times, which keeps the symbolic
+/// collapse cheap) the triangle [prev, U + c) under the previous level's
+/// upper bound U.  Triangles stay off the millions-scale S offsets:
+/// there bind() refuses the domain with an OverflowError (the cubic
+/// ranking terms leave i64), and make_fuzz_nest pairs those offsets with
+/// constant widths too.
+struct DepthNest {
+  NestSpec nest;
+  ParamMap calibration, fixed_params;
+  std::string repro;
+};
+
+DepthNest make_depth_nest(int depth, u64 seed) {
+  std::mt19937_64 rng(seed * 0x9e3779b97f4a7c15ULL + 0xde97ULL);
+  auto pick = [&](i64 lo, i64 hi) {
+    return lo + static_cast<i64>(rng() % static_cast<u64>(hi - lo + 1));
+  };
+  DepthNest dn;
+  dn.nest.param("N");
+  dn.calibration["N"] = pick(2, 3);
+  const i64 magroll = pick(0, 9);
+  const i64 shift = magroll >= 2 ? 0 : magroll == 1 ? pick(50, 4000) : pick(50000, 3000000);
+  AffineExpr base = aff::c(pick(-2, 2));
+  if (shift > 0) {
+    dn.nest.param("S");
+    dn.fixed_params["S"] = shift;
+    dn.calibration["S"] = shift;
+    base += aff::v("S");
+  }
+  AffineExpr upper = base + pick(0, 1) * aff::v("N") + aff::c(pick(1, 3));
+  dn.nest.loop("t0", base, upper);
+  // Upper bounds on the domain size so far and on the last level's extent.
+  i64 prod = testutil::kFuzzMaxN + 3, extent = prod;
+  int triangles = 0;
+  for (int k = 1; k < depth; ++k) {
+    const std::string var = "t" + std::to_string(k);
+    const AffineExpr prev = aff::v("t" + std::to_string(k - 1));
+    const i64 roll = pick(0, 2);
+    AffineExpr lo;
+    if (roll == 2 && triangles < 3 && shift <= 4000 && prod * (extent + 1) <= 3000) {
+      const i64 c = pick(0, 1);
+      lo = prev;
+      upper += aff::c(c);
+      extent += c;
+      ++triangles;
+    } else {
+      const i64 w = prod * 3 <= 3000 ? pick(1, 3) : 1;
+      lo = roll == 1 ? prev + aff::c(pick(-1, 1)) : aff::c(pick(-2, 2));
+      upper = lo + aff::c(w);
+      extent = w;
+    }
+    dn.nest.loop(var, lo, upper);
+    prod *= extent;
+  }
+  dn.repro = "depth=" + std::to_string(depth) + " seed=" + std::to_string(seed) +
+             (shift > 0 ? " S=" + std::to_string(shift) : "") + "\n" + dn.nest.str();
+  return dn;
+}
+
+/// The depth-class sweep: `domains_target` bound domains per depth, each
+/// checked against the odometer under every tuple-body range scheme.
+void run_depth_fuzz(int depth, i64 domains_target, u64 seed_base) {
+  FuzzTally tally;
+  for (u64 seed = seed_base; tally.domains < domains_target; ++seed) {
+    const DepthNest dn = make_depth_nest(depth, seed);
+    CollapseOptions opts;
+    opts.calibration = dn.calibration;
+    try {
+      const Collapsed col = collapse(dn.nest, opts);
+      for (const i64 nv : {i64{1}, 2 + static_cast<i64>(seed % (testutil::kFuzzMaxN - 1)),
+                           testutil::kFuzzMaxN}) {
+        ParamMap p = dn.fixed_params;
+        p["N"] = nv;
+        const CollapsedEval cn = col.bind(p);
+        ASSERT_EQ(cn.depth(), depth) << dn.repro;
+        const DomainObservation ref = testutil::odometer_reference(cn);
+        const int nt = (seed + static_cast<u64>(nv)) % 2 == 0 ? 3 : 8;
+        for (const SchemeCase& sc : scheme_matrix(cn.trip_count(), nt, /*full=*/true)) {
+          const Scheme s = sc.sched.scheme;
+          if (s != Scheme::PerThread && s != Scheme::Chunked && s != Scheme::RowSegments &&
+              s != Scheme::RowSegmentsChunked)
+            continue;
+          EXPECT_TRUE(testutil::run_scheme_differential(
+              cn, ref, [&](auto&& visit) { nrc::run(cn, sc.sched, visit); }))
+              << dn.repro << "\nN=" << nv << " scheme=" << sc.sched.describe();
+          ++tally.scheme_runs;
+        }
+        ++tally.domains;
+      }
+    } catch (const std::exception& ex) {
+      FAIL() << dn.repro << "\nunexpected exception: " << ex.what();
+    }
+    if (::testing::Test::HasFailure()) return;
+  }
+  std::printf("[exec fuzz depth %d] domains=%lld scheme_runs=%lld\n", depth,
+              static_cast<long long>(tally.domains), static_cast<long long>(tally.scheme_runs));
+}
+
+TEST(ExecutorFuzz, DepthClasses) {
+  for (const int depth : {1, 6})
+    run_depth_fuzz(depth, env_i64("NRC_EXEC_FUZZ_FAST_DOMAINS", 30), 0x7500);
 }
 
 // ----------------------------------------------------------------- codegen
@@ -489,6 +607,11 @@ TEST(ExecutorFuzzLong, Triangular) { run_fuzz_long(FuzzClass::Triangular, 0xB100
 TEST(ExecutorFuzzLong, Tiled) { run_fuzz_long(FuzzClass::Tiled, 0xB200); }
 TEST(ExecutorFuzzLong, Skewed) { run_fuzz_long(FuzzClass::Skewed, 0xB300); }
 TEST(ExecutorFuzzLong, Degenerate) { run_fuzz_long(FuzzClass::Degenerate, 0xB400); }
+
+TEST(ExecutorFuzzLong, DepthClasses) {
+  for (const int depth : {1, 6})
+    run_depth_fuzz(depth, env_i64("NRC_EXEC_FUZZ_DOMAINS", 10000) / 20, 0xB500);
+}
 
 TEST(ExecutorFuzzLong, CodegenRoundTrip) {
   run_roundtrip(env_i64("NRC_EXEC_FUZZ_CODEGEN_LONG_PROGRAMS", 120), 0x5151);
