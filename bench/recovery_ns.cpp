@@ -8,16 +8,7 @@
 //   engine      — the compiled engine (degree-specialized solvers +
 //                 RecoveryProgram bytecode): recover()
 //   block64     — recover_block() amortized over 64 consecutive pcs
-//                 (the scalar batched path: one solve + row-major fill)
-//   simd64      — recover_blocks4(): 4 blocks of 64, the 4 chunk-start
-//                 solves lane-parallel, lane-strided SIMD fills —
-//                 amortized over the 256 recovered iterations
-//   simd512     — recover_blocks8(): 8 blocks of 64 through the 8-lane
-//                 entry point (one 512-bit vector per solve stage on the
-//                 AVX-512 leg, emulated lanes elsewhere) — amortized
-//                 over the 512 recovered iterations
-//   batch4      — recover4() on 4 consecutive pcs (the warp-shaped
-//                 primitive: one independent formula solve per lane)
+//                 (one solve + row-major fill)
 //   search      — exact binary search: recover_search()
 //   newton      — safeguarded Newton: NewtonUnranker::recover()
 //
@@ -31,16 +22,10 @@
 // as benchmark/run.py records them.  Exit status is non-zero when the
 // compiled engine falls below the enforced 2.5x floor against the
 // interpreter on a gated nest (the target stays >= 3x; the floor leaves
-// headroom for shared-runner noise), when a vector build's (runtime abi
-// avx2 or avx512) simd64 path falls below 1.2x over block64 on the cubic and
-// quartic nests (the floor was 2x against PR 2's scalar block path;
-// PR 3 made that scalar baseline itself 2-3x faster), when an AVX-512
-// run's simd512 path falls below 2x over block64 on the same gated
-// nests (8 lanes per solve + masked fills must clear what 4 lanes
-// couldn't), or when
-// the guarded real-arithmetic Ferrari falls below 2.5x over the PR 2
-// quartic path (bytecode program + checked-i128 scalar guards) on the
-// quartic nests' block64 workload, or when a plan-cache hit is not at
+// headroom for shared-runner noise), or when the guarded real-arithmetic
+// Ferrari falls below 2.5x over the pre-Ferrari quartic path (bytecode
+// program + checked-i128 scalar guards) on the quartic nests' block64
+// workload, or when a plan-cache hit is not at
 // least 10x cheaper than a cold collapse+bind (the pipeline's
 // analyze-once contract: repeated domains must skip symbolic build and
 // bind entirely), or when auto_select — its heuristic or the
@@ -76,8 +61,8 @@ struct BenchNest {
   NestSpec nest;
   ParamMap params;
   bool gate = false;          ///< participates in the engine-vs-interpreter floor
-  bool gate_simd = false;     ///< participates in the simd64-vs-block64 2x check
   bool gate_quartic = false;  ///< participates in the ferrari-vs-bytecode 2.5x check
+  bool gate_jit = false;      ///< participates in the jit-vs-engine 1.5x check
 };
 
 std::vector<BenchNest> bench_nests() {
@@ -95,7 +80,7 @@ std::vector<BenchNest> bench_nests() {
         .loop("i", aff::c(0), aff::v("N") - 1)
         .loop("j", aff::c(0), aff::v("i") + 1)
         .loop("k", aff::v("j"), aff::v("i") + 1);
-    v.push_back({"tetrahedral", n, {{"N", 260}}, true, true});
+    v.push_back({"tetrahedral", n, {{"N", 260}}, true, false, true});
   }
   {
     NestSpec n;  // 4-deep simplex: quartic level -> guarded real Ferrari
@@ -113,7 +98,7 @@ std::vector<BenchNest> bench_nests() {
         .loop("j", aff::v("i") - 2, aff::v("N") + 3)
         .loop("k", aff::v("j"), aff::v("N") + 4)
         .loop("l", aff::v("k"), aff::v("N") + 5);
-    v.push_back({"simplex4sh", n, {{"N", 110}}, false, false, true});
+    v.push_back({"simplex4sh", n, {{"N", 110}}, false, true, true});
   }
   {
     NestSpec n;  // rectangular: degree-1 levels -> exact integer division
@@ -161,8 +146,7 @@ int main(int argc, char** argv) {
     std::string name;
     i64 trip = 0;
     int depth = 0;
-    double interp = 0, engine = 0, block = 0, simd = 0, simd8 = 0, batch4 = 0,
-           search = 0, newton = 0;
+    double interp = 0, engine = 0, block = 0, search = 0, newton = 0;
     double bind_cold = 0;    ///< ns per cold CollapsePlan::build (collapse+bind)
     double bind_cached = 0;  ///< ns per plan_cache().get hit on the same key
     double qblock = 0;  ///< block64 through the PR 2 quartic path (bytecode
@@ -172,7 +156,7 @@ int main(int argc, char** argv) {
                                 ///< kernel (single thread; 0 when not compiled)
     double jit_compile_ms = 0;  ///< one cold out-of-process specialize+compile
     bool jit_compiled = false;
-    bool gate = false, gate_simd = false, gate_quartic = false;
+    bool gate = false, gate_quartic = false, gate_jit = false;
     /// Per-column min and max of the per-trial timings, keyed by the
     /// JSON column name.
     std::vector<std::pair<const char*, Spread>> spread;
@@ -195,8 +179,8 @@ int main(int argc, char** argv) {
     row.trip = cn.trip_count();
     row.depth = cn.depth();
     row.gate = bn.gate;
-    row.gate_simd = bn.gate_simd;
     row.gate_quartic = bn.gate_quartic;
+    row.gate_jit = bn.gate_jit;
 
     // Times one column: records its spread and returns the best trial.
     auto timed = [&](const char* column, i64 elements, auto&& fn) {
@@ -227,49 +211,6 @@ int main(int argc, char** argv) {
         const i64 got =
             cn.recover_block(lo, kBlock, {block_buf, kBlock * d});
         sink += block_buf[static_cast<size_t>(got - 1) * d];
-      }
-    });
-    // SIMD-batched block recovery: 4 chunks of kBlock per probe, the 4
-    // start solves lane-parallel, lane-strided tiles out — the
-    // per-iteration cost the lane-batched chunked scheme pays.
-    i64 simd_buf[4 * kBlock * kMaxDepth];
-    i64 rows4[4];
-    row.simd = timed("simd64", static_cast<i64>(nprobes) * 4 * kBlock, [&] {
-      for (const i64 pc : pcs) {
-        const i64 lo =
-            std::min<i64>(pc, std::max<i64>(1, cn.trip_count() - 4 * kBlock + 1));
-        const i64 pcs4[4] = {lo, lo + kBlock, lo + 2 * kBlock, lo + 3 * kBlock};
-        cn.recover_blocks4(pcs4, kBlock, {simd_buf, 4 * kBlock * d}, kBlock, rows4);
-        sink += simd_buf[static_cast<size_t>(rows4[0] - 1)];
-      }
-    });
-    // 8-lane variant: recover_blocks8 over 8 chunks of kBlock — the
-    // per-iteration cost the chunked scheme pays on the AVX-512 leg,
-    // where every solve stage runs one 512-bit vector wide and the
-    // fills store masked tails.  The entry point exists on every leg
-    // (emulated lanes elsewhere), so the column is always measured;
-    // the 2x floor only gates runs whose runtime abi is avx512.
-    i64 simd_buf8[8 * kBlock * kMaxDepth];
-    i64 rows8[8];
-    row.simd8 = timed("simd512", static_cast<i64>(nprobes) * 8 * kBlock, [&] {
-      for (const i64 pc : pcs) {
-        const i64 lo =
-            std::min<i64>(pc, std::max<i64>(1, cn.trip_count() - 8 * kBlock + 1));
-        i64 pcs8[8];
-        for (int b = 0; b < 8; ++b) pcs8[b] = lo + b * kBlock;
-        cn.recover_blocks8(pcs8, kBlock, {simd_buf8, 8 * kBlock * d}, kBlock, rows8);
-        sink += simd_buf8[static_cast<size_t>(rows8[0] - 1)];
-      }
-    });
-    // Lane-batched formula recovery of 4 consecutive pcs (the §VI-B
-    // warp-shaped primitive: one independent solve per lane).
-    i64 batch_buf[4 * kMaxDepth];
-    row.batch4 = timed("batch4", static_cast<i64>(nprobes) * 4, [&] {
-      for (const i64 pc : pcs) {
-        const i64 lo = std::min<i64>(pc, std::max<i64>(1, cn.trip_count() - 3));
-        const i64 pcs4[4] = {lo, lo + 1, lo + 2, lo + 3};
-        cn.recover4(pcs4, {batch_buf, 4 * d});
-        sink += batch_buf[0];
       }
     });
     // The PR 2 quartic path (RecoveryProgram bytecode + checked-i128
@@ -424,46 +365,32 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Gate on the *runtime* leg, not the compile-time macro: a binary
-  // compiled with -mavx512f but run through NRC_NO_AVX512 (or on a
-  // narrower machine after a broad-ISA build) must not be held to a
-  // floor its silicon can't reach.
   const std::string run_abi = simd::runtime_abi();
-  const bool vector_abi = run_abi == "avx2" || run_abi == "avx512";
-  const bool wide_abi = run_abi == "avx512";
   std::printf(
       "== recovery_ns: ns per recovered iteration (best of %d trials, "
       "simd_abi=%s, compiled=%s, %d-lane groups) ==\n\n",
       trials, run_abi.c_str(), simd::abi_name(), simd::kGroupLanes);
-  std::printf("%-13s %5s %11s | %11s %11s %11s %11s %11s %11s %11s %11s %11s %8s %8s | %10s %10s | %8s %8s %8s %8s %8s %8s\n",
-              "nest", "depth", "trip", "interp[ns]", "engine[ns]", "block64", "simd64",
-              "simd512", "batch4[ns]", "search[ns]", "newton[ns]", "qblock64",
-              "jit[ns]", "jitc[ms]",
-              "bind-cold", "bind-hit", "eng-spdup", "simd-spdup", "s512spdup",
-              "q-spdup", "jit-spdup", "bindspdup");
-  bench::rule(230);
+  std::printf("%-13s %5s %11s | %11s %11s %11s %11s %11s %11s %8s %8s | %10s %10s | %8s %8s %8s %8s\n",
+              "nest", "depth", "trip", "interp[ns]", "engine[ns]", "block64",
+              "search[ns]", "newton[ns]", "qblock64", "jit[ns]", "jitc[ms]",
+              "bind-cold", "bind-hit", "eng-spdup", "q-spdup", "jit-spdup", "bindspdup");
+  bench::rule(186);
   const bool jit_toolchain = jit::toolchain_available();
   bool gate_ok = true;
-  bool simd_ok = true;
-  bool simd512_ok = true;
   bool quartic_ok = true;
   bool bind_ok = true;
   bool jit_ok = true;
   for (const Row& r : rows) {
     const double speedup = r.interp / r.engine;
-    const double simd_speedup = r.block / r.simd;
-    const double simd8_speedup = r.block / r.simd8;
     const double q_speedup = r.qblock > 0 ? r.qblock / r.block : 0.0;
     const double jit_speedup = r.jit > 0 ? r.engine / r.jit : 0.0;
     const double bind_speedup = r.bind_cached > 0 ? r.bind_cold / r.bind_cached : 0.0;
     std::printf(
-        "%-13s %5d %11lld | %11.1f %11.1f %11.2f %11.2f %11.2f %11.1f %11.1f %11.1f %11.2f %8.2f %8.1f | "
-        "%10.0f %10.0f | %7.2fx %7.2fx %7.2fx %7.2fx %7.1fx %7.1fx\n",
+        "%-13s %5d %11lld | %11.1f %11.1f %11.2f %11.1f %11.1f %11.2f %8.2f %8.1f | "
+        "%10.0f %10.0f | %7.2fx %7.2fx %7.1fx %7.1fx\n",
         r.name.c_str(), r.depth, static_cast<long long>(r.trip), r.interp, r.engine,
-        r.block, r.simd, r.simd8, r.batch4, r.search, r.newton, r.qblock, r.jit,
-        r.jit_compile_ms, r.bind_cold,
-        r.bind_cached, speedup, simd_speedup, simd8_speedup, q_speedup, jit_speedup,
-        bind_speedup);
+        r.block, r.search, r.newton, r.qblock, r.jit, r.jit_compile_ms, r.bind_cold,
+        r.bind_cached, speedup, q_speedup, jit_speedup, bind_speedup);
     if (r.gate && speedup < 2.5) gate_ok = false;
     // The JIT floor covers the cubic and quartic nests — the deep
     // recoveries where folding coefficients, guards and branch numbers
@@ -471,34 +398,19 @@ int main(int argc, char** argv) {
     // failed to compile on a gated nest is itself a failure; without
     // one the floor is skipped (the no-toolchain CI leg covers that
     // configuration's correctness).
-    if ((r.gate_simd || r.gate_quartic) && jit_toolchain) {
+    if (r.gate_jit && jit_toolchain) {
       if (!r.jit_compiled || jit_speedup < 1.5) jit_ok = false;
     }
-    // The simd64 floor was 2x against PR 2's scalar block path; PR 3's
-    // scalar engine adopted the proven-f64 guards and the Ferrari, making
-    // block64 itself 2-3x faster, so the lane path's remaining amortized
-    // advantage (it only accelerates the 4 chunk-start solves, not the
-    // row fills both paths share) is re-floored against the new baseline.
-    if (r.gate_simd && vector_abi && simd_speedup < 1.2) simd_ok = false;
-    // The 8-lane floor restores the original 2x bar on AVX-512 silicon:
-    // twice the lanes per solve plus masked fills (no scalar remainder
-    // loops) must clear against the same scalar block64 baseline.
-    if (r.gate_simd && wide_abi && simd8_speedup < 2.0) simd512_ok = false;
     if (r.gate_quartic && q_speedup < 2.5) quartic_ok = false;
     // Every nest gates the plan-cache floor: a hit must be >= 10x
     // cheaper than the cold collapse+bind it replaces.
     if (bind_speedup < 10.0) bind_ok = false;
   }
-  bench::rule(230);
+  bench::rule(186);
   std::printf(
       "eng-spdup = interpreter / engine (full closed-form recovery).  block64 is\n"
       "recover_block amortized over 64 consecutive pcs — the per-iteration cost the\n"
-      "scalar chunked schemes pay; simd64 is recover_blocks4 (4 lane-parallel chunk\n"
-      "starts, lane-strided fills) over the same chunk size, and simd-spdup their\n"
-      "ratio.  simd512 is recover_blocks8 — the 8-lane entry point (one 512-bit\n"
-      "vector per solve stage on the AVX-512 leg, emulated elsewhere) over 8 chunks;\n"
-      "s512spdup = block64 / simd512, enforced >= 2x when the runtime abi is avx512.\n"
-      "batch4 is recover4 per recovered tuple (one formula solve per lane).\n"
+      "chunked schemes pay.\n"
       "qblock64 is block64 through the PR 2 quartic path (bytecode program +\n"
       "checked-i128 scalar guards); q-spdup = qblock64 / block64, the guarded\n"
       "Ferrari's enforced >= 2.5x floor on the quartic nests.  bind-cold is ns per\n"
@@ -549,19 +461,13 @@ int main(int argc, char** argv) {
       const Row& r = rows[i];
       std::fprintf(f,
                    "    {\"name\": \"%s\", \"depth\": %d, \"trip_count\": %lld, "
-                   "\"lane_width\": %d, "
-                   "\"gate\": %s, \"gate_simd\": %s, \"gate_quartic\": %s, "
-                   "\"gate_jit\": %s, "
+                   "\"gate\": %s, \"gate_quartic\": %s, \"gate_jit\": %s, "
                    "\"schemes\": {\"interpreter\": %.2f, \"engine\": %.2f, "
-                   "\"block64\": %.3f, \"simd64\": %.3f, \"simd512\": %.3f, "
-                   "\"batch4\": %.2f, "
-                   "\"search\": %.2f, \"newton\": %.2f, \"quartic_block64\": %.3f, "
+                   "\"block64\": %.3f, \"search\": %.2f, \"newton\": %.2f, \"quartic_block64\": %.3f, "
                    "\"jit\": %.3f}, "
                    "\"jit_compile_ms\": %.2f, "
                    "\"bind\": {\"cold_ns\": %.1f, \"cached_ns\": %.1f}, "
                    "\"speedup_engine_vs_interpreter\": %.3f, "
-                   "\"speedup_simd64_vs_block64\": %.3f, "
-                   "\"speedup_simd512_vs_block64\": %.3f, "
                    "\"speedup_ferrari_vs_bytecode\": %.3f, "
                    "\"speedup_jit_vs_engine\": %.3f, "
                    "\"speedup_bind_cached_vs_cold\": %.2f, "
@@ -572,14 +478,10 @@ int main(int argc, char** argv) {
                    "\"candidates\": {%s}}, "
                    "\"spread\": {%s}}%s\n",
                    r.name.c_str(), r.depth, static_cast<long long>(r.trip),
-                   simd::kGroupLanes,
-                   r.gate ? "true" : "false", r.gate_simd ? "true" : "false",
-                   r.gate_quartic ? "true" : "false",
-                   (r.gate_simd || r.gate_quartic) && jit_toolchain ? "true" : "false",
-                   r.interp, r.engine, r.block, r.simd, r.simd8, r.batch4, r.search,
-                   r.newton, r.qblock, r.jit, r.jit_compile_ms, r.bind_cold,
-                   r.bind_cached, r.interp / r.engine,
-                   r.block / r.simd, r.block / r.simd8,
+                   r.gate ? "true" : "false", r.gate_quartic ? "true" : "false",
+                   r.gate_jit && jit_toolchain ? "true" : "false",
+                   r.interp, r.engine, r.block, r.search, r.newton, r.qblock, r.jit,
+                   r.jit_compile_ms, r.bind_cold, r.bind_cached, r.interp / r.engine,
                    r.qblock > 0 ? r.qblock / r.block : 0.0,
                    r.jit > 0 ? r.engine / r.jit : 0.0,
                    r.bind_cached > 0 ? r.bind_cold / r.bind_cached : 0.0,
@@ -601,17 +503,6 @@ int main(int argc, char** argv) {
   int rc = 0;
   if (!gate_ok) {
     std::printf("FAIL: compiled engine below the enforced 2.5x floor on a gated nest\n");
-    rc = 1;
-  }
-  if (!simd_ok) {
-    std::printf(
-        "FAIL: simd64 below 1.2x over block64 on a simd-gated nest (vector abi)\n");
-    rc = 1;
-  }
-  if (!simd512_ok) {
-    std::printf(
-        "FAIL: simd512 below the enforced 2x floor over block64 on a simd-gated "
-        "nest (avx512 runtime abi)\n");
     rc = 1;
   }
   if (!quartic_ok) {

@@ -26,11 +26,6 @@ import sys
 MAX_RUNS = 200          # cap the accumulated history
 MD_ROWS = 30            # rows rendered in the markdown tables
 ENGINE_FLOOR = 2.5      # enforced engine-vs-interpreter floor
-SIMD_FLOOR = 1.2        # enforced simd64-vs-block64 floor (avx2/avx512
-                        # runtime abi; re-floored in PR 3 when the scalar
-                        # block path adopted the f64 guards and the Ferrari)
-SIMD512_FLOOR = 2.0     # enforced simd512-vs-block64 floor (avx512 runtime
-                        # abi only: 8 lanes per solve + masked fills)
 QUARTIC_FLOOR = 2.5     # enforced ferrari-vs-bytecode floor (quartic nests)
 BIND_FLOOR = 10.0       # enforced plan-cache-hit vs cold collapse+bind floor
 SELECT_CEIL = 2.0       # enforced auto_select-vs-measured-best ratio ceiling
@@ -83,23 +78,16 @@ def main():
             "interpreter": schemes.get("interpreter"),
             "engine": schemes.get("engine"),
             "block64": schemes.get("block64"),
-            "simd64": schemes.get("simd64"),
-            "simd512": schemes.get("simd512"),
-            "lane_width": nest.get("lane_width"),
-            "batch4": schemes.get("batch4"),
             "quartic_block64": schemes.get("quartic_block64"),
             "bind_cold_ns": bind.get("cold_ns"),
             "bind_cached_ns": bind.get("cached_ns"),
             "speedup_engine": nest.get("speedup_engine_vs_interpreter"),
-            "speedup_simd": nest.get("speedup_simd64_vs_block64"),
-            "speedup_simd512": nest.get("speedup_simd512_vs_block64"),
             "speedup_quartic": nest.get("speedup_ferrari_vs_bytecode"),
             "speedup_bind": nest.get("speedup_bind_cached_vs_cold"),
             "jit": schemes.get("jit"),
             "jit_compile_ms": nest.get("jit_compile_ms"),
             "speedup_jit": nest.get("speedup_jit_vs_engine"),
             "gate": bool(nest.get("gate", False)),
-            "gate_simd": bool(nest.get("gate_simd", False)),
             "gate_quartic": bool(nest.get("gate_quartic", False)),
             "gate_jit": bool(nest.get("gate_jit", False)),
         }
@@ -170,9 +158,7 @@ def main():
         "## Recovery perf trajectory",
         "",
         f"ns/iteration engine speedups per run (floors: engine ≥{ENGINE_FLOOR}x "
-        f"vs interpreter, simd64 ≥{SIMD_FLOOR}x vs block64 on avx2/avx512 runs, "
-        f"simd512 ≥{SIMD512_FLOOR}x vs block64 on avx512 runs, "
-        f"ferrari ≥{QUARTIC_FLOOR}x vs the PR 2 bytecode path on quartic "
+        f"vs interpreter, ferrari ≥{QUARTIC_FLOOR}x vs the pre-Ferrari bytecode path on quartic "
         f"nests, plan-cache bind hit ≥{BIND_FLOOR:.0f}x vs a cold "
         "collapse+bind on every nest, auto_select picks "
         f"≤{SELECT_CEIL:.0f}x the measured-best candidate on gated nests, "
@@ -181,11 +167,10 @@ def main():
         "bench_recovery_ns).",
         "",
         "| run | sha | abi | "
-        + " | ".join(f"{n} eng | {n} simd4 | {n} simd8 | {n} q4 | {n} bind "
-                     f"| {n} sel | {n} jit"
+        + " | ".join(f"{n} eng | {n} q4 | {n} bind | {n} sel | {n} jit"
                      for n in nest_names)
         + " |",
-        "|" + "---|" * (3 + 7 * len(nest_names)),
+        "|" + "---|" * (3 + 5 * len(nest_names)),
     ]
     for r in runs[-MD_ROWS:]:
         cells = [str(r.get("run", "?")), str(r.get("sha", "?")),
@@ -193,17 +178,9 @@ def main():
         for n in nest_names:
             d = r.get("nests", {}).get(n, {})
             # Floors are marked only where bench_recovery_ns enforces
-            # them (gated nests; simd4 on vector runtime abis, simd8
-            # only when the run's abi is avx512).
+            # them (gated nests).
             cells.append(fmt(d.get("speedup_engine"),
                              ENGINE_FLOOR if d.get("gate") else None))
-            simd_gated = (d.get("gate_simd")
-                          and r.get("simd_abi") in ("avx2", "avx512"))
-            cells.append(fmt(d.get("speedup_simd"),
-                             SIMD_FLOOR if simd_gated else None))
-            simd512_gated = d.get("gate_simd") and r.get("simd_abi") == "avx512"
-            cells.append(fmt(d.get("speedup_simd512"),
-                             SIMD512_FLOOR if simd512_gated else None))
             q = d.get("speedup_quartic")
             cells.append(fmt(q if q else None,
                              QUARTIC_FLOOR if d.get("gate_quartic") else None))
@@ -235,7 +212,6 @@ def main():
         "Latest absolute ns/iteration: "
         + "; ".join(
             f"{n}: engine {d.get('engine')}, block64 {d.get('block64')}, "
-            f"simd64 {d.get('simd64')}, simd512 {d.get('simd512')}, "
             f"jit {d.get('jit')}"
             + (f" (compile {d['jit_compile_ms']:.0f} ms)"
                if d.get("jit_compile_ms") else "")

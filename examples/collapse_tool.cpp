@@ -15,7 +15,7 @@
 //   --style=thread      one recovery per thread, Fig. 4 (default)
 //   --style=iteration   recovery at every iteration, Fig. 3
 //   --style=chunk=N     schedule(static, N), recovery per chunk (§V)
-//   --style=simd=N      §VI-A block scheme with vlength N
+//   --style=simd=N      §VI-A block scheme with vlength N (1..256)
 //   --cfor              input is a plain C for-nest (optionally preceded by
 //                       '#pragma omp ... collapse(n)') instead of the DSL
 //
@@ -23,6 +23,7 @@
 //   ./examples/collapse_tool --emit=program examples/specs/correlation.nest \
 //     | cc -xc - -O2 -fopenmp -lm -o verify && ./verify 100
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -44,6 +45,18 @@ namespace {
   std::exit(code);
 }
 
+/// The N of --style=chunk=N / --style=simd=N: a whole decimal number in
+/// [1, max], digits only; anything else is a usage error.  At most 19
+/// digits, so the value always fits the unsigned parse.
+long long parse_count(const std::string& text, long long max) {
+  if (text.empty() || text.size() > 19 ||
+      text.find_first_not_of("0123456789") != std::string::npos)
+    usage(2);
+  const unsigned long long n = std::stoull(text);
+  if (n < 1 || n > static_cast<unsigned long long>(max)) usage(2);
+  return static_cast<long long>(n);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -61,11 +74,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--style=iteration") {
       opt.schedule = Schedule::per_iteration();
     } else if (arg.rfind("--style=chunk=", 0) == 0) {
-      opt.schedule = Schedule::chunked(std::atoll(arg.c_str() + 14));
-      if (opt.schedule.chunk <= 0) usage(2);
+      opt.schedule = Schedule::chunked(parse_count(arg.substr(14), INT64_MAX));
     } else if (arg.rfind("--style=simd=", 0) == 0) {
-      opt.schedule = Schedule::simd_blocks(std::atoi(arg.c_str() + 13));
-      if (opt.schedule.vlen <= 0) usage(2);
+      opt.schedule =
+          Schedule::simd_blocks(static_cast<int>(parse_count(arg.substr(13), kMaxSimdLanes)));
     } else if (arg == "--cfor") {
       cfor = true;
     } else if (arg == "--help" || arg == "-h") {

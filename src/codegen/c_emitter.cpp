@@ -313,6 +313,9 @@ std::string emit_original_function(const NestProgram& prog) {
 
 std::string emit_collapsed_function(const NestProgram& prog, const Collapsed& col,
                                     const EmitOptions& opt) {
+  // An out-of-range vlen would size the emitted per-thread staging
+  // arrays (__nrc_T_<var>[vlen]) past any stack.
+  opt.schedule.validate();
   CodeWriter w;
   // Certificate wiring: refuse error-severity plans outright (codegen
   // must not produce C the analyzer proved can overflow), annotate the

@@ -8,7 +8,6 @@
 
 #include "core/real_solvers.hpp"
 #include "core/runtime_config.hpp"
-#include "runtime/simd_abi.hpp"
 #include "support/error.hpp"
 #include "symbolic/print_c.hpp"
 
@@ -150,22 +149,11 @@ std::string Collapsed::describe() const {
     }
     const LevelSolverKind kind = planned_solver(lf, k, c);
     s += "    lowered solver: " + std::string(level_solver_kind_name(kind));
-    // Quadratic, cubic, Ferrari and bytecode-program levels evaluate one
-    // lane group of pcs per call in the batched entry points (recover4 /
-    // recover8 / recover_blocks4 / recover_blocks8); Ferrari levels
-    // additionally demote to the bytecode program at points where the
+    // Ferrari levels demote to the bytecode program at points where the
     // selected branch goes genuinely complex.
-    if (kind == LevelSolverKind::Quadratic || kind == LevelSolverKind::Quartic ||
-        kind == LevelSolverKind::Program)
-      s += " [lane-batched x" + std::to_string(simd::kGroupLanes) + "]";
     if (kind == LevelSolverKind::Quartic) s += " [bytecode demotion]";
     s += "\n";
   }
-  s += "runtime simd abi: " + std::string(simd::runtime_abi()) + " (compiled " +
-       std::string(simd::abi_name()) + ", " + std::to_string(simd::kGroupLanes) +
-       "-lane groups; masked lane-strided block fills, lane-batched "
-       "quadratic, cardano, ferrari and bytecode-program solvers, "
-       "polynomial lane trig)\n";
   s += "guard policy: proven-exact f64 where the bind-time slot-magnitude "
        "proof holds, checked-i128 fallback (all engines)\n";
   return s;
@@ -326,8 +314,7 @@ CollapsedEval Collapsed::bind_fresh(const ParamMap& params) const {
   // their clamped level bounds and the pc slot inside [1, total]), then
   // enable plain-double evaluation wherever every intermediate provably
   // stays far below the 2^53 exact-integer limit of double.  Levels
-  // whose coefficients and Horner guard all pass run their solves —
-  // scalar recover()/recover_block() and the lane-batched paths alike —
+  // whose coefficients and Horner guard all pass run their solves
   // without any 128-bit arithmetic, bit-exact either way.
   {
     double B[kMaxSlots] = {0.0};
@@ -571,8 +558,7 @@ i64 CollapsedEval::solve_level(int k, std::span<i64> pt, i64 pc,
 
   // Exact guard coefficients: when bind() proved the exact-double path
   // (guards_f64) they evaluate — and the guard runs — in plain double,
-  // with no 128-bit arithmetic anywhere; otherwise checked i128.  Same
-  // policy as the lane-batched engine.
+  // with no 128-bit arithmetic anywhere; otherwise checked i128.
   const bool f64 = sv.guards_f64 && f64_guards_;
   try {
     i128 A[5];
@@ -686,9 +672,9 @@ i64 CollapsedEval::solve_level(int k, std::span<i64> pt, i64 pc,
 /// Innermost index is linear with unit slope: i = lb + (pc - R(prefix, lb)).
 /// `flat`, when usable, short-circuits the generic rank evaluation (the
 /// engine paths pass the bound flat form; the seed interpreter passes
-/// nullptr so it keeps measuring the seed cost).  The engine entry
-/// points (scalar and lane-batched alike) set `use_f64`, taking the
-/// proven-exact double stream when bind() established it.
+/// nullptr so it keeps measuring the seed cost).  recover() sets
+/// `use_f64`, taking the proven-exact double stream when bind()
+/// established it.
 void CollapsedEval::recover_innermost(std::span<i64> pt, std::span<i64> idx, i64 pc,
                                       const CompiledPoly& inner_rank,
                                       const FlatPoly* flat, bool use_f64) const {
@@ -718,336 +704,6 @@ void CollapsedEval::recover(i64 pc, std::span<i64> idx, RecoveryStats* stats) co
                     &prank_flat_[static_cast<size_t>(c_) - 1], f64_guards_);
 }
 
-template <int W>
-void CollapsedEval::solve_level_lanes(int k, i64* pts, const i64* pcs,
-                                      RecoveryStats* stats) const {
-  static_assert(W == 4 || W == 8, "lane group width");
-  const LevelSolver& sv = solvers_[static_cast<size_t>(k)];
-  auto lane_pt = [&](int l) {
-    return std::span<i64>(pts + static_cast<size_t>(l) * kMaxSlots, nslots_);
-  };
-
-  // No guard coefficients: Search levels, or bind() dropped them on
-  // overflow — only exact binary search can recover those.
-  const int deg = static_cast<int>(sv.scaled.size()) - 1;
-  if (deg < 1) {
-    for (int l = 0; l < W; ++l) {
-      search_level(k, lane_pt(l), pcs[l]);
-      if (stats) ++stats->fallback;
-    }
-    return;
-  }
-
-  // Exact guard coefficients per lane (needed by the guard regardless of
-  // how the estimate is produced).  When bind() proved the exact-double
-  // path (guards_f64), all lanes evaluate each coefficient in one
-  // vectorizable multiply-add sweep with no 128-bit arithmetic;
-  // otherwise checked i128, where a lane whose exact arithmetic leaves
-  // the checked range drops to the scalar solver — astronomically rare,
-  // still exact.
-  const bool f64 = sv.guards_f64 && f64_guards_;
-  double Ad[W][5] = {};  // filled (and read) only on the f64 path
-  i128 A[W][5];
-  bool lane_ok[W];
-  for (int l = 0; l < W; ++l) lane_ok[l] = true;
-  if (f64) {
-    for (int e = 0; e <= deg; ++e) {
-      double col[W];
-      sv.flat[static_cast<size_t>(e)].template eval_f64_lanes<W>(pts, kMaxSlots, col);
-      for (int l = 0; l < W; ++l) Ad[l][e] = col[l];
-    }
-  } else {
-    for (int l = 0; l < W; ++l) {
-      try {
-        for (int e = 0; e <= deg; ++e)
-          A[l][e] = sv.flat[static_cast<size_t>(e)].usable()
-                        ? sv.flat[static_cast<size_t>(e)].eval_i128(
-                              pts + static_cast<size_t>(l) * kMaxSlots)
-                        : sv.scaled[static_cast<size_t>(e)].eval_i128(
-                              std::span<const i64>(
-                                  pts + static_cast<size_t>(l) * kMaxSlots, nslots_));
-      } catch (const OverflowError&) {
-        lane_ok[l] = false;
-      }
-    }
-  }
-
-  // Per-lane estimates; est_ok lanes finish through the scalar exact
-  // guard, the rest through the scalar solver / binary search.
-  i64 est[W] = {};
-  bool est_ok[W] = {};
-  switch (sv.kind) {
-    case LevelSolverKind::ExactDivision: {
-      // Exact per lane (no floating point, no guard) — same semantics as
-      // the scalar solver.  The f64 coefficients are exact integers, so
-      // materializing them back into i128 keeps the division exact.
-      for (int l = 0; l < W; ++l) {
-        if (!lane_ok[l]) continue;
-        if (f64) {
-          A[l][0] = static_cast<i128>(Ad[l][0]);
-          A[l][1] = static_cast<i128>(Ad[l][1]);
-        }
-        if (A[l][1] <= 0) {
-          lane_ok[l] = false;  // slope violates the model here: search
-          continue;
-        }
-        const i64 x = floor_div_i128_to_i64(-A[l][0], A[l][1]);
-        const i64 lb = bounds_lo_[static_cast<size_t>(k)].eval(lane_pt(l).data());
-        const i64 ub = bounds_hi_[static_cast<size_t>(k)].eval(lane_pt(l).data());
-        if (x < lb || x > ub - 1) {
-          lane_ok[l] = false;  // inconsistent pc: search decides
-          continue;
-        }
-        if (stats) ++stats->closed_form;
-        lane_pt(l)[static_cast<size_t>(k)] = x;
-      }
-      for (int l = 0; l < W; ++l)
-        if (!lane_ok[l]) {
-          search_level(k, lane_pt(l), pcs[l]);
-          if (stats) ++stats->fallback;
-        }
-      return;
-    }
-    case LevelSolverKind::Quadratic: {
-      // The quadratic formula across the lanes at once: per-lane
-      // discriminants (double on the f64 path — the estimate doesn't
-      // need exactness, the guard does), then one vector sqrt / divide.
-      double dA1[W], dA2[W], ddisc[W];
-      for (int l = 0; l < W; ++l) {
-        dA1[l] = 0.0;
-        dA2[l] = 1.0;
-        ddisc[l] = 0.0;
-      }
-      for (int l = 0; l < W; ++l) {
-        if (!lane_ok[l]) continue;
-        if (f64) {
-          const double disc = Ad[l][1] * Ad[l][1] - 4.0 * Ad[l][2] * Ad[l][0];
-          if (disc < 0.0 || Ad[l][2] == 0.0) {
-            lane_ok[l] = false;  // degenerate here: search / scalar solve
-            continue;
-          }
-          ddisc[l] = disc;
-          dA1[l] = Ad[l][1];
-          dA2[l] = Ad[l][2];
-          continue;
-        }
-        try {
-          const i128 disc = checked_sub(
-              checked_mul(A[l][1], A[l][1]),
-              checked_mul(checked_mul(4, A[l][2]), A[l][0]));
-          if (disc < 0 || A[l][2] == 0) {
-            lane_ok[l] = false;  // degenerate here: search
-            continue;
-          }
-          ddisc[l] = static_cast<double>(disc);
-          dA1[l] = static_cast<double>(A[l][1]);
-          dA2[l] = static_cast<double>(A[l][2]);
-        } catch (const OverflowError&) {
-          lane_ok[l] = false;
-        }
-      }
-      const simd::batch<W> s = simd::sqrt(simd::load<W>(ddisc));
-      const simd::batch<W> a1 = simd::load<W>(dA1);
-      const simd::batch<W> num =
-          sv.branch == 1 ? simd::sub(simd::neg(a1), s) : simd::add(simd::neg(a1), s);
-      const simd::batch<W> root =
-          simd::div(num, simd::mul(simd::splat<W>(2.0), simd::load<W>(dA2)));
-      const simd::batch<W> flo = simd::floor(simd::add(root, simd::splat<W>(1e-9)));
-      double rootl[W], flol[W];
-      simd::store(rootl, root);
-      simd::store(flol, flo);
-      for (int l = 0; l < W; ++l) {
-        if (!lane_ok[l]) continue;
-        const double r = rootl[l];
-        if (!std::isfinite(r) || r < -9.2e18 || r > 9.2e18) continue;
-        est[l] = static_cast<i64>(flol[l]);
-        est_ok[l] = true;
-      }
-      break;
-    }
-    case LevelSolverKind::Cubic: {
-      // Lane-batched Cardano in double (the scalar engine runs long
-      // double; the guard absorbs the difference).  Both discriminant
-      // signs stay in-register — polynomial vcos/vatan2 on the Viete
-      // lanes, Halley vcbrt on the one-real-root lanes — unless
-      // simd::set_vector_trig(false) routes it back through libm.
-      if (f64) {
-        cubic_estimate_lanes<W>(&Ad[0][0], 5, sv.branch, est, est_ok);
-      } else {
-        double Ac[W][5] = {};  // dead lanes stay zero: a3 == 0 rejects them
-        for (int l = 0; l < W; ++l)
-          if (lane_ok[l])
-            for (int e = 0; e <= deg; ++e) Ac[l][e] = static_cast<double>(A[l][e]);
-        cubic_estimate_lanes<W>(&Ac[0][0], 5, sv.branch, est, est_ok);
-        for (int l = 0; l < W; ++l) est_ok[l] = est_ok[l] && lane_ok[l];
-      }
-      break;
-    }
-    case LevelSolverKind::Quartic: {
-      // Guarded real-arithmetic Ferrari: on the proven-f64 path all
-      // lanes run the vectorized estimate (the resolvent's Cardano trig
-      // included, via cardano_branch_lanes); otherwise per-lane double
-      // on the exact i128 coefficients.  Lanes the real path cannot
-      // follow (est_ok false) demote to the bytecode program in the
-      // finish loop below.
-      if (demote_quartics_) break;  // test hook: force the demotion path
-      if (f64) {
-        if constexpr (W == 4)
-          ferrari_estimate4(&Ad[0][0], 5, sv.branch, est, est_ok);
-        else
-          ferrari_estimate8(&Ad[0][0], 5, sv.branch, est, est_ok);
-      } else {
-        for (int l = 0; l < W; ++l) {
-          if (!lane_ok[l]) continue;
-          est_ok[l] = ferrari_estimate<double>(A[l], sv.branch, &est[l]);
-        }
-      }
-      break;
-    }
-    case LevelSolverKind::Program: {
-      // The bytecode program evaluates all lanes in one pass.
-      RootValue z[W];
-      if constexpr (W == 4)
-        sv.program.eval4(pts, kMaxSlots, z);
-      else
-        sv.program.eval8(pts, kMaxSlots, z);
-      for (int l = 0; l < W; ++l) {
-        if (!lane_ok[l] || !z[l].finite() || z[l].re < -9.2e18L || z[l].re > 9.2e18L)
-          continue;
-        est[l] = static_cast<i64>(std::floor(z[l].re + 1e-9L));
-        est_ok[l] = true;
-      }
-      break;
-    }
-    case LevelSolverKind::Interpreted: {
-      for (int l = 0; l < W; ++l) {
-        if (!lane_ok[l]) continue;
-        const cld z = closed_[static_cast<size_t>(k)].eval(
-            std::span<const i64>(pts + static_cast<size_t>(l) * kMaxSlots, nslots_));
-        if (!std::isfinite(z.real()) || !std::isfinite(z.imag()) ||
-            z.real() < -9.2e18L || z.real() > 9.2e18L)
-          continue;
-        est[l] = static_cast<i64>(std::floor(z.real() + 1e-9L));
-        est_ok[l] = true;
-      }
-      break;
-    }
-    default:
-      break;
-  }
-
-  const bool quartic = sv.kind == LevelSolverKind::Quartic;
-  for (int l = 0; l < W; ++l) {
-    if (!lane_ok[l]) {
-      solve_level(k, lane_pt(l), pcs[l], stats);
-      continue;
-    }
-    i64 out;
-    bool guard_overflowed = false;
-    if (est_ok[l] && !quartic) {
-      // Non-quartic kinds: the guard's built-in search fallback decides.
-      if (f64) {
-        guard_level_f64(k, lane_pt(l), pcs[l], est[l], Ad[l], deg, stats);
-        continue;
-      }
-      try {
-        guard_level(k, lane_pt(l), pcs[l], est[l], A[l], deg, stats);
-        continue;
-      } catch (const OverflowError&) {
-        // Horner guard left the checked range: exact search below.
-        guard_overflowed = true;
-      }
-    } else if (est_ok[l]) {
-      // Quartic: a failed guard demotes to bytecode instead of searching.
-      if (f64) {
-        if (try_guard_level_f64(k, lane_pt(l), pcs[l], est[l], Ad[l], deg, stats,
-                                &out))
-          continue;
-      } else {
-        try {
-          if (try_guard_level(k, lane_pt(l), pcs[l], est[l], A[l], deg, stats, &out))
-            continue;
-        } catch (const OverflowError&) {
-          guard_overflowed = true;
-        }
-      }
-    }
-    if (quartic && !guard_overflowed) {
-      // Ferrari could not follow the branch on this lane (or its
-      // estimate failed the guard): demote the lane to the bytecode
-      // program, exactly like the scalar solver.
-      if (quartic_demote(k, lane_pt(l), pcs[l], f64 ? nullptr : A[l],
-                         f64 ? Ad[l] : nullptr, deg, stats, &out)) {
-        if (stats) ++stats->quartic_demoted;
-        continue;
-      }
-    }
-    search_level(k, lane_pt(l), pcs[l]);
-    if (stats) ++stats->fallback;
-  }
-}
-
-void CollapsedEval::solve_level4(int k, i64* pts, const i64* pcs,
-                                 RecoveryStats* stats) const {
-  solve_level_lanes<4>(k, pts, pcs, stats);
-}
-
-template <int W>
-void CollapsedEval::recover_lanes(const i64* pcs, std::span<i64> out,
-                                  RecoveryStats* stats) const {
-  constexpr const char* kName = W == 4 ? "recover4" : "recover8";
-  const size_t d = static_cast<size_t>(c_);
-  if (out.size() < W * d)
-    throw SpecError(std::string(kName) + ": output span too small (needs W*depth())");
-  for (int l = 0; l < W; ++l)
-    if (pcs[l] < 1 || pcs[l] > total_)
-      throw SolveError(std::string(kName) + ": pc outside [1, trip_count()]");
-
-  i64 pts[W][kMaxSlots];
-  for (int l = 0; l < W; ++l) {
-    std::memcpy(pts[l], base_.data(), nslots_ * sizeof(i64));
-    pts[l][pc_slot_] = pcs[l];
-  }
-  for (int k = 0; k + 1 < c_; ++k) solve_level_lanes<W>(k, &pts[0][0], pcs, stats);
-
-  // Innermost level: linear with unit slope, i = lb + (pc - R(prefix, lb)).
-  // On the proven-exact-f64 stream one lane-batched multiply-add sweep
-  // replaces W scalar rank evaluations (the per-lane recover_innermost
-  // loop was the 8-lane engine's single largest scalar cost on deep
-  // nests); anything else runs the per-lane scalar path unchanged.
-  const int kl = c_ - 1;
-  const FlatPoly& inner_flat = prank_flat_[d - 1];
-  if (f64_guards_ && inner_flat.exact_f64()) {
-    double r0[W];
-    for (int l = 0; l < W; ++l)
-      pts[l][kl] = bounds_lo_[static_cast<size_t>(kl)].eval(pts[l]);
-    inner_flat.template eval_f64_lanes<W>(&pts[0][0], kMaxSlots, r0);
-    for (int l = 0; l < W; ++l) {
-      std::span<i64> row = out.subspan(static_cast<size_t>(l) * d, d);
-      for (int k = 0; k + 1 < c_; ++k) row[static_cast<size_t>(k)] = pts[l][k];
-      row[d - 1] = pts[l][kl] + (pcs[l] - static_cast<i64>(r0[l]));
-    }
-    return;
-  }
-  for (int l = 0; l < W; ++l) {
-    std::span<i64> pt(pts[l], nslots_);
-    std::span<i64> row = out.subspan(static_cast<size_t>(l) * d, d);
-    for (int k = 0; k + 1 < c_; ++k) row[static_cast<size_t>(k)] = pts[l][k];
-    recover_innermost(pt, row, pcs[l], prank_[d - 1], &prank_flat_[d - 1],
-                      f64_guards_);
-  }
-}
-
-void CollapsedEval::recover4(const i64 pcs[4], std::span<i64> out,
-                             RecoveryStats* stats) const {
-  recover_lanes<4>(pcs, out, stats);
-}
-
-void CollapsedEval::recover8(const i64 pcs[8], std::span<i64> out,
-                             RecoveryStats* stats) const {
-  recover_lanes<8>(pcs, out, stats);
-}
-
 i64 CollapsedEval::recover_block(i64 pc_lo, i64 n, std::span<i64> out,
                                  RecoveryStats* stats) const {
   if (n <= 0) return 0;
@@ -1070,82 +726,6 @@ i64 CollapsedEval::recover_block(i64 pc_lo, i64 n, std::span<i64> out,
       },
       stats);
   return filled;
-}
-
-void CollapsedEval::fill_rows_lanes(std::span<i64> idx, i64 pc, i64 hi, i64* out,
-                                    i64 stride) const {
-  const size_t d = static_cast<size_t>(c_);
-  i64 filled = 0;
-  for_each_row_from(idx, pc, hi, [&](const i64* row, i64 j_begin, i64 j_end) {
-    const i64 len = j_end - j_begin;
-    // One broadcast store stream per outer column, one iota stream for
-    // the innermost — the structure-of-arrays fill the SIMD bodies read.
-    for (size_t k = 0; k + 1 < d; ++k)
-      simd::fill_broadcast(out + k * static_cast<size_t>(stride) + filled, len, row[k]);
-    simd::fill_iota(out + (d - 1) * static_cast<size_t>(stride) + filled, len, j_begin);
-    filled += len;
-  });
-}
-
-i64 CollapsedEval::recover_block_lanes(i64 pc_lo, i64 n, std::span<i64> out, i64 stride,
-                                       RecoveryStats* stats) const {
-  if (n <= 0) return 0;
-  if (pc_lo < 1 || pc_lo > total_)
-    throw SolveError("recover_block_lanes: pc_lo outside [1, trip_count()]");
-  const i64 m = std::min<i64>(n, total_ - pc_lo + 1);
-  if (stride < m)
-    throw SpecError("recover_block_lanes: stride smaller than the produced rows");
-  const size_t d = static_cast<size_t>(c_);
-  if (out.size() < d * static_cast<size_t>(stride))
-    throw SpecError("recover_block_lanes: output span too small for depth()*stride");
-
-  i64 idx[kMaxDepth];
-  recover(pc_lo, {idx, d}, stats);
-  fill_rows_lanes({idx, d}, pc_lo, pc_lo + m - 1, out.data(), stride);
-  return m;
-}
-
-template <int W>
-void CollapsedEval::recover_blocks_lanes(const i64* pcs, i64 n, std::span<i64> out,
-                                         i64 stride, i64* rows,
-                                         RecoveryStats* stats) const {
-  constexpr const char* kName = W == 4 ? "recover_blocks4" : "recover_blocks8";
-  const size_t d = static_cast<size_t>(c_);
-  if (n <= 0) {
-    for (int b = 0; b < W; ++b) rows[b] = 0;
-    return;
-  }
-  if (out.size() < W * d * static_cast<size_t>(stride))
-    throw SpecError(std::string(kName) + ": output span too small for W*depth()*stride");
-  for (int b = 0; b < W; ++b) {
-    if (pcs[b] < 1 || pcs[b] > total_)
-      throw SolveError(std::string(kName) + ": pc outside [1, trip_count()]");
-    rows[b] = std::min<i64>(n, total_ - pcs[b] + 1);
-    if (stride < rows[b])
-      throw SpecError(std::string(kName) + ": stride smaller than the produced rows");
-  }
-
-  // One lane-parallel solve covers all block starts; each block then
-  // fills its lane-strided tile by row arithmetic.
-  i64 seed[W * kMaxDepth];
-  recover_lanes<W>(pcs, {seed, W * d}, stats);
-  for (int b = 0; b < W; ++b) {
-    i64 idx[kMaxDepth];
-    std::memcpy(idx, seed + static_cast<size_t>(b) * d, d * sizeof(i64));
-    fill_rows_lanes({idx, d}, pcs[b], pcs[b] + rows[b] - 1,
-                    out.data() + static_cast<size_t>(b) * d * static_cast<size_t>(stride),
-                    stride);
-  }
-}
-
-void CollapsedEval::recover_blocks4(const i64 pcs[4], i64 n, std::span<i64> out,
-                                    i64 stride, i64 rows[4], RecoveryStats* stats) const {
-  recover_blocks_lanes<4>(pcs, n, out, stride, rows, stats);
-}
-
-void CollapsedEval::recover_blocks8(const i64 pcs[8], i64 n, std::span<i64> out,
-                                    i64 stride, i64 rows[8], RecoveryStats* stats) const {
-  recover_blocks_lanes<8>(pcs, n, out, stride, rows, stats);
 }
 
 void CollapsedEval::recover_interpreted(i64 pc, std::span<i64> idx,

@@ -170,9 +170,8 @@ class CollapsedEval {
   /// rank prefixes, whether every guard/coefficient intermediate stays
   /// an exact integer below 2^53 for points of this domain; proven
   /// levels evaluate coefficients and run the Horner correction guard in
-  /// plain double — bit-identical to the checked-__int128 reference, in
-  /// every engine (scalar recover()/recover_block() included since
-  /// PR 3).  set_f64_guards(false) forces the i128 reference path
+  /// plain double — bit-identical to the checked-__int128 reference.
+  /// set_f64_guards(false) forces the i128 reference path
   /// everywhere (tests / ablation); levels that fail the proof use it
   /// regardless.
   void set_f64_guards(bool on) { f64_guards_ = on; }
@@ -217,56 +216,6 @@ class CollapsedEval {
   i64 recover_block(i64 pc_lo, i64 n, std::span<i64> out,
                     RecoveryStats* stats = nullptr) const;
 
-  /// Lane-strided (structure-of-arrays) batched recovery: one full solve
-  /// at pc_lo, then SIMD row fills.  Column k holds index k of every
-  /// recovered row — out[k*stride + r] for row r — which is exactly the
-  /// layout the lane-block bodies of Schedule::simd_blocks consume, so
-  /// no scalar transpose sits between recovery and execution.
-  /// `stride` is the column pitch and must be >= the produced row count
-  /// min(n, trip_count() - pc_lo + 1); out must hold depth()*stride
-  /// values.  Returns the number of rows produced.  Zero heap allocation.
-  i64 recover_block_lanes(i64 pc_lo, i64 n, std::span<i64> out, i64 stride,
-                          RecoveryStats* stats = nullptr) const;
-
-  /// Lane-batched recovery of 4 arbitrary pcs (each in [1, trip_count()]):
-  /// the closed-form levels evaluate 4 pcs per SIMD lane — vectorized
-  /// quadratic formula, RecoveryProgram::eval4 bytecode lanes, per-lane
-  /// double-precision cubic — and every lane is corrected by the scalar
-  /// exact integer guard, so the tuples are bit-identical to four
-  /// recover() calls.  This is the §VI-B warp-shaped primitive (one
-  /// independent formula solve per lane, no row walking); the chunked
-  /// SIMD executors use it to amortize 4 chunk-start solves at once.
-  /// `out` receives 4 rows of depth() values (row-major).  Zero heap
-  /// allocation except on LevelSolverKind::Interpreted levels (same
-  /// caveat as recover()).
-  void recover4(const i64 pcs[4], std::span<i64> out, RecoveryStats* stats = nullptr) const;
-
-  /// 8-lane counterpart of recover4: the closed-form levels evaluate 8
-  /// pcs at once on the wide simd_abi batch (one 512-bit vector on the
-  /// AVX-512 leg, two 256-bit halves on AVX2, plain doubles on the
-  /// scalar leg), with the same per-lane exact integer guard — tuples
-  /// are bit-identical to eight recover() calls on every ABI.  `out`
-  /// receives 8 rows of depth() values (row-major).  Zero heap
-  /// allocation except on Interpreted levels (same caveat as recover()).
-  void recover8(const i64 pcs[8], std::span<i64> out, RecoveryStats* stats = nullptr) const;
-
-  /// SIMD-batched block recovery: 4 blocks of up to n consecutive pcs
-  /// each, starting at pcs[0..3].  The 4 block-start solves run
-  /// lane-parallel (recover4), then each block fills lane-strided like
-  /// recover_block_lanes.  Tile b occupies columns [b*depth(),
-  /// (b+1)*depth()) of out — column k of block b is
-  /// out[(b*depth() + k) * stride + r] — and rows[b] receives the rows
-  /// produced for block b (clipped at trip_count()).  out must hold
-  /// 4*depth()*stride values.  Zero heap allocation (Interpreted-level
-  /// caveat as recover()).
-  void recover_blocks4(const i64 pcs[4], i64 n, std::span<i64> out, i64 stride,
-                       i64 rows[4], RecoveryStats* stats = nullptr) const;
-
-  /// 8-block counterpart of recover_blocks4 (block starts solved with
-  /// recover8; out must hold 8*depth()*stride values).
-  void recover_blocks8(const i64 pcs[8], i64 n, std::span<i64> out, i64 stride,
-                       i64 rows[8], RecoveryStats* stats = nullptr) const;
-
   /// Seed-era recovery through the generic CompiledExpr interpreter
   /// (complex arithmetic, heap-allocated value vector).  Kept as the
   /// ablation / benchmark baseline for the bytecode engine; results are
@@ -302,8 +251,8 @@ class CollapsedEval {
   /// `idx` is the walker's working tuple (depth() values, innermost ==
   /// j_begin on entry); fn may overwrite idx[depth()-1] with values in
   /// [j_begin, j_end) and must leave the other slots alone.  This is the
-  /// single row-arithmetic primitive behind recover_block() and the §V
-  /// scalar/segment schemes.  The caller must keep lo within
+  /// single row-arithmetic primitive behind recover_block() and every
+  /// range scheme's walk (tuple, segment and lane-block).  The caller must keep lo within
   /// [1, trip_count()] (recover() throws otherwise); a hi beyond
   /// trip_count() is silently clipped at the last tuple — pre-clip (as
   /// recover_block does) when the shortfall matters.
@@ -311,32 +260,7 @@ class CollapsedEval {
   void for_each_row(i64 lo, i64 hi, RowFn&& fn, RecoveryStats* stats = nullptr) const {
     i64 idx[kMaxDepth];
     recover(lo, {idx, static_cast<size_t>(c_)}, stats);
-    for_each_row_from({idx, static_cast<size_t>(c_)}, lo, hi, static_cast<RowFn&&>(fn));
-  }
-
-  /// Row-wise walk resuming from an already-recovered working tuple:
-  /// `idx` must hold the tuple of rank `pc` on entry (it is the walker's
-  /// scratch, clobbered by the walk).  Same fn contract as
-  /// for_each_row().  The lane-batched executors solve several chunk
-  /// starts at once with recover4() and then walk each chunk from its
-  /// solved tuple through this entry point.
-  template <class RowFn>
-  void for_each_row_from(std::span<i64> idx, i64 pc, i64 hi, RowFn&& fn) const {
-    const size_t d = static_cast<size_t>(c_);
-    while (pc <= hi) {
-      const i64 row_last_pc = pc + row_extent(idx) - 1;
-      const i64 seg_last_pc = std::min(hi, row_last_pc);
-      const i64 j_begin = idx[d - 1];
-      const i64 j_end = j_begin + (seg_last_pc - pc) + 1;
-      fn(idx.data(), j_begin, j_end);
-      pc = seg_last_pc + 1;
-      if (pc > hi) break;
-      // The run ended exactly at a row end (a mid-row cut implies
-      // seg_last_pc == hi); one odometer step from the row's last point
-      // lands on the next row's first point.
-      idx[d - 1] = j_end - 1;
-      if (!increment(idx)) break;
-    }
+    walk_rows({idx, static_cast<size_t>(c_)}, lo, hi, static_cast<RowFn&&>(fn));
   }
 
   void first(std::span<i64> idx) const;
@@ -371,18 +295,29 @@ class CollapsedEval {
     RecoveryProgram program;           ///< Program levels; Quartic demotion target
   };
 
+  /// for_each_row's walk from `idx`, the already-recovered tuple of
+  /// rank `pc` (the walker's scratch, clobbered by the walk).
+  template <class RowFn>
+  void walk_rows(std::span<i64> idx, i64 pc, i64 hi, RowFn&& fn) const {
+    const size_t d = static_cast<size_t>(c_);
+    while (pc <= hi) {
+      const i64 row_last_pc = pc + row_extent(idx) - 1;
+      const i64 seg_last_pc = std::min(hi, row_last_pc);
+      const i64 j_begin = idx[d - 1];
+      const i64 j_end = j_begin + (seg_last_pc - pc) + 1;
+      fn(idx.data(), j_begin, j_end);
+      pc = seg_last_pc + 1;
+      if (pc > hi) break;
+      // The run ended exactly at a row end (a mid-row cut implies
+      // seg_last_pc == hi); one odometer step from the row's last point
+      // lands on the next row's first point.
+      idx[d - 1] = j_end - 1;
+      if (!increment(idx)) break;
+    }
+  }
+
   i64 search_level(int k, std::span<i64> pt, i64 pc) const;
   i64 solve_level(int k, std::span<i64> pt, i64 pc, RecoveryStats* stats) const;
-  /// Width-generic lane-batched level solve (W = 4 or 8) behind
-  /// solve_level4 and the recover4/recover8 entry points.
-  template <int W>
-  void solve_level_lanes(int k, i64* pts, const i64* pcs, RecoveryStats* stats) const;
-  void solve_level4(int k, i64* pts, const i64* pcs, RecoveryStats* stats) const;
-  template <int W>
-  void recover_lanes(const i64* pcs, std::span<i64> out, RecoveryStats* stats) const;
-  template <int W>
-  void recover_blocks_lanes(const i64* pcs, i64 n, std::span<i64> out, i64 stride,
-                            i64* rows, RecoveryStats* stats) const;
   /// Correct `estimate` against the exact level equation; false when the
   /// estimate was off by more than kMaxCorrection (no stats recorded,
   /// pt[k] unspecified) — the caller demotes or searches.
@@ -407,9 +342,6 @@ class CollapsedEval {
                          bool use_f64 = false) const;
   /// Exact rank-prefix evaluation through the flat form when available.
   i128 eval_rank(int k, const i64* pt) const;
-  /// Row-walk from a recovered tuple, filling lane-strided columns.
-  void fill_rows_lanes(std::span<i64> idx, i64 pc, i64 hi, i64* out, i64 stride) const;
-
   int c_ = 0;
   size_t nslots_ = 0;
   size_t pc_slot_ = 0;

@@ -20,8 +20,8 @@
 // of the multiply-add stream stays below 2^50, then all intermediates
 // are integers below 2^53 — where IEEE double arithmetic on integers
 // is exact — and eval_f64() returns the same value eval_i128() would,
-// as plain (vectorizable, FMA-friendly) double math.  The lane-batched
-// recovery solvers run their guard arithmetic through this path.
+// as plain (vectorizable, FMA-friendly) double math.  The recovery
+// solvers run their proven-exact guard arithmetic through this path.
 
 #include <array>
 #include <cmath>
@@ -141,27 +141,6 @@ class FlatPoly {
       acc += v;
     }
     return acc / static_cast<double>(den_);
-  }
-
-  /// Lane-batched eval_f64 (W = 4 or 8): lane l reads the row
-  /// pts + l*stride.
-  template <int W = 4>
-  void eval_f64_lanes(const i64* pts, size_t stride, double* out) const {
-    double acc[W] = {};
-    for (int i = 0; i < n_; ++i) {
-      const Term& t = t_[static_cast<size_t>(i)];
-      const double c = static_cast<double>(t.c);
-      double v[W];
-      for (int l = 0; l < W; ++l) v[l] = c;
-      for (int fct = 0; fct < kMaxFactors && t.s[fct] >= 0; ++fct) {
-        const size_t s = static_cast<size_t>(static_cast<int>(t.s[fct]));
-        for (int l = 0; l < W; ++l)
-          v[l] *= static_cast<double>(pts[static_cast<size_t>(l) * stride + s]);
-      }
-      for (int l = 0; l < W; ++l) acc[l] += v[l];
-    }
-    const double den = static_cast<double>(den_);
-    for (int l = 0; l < W; ++l) out[l] = acc[l] / den;
   }
 
  private:

@@ -29,12 +29,11 @@
 // to the bytecode program, whose guard/search machinery stays exact.
 //
 // Everything is templated on the evaluation type F (long double for the
-// scalar checked-i128 engine, double for the proven-exact-f64 and
-// lane-batched engines) and on the coefficient type TA (i128 or double).
+// checked-i128 guard path, double for the proven-exact-f64 one) and on
+// the coefficient type TA (i128 or double).
 
 #include <cmath>
 
-#include "runtime/simd_abi.hpp"
 #include "support/int128.hpp"
 
 namespace nrc {
@@ -99,10 +98,9 @@ inline bool index_range_finite(F root) {
 }
 
 /// Real-arithmetic Cardano/Viete estimate for A3*t^3 + ... + A0 <= 0,
-/// shared by the scalar solver (F = long double on i128 coefficients,
-/// the historical behaviour) and the lane-batched solver (F = double on
-/// i128 or exact-double coefficients; the exact guard absorbs the
-/// precision difference).  Only Re of the branch is needed for the
+/// evaluated in long double on i128 coefficients or in double on
+/// exact-double ones (the exact guard absorbs the precision
+/// difference).  Only Re of the branch is needed for the
 /// floor.  Returns false when the formula degenerates here (A3 == 0,
 /// non-finite, or out of the index range).
 template <class F, class TA>
@@ -175,122 +173,6 @@ bool ferrari_estimate(const TA* A, int branch, i64* est) {
   if (!index_range_finite(root)) return false;
   *est = static_cast<i64>(std::floor(root + F(1e-9L)));
   return true;
-}
-
-/// Lane-wide Cardano branch value of W monic cubics at once, entirely
-/// in-register on both discriminant signs: three-real-root (Viete)
-/// lanes run on the simd_abi polynomial vatan2/vcos kernels, one-real-
-/// root lanes (delta >= 0 — the dominant configuration on quartic
-/// resolvents) on the Halley vcbrt kernel plus the same cos/sin branch
-/// tables the scalar path reads.  Each side is computed only when some
-/// lane needs it, and a lane-select blends the results, so pure-Viete
-/// batches (the calibrated cubic kernel levels) and pure-cbrt batches
-/// (the simplex quartic resolvents) each pay for exactly one side.
-/// set_vector_trig(false) routes the whole batch through the scalar
-/// cardano_branch<double> per lane — the libm reference path the
-/// equivalence tests diff against.
-template <class V>
-struct CardanoBranchLanes {
-  V re;
-  V im;
-};
-
-template <class V>
-CardanoBranchLanes<V> cardano_branch_lanes(V b, V c, V d, int branch) {
-  using T = simd::vtraits<V>;
-  constexpr int W = T::lanes;
-  const V zero = T::splat(0.0);
-  // p, q, delta mirror cardano_branch's operation order exactly so the
-  // lane classification below agrees with the scalar fallback's.
-  const V p = simd::sub(c, simd::div(simd::mul(b, b), T::splat(3.0)));
-  const V q = simd::add(
-      simd::sub(simd::div(simd::mul(simd::mul(simd::mul(T::splat(2.0), b), b), b),
-                          T::splat(27.0)),
-                simd::div(simd::mul(b, c), T::splat(3.0))),
-      d);
-  const V delta = simd::add(simd::div(simd::mul(q, q), T::splat(4.0)),
-                            simd::div(simd::mul(simd::mul(p, p), p), T::splat(27.0)));
-  CardanoBranchLanes<V> out{zero, zero};
-  if (!simd::vector_trig_enabled()) {
-    double bb[W], cc[W], dd[W], re[W], im[W];
-    simd::store(bb, b);
-    simd::store(cc, c);
-    simd::store(dd, d);
-    for (int l = 0; l < W; ++l) {
-      const CardanoBranch<double> w = cardano_branch<double>(bb[l], cc[l], dd[l], branch);
-      re[l] = w.re;
-      im[l] = w.im;
-    }
-    out.re = simd::load<W>(re);
-    out.im = simd::load<W>(im);
-    return out;
-  }
-  const auto nonneg = simd::cmp_ge(delta, zero);
-  // delta < 0 strictly (NaN deltas land on the nonneg side, where the
-  // formula goes non-finite exactly like the scalar path's).
-  const auto viete = simd::cmp_ge(simd::neg(delta), T::splat(5e-324));
-  V re_v = zero;
-  if (simd::any(viete)) {
-    // Viete: 2*m*cos(phi/3 + 2*pi*k/3) - b/3.  delta >= 0 lanes compute
-    // garbage here (sqrt of a negative) and are deselected below.
-    constexpr double k2Pi3 = 2.0943951023931954923084289221863353;
-    const V m = simd::sqrt(simd::div(simd::neg(p), T::splat(3.0)));
-    const V phi = simd::vatan2(simd::sqrt(simd::neg(delta)),
-                               simd::div(simd::neg(q), T::splat(2.0)));
-    re_v = simd::sub(
-        simd::mul(simd::mul(T::splat(2.0), m),
-                  simd::vcos(simd::add(simd::div(phi, T::splat(3.0)),
-                                       T::splat(k2Pi3 * branch)))),
-        simd::div(b, T::splat(3.0)));
-  }
-  V re_p = zero, im_p = zero;
-  if (simd::any(nonneg)) {
-    // One real root: u = m*cis(theta), theta a multiple of pi/3 read
-    // off the same cos/sin tables as the scalar path (v < 0 shifts the
-    // principal cube root's phase by pi/3).  delta < 0 lanes compute
-    // NaN here (sqrt of a negative flows into v) and are deselected.
-    constexpr double kR3o2 = 0.86602540378443864676372317075293618;  // sqrt(3)/2
-    static constexpr double kCosPos[3] = {1.0, -0.5, -0.5};  // v >= 0
-    static constexpr double kSinPos[3] = {0.0, kR3o2, -kR3o2};
-    static constexpr double kCosNeg[3] = {0.5, -1.0, 0.5};  // v < 0
-    static constexpr double kSinNeg[3] = {kR3o2, 0.0, -kR3o2};
-    const V v = simd::add(simd::div(simd::neg(q), T::splat(2.0)), simd::sqrt(delta));
-    const V m = simd::vcbrt_nonneg(simd::vabs(v));
-    const auto vpos = simd::cmp_ge(v, zero);
-    const V cosw = simd::select(vpos, T::splat(kCosPos[branch]), T::splat(kCosNeg[branch]));
-    const V sinw = simd::select(vpos, T::splat(kSinPos[branch]), T::splat(kSinNeg[branch]));
-    const V po3m = simd::div(p, simd::mul(T::splat(3.0), m));  // m == 0 -> inf: guard
-    re_p = simd::sub(simd::mul(simd::sub(m, po3m), cosw), simd::div(b, T::splat(3.0)));
-    im_p = simd::mul(simd::add(m, po3m), sinw);
-  }
-  out.re = simd::select(nonneg, re_p, re_v);
-  out.im = simd::select(nonneg, im_p, zero);
-  return out;
-}
-
-/// Lane-batched cubic_estimate: W cubics with coefficient rows A0..A4
-/// at `A + l*stride`, one shared branch.  Lane l of est/ok matches
-/// cubic_estimate<double, double> on that row bit for bit when the
-/// polynomial trig is disabled; with it enabled the estimates may
-/// differ by ~1e-9, which the exact integer guard absorbs.
-template <int W>
-inline void cubic_estimate_lanes(const double* A, size_t stride, int branch,
-                                 i64* est, bool* ok) {
-  double b[W], c[W], d[W];
-  for (int l = 0; l < W; ++l) {
-    const double a3 = A[l * stride + 3];
-    b[l] = A[l * stride + 2] / a3;  // a3 == 0 lanes go non-finite and
-    c[l] = A[l * stride + 1] / a3;  // are rejected below, matching the
-    d[l] = A[l * stride + 0] / a3;  // scalar estimate's early return
-  }
-  const CardanoBranchLanes<simd::batch<W>> cb = cardano_branch_lanes(
-      simd::load<W>(b), simd::load<W>(c), simd::load<W>(d), branch);
-  double re[W];
-  simd::store(re, cb.re);
-  for (int l = 0; l < W; ++l) {
-    ok[l] = A[l * stride + 3] != 0.0 && index_range_finite(re[l]);
-    if (ok[l]) est[l] = static_cast<i64>(std::floor(re[l] + 1e-9));
-  }
 }
 
 }  // namespace nrc

@@ -1,10 +1,9 @@
 #pragma once
 // Process-wide runtime configuration.
 //
-// Historically every engine toggle was its own process-global (the lane
-// trig switch lived in simd_abi.hpp) or per-evaluator mutator that
-// callers had to remember to apply after every bind()
-// (use_bytecode_quartics, force_quartic_demotion, set_f64_guards).
+// The engine toggles used to be per-evaluator mutators that callers had
+// to remember to apply after every bind() (use_bytecode_quartics,
+// force_quartic_demotion, set_f64_guards).
 // RuntimeConfig folds them into one struct consulted exactly once per
 // bind(): the evaluator a bind() returns starts from these defaults,
 // and the per-instance hooks on CollapsedEval remain available to
@@ -19,10 +18,6 @@
 namespace nrc {
 
 struct RuntimeConfig {
-  /// Polynomial lane trig (vcos/vatan2/vcbrt) in the Cardano/Ferrari
-  /// lane solvers; false routes every lane through per-lane libm (the
-  /// exact-equivalence reference path).
-  bool vector_trig = true;
   /// Default guard policy bind() installs: proven-exact f64 guard fast
   /// paths where the slot-magnitude proof holds.  false forces the
   /// checked-__int128 reference arithmetic everywhere.
@@ -36,9 +31,8 @@ struct RuntimeConfig {
   bool force_quartic_demotion = false;
 };
 
-/// The mutable process-global configuration consulted by bind() and the
-/// lane trig dispatch.  Not thread-safe to mutate; see the header
-/// comment.
+/// The mutable process-global configuration consulted by bind().  Not
+/// thread-safe to mutate; see the header comment.
 inline RuntimeConfig& runtime_config() {
   static RuntimeConfig cfg;
   return cfg;

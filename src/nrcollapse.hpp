@@ -49,6 +49,7 @@
 #include "polyhedral/lexmin.hpp"
 #include "polyhedral/nest.hpp"
 #include "runtime/baselines.hpp"
+#include "runtime/simd_abi.hpp"
 #include "runtime/thread_stats.hpp"
 #include "serve/protocol.hpp"
 #include "serve/serialization.hpp"

@@ -10,7 +10,7 @@
 // the chunking/thread-range arithmetic they share
 // (static_thread_range, chunk_count/chunk_end, the parallel drivers) —
 // live exactly once, here.  Schedule::omp picks the deal for
-// PerIteration and for the two chunked schemes: static (fixed,
+// PerIteration and for the three chunked schemes: static (fixed,
 // round-robin) or dynamic (claimed from one shared counter).
 //
 // Body shapes.  The dispatcher accepts three body contracts and adapts
@@ -23,6 +23,11 @@
 //   * block body    void(int lanes, const i64* const* cols)
 //                   — SimdBlocks/SimdBlocksChunked only (a tuple body
 //                   handed to a block scheme is driven once per lane)
+// Every range scheme (PerThread, Chunked, RowSegments,
+// RowSegmentsChunked, SimdBlocks, SimdBlocksChunked) partitions the
+// collapsed range the same two ways, per thread or in chunks, and walks
+// each range from one recover() by row arithmetic; the schemes differ
+// only in that partition and in the shape the walk hands the body.
 // A body satisfying several contracts (a generic lambda) runs in the
 // scheme's native shape.  A shape no adaptation covers (a block body on
 // a scalar scheme, say) throws SpecError.
@@ -41,14 +46,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 #include <span>
 #include <type_traits>
 #include <vector>
 
 #include "core/collapse.hpp"
 #include "pipeline/schedule.hpp"
-#include "runtime/simd_abi.hpp"
 #include "support/error.hpp"
 
 namespace nrc {
@@ -230,26 +233,37 @@ void run_range_pref(const CollapsedEval& cn, i64 lo, i64 hi, Body& body) {
   }
 }
 
-/// Walk the pc range [lo, hi] from the already-recovered tuple `idx`
-/// (the tuple of rank lo), emitting lane blocks of up to vlen rows:
-/// SoA columns are filled with vector stores, then body(lanes, cols).
+/// Walk the pc range [lo, hi] (1-based, inclusive) as lane blocks of
+/// up to vlen rows: one recovery at lo, then the row walk fills SoA
+/// columns (outer indices broadcast, the innermost counting up) and
+/// calls body(lanes, cols) per full block, plus once for the tail.
 template <class BlockBody>
-void run_lane_blocks_from(const CollapsedEval& cn, std::span<i64> idx, i64 lo, i64 hi,
-                          int vlen, BlockBody&& body) {
+void run_lane_blocks(const CollapsedEval& cn, i64 lo, i64 hi, int vlen, BlockBody&& body) {
+  // Columns are filled 8 lanes at a time: fixed-length loops the
+  // compiler turns into one vector store each (a loop of `take` stores
+  // stays scalar and ran the walk about 30% slower).  The overshoot past
+  // `take` lands in lanes the walk refills before the body reads them,
+  // and the 8 spare lanes per column keep it inside the array.  The
+  // innermost column counts in u64, so an overshoot past the largest
+  // i64 index wraps instead of overflowing.
+  constexpr int kFill = 8;
   const size_t d = static_cast<size_t>(cn.depth());
-  i64 soa[kMaxDepth][kMaxSimdLanes];
+  i64 soa[kMaxDepth][kMaxSimdLanes + kFill];
   const i64* cols[kMaxDepth];
   for (size_t k = 0; k < d; ++k) cols[k] = soa[k];
 
   int lanes = 0;
-  cn.for_each_row_from(idx, lo, hi, [&](const i64* row, i64 j_begin, i64 j_end) {
+  cn.for_each_row(lo, hi, [&](const i64* row, i64 j_begin, i64 j_end) {
     i64 j = j_begin;
     while (j < j_end) {
-      const i64 take = std::min<i64>(j_end - j, vlen - lanes);
-      for (size_t k = 0; k + 1 < d; ++k)
-        simd::fill_broadcast(&soa[k][lanes], take, row[k]);
-      simd::fill_iota(&soa[d - 1][lanes], take, j);
-      lanes += static_cast<int>(take);
+      const int take = static_cast<int>(std::min<i64>(j_end - j, vlen - lanes));
+      for (int l = 0; l < take; l += kFill) {
+        for (size_t k = 0; k + 1 < d; ++k)
+          for (int v = 0; v < kFill; ++v) soa[k][lanes + l + v] = row[k];
+        for (int v = 0; v < kFill; ++v)
+          soa[d - 1][lanes + l + v] = static_cast<i64>(static_cast<u64>(j) + (l + v));
+      }
+      lanes += take;
       j += take;
       if (lanes == vlen) {
         body(vlen, cols);
@@ -262,21 +276,18 @@ void run_lane_blocks_from(const CollapsedEval& cn, std::span<i64> idx, i64 lo, i
 
 /// Lane-block walk for block bodies, per-lane fanout for tuple bodies.
 template <class Body>
-void run_blocks_pref(const CollapsedEval& cn, std::span<i64> idx, i64 lo, i64 hi,
-                     int vlen, Body& body) {
+void run_blocks_pref(const CollapsedEval& cn, i64 lo, i64 hi, int vlen, Body& body) {
   if constexpr (is_block_body_v<Body>) {
-    run_lane_blocks_from(cn, idx, lo, hi, vlen, body);
+    run_lane_blocks(cn, lo, hi, vlen, body);
   } else {
     const size_t d = static_cast<size_t>(cn.depth());
-    run_lane_blocks_from(cn, idx, lo, hi, vlen,
-                         [&](int lanes, const i64* const* cols) {
-                           i64 t[kMaxDepth];
-                           for (int l = 0; l < lanes; ++l) {
-                             for (size_t k = 0; k < d; ++k)
-                               t[k] = cols[k][static_cast<size_t>(l)];
-                             body(std::span<const i64>(t, d));
-                           }
-                         });
+    run_lane_blocks(cn, lo, hi, vlen, [&](int lanes, const i64* const* cols) {
+      i64 t[kMaxDepth];
+      for (int l = 0; l < lanes; ++l) {
+        for (size_t k = 0; k < d; ++k) t[k] = cols[k][static_cast<size_t>(l)];
+        body(std::span<const i64>(t, d));
+      }
+    });
   }
 }
 
@@ -332,65 +343,6 @@ void run_per_iteration(const CollapsedEval& cn, OmpSchedule sched, int nt, Body&
 }
 
 template <class Body>
-void run_simd_blocks(const CollapsedEval& cn, int vlen, int nt, Body& body) {
-  const i64 total = cn.trip_count();
-  const size_t d = static_cast<size_t>(cn.depth());
-  parallel_static_ranges(total, nt, [&](i64 lo, i64 hi) {
-    i64 idx[kMaxDepth];
-    cn.recover(lo, {idx, d});
-    run_blocks_pref(cn, {idx, d}, lo, hi, vlen, body);
-  });
-}
-
-/// §V chunked scheme over lane blocks: chunks are dealt round-robin in
-/// lane groups (8 on the AVX-512 leg, 4 elsewhere — simd::kGroupLanes),
-/// and each group's chunk-start recoveries run as one lane-batched
-/// solve.  A tail group of 4..7 chunks on the wide leg still batches
-/// its first four starts through recover4; only the final <4 starts
-/// recover scalar.
-template <class Body>
-void run_simd_blocks_chunked(const CollapsedEval& cn, int vlen, i64 chunk, int nt,
-                             Body& body) {
-  constexpr i64 G = simd::kGroupLanes;
-  const i64 total = cn.trip_count();
-  const i64 nchunks = chunk_count(total, chunk);
-  const i64 ngroups = (nchunks + (G - 1)) / G;
-  const size_t d = static_cast<size_t>(cn.depth());
-#pragma omp parallel num_threads(nt)
-  {
-    const i64 t = omp_get_thread_num();
-    const i64 np = omp_get_num_threads();
-    for (i64 g = t; g < ngroups; g += np) {
-      const i64 q0 = g * G;
-      const i64 in_group = std::min<i64>(G, nchunks - q0);
-      i64 seed[G * kMaxDepth];
-      i64 pcs[G];
-      for (i64 b = 0; b < in_group; ++b) pcs[b] = 1 + (q0 + b) * chunk;
-      i64 solved = 0;
-      if (in_group == G) {
-        if constexpr (G == 8)
-          cn.recover8(pcs, {seed, static_cast<size_t>(G) * d});
-        else
-          cn.recover4(pcs, {seed, static_cast<size_t>(G) * d});
-        solved = G;
-      } else if (in_group >= 4) {
-        cn.recover4(pcs, {seed, 4 * d});
-        solved = 4;
-      }
-      for (i64 b = solved; b < in_group; ++b)
-        cn.recover(pcs[b], {seed + b * d, d});
-      for (i64 b = 0; b < in_group; ++b) {
-        const i64 lo = pcs[b];
-        const i64 hi = chunk_end(total, lo, chunk);
-        i64 idx[kMaxDepth];
-        std::memcpy(idx, seed + b * d, d * sizeof(i64));
-        run_blocks_pref(cn, {idx, d}, lo, hi, vlen, body);
-      }
-    }
-  }
-}
-
-template <class Body>
 void run_warp_sim(const CollapsedEval& cn, int warp_size, int nt, Body& body) {
   const i64 total = cn.trip_count();
   if (total < 1) return;
@@ -405,19 +357,16 @@ void run_warp_sim(const CollapsedEval& cn, int warp_size, int nt, Body& body) {
   const i64 L = std::min<i64>(W, total);
 
   // One block recovery seeds the whole warp: pcs 1..L are exactly the
-  // live lanes' starting iterations, so a single lane-strided block
-  // solve stages them as tile[k*L + lane] — the CPU stand-in for
-  // §VI-B's per-warp shared-memory tile (on a GPU,
-  // recover_block_lanes's output layout is what the warp would keep in
-  // shared memory).
+  // live lanes' starting iterations, so a single recover_block stages
+  // them as tile row `lane` — the CPU stand-in for §VI-B's per-warp
+  // shared-memory tile.
   std::vector<i64> tile(d * static_cast<size_t>(L));
-  cn.recover_block_lanes(1, L, tile, L);
+  cn.recover_block(1, L, tile);
 
 #pragma omp parallel for schedule(static) num_threads(nt)
   for (i64 lane = 0; lane < L; ++lane) {
     i64 idx[kMaxDepth];
-    for (size_t k = 0; k < d; ++k)
-      idx[k] = tile[k * static_cast<size_t>(L) + static_cast<size_t>(lane)];
+    std::copy_n(tile.data() + static_cast<size_t>(lane) * d, d, idx);
     warp_lane_walk(cn, lane, W, total, {idx, d}, body);
   }
 }
@@ -485,6 +434,18 @@ void run(const CollapsedEval& cn, const Schedule& s, Body&& body) {
   constexpr bool tup = detail::is_tuple_body_v<Body>;
   constexpr bool seg = detail::is_segment_body_v<Body>;
   constexpr bool blk = detail::is_block_body_v<Body>;
+  // The range schemes' partition: chunks for the chunked schemes, one
+  // contiguous range per thread for the others and for a non-positive
+  // chunk in either flavour.
+  const auto partition = [&](auto&& walk) {
+    const bool chunked = s.scheme == Scheme::Chunked ||
+                         s.scheme == Scheme::RowSegmentsChunked ||
+                         s.scheme == Scheme::SimdBlocksChunked;
+    if (chunked && s.chunk > 0)
+      detail::parallel_chunk_ranges(total, s.chunk, s.omp, nt, walk);
+    else
+      detail::parallel_static_ranges(total, nt, walk);
+  };
 
   switch (s.scheme) {
     case Scheme::PerIteration:
@@ -498,39 +459,22 @@ void run(const CollapsedEval& cn, const Schedule& s, Body&& body) {
     case Scheme::Chunked:
     case Scheme::RowSegmentsChunked:
       if constexpr (tup || seg) {
-        // The range schemes differ in partition and in the tie-break
-        // that keeps each scheme's native body shape.
+        // The tie-break keeps each scheme's native body shape.
         const bool segments =
             s.scheme == Scheme::RowSegments || s.scheme == Scheme::RowSegmentsChunked;
-        const auto walk = [&](i64 lo, i64 hi) {
+        partition([&](i64 lo, i64 hi) {
           if (segments)
             detail::run_range_pref<true>(cn, lo, hi, body);
           else
             detail::run_range_pref<false>(cn, lo, hi, body);
-        };
-        // The unchunked schemes, and a non-positive chunk in either
-        // flavour, take the per-thread split.
-        const bool chunked = s.scheme == Scheme::Chunked || s.scheme == Scheme::RowSegmentsChunked;
-        if (chunked && s.chunk > 0)
-          detail::parallel_chunk_ranges(total, s.chunk, s.omp, nt, walk);
-        else
-          detail::parallel_static_ranges(total, nt, walk);
+        });
         return;
       }
       break;
     case Scheme::SimdBlocks:
-      if constexpr (blk || tup) {
-        detail::run_simd_blocks(cn, s.vlen, nt, body);
-        return;
-      }
-      break;
     case Scheme::SimdBlocksChunked:
       if constexpr (blk || tup) {
-        if (s.chunk <= 0) {
-          detail::run_simd_blocks(cn, s.vlen, nt, body);
-          return;
-        }
-        detail::run_simd_blocks_chunked(cn, s.vlen, s.chunk, nt, body);
+        partition([&](i64 lo, i64 hi) { detail::run_blocks_pref(cn, lo, hi, s.vlen, body); });
         return;
       }
       break;

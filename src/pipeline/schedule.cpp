@@ -109,6 +109,7 @@ std::string Schedule::describe() const {
     case Scheme::SimdBlocksChunked:
       field("vlen", std::to_string(vlen));
       field("chunk", std::to_string(chunk));
+      if (omp == OmpSchedule::Dynamic) field("omp", "dynamic");
       field("abi", simd::runtime_abi());
       break;
     case Scheme::WarpSim:
@@ -147,22 +148,11 @@ Schedule Schedule::auto_select(const CollapsedEval& cn, const AutoSelectHints& h
     return s;
   }
 
-  bool costly_recovery = false;   // a level with no usable formula
-  bool high_degree = false;       // degree >= 3 closed forms
+  bool costly_recovery = false;  // a level with no usable formula
   for (int k = 0; k < cn.depth(); ++k) {
-    switch (cn.solver_kind(k)) {
-      case LevelSolverKind::Search:
-      case LevelSolverKind::Interpreted:
-        costly_recovery = true;
-        break;
-      case LevelSolverKind::Cubic:
-      case LevelSolverKind::Quartic:
-      case LevelSolverKind::Program:
-        high_degree = true;
-        break;
-      default:
-        break;
-    }
+    const LevelSolverKind kind = cn.solver_kind(k);
+    if (kind == LevelSolverKind::Search || kind == LevelSolverKind::Interpreted)
+      costly_recovery = true;
   }
 
   if (costly_recovery) {
@@ -172,26 +162,13 @@ Schedule Schedule::auto_select(const CollapsedEval& cn, const AutoSelectHints& h
     return s;
   }
 
-  const i64 chunk = default_chunk(total, nt);
-  if (h.block_body && !high_degree && cn.depth() >= 2) {
-    // Cheap recoveries + a SIMD-shaped body: lane blocks straight out of
-    // the recovery row walk, chunk starts solved one lane group per
-    // batched solve.  The default block width comes from the compiled
-    // simd abi's group width (8 on the AVX-512 leg, 4 elsewhere) — two
-    // groups per block amortize the row-walk bookkeeping over the lane
-    // stores.
-    s.scheme = Scheme::SimdBlocksChunked;
-    s.vlen = h.vlen > 0 ? h.vlen : 2 * simd::kGroupLanes;
-    s.chunk = chunk;
-    return s;
-  }
   // Production default (§V chunked, segment bodies): threads claim
   // chunks from one shared counter, so a delayed thread claims fewer
   // instead of holding up the run; one recovery per chunk amortizes the
   // degree >= 3 solves, and the innermost range reaches the body whole.
   s.scheme = Scheme::RowSegmentsChunked;
   s.omp = OmpSchedule::Dynamic;
-  s.chunk = chunk;
+  s.chunk = default_chunk(total, nt);
   return s;
 }
 

@@ -55,9 +55,9 @@ inline i64 default_chunk(i64 total, int threads) {
 /// Maximum lanes a SIMD block scheme may materialize per body call.
 inline constexpr int kMaxSimdLanes = 256;
 
-/// Every execution scheme the runtime implements.  PerIteration,
-/// Chunked and RowSegmentsChunked each come in a static and a dynamic
-/// OpenMP flavour, selected by Schedule::omp.
+/// Every execution scheme the runtime implements.  PerIteration and the
+/// three chunked schemes each come in a static and a dynamic OpenMP
+/// flavour, selected by Schedule::omp.
 enum class Scheme {
   PerIteration,        ///< Fig. 3: full recovery at every iteration
   PerThread,           ///< §V: contiguous block per thread, one recovery each
@@ -66,8 +66,8 @@ enum class Scheme {
                        ///< maximal innermost runs (vectorizable bodies)
   RowSegmentsChunked,  ///< row segments inside chunks, either deal
   SimdBlocks,          ///< §VI-A: SoA lane blocks of vlen tuples per call
-  SimdBlocksChunked,   ///< lane blocks inside chunks; chunk starts solved
-                       ///< 4 per SIMD lane (recover4)
+  SimdBlocksChunked,   ///< lane blocks inside chunks; a dynamic claim walks
+                       ///< its run of chunks as one run of blocks
   WarpSim,             ///< §VI-B: W-strided lanes, one recovery per lane
   SerialSim,           ///< Fig. 10 protocol: serial, n_chunks recoveries
 };
@@ -75,17 +75,14 @@ enum class Scheme {
 const char* scheme_name(Scheme s);
 
 struct AutoSelectHints {
-  int threads = 0;        ///< 0: omp_get_max_threads()
-  int vlen = 0;           ///< 0: pick from the compiled simd abi
-  bool block_body = false;  ///< the body consumes SoA lane blocks, so the
-                            ///< SIMD-block schemes are eligible
+  int threads = 0;  ///< 0: omp_get_max_threads()
 };
 
 /// One execution scheme plus all of its parameters.  A plain value:
 /// copy it, store it in tables, hand it to nrc::run() and the emitter.
 struct Schedule {
   Scheme scheme = Scheme::PerThread;
-  OmpSchedule omp = OmpSchedule::Static;  ///< PerIteration and the two
+  OmpSchedule omp = OmpSchedule::Static;  ///< PerIteration and the three
                                           ///< chunked schemes: the deal
   i64 chunk = 0;          ///< chunked schemes; <= 0 falls back to the
                           ///< unchunked parent scheme (static split)
@@ -119,7 +116,8 @@ struct Schedule {
 
   /// Pick a scheme for a bound domain when the caller has no
   /// preference: a deterministic heuristic over depth, trip count and
-  /// the per-level solver kinds bind() chose.
+  /// the per-level solver kinds bind() chose.  It never returns a
+  /// SIMD-block scheme: those run only when named explicitly.
   ///   * one thread or a tiny domain (<= 1 iteration) means one row
   ///     walk on the calling thread: PerThread at threads = 1, one
   ///     recovery and no fork/join, never the Fig. 10 SerialSim
@@ -128,8 +126,6 @@ struct Schedule {
   ///   * a Search/Interpreted level makes recovery costly, so the
   ///     schemes with the fewest recoveries win (RowSegments: one per
   ///     thread, vectorizable bodies at zero extra recoveries);
-  ///   * cheap recoveries (division/quadratic) take SimdBlocksChunked
-  ///     when the caller's body is block-shaped;
   ///   * every other closed-form domain takes dynamic RowSegmentsChunked
   ///     with default_chunk: one recovery per claim (a run of chunks)
   ///     amortizes even degree >= 3 solves, and claiming from one

@@ -119,7 +119,7 @@ std::string hex_double(double v) {
 std::string real_solver_helpers_c() {
   // The constants below are the double values of the long double
   // literals in core/real_solvers.hpp (the F = double instantiations
-  // the lane engines run), rendered as hex floats so the C side parses
+  // the proven-f64 guard path runs), rendered as hex floats so the C side parses
   // the identical bits.
   const std::string k2pi3 = hex_double(static_cast<double>(2.0943951023931954923084289221863353L));
   const std::string r3o2 = hex_double(static_cast<double>(0.86602540378443864676372317075293618L));

@@ -4,9 +4,7 @@
 #include <complex>
 #include <map>
 
-#include "core/real_solvers.hpp"
 #include "math/roots.hpp"
-#include "runtime/simd_abi.hpp"
 #include "support/error.hpp"
 
 namespace nrc {
@@ -29,97 +27,6 @@ bool needs_complex(const ExprPtr& n) {
 }  // namespace
 
 bool RootValue::finite() const { return std::isfinite(re) && std::isfinite(im); }
-
-namespace {
-
-/// Width-generic body of ferrari_estimate4/ferrari_estimate8.
-template <int W>
-void ferrari_estimate_lanes(const double* A, size_t stride, int branch, i64* est,
-                            bool* est_ok) {
-  using V = simd::batch<W>;
-  const V zero = simd::splat<W>(0.0);
-  const V half = simd::splat<W>(0.5);
-  auto col = [&](int e) {
-    double tmp[W];
-    for (int l = 0; l < W; ++l)
-      tmp[l] = A[static_cast<size_t>(l) * stride + static_cast<size_t>(e)];
-    return simd::load<W>(tmp);
-  };
-  const V a4 = col(4);
-  const V b = simd::div(col(3), a4);
-  const V c = simd::div(col(2), a4);
-  const V d = simd::div(col(1), a4);
-  const V e = simd::div(col(0), a4);
-
-  // Depressed quartic y^4 + p y^2 + q y + r (x = y - b/4).
-  const V b2 = simd::mul(b, b);
-  const V p = simd::sub(c, simd::mul(simd::splat<W>(3.0 / 8.0), b2));
-  const V q = simd::add(simd::sub(d, simd::mul(half, simd::mul(b, c))),
-                        simd::mul(simd::splat<W>(1.0 / 8.0), simd::mul(b2, b)));
-  const V r = simd::sub(
-      simd::add(simd::sub(e, simd::mul(simd::splat<W>(0.25), simd::mul(b, d))),
-                simd::mul(simd::splat<W>(1.0 / 16.0), simd::mul(b2, c))),
-      simd::mul(simd::splat<W>(3.0 / 256.0), simd::mul(b2, b2)));
-
-  const int rb = branch / 4;  // resolvent Cardano branch, 0..2
-  const int qb = branch % 4;  // quadratic-factor branch, 0..3
-
-  // Resolvent cubic w^3 + 2p w^2 + (p^2 - 4r) w - q^2 = 0 (monic).
-  // Both discriminant signs stay in-register inside cardano_branch_lanes
-  // (polynomial trig on the Viete lanes, Halley vcbrt on the one-real-
-  // root lanes); only set_vector_trig(false) drops to per-lane libm.
-  const V rB2 = simd::mul(simd::splat<W>(2.0), p);
-  const V rB1 = simd::sub(simd::mul(p, p), simd::mul(simd::splat<W>(4.0), r));
-  const V rB0 = simd::neg(simd::mul(q, q));
-  const CardanoBranchLanes<V> w = cardano_branch_lanes(rB2, rB1, rB0, rb);
-  const V wr = w.re;
-  const V wi = w.im;
-
-  // Quadratic-factor stage on the explicit (re, im) pair — see
-  // ferrari_estimate for the derivation.  alpha = csqrt(w), principal:
-  // the Im sign carries sign(Im w), applied with a mask blend.
-  const V aw = simd::sqrt(simd::add(simd::mul(wr, wr), simd::mul(wi, wi)));
-  const V ar = simd::sqrt(simd::mul(half, simd::add(aw, wr)));
-  const V ai0 = simd::sqrt(simd::mul(half, simd::sub(aw, wr)));
-  const V ai = simd::select(simd::cmp_ge(wi, zero), ai0, simd::neg(ai0));
-  // q / alpha = q * conj(alpha) / |w|  (w == 0 lanes degenerate to NaN).
-  const V qoaw = simd::div(q, aw);
-  const V qar = simd::mul(qoaw, ar);
-  const V qai = simd::neg(simd::mul(qoaw, ai));
-  // D = alpha^2 - 4*{beta,gamma} = w - 2*(p + w +- q/alpha).
-  const V sqar = qb < 2 ? simd::neg(qar) : qar;
-  const V sqai = qb < 2 ? simd::neg(qai) : qai;
-  const V Dr =
-      simd::sub(wr, simd::mul(simd::splat<W>(2.0), simd::add(simd::add(p, wr), sqar)));
-  const V Di = simd::neg(simd::add(wi, simd::mul(simd::splat<W>(2.0), sqai)));
-  const V ad = simd::sqrt(simd::add(simd::mul(Dr, Dr), simd::mul(Di, Di)));
-  const V sr = simd::sqrt(simd::mul(half, simd::add(ad, Dr)));  // Re(csqrt(D))
-  const V sa = qb < 2 ? simd::neg(ar) : ar;
-  const V y = simd::mul(half, (qb & 1) ? simd::sub(sa, sr) : simd::add(sa, sr));
-
-  const V root = simd::sub(y, simd::mul(simd::splat<W>(0.25), b));
-  const V flo = simd::floor(simd::add(root, simd::splat<W>(1e-9)));
-  double rootl[W], flol[W], a4l[W];
-  simd::store(rootl, root);
-  simd::store(flol, flo);
-  simd::store(a4l, a4);
-  for (int l = 0; l < W; ++l) {
-    est_ok[l] = a4l[l] != 0.0 && index_range_finite(rootl[l]);
-    est[l] = est_ok[l] ? static_cast<i64>(flol[l]) : 0;
-  }
-}
-
-}  // namespace
-
-void ferrari_estimate4(const double* A, size_t stride, int branch, i64 est[4],
-                       bool est_ok[4]) {
-  ferrari_estimate_lanes<4>(A, stride, branch, est, est_ok);
-}
-
-void ferrari_estimate8(const double* A, size_t stride, int branch, i64 est[8],
-                       bool est_ok[8]) {
-  ferrari_estimate_lanes<8>(A, stride, branch, est, est_ok);
-}
 
 /// Lowering context: walks the Expr DAG once, folding constants (with the
 /// bound parameters substituted into every polynomial leaf) and memoizing
@@ -445,162 +352,6 @@ RootValue RecoveryProgram::eval(std::span<const i64> point) const {
     }
   }
   return {re[n - 1], im[n - 1]};
-}
-
-template <int W>
-void RecoveryProgram::eval_lanes(const i64* pts, size_t stride, RootValue* out) const {
-  if (!compiled_) throw SolveError("RecoveryProgram::eval_lanes on an uncompiled program");
-
-  using V = simd::batch<W>;
-  V re[kMaxProgramRegs];
-  V im[kMaxProgramRegs];
-  const V zero = simd::splat<W>(0.0);
-
-  // Gather the W lanes of one slot into a vector.
-  auto slot_lanes = [&](int slot) {
-    double tmp[W];
-    for (int l = 0; l < W; ++l)
-      tmp[l] = static_cast<double>(
-          pts[static_cast<size_t>(l) * stride + static_cast<size_t>(slot)]);
-    return simd::load<W>(tmp);
-  };
-  // Per-lane scalar escape for the ops without a vector form.
-  auto map_lanes = [&](V a, auto&& f) {
-    double r[W];
-    simd::store(r, a);
-    for (int l = 0; l < W; ++l) r[l] = f(r[l]);
-    return simd::load<W>(r);
-  };
-  // Per-lane complex escapes in double (not the scalar eval()'s long
-  // double; the caller's guard absorbs the precision gap).
-  using cd = std::complex<double>;
-  auto map_lanes_c = [&](V ar, V ai, V* rr, V* ri, auto&& f) {
-    double lr[W], li[W];
-    simd::store(lr, ar);
-    simd::store(li, ai);
-    for (int l = 0; l < W; ++l) {
-      const cd z = f(cd{lr[l], li[l]});
-      lr[l] = z.real();
-      li[l] = z.imag();
-    }
-    *rr = simd::load<W>(lr);
-    *ri = simd::load<W>(li);
-  };
-
-  const size_t n = code_.size();
-  for (size_t i = 0; i < n; ++i) {
-    const Ins& ins = code_[i];
-    switch (ins.op) {
-      case Op::RConst:
-        re[i] = simd::splat<W>(static_cast<double>(ins.re));
-        im[i] = zero;
-        break;
-      case Op::RPoly: {
-        V acc = zero;
-        for (int t = ins.term_lo; t < ins.term_hi; ++t) {
-          const PolyTerm& term = terms_[static_cast<size_t>(t)];
-          V v = simd::splat<W>(static_cast<double>(term.coef));
-          for (int p = term.pow_lo; p < term.pow_hi; ++p) {
-            const PolyPow& pw = pows_[static_cast<size_t>(p)];
-            const V base = slot_lanes(pw.slot);
-            for (int e = 0; e < pw.exp; ++e) v = simd::mul(v, base);
-          }
-          acc = simd::add(acc, v);
-        }
-        re[i] = acc;
-        im[i] = zero;
-        break;
-      }
-      case Op::RAdd:
-        re[i] = simd::add(re[ins.a], re[ins.b]);
-        im[i] = zero;
-        break;
-      case Op::RSub:
-        re[i] = simd::sub(re[ins.a], re[ins.b]);
-        im[i] = zero;
-        break;
-      case Op::RMul:
-        re[i] = simd::mul(re[ins.a], re[ins.b]);
-        im[i] = zero;
-        break;
-      case Op::RDiv:
-        re[i] = simd::div(re[ins.a], re[ins.b]);
-        im[i] = zero;
-        break;
-      case Op::RNeg:
-        re[i] = simd::neg(re[ins.a]);
-        im[i] = zero;
-        break;
-      case Op::RSqrt:
-        re[i] = simd::sqrt(re[ins.a]);  // NaN lanes on negative: guard handles
-        im[i] = zero;
-        break;
-      case Op::RCbrt:
-        re[i] = map_lanes(re[ins.a], [](double x) { return std::cbrt(x); });
-        im[i] = zero;
-        break;
-      case Op::CConst:
-        re[i] = simd::splat<W>(static_cast<double>(ins.re));
-        im[i] = simd::splat<W>(static_cast<double>(ins.im));
-        break;
-      case Op::CAdd:
-        re[i] = simd::add(re[ins.a], re[ins.b]);
-        im[i] = simd::add(im[ins.a], im[ins.b]);
-        break;
-      case Op::CSub:
-        re[i] = simd::sub(re[ins.a], re[ins.b]);
-        im[i] = simd::sub(im[ins.a], im[ins.b]);
-        break;
-      case Op::CMul: {
-        const V ar = re[ins.a], ai = im[ins.a];
-        const V br = re[ins.b], bi = im[ins.b];
-        re[i] = simd::sub(simd::mul(ar, br), simd::mul(ai, bi));
-        im[i] = simd::add(simd::mul(ar, bi), simd::mul(ai, br));
-        break;
-      }
-      case Op::CDiv: {
-        // (a * conj b) / |b|^2 componentwise; moderate magnitudes only
-        // reach this path, and the exact guard absorbs rounding.
-        const V ar = re[ins.a], ai = im[ins.a];
-        const V br = re[ins.b], bi = im[ins.b];
-        const V den = simd::add(simd::mul(br, br), simd::mul(bi, bi));
-        re[i] = simd::div(simd::add(simd::mul(ar, br), simd::mul(ai, bi)), den);
-        im[i] = simd::div(simd::sub(simd::mul(ai, br), simd::mul(ar, bi)), den);
-        break;
-      }
-      case Op::CNeg:
-        re[i] = simd::neg(re[ins.a]);
-        im[i] = simd::neg(im[ins.a]);
-        break;
-      case Op::CSqrt:
-        map_lanes_c(re[ins.a], im[ins.a], &re[i], &im[i],
-                    [](const cd& z) { return std::sqrt(z); });
-        break;
-      case Op::CCbrt:
-        // Same principal branch as principal_cbrt (arg/3 in (-pi/3,
-        // pi/3]), computed in double.
-        map_lanes_c(re[ins.a], im[ins.a], &re[i], &im[i], [](const cd& z) {
-          if (z == cd{0.0, 0.0}) return cd{0.0, 0.0};
-          const double m = std::cbrt(std::hypot(z.real(), z.imag()));
-          const double a = std::atan2(z.imag(), z.real()) / 3.0;
-          return cd{m * std::cos(a), m * std::sin(a)};
-        });
-        break;
-    }
-  }
-  double rr[W], ri[W];
-  simd::store(rr, re[n - 1]);
-  simd::store(ri, im[n - 1]);
-  for (int l = 0; l < W; ++l)
-    out[l] = {static_cast<long double>(rr[l]), static_cast<long double>(ri[l])};
-}
-
-void RecoveryProgram::eval4(const i64* pts, size_t stride, RootValue out[4]) const {
-  eval_lanes<4>(pts, stride, out);
-}
-
-void RecoveryProgram::eval8(const i64* pts, size_t stride, RootValue out[8]) const {
-  eval_lanes<8>(pts, stride, out);
 }
 
 bool RecoveryProgram::uses_complex() const {

@@ -46,25 +46,6 @@ struct RootValue {
   bool finite() const;
 };
 
-/// Lane-batched guarded real-arithmetic Ferrari estimates: four (or
-/// eight) quartic level equations solved at once (the eval4-style
-/// counterpart of ferrari_estimate in core/real_solvers.hpp).  Lane l's
-/// coefficients A0..A4 live at A + l*stride, low to high.  The
-/// depression, the resolvent-cubic coefficients and the quadratic-factor
-/// stage (both of its complex shapes, blended by sign masks) run as
-/// simd_abi vectors of the requested width; the resolvent's Cardano
-/// branch value runs through cardano_branch_lanes, whose Viete trig is
-/// the polynomial vatan2/vcos kernels (per-lane libm when
-/// simd::set_vector_trig(false)).  est_ok[l] is false where the
-/// real-arithmetic path cannot follow the branch (complex resolvent
-/// root, degenerate divisions, non-finite) — the caller demotes those
-/// lanes to the bytecode program.  Estimates sit behind the exact
-/// integer guard, so double precision suffices.  Allocation-free.
-void ferrari_estimate4(const double* A, size_t stride, int branch, i64 est[4],
-                       bool est_ok[4]);
-void ferrari_estimate8(const double* A, size_t stride, int branch, i64 est[8],
-                       bool est_ok[8]);
-
 class RecoveryProgram {
  public:
   RecoveryProgram() = default;
@@ -82,18 +63,6 @@ class RecoveryProgram {
   /// Evaluate on the integer point (slot-ordered, same layout as the
   /// generic evaluators).  Allocation-free.
   RootValue eval(std::span<const i64> point) const;
-
-  /// Lane-batched evaluation on four (or eight) integer points at once:
-  /// lane l reads the row pts + l*stride (same slot layout as eval()).
-  /// The instruction list runs over SIMD register files of the requested
-  /// width (simd_abi vf64 / vf64x8); arithmetic is double precision, not
-  /// the scalar eval()'s long double — every caller sits behind the
-  /// exact integer correction guard, which absorbs the difference.
-  /// Complex square/cube roots drop to per-lane scalar calls (they are
-  /// a handful of instructions in a Ferrari tree); everything else,
-  /// including the polynomial leaves, is vectorized.  Allocation-free.
-  void eval4(const i64* pts, size_t stride, RootValue out[4]) const;
-  void eval8(const i64* pts, size_t stride, RootValue out[8]) const;
 
   /// Instruction count (diagnostics / tests).
   size_t size() const { return code_.size(); }
@@ -136,10 +105,6 @@ class RecoveryProgram {
   };
 
   friend struct ProgramLowering;
-
-  /// Width-generic body shared by eval4/eval8 (W = 4 or 8).
-  template <int W>
-  void eval_lanes(const i64* pts, size_t stride, RootValue* out) const;
 
   bool compiled_ = false;
   std::vector<Ins> code_;

@@ -47,6 +47,22 @@ TEST(SimdEmit, StructureMirrorsSectionVIA) {
   EXPECT_NE(src.find("firstprivate(__nrc_first)"), std::string::npos);
 }
 
+TEST(SimdEmit, RejectsOutOfRangeVlen) {
+  // Each loop variable gets a vlen-long staging array per thread, so a
+  // vlen past kMaxSimdLanes must not reach the emitted C.
+  const NestProgram prog = utma_prog();
+  const Collapsed col = collapse(prog.collapsed_nest());
+  EmitOptions opt;
+  for (const int vlen : {0, kMaxSimdLanes + 1, 100000000}) {
+    opt.schedule = Schedule::simd_blocks(vlen);
+    EXPECT_THROW(emit_collapsed_function(prog, col, opt), SpecError) << vlen;
+    EXPECT_THROW(emit_verification_program(prog, col, opt), SpecError) << vlen;
+  }
+  opt.schedule = Schedule::simd_blocks(kMaxSimdLanes);
+  EXPECT_NE(emit_collapsed_function(prog, col, opt).find("long long __nrc_T_i[256];"),
+            std::string::npos);
+}
+
 TEST(SimdEmit, CompilesAndVerifies) {
   if (std::system("cc --version > /dev/null 2>&1") != 0)
     GTEST_SKIP() << "no system C compiler";

@@ -8,8 +8,7 @@
 //                        included) with the proven-f64 guard policy,
 //   recover   [i128]   — the same engine with set_f64_guards(false),
 //                        byte-identical by the exactness proof,
-//   recover4/recover8  — lane-batched solves at both lane widths,
-//   recover_block(s4/s8)— row-walking and lane-strided batched recovery,
+//   recover_block      — one solve per block, then row arithmetic,
 //   recover_interpreted— the seed-era complex interpreter,
 //
 // plus rank() round trips.  Domains expected empty must be rejected by
@@ -95,43 +94,10 @@ void check_domain(const CollapsedEval& cn, const std::string& repro, FuzzTally* 
     ASSERT_EQ(eng, ref) << repro << "recover disagrees at pc=trip_count";
   }
 
-  // recover4: sliding (clamped) windows of 4 pcs.
-  std::vector<i64> out4(4 * d);
-  for (i64 lo = 1; lo <= total; lo += 4 * step) {
-    const i64 base = std::min<i64>(lo, std::max<i64>(1, total - 3));
-    const i64 pcs[4] = {base, std::min(base + 1, total), std::min(base + 2, total),
-                        std::min(base + 3, total)};
-    cn.recover4(pcs, out4, &tally->stats);
-    for (int l = 0; l < 4; ++l) {
-      cn.recover_search(pcs[l], ref);
-      for (size_t q = 0; q < d; ++q)
-        ASSERT_EQ(out4[static_cast<size_t>(l) * d + q], ref[q])
-            << repro << "recover4 lane " << l << " disagrees at pc=" << pcs[l];
-    }
-  }
-
-  // recover8: sliding (clamped) windows of 8 pcs — the wide-lane twin,
-  // exercised on every abi leg (emulated lanes off AVX-512).
-  std::vector<i64> out8(8 * d);
-  for (i64 lo = 1; lo <= total; lo += 8 * step) {
-    const i64 base = std::min<i64>(lo, std::max<i64>(1, total - 7));
-    i64 pcs[8];
-    for (int l = 0; l < 8; ++l) pcs[l] = std::min<i64>(base + l, total);
-    cn.recover8(pcs, out8, &tally->stats);
-    for (int l = 0; l < 8; ++l) {
-      cn.recover_search(pcs[l], ref);
-      for (size_t q = 0; q < d; ++q)
-        ASSERT_EQ(out8[static_cast<size_t>(l) * d + q], ref[q])
-            << repro << "recover8 lane " << l << " disagrees at pc=" << pcs[l];
-    }
-  }
-
-  // recover_block (row-major) and recover_blocks4 (lane-strided tiles).
+  // recover_block: one solve per block, the rest by row arithmetic.
   constexpr i64 kB = 5;
   std::vector<i64> blk(kB * d);
-  std::vector<i64> tiles(4 * kB * d);
-  i64 rows[4];
-  for (i64 lo = 1; lo <= total; lo += 4 * kB * step) {
+  for (i64 lo = 1; lo <= total; lo += kB * step) {
     const i64 got = cn.recover_block(lo, kB, blk, &tally->stats);
     ASSERT_EQ(got, std::min<i64>(kB, total - lo + 1)) << repro << "recover_block rows";
     for (i64 r = 0; r < got; ++r) {
@@ -139,40 +105,6 @@ void check_domain(const CollapsedEval& cn, const std::string& repro, FuzzTally* 
       for (size_t q = 0; q < d; ++q)
         ASSERT_EQ(blk[static_cast<size_t>(r) * d + q], ref[q])
             << repro << "recover_block disagrees at pc=" << lo + r;
-    }
-    const i64 pcs[4] = {lo, std::min(lo + kB, total), std::min(lo + 2 * kB, total),
-                        std::min(lo + 3 * kB, total)};
-    cn.recover_blocks4(pcs, kB, tiles, kB, rows, &tally->stats);
-    for (int b = 0; b < 4; ++b) {
-      ASSERT_EQ(rows[b], std::min<i64>(kB, total - pcs[b] + 1))
-          << repro << "recover_blocks4 rows, block " << b;
-      for (i64 r = 0; r < rows[b]; ++r) {
-        cn.recover_search(pcs[b] + r, ref);
-        for (size_t q = 0; q < d; ++q)
-          ASSERT_EQ(tiles[(static_cast<size_t>(b) * d + q) * kB + static_cast<size_t>(r)],
-                    ref[q])
-              << repro << "recover_blocks4 disagrees at pc=" << pcs[b] + r;
-      }
-    }
-  }
-
-  // recover_blocks8: eight lane-strided tiles per call.
-  std::vector<i64> tiles8(8 * kB * d);
-  i64 rows8[8];
-  for (i64 lo = 1; lo <= total; lo += 8 * kB * step) {
-    i64 pcs[8];
-    for (int b = 0; b < 8; ++b) pcs[b] = std::min<i64>(lo + static_cast<i64>(b) * kB, total);
-    cn.recover_blocks8(pcs, kB, tiles8, kB, rows8, &tally->stats);
-    for (int b = 0; b < 8; ++b) {
-      ASSERT_EQ(rows8[b], std::min<i64>(kB, total - pcs[b] + 1))
-          << repro << "recover_blocks8 rows, block " << b;
-      for (i64 r = 0; r < rows8[b]; ++r) {
-        cn.recover_search(pcs[b] + r, ref);
-        for (size_t q = 0; q < d; ++q)
-          ASSERT_EQ(tiles8[(static_cast<size_t>(b) * d + q) * kB + static_cast<size_t>(r)],
-                    ref[q])
-              << repro << "recover_blocks8 disagrees at pc=" << pcs[b] + r;
-      }
     }
   }
 }

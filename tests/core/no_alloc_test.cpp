@@ -103,75 +103,23 @@ TEST(NoAllocation, RecoverBlockHotPath) {
   }
 }
 
-TEST(NoAllocation, RecoverBlockLanesHotPath) {
-  // The lane-strided (SoA) batched path: SIMD fills over caller-owned
-  // columns, no hidden scratch.
+TEST(NoAllocation, LaneBlockWalkHotPath) {
+  // The SIMD-block schemes' walk: one recovery per range, then SoA lane
+  // blocks filled on the stack, for block and tuple bodies alike.
+  const Schedule s = Schedule::simd_blocks_chunked(16, 64, {1});
   for (auto& c : engine_cases()) {
-    const size_t d = static_cast<size_t>(c.cn.depth());
-    constexpr i64 kBlock = 128;
-    std::vector<i64> out(d * kBlock);  // caller-owned buffer: not hot path
-    c.cn.recover_block_lanes(1, kBlock, out, kBlock);
+    i64 sum = 0;
+    const auto block = [&sum](int lanes, const i64* const* cols) { sum += cols[0][lanes - 1]; };
+    const auto tuple = [&sum](std::span<const i64> idx) { sum += idx.back(); };
+    nrc::run(c.cn, s, block);  // warm-up: thread team, lazy paths
+    nrc::run(c.cn, s, tuple);
 
     const long long before = g_allocations.load();
-    for (i64 lo = 1; lo <= c.cn.trip_count(); lo += kBlock)
-      c.cn.recover_block_lanes(lo, kBlock, out, kBlock);
+    nrc::run(c.cn, s, block);
+    nrc::run(c.cn, s, tuple);
     const long long after = g_allocations.load();
-    EXPECT_EQ(after, before) << c.name << ": recover_block_lanes() allocated";
-  }
-}
-
-TEST(NoAllocation, LaneBatchedRecoveryHotPath) {
-  // recover4 / recover_blocks4: lane-parallel solves (including the
-  // 4-wide bytecode program on the quartic case) over stack scratch.
-  for (auto& c : engine_cases()) {
-    const size_t d = static_cast<size_t>(c.cn.depth());
-    constexpr i64 kBlock = 32;
-    std::vector<i64> tuples(4 * d);
-    std::vector<i64> tiles(4 * d * kBlock);
-    i64 rows[4];
-    const i64 total = c.cn.trip_count();
-    const i64 q = std::max<i64>(1, total / 4);
-    const i64 pcs[4] = {1, std::min(q + 1, total), std::min(2 * q + 1, total), total};
-    c.cn.recover4(pcs, tuples);
-    c.cn.recover_blocks4(pcs, kBlock, tiles, kBlock, rows);
-
-    const long long before = g_allocations.load();
-    for (i64 lo = 1; lo + 3 <= std::min<i64>(total, 2000); lo += 4) {
-      const i64 w[4] = {lo, lo + 1, lo + 2, lo + 3};
-      c.cn.recover4(w, tuples);
-    }
-    c.cn.recover_blocks4(pcs, kBlock, tiles, kBlock, rows);
-    const long long after = g_allocations.load();
-    EXPECT_EQ(after, before) << c.name << ": lane-batched recovery allocated";
-  }
-}
-
-TEST(NoAllocation, EightLaneRecoveryHotPath) {
-  // recover8 / recover_blocks8: the wide-lane twins (native 512-bit
-  // vectors on the AVX-512 leg, emulated elsewhere) over the same
-  // stack scratch — no allocation on any leg.
-  for (auto& c : engine_cases()) {
-    const size_t d = static_cast<size_t>(c.cn.depth());
-    constexpr i64 kBlock = 32;
-    std::vector<i64> tuples(8 * d);
-    std::vector<i64> tiles(8 * d * kBlock);
-    i64 rows[8];
-    const i64 total = c.cn.trip_count();
-    const i64 q = std::max<i64>(1, total / 8);
-    i64 pcs[8];
-    for (int b = 0; b < 8; ++b) pcs[b] = std::min<i64>(static_cast<i64>(b) * q + 1, total);
-    c.cn.recover8(pcs, tuples);
-    c.cn.recover_blocks8(pcs, kBlock, tiles, kBlock, rows);
-
-    const long long before = g_allocations.load();
-    for (i64 lo = 1; lo + 7 <= std::min<i64>(total, 2000); lo += 8) {
-      i64 w[8];
-      for (int b = 0; b < 8; ++b) w[b] = lo + b;
-      c.cn.recover8(w, tuples);
-    }
-    c.cn.recover_blocks8(pcs, kBlock, tiles, kBlock, rows);
-    const long long after = g_allocations.load();
-    EXPECT_EQ(after, before) << c.name << ": 8-lane recovery allocated";
+    EXPECT_EQ(after, before) << c.name << ": the lane-block walk allocated";
+    EXPECT_NE(sum, 0) << c.name;
   }
 }
 

@@ -42,52 +42,6 @@ void expect_blocks_match_search(const CollapsedEval& cn, i64 block, const std::s
   }
 }
 
-/// recover_block_lanes (SoA layout, SIMD fills) against binary search
-/// over the full domain.  `stride` > block exercises a column pitch
-/// larger than the produced rows.
-void expect_lane_blocks_match_search(const CollapsedEval& cn, i64 block, i64 stride,
-                                     const std::string& tag) {
-  ASSERT_GE(stride, block);
-  const size_t d = static_cast<size_t>(cn.depth());
-  std::vector<i64> out(d * static_cast<size_t>(stride));
-  std::vector<i64> via_search(d);
-  for (i64 lo = 1; lo <= cn.trip_count(); lo += block) {
-    const i64 got = cn.recover_block_lanes(lo, block, out, stride);
-    ASSERT_EQ(got, std::min<i64>(block, cn.trip_count() - lo + 1)) << tag << " lo=" << lo;
-    for (i64 r = 0; r < got; ++r) {
-      cn.recover_search(lo + r, via_search);
-      for (size_t q = 0; q < d; ++q)
-        ASSERT_EQ(out[q * static_cast<size_t>(stride) + static_cast<size_t>(r)],
-                  via_search[q])
-            << tag << " block=" << block << " stride=" << stride << " pc=" << lo + r
-            << " dim=" << q;
-    }
-  }
-}
-
-/// recover4 (lane-batched solves) against binary search: sliding windows
-/// of 4 consecutive pcs across the whole domain, including the clipped
-/// window at the end (recover4 takes arbitrary pcs, so the window start
-/// is clamped rather than shortened).
-void expect_recover4_matches_search(const CollapsedEval& cn, const std::string& tag) {
-  const size_t d = static_cast<size_t>(cn.depth());
-  std::vector<i64> out(4 * d);
-  std::vector<i64> via_search(d);
-  for (i64 lo = 1; lo <= cn.trip_count(); lo += 4) {
-    const i64 base = std::min<i64>(lo, std::max<i64>(1, cn.trip_count() - 3));
-    const i64 pcs[4] = {base, std::min(base + 1, cn.trip_count()),
-                        std::min(base + 2, cn.trip_count()),
-                        std::min(base + 3, cn.trip_count())};
-    cn.recover4(pcs, out);
-    for (int l = 0; l < 4; ++l) {
-      cn.recover_search(pcs[l], via_search);
-      for (size_t q = 0; q < d; ++q)
-        ASSERT_EQ(out[static_cast<size_t>(l) * d + q], via_search[q])
-            << tag << " pc=" << pcs[l] << " lane=" << l << " dim=" << q;
-    }
-  }
-}
-
 TEST(RecoveryEngine, MatchesSearchOnEveryKernelNest) {
   for (const auto& name : kernel_names()) {
     auto kernel = make_kernel(name);
@@ -109,69 +63,6 @@ TEST(RecoveryEngine, BlocksMatchSearchOnEveryKernelNest) {
   }
 }
 
-TEST(RecoveryEngine, LaneBlocksMatchSearchOnEveryKernelNest) {
-  // Non-multiple-of-4 blocks exercise the vector fills' scalar tails;
-  // stride > block exercises the lane-strided pitch.
-  for (const auto& name : kernel_names()) {
-    auto kernel = make_kernel(name);
-    kernel->prepare(0.0);
-    const Collapsed col = collapse(kernel->collapsed_spec());
-    const CollapsedEval cn = col.bind(kernel->bound_params());
-    for (i64 block : {i64{1}, i64{7}, i64{64}, cn.trip_count()}) {
-      expect_lane_blocks_match_search(cn, block, block, name);
-      expect_lane_blocks_match_search(cn, block, block + 3, name);
-    }
-  }
-}
-
-TEST(RecoveryEngine, Recover4MatchesSearchOnEveryKernelNest) {
-  for (const auto& name : kernel_names()) {
-    auto kernel = make_kernel(name);
-    kernel->prepare(0.0);
-    const Collapsed col = collapse(kernel->collapsed_spec());
-    const CollapsedEval cn = col.bind(kernel->bound_params());
-    expect_recover4_matches_search(cn, name);
-  }
-}
-
-TEST(RecoveryEngine, Blocks4MatchesScalarBlocks) {
-  // recover_blocks4 == four independent recover_block_lanes tiles,
-  // including clipped tails at the end of the domain and duplicate pcs.
-  for (const auto& sc : testutil::closed_form_shapes()) {
-    const ParamMap p = testutil::uniform_params(sc.nest, 7);
-    if (!has_no_empty_ranges(sc.nest, p)) continue;
-    const CollapsedEval cn = collapse(sc.nest).bind(p);
-    const size_t d = static_cast<size_t>(cn.depth());
-    const i64 total = cn.trip_count();
-    constexpr i64 kBlock = 9;  // not a lane multiple
-    const i64 stride = kBlock;
-    std::vector<i64> out4(4 * d * static_cast<size_t>(stride));
-    std::vector<i64> one(d * static_cast<size_t>(stride));
-    i64 rows[4];
-    const i64 q = std::max<i64>(1, total / 4);
-    const i64 pcs[4] = {1, std::min(q + 1, total), std::min(2 * q + 1, total), total};
-    cn.recover_blocks4(pcs, kBlock, out4, stride, rows);
-    for (int b = 0; b < 4; ++b) {
-      ASSERT_EQ(rows[b], std::min<i64>(kBlock, total - pcs[b] + 1)) << sc.name;
-      const i64 got = cn.recover_block_lanes(pcs[b], kBlock, one, stride);
-      ASSERT_EQ(got, rows[b]) << sc.name;
-      for (size_t k = 0; k < d; ++k)
-        for (i64 r = 0; r < rows[b]; ++r)
-          ASSERT_EQ(out4[(static_cast<size_t>(b) * d + k) * static_cast<size_t>(stride) +
-                         static_cast<size_t>(r)],
-                    one[k * static_cast<size_t>(stride) + static_cast<size_t>(r)])
-              << sc.name << " block=" << b << " dim=" << k << " row=" << r;
-    }
-    // All four lanes on the same pc agree with each other.
-    const i64 same[4] = {total / 2 + 1, total / 2 + 1, total / 2 + 1, total / 2 + 1};
-    std::vector<i64> tuples(4 * d);
-    cn.recover4(same, tuples);
-    for (int l = 1; l < 4; ++l)
-      for (size_t k = 0; k < d; ++k)
-        ASSERT_EQ(tuples[static_cast<size_t>(l) * d + k], tuples[k]) << sc.name;
-  }
-}
-
 TEST(RecoveryEngine, MatchesSearchOnAllShapes) {
   // The shape menagerie exercises every solver kind: exact-division
   // (degree 1), guarded-quadratic, bytecode programs (degrees 3 and 4).
@@ -181,8 +72,6 @@ TEST(RecoveryEngine, MatchesSearchOnAllShapes) {
     const CollapsedEval cn = collapse(sc.nest).bind(p);
     expect_engine_matches_search(cn, sc.name);
     expect_blocks_match_search(cn, 5, sc.name);
-    expect_lane_blocks_match_search(cn, 5, 5, sc.name);
-    expect_recover4_matches_search(cn, sc.name);
   }
 }
 
@@ -217,8 +106,6 @@ TEST(RecoveryEngine, SearchFallbackLevelsStayExact) {
   const CollapsedEval cn = collapse(testutil::simplex_5d()).bind({{"N", 6}});
   expect_engine_matches_search(cn, "simplex_5d");
   expect_blocks_match_search(cn, 11, "simplex_5d");
-  expect_lane_blocks_match_search(cn, 11, 11, "simplex_5d");
-  expect_recover4_matches_search(cn, "simplex_5d");
 }
 
 TEST(RecoveryEngine, MaxDepthNest) {
@@ -233,8 +120,6 @@ TEST(RecoveryEngine, MaxDepthNest) {
   const CollapsedEval cn = collapse(n).bind({{"N", 3}});
   expect_engine_matches_search(cn, "max_depth");
   expect_blocks_match_search(cn, 64, "max_depth");
-  expect_lane_blocks_match_search(cn, 64, 64, "max_depth");
-  expect_recover4_matches_search(cn, "max_depth");
 }
 
 TEST(RecoverBlock, EdgeCases) {
@@ -266,59 +151,6 @@ TEST(RecoverBlock, SingleLoopNest) {
   std::vector<i64> out(7);
   ASSERT_EQ(cn.recover_block(1, 7, out), 7);
   for (i64 r = 0; r < 7; ++r) EXPECT_EQ(out[static_cast<size_t>(r)], 2 + r);
-}
-
-TEST(RecoverBlockLanes, EdgeCases) {
-  const CollapsedEval cn = collapse(testutil::triangular_strict()).bind({{"N", 12}});
-  const size_t d = static_cast<size_t>(cn.depth());
-  std::vector<i64> out(8 * d);
-
-  EXPECT_EQ(cn.recover_block_lanes(1, 0, out, 8), 0);   // empty request
-  EXPECT_EQ(cn.recover_block_lanes(1, -3, out, 8), 0);  // negative request
-
-  // Clipping at the end of the domain (SoA layout).
-  EXPECT_EQ(cn.recover_block_lanes(cn.trip_count(), 8, out, 8), 1);
-  std::vector<i64> last(d);
-  cn.last(last);
-  EXPECT_EQ(out[0], last[0]);
-  EXPECT_EQ(out[8], last[1]);  // column 1 starts at stride
-
-  // Out-of-range pc_lo, undersized stride and undersized output throw.
-  EXPECT_THROW(cn.recover_block_lanes(0, 4, out, 8), SolveError);
-  EXPECT_THROW(cn.recover_block_lanes(cn.trip_count() + 1, 4, out, 8), SolveError);
-  EXPECT_THROW(cn.recover_block_lanes(1, 8, out, 4), SpecError);  // stride < rows
-  std::vector<i64> tiny(d);
-  EXPECT_THROW(cn.recover_block_lanes(1, 8, tiny, 8), SpecError);
-}
-
-TEST(RecoverBlockLanes, SingleLoopNest) {
-  NestSpec n;
-  n.param("N").loop("i", aff::c(2), aff::v("N"));
-  const CollapsedEval cn = collapse(n).bind({{"N", 9}});
-  std::vector<i64> out(7);
-  ASSERT_EQ(cn.recover_block_lanes(1, 7, out, 7), 7);
-  for (i64 r = 0; r < 7; ++r) EXPECT_EQ(out[static_cast<size_t>(r)], 2 + r);
-}
-
-TEST(RecoverBlocks4, EdgeCases) {
-  const CollapsedEval cn = collapse(testutil::triangular_strict()).bind({{"N", 12}});
-  const size_t d = static_cast<size_t>(cn.depth());
-  std::vector<i64> out(4 * 8 * d);
-  i64 rows[4] = {-1, -1, -1, -1};
-
-  const i64 pcs[4] = {1, 2, 3, 4};
-  cn.recover_blocks4(pcs, 0, out, 8, rows);  // empty request
-  for (int b = 0; b < 4; ++b) EXPECT_EQ(rows[b], 0);
-
-  const i64 bad[4] = {1, 2, 3, cn.trip_count() + 1};
-  EXPECT_THROW(cn.recover_blocks4(bad, 4, out, 8, rows), SolveError);
-  EXPECT_THROW(cn.recover_blocks4(pcs, 8, out, 4, rows), SpecError);  // stride < rows
-  std::vector<i64> tiny(d);
-  EXPECT_THROW(cn.recover_blocks4(pcs, 8, tiny, 8, rows), SpecError);
-
-  EXPECT_THROW(cn.recover4(bad, out), SolveError);
-  std::vector<i64> tiny4(4 * d - 1);
-  EXPECT_THROW(cn.recover4(pcs, tiny4), SpecError);
 }
 
 TEST(Advance, AgreesWithRepeatedIncrement) {
@@ -362,19 +194,14 @@ TEST(RecoveryEngine, DescribeNamesLoweredSolvers) {
   EXPECT_NE(r.find("lowered solver: exact-division"), std::string::npos) << r;
 }
 
-TEST(RecoveryEngine, DescribeNamesLaneBatchedSolvers) {
-  // Quadratic and bytecode-program levels evaluate one lane group of
-  // pcs per batched call; describe() reports the group width of the
-  // compiled simd abi (8 on the AVX-512 leg, 4 on avx2/scalar) and the
-  // ABI leg actually usable at runtime.
-  const std::string x = "x" + std::to_string(simd::kGroupLanes) + "]";
-  const std::string d = collapse(testutil::triangular_strict()).describe();
-  EXPECT_NE(d.find("guarded-quadratic [lane-batched " + x), std::string::npos) << d;
-  EXPECT_NE(d.find("runtime simd abi: " + std::string(simd::runtime_abi())),
-            std::string::npos)
-      << d;
-  const std::string q = collapse(testutil::simplex_4d()).describe();
-  EXPECT_NE(q.find("guarded-ferrari [lane-batched " + x), std::string::npos) << q;
+TEST(RecoveryEngine, DescribeIsHostIndependent) {
+  // describe() reports the symbolic plan only: nothing in it names the
+  // SIMD leg the library was compiled for.
+  for (const NestSpec& nest : {testutil::triangular_strict(), testutil::simplex_4d()}) {
+    const std::string d = collapse(nest).describe();
+    EXPECT_EQ(d.find("lane"), std::string::npos) << d;
+    EXPECT_EQ(d.find("simd"), std::string::npos) << d;
+  }
 }
 
 TEST(RecoveryEngine, AstronomicalParameterOffsetsStillBind) {
@@ -394,11 +221,7 @@ TEST(RecoveryEngine, AstronomicalParameterOffsetsStillBind) {
   EXPECT_EQ(cn.solver_kind(0), LevelSolverKind::Quartic);
   EXPECT_FALSE(cn.guards_provably_f64(0));
   expect_engine_matches_search(cn, "astronomical_offsets");
-  // The lane-batched path must take the same demotions (no exact-double
-  // proof here: slot magnitudes around 1e6 push quartic coefficients
-  // past the 2^53 window) and still match search exactly.
-  expect_recover4_matches_search(cn, "astronomical_offsets");
-  expect_lane_blocks_match_search(cn, 13, 13, "astronomical_offsets");
+  expect_blocks_match_search(cn, 13, "astronomical_offsets");
 }
 
 // ---------------------------------------------------------------------------
@@ -544,7 +367,7 @@ TEST(RecoveryEngine, FerrariSolvesQuarticNestsWithoutDemotion) {
 /// Demotion to bytecode on guard failure: force_quartic_demotion makes
 /// every quartic point take the demoted path (bytecode estimate + exact
 /// guard, quartic_demoted counting), and the results must still match
-/// search exactly — scalar and lane-batched engines alike.
+/// search exactly.
 TEST(RecoveryEngine, QuarticGuardFailureDemotesToBytecode) {
   for (const auto& nest : {testutil::simplex_4d(), testutil::trapezoid_tower_4d()}) {
     const CollapsedEval cn = collapse(nest).bind({{"N", 11}});
@@ -554,7 +377,7 @@ TEST(RecoveryEngine, QuarticGuardFailureDemotesToBytecode) {
 
     RecoveryStats stats;
     const size_t d = static_cast<size_t>(cn.depth());
-    std::vector<i64> idx(d), ref(d), out4(4 * d);
+    std::vector<i64> idx(d), ref(d);
     for (i64 pc = 1; pc <= cn.trip_count(); ++pc) {
       cn.recover_search(pc, ref);
       demoted.recover(pc, idx, &stats);
@@ -563,21 +386,6 @@ TEST(RecoveryEngine, QuarticGuardFailureDemotesToBytecode) {
     EXPECT_EQ(stats.quartic_demoted, cn.trip_count());
     EXPECT_EQ(stats.fallback, 0);  // the bytecode estimate still lands
 
-    RecoveryStats lane_stats;
-    for (i64 lo = 1; lo <= cn.trip_count(); lo += 4) {
-      const i64 base = std::min<i64>(lo, std::max<i64>(1, cn.trip_count() - 3));
-      const i64 pcs[4] = {base, std::min(base + 1, cn.trip_count()),
-                          std::min(base + 2, cn.trip_count()),
-                          std::min(base + 3, cn.trip_count())};
-      demoted.recover4(pcs, out4, &lane_stats);
-      for (int l = 0; l < 4; ++l) {
-        cn.recover_search(pcs[l], ref);
-        for (size_t q = 0; q < d; ++q)
-          ASSERT_EQ(out4[static_cast<size_t>(l) * d + q], ref[q])
-              << "demoted recover4 pc=" << pcs[l];
-      }
-    }
-    EXPECT_GT(lane_stats.quartic_demoted, 0);
   }
 }
 

@@ -1,5 +1,5 @@
 // nrc::RuntimeConfig: the folded process-global toggles, the scoped
-// override guard, the legacy simd:: forwarders, and the contract that
+// override guard, and the contract that
 // Collapsed::bind() applies the CURRENT config even when the bind is
 // served from the memo.
 #include <gtest/gtest.h>
@@ -7,14 +7,12 @@
 #include "../test_util.hpp"
 #include "core/collapse.hpp"
 #include "core/runtime_config.hpp"
-#include "runtime/simd_abi.hpp"
 
 namespace nrc {
 namespace {
 
 TEST(RuntimeConfig, DefaultsMatchTheHistoricalToggles) {
   const RuntimeConfig def;
-  EXPECT_TRUE(def.vector_trig);
   EXPECT_TRUE(def.f64_guards);
   EXPECT_FALSE(def.bytecode_quartics);
   EXPECT_FALSE(def.force_quartic_demotion);
@@ -30,15 +28,6 @@ TEST(RuntimeConfig, ScopedOverrideRestoresOnExit) {
   }
   EXPECT_EQ(runtime_config().f64_guards, before.f64_guards);
   EXPECT_EQ(runtime_config().bytecode_quartics, before.bytecode_quartics);
-}
-
-TEST(RuntimeConfig, LegacySimdForwardersShareTheConfigField) {
-  ScopedRuntimeConfig scope;
-  simd::set_vector_trig(false);
-  EXPECT_FALSE(runtime_config().vector_trig);
-  EXPECT_FALSE(simd::vector_trig_enabled());
-  runtime_config().vector_trig = true;
-  EXPECT_TRUE(simd::vector_trig_enabled());
 }
 
 TEST(RuntimeConfig, BindAppliesTheConfigToTheReturnedEval) {

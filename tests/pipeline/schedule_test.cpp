@@ -168,27 +168,32 @@ TEST(AutoSelect, CheapClosedFormsTakeDynamicChunkedSegments) {
 }
 
 TEST(AutoSelect, HighDegreeLevelsStayOnChunkedSegments) {
-  // Cubic levels pay more per recovery; the chunk amortizes it, and a
-  // block-shaped body does not flip the choice to the SIMD schemes.
+  // Cubic levels pay more per recovery; the chunk amortizes it.
   const Collapsed col = collapse(testutil::tetrahedral_fig6());
   const CollapsedEval cn = col.bind({{"N", 80}});
   AutoSelectHints h;
   h.threads = 4;
-  h.block_body = true;
   EXPECT_EQ(Schedule::auto_select(cn, h).scheme, Scheme::RowSegmentsChunked);
 }
 
-TEST(AutoSelect, BlockBodyHintEnablesSimdScheme) {
-  const Collapsed col = collapse(testutil::triangular_strict());
-  const CollapsedEval cn = col.bind({{"N", 500}});
-  AutoSelectHints h;
-  h.threads = 4;
-  h.block_body = true;
-  h.vlen = 4;
-  const Schedule s = Schedule::auto_select(cn, h);
-  EXPECT_EQ(s.scheme, Scheme::SimdBlocksChunked);
-  EXPECT_EQ(s.vlen, 4);
-  EXPECT_NO_THROW(s.validate());
+TEST(AutoSelect, NeverPicksABlockScheme) {
+  // The SIMD-block schemes run only when named explicitly.
+  const std::pair<NestSpec, ParamMap> cases[] = {
+      {testutil::triangular_strict(), {{"N", 500}}},
+      {testutil::tetrahedral_fig6(), {{"N", 80}}},
+      {testutil::simplex_4d(), {{"N", 30}}},
+      {testutil::simplex_5d(), {{"N", 12}}},
+  };
+  for (const auto& [nest, params] : cases) {
+    const CollapsedEval cn = collapse(nest).bind(params);
+    for (const int t : {1, 2, 4, 8}) {
+      AutoSelectHints h;
+      h.threads = t;
+      const Scheme s = Schedule::auto_select(cn, h).scheme;
+      EXPECT_NE(s, Scheme::SimdBlocks) << nest.str() << " t=" << t;
+      EXPECT_NE(s, Scheme::SimdBlocksChunked) << nest.str() << " t=" << t;
+    }
+  }
 }
 
 // --------------------------------------------------------------- dispatch

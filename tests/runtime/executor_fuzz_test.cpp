@@ -95,13 +95,12 @@ std::vector<SchemeCase> scheme_matrix(i64 total, int nt, bool full) {
   m.push_back({4, Schedule::row_segments({nt})});
   for (const i64 chunk : {i64{3}, total + 5, kHugeChunk})
     m.push_back({5, Schedule::row_segments_chunked(chunk, {nt})});
-  // vlen 4 and 8 are the two lane-group widths (vlen = kGroupLanes and
-  // 2x/1x of it depending on the abi leg); 1 and 3 force the degenerate
-  // and non-divisor block shapes.
+  // vlen 4 and 8 are the two lane-group widths; 1 and 3 force the
+  // degenerate and non-divisor block shapes.
   for (const int vlen : {1, 3, 4, 8})
     m.push_back({6, Schedule::simd_blocks(vlen, {nt})});
-  // {8, 3}: chunk smaller than the wide lane group, so every group's
-  // trailing chunks route through the 4-lane/scalar tail batching.
+  // {8, 3}: a chunk shorter than the block, so every block is a tail
+  // block cut by its chunk's end.
   for (const auto& [vlen, chunk] :
        {std::pair<int, i64>{3, 2}, {4, total + 1}, {8, 3}, {8, kHugeChunk}}) {
     m.push_back({7, Schedule::simd_blocks_chunked(vlen, chunk, {nt})});

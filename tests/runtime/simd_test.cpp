@@ -13,8 +13,12 @@ namespace nrc {
 namespace {
 
 TEST(SimdBlocks, CoversDomainForVariousLaneCounts) {
-  for (int vlen : {1, 2, 4, 8, 13, 64})
-    EXPECT_TRUE(testutil::run_covers(testutil::triangular_strict(), {{"N", 26}},
+  // N = 80 gives each of the 4 threads 790 points, so even the widest
+  // blocks fill several times: the 8-lane column fills then overshoot
+  // the last lane of a kMaxSimdLanes block, which the sanitizer builds
+  // check stays inside the columns.
+  for (int vlen : {1, 2, 4, 8, 13, 64, kMaxSimdLanes - 1, kMaxSimdLanes})
+    EXPECT_TRUE(testutil::run_covers(testutil::triangular_strict(), {{"N", 80}},
                                      Schedule::simd_blocks(vlen, {4})));
 }
 
@@ -41,38 +45,31 @@ TEST(SimdBlocks, BlockNeverExceedsVlen) {
            [&](int lanes, const i64* const*) { EXPECT_LE(lanes, 4); });
 }
 
-TEST(SimdAbi, FillHelpersCoverTails) {
-  // Lengths around both lane widths (4 and 8) exercise the vector body
-  // and every masked-tail remainder (1..7 mod 8) of both fills.
-  for (i64 n : {i64{0}, i64{1}, i64{2}, i64{3}, i64{4}, i64{5}, i64{6}, i64{7},
-                i64{8}, i64{9}, i64{11}, i64{13}, i64{15}, i64{16}, i64{17}}) {
-    std::vector<i64> dst(static_cast<size_t>(n) + 8, -777);
-    simd::fill_broadcast(dst.data(), n, 42);
-    for (i64 i = 0; i < n; ++i) EXPECT_EQ(dst[static_cast<size_t>(i)], 42) << n;
-    EXPECT_EQ(dst[static_cast<size_t>(n)], -777) << n;  // no overrun
-
-    std::fill(dst.begin(), dst.end(), -777);
-    simd::fill_iota(dst.data(), n, -2);
-    for (i64 i = 0; i < n; ++i) EXPECT_EQ(dst[static_cast<size_t>(i)], -2 + i) << n;
-    EXPECT_EQ(dst[static_cast<size_t>(n)], -777) << n;
-  }
+TEST(SimdAbi, NamesTheCompiledLeg) {
   const std::string abi = simd::abi_name();
   EXPECT_TRUE(abi == "avx512" || abi == "avx2" || abi == "scalar") << abi;
   const std::string run_abi = simd::runtime_abi();
   EXPECT_TRUE(run_abi == "avx512" || run_abi == "avx2" || run_abi == "scalar")
       << run_abi;
-  // The preferred lane-group width follows the compiled leg.
+  // The lane-group width follows the compiled leg.
   EXPECT_EQ(simd::kGroupLanes, abi == "avx512" ? 8 : 4);
+  // runtime_abi can only narrow the compiled leg, never widen it.
+  auto width = [](const std::string& a) { return a == "avx512" ? 2 : a == "avx2" ? 1 : 0; };
+  EXPECT_LE(width(run_abi), width(abi)) << run_abi << " vs " << abi;
 }
 
 TEST(SimdBlocksChunked, CoversDomainForVariousChunks) {
-  // Chunk sizes around trip_count()/4 exercise full lane groups,
-  // partial tail groups and the single-chunk degenerate case.
+  // Chunks shorter than, equal to and longer than a block, and the
+  // single-chunk degenerate case, under both deals.
   const ParamMap p{{"N", 9}};
   const i64 total = collapse(testutil::tetrahedral_fig6()).bind(p).trip_count();
-  for (i64 chunk : {i64{1}, i64{5}, i64{16}, i64{64}, total})
-    EXPECT_TRUE(testutil::run_covers(testutil::tetrahedral_fig6(), p,
-                                     Schedule::simd_blocks_chunked(8, chunk, {3})));
+  for (const OmpSchedule omp : {OmpSchedule::Static, OmpSchedule::Dynamic}) {
+    for (i64 chunk : {i64{1}, i64{5}, i64{8}, i64{16}, i64{64}, total}) {
+      Schedule s = Schedule::simd_blocks_chunked(8, chunk, {3});
+      s.omp = omp;
+      EXPECT_TRUE(testutil::run_covers(testutil::tetrahedral_fig6(), p, s)) << s.describe();
+    }
+  }
 }
 
 TEST(SimdBlocks, ComputesSameSumAsSerial) {
