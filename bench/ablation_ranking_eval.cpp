@@ -38,7 +38,7 @@ Setup make_setup(int depth) {
 
   const Polynomial eq = rs.prefix_rank[0] - Polynomial::variable(kPcVar);
   const auto coeffs = eq.coefficients_in("i");
-  s.root = CompiledExpr(root_branch_expr(std::span<const Polynomial>(coeffs), 0), s.slots);
+  s.root = CompiledExpr(root_branch_exprs(std::span<const Polynomial>(coeffs))[0], s.slots);
 
   s.point.assign(s.slots.size(), 0);
   s.point[s.slots.size() - 2] = 1000;  // N

@@ -18,6 +18,7 @@
 
 #include "core/ranking.hpp"
 #include "polyhedral/domain.hpp"
+#include "symbolic/compile.hpp"
 #include "symbolic/expr.hpp"
 
 namespace nrc {
@@ -34,6 +35,37 @@ struct LevelFormula {
 /// degree exceeds `max_degree` get an empty coefficient list (they will
 /// be recovered by exact search).
 std::vector<LevelFormula> build_level_formulas(const RankingSystem& rs, int max_degree);
+
+/// The calibration domain laid out for branch scoring: one slot-ordered
+/// row per point (loop indices, calibration parameters, and at the last
+/// slot the point's exact pc), in lexicographic order.
+struct CalibrationRows {
+  size_t width = 0;
+  std::vector<i64> data;
+
+  size_t size() const { return width == 0 ? 0 : data.size() / width; }
+  std::span<const i64> row(size_t i) const { return {data.data() + i * width, width}; }
+};
+
+/// Enumerate the nest at `calibration`; throws SolveError when it is empty.
+CalibrationRows calibration_rows(const RankingSystem& rs, const ParamMap& calibration,
+                                 std::span<const std::string> slot_order);
+
+/// Every root branch of one level, compiled into one value-numbered
+/// program whose eval() scores them all in one pass per point.
+struct LevelBranches {
+  std::vector<Expr> roots;  ///< indexed by branch
+  CompiledExpr program;
+};
+
+/// The branches of a level with coefficients (degree <= the closed-form cap).
+LevelBranches compile_level_branches(const LevelFormula& lf,
+                                     std::span<const std::string> slot_order);
+
+/// The convenient branch of level `level`: the branch whose floor recovers
+/// that level's index on the most calibration points, or -1 when none
+/// recovers more than half of them.
+int score_level_branches(const LevelBranches& lb, int level, const CalibrationRows& rows);
 
 /// Numerically select the convenient branch for every level over the
 /// whole calibration domain, and fill in `branch` and `root`.

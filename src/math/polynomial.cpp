@@ -1,7 +1,6 @@
 #include "math/polynomial.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "support/error.hpp"
 
@@ -197,16 +196,20 @@ std::string Polynomial::str() const {
 
 CompiledPoly::CompiledPoly(const Polynomial& p, std::span<const std::string> order) {
   den_ = p.denominator_lcm();
+  terms_.reserve(p.terms().size());
+  size_t nfactors = 0;
+  for (const auto& [m, c] : p.terms()) nfactors += m.factors().size();
+  factors_.reserve(nfactors);
   for (const auto& [m, c] : p.terms()) {
-    Term t;
-    t.scaled_num = checked_mul_i64(c.num(), den_ / c.den());
+    const auto first = static_cast<std::uint32_t>(factors_.size());
     for (const auto& [v, e] : m.factors()) {
       auto it = std::find(order.begin(), order.end(), v);
       if (it == order.end())
         throw SpecError("CompiledPoly: variable " + v + " missing from slot order");
-      t.powers.emplace_back(static_cast<int>(it - order.begin()), e);
+      factors_.emplace_back(static_cast<int>(it - order.begin()), e);
     }
-    terms_.push_back(std::move(t));
+    terms_.push_back({checked_mul_i64(c.num(), den_ / c.den()), first,
+                      static_cast<std::uint32_t>(factors_.size())});
   }
 }
 
@@ -214,20 +217,34 @@ i128 CompiledPoly::eval_i128(std::span<const i64> point) const {
   i128 acc = 0;
   for (const auto& t : terms_) {
     i128 v = t.scaled_num;
-    for (const auto& [slot, exp] : t.powers)
-      v = checked_mul(v, ipow_checked(point[static_cast<size_t>(slot)],
-                                      static_cast<unsigned>(exp)));
+    for (std::uint32_t f = t.first; f < t.last; ++f) {
+      const i64 x = point[static_cast<size_t>(factors_[f].first)];
+      const int e = factors_[f].second;
+      v = checked_mul(v, e == 1 ? i128{x} : ipow_checked(x, static_cast<unsigned>(e)));
+    }
     acc = checked_add(acc, v);
   }
   return exact_div(acc, den_);
+}
+
+u64 CompiledPoly::slot_mask() const {
+  u64 mask = 0;
+  for (const auto& [slot, exp] : factors_) mask |= u64{1} << std::min(slot, 63);
+  return mask;
 }
 
 long double CompiledPoly::eval_ld(std::span<const long double> point) const {
   long double acc = 0.0L;
   for (const auto& t : terms_) {
     long double v = static_cast<long double>(t.scaled_num);
-    for (const auto& [slot, exp] : t.powers)
-      v *= std::pow(point[static_cast<size_t>(slot)], static_cast<long double>(exp));
+    for (std::uint32_t f = t.first; f < t.last; ++f) {
+      // x^exp by repeated multiplication: exact, and so equal to std::pow,
+      // whenever the power fits the 64-bit mantissa.
+      const long double x = point[static_cast<size_t>(factors_[f].first)];
+      long double xp = x;
+      for (int e = 1; e < factors_[f].second; ++e) xp *= x;
+      v *= xp;
+    }
     acc += v;
   }
   return acc / static_cast<long double>(den_);

@@ -8,10 +8,12 @@
 // the runtime hot paths use CompiledPoly, which resolves variables to
 // dense slots and evaluates exactly in __int128.
 
+#include <cstdint>
 #include <map>
 #include <set>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "math/monomial.hpp"
@@ -114,12 +116,16 @@ class CompiledPoly {
   i64 denominator() const { return den_; }
   bool empty() const { return terms_.empty(); }
 
+  /// Bit s set when a term reads slot s (slots from 64 on share bit 63).
+  u64 slot_mask() const;
+
  private:
   struct Term {
-    i64 scaled_num = 0;                       // coefficient * (den_/coeff_den)
-    std::vector<std::pair<int, int>> powers;  // (slot, exponent)
+    i64 scaled_num = 0;         // coefficient * (den_/coeff_den)
+    std::uint32_t first, last;  // its factors: factors_[first, last)
   };
   std::vector<Term> terms_;
+  std::vector<std::pair<int, int>> factors_;  // (slot, exponent), term by term
   i64 den_ = 1;
 };
 

@@ -27,6 +27,11 @@ void walk_domain(const NestSpec& spec, const ParamMap& params,
 /// Exact number of points (by enumeration).
 i64 count_domain_brute(const NestSpec& spec, const ParamMap& params);
 
+/// Number of points, counting no further than cap + 1: exact when the
+/// domain has at most `cap` points, cap + 1 otherwise.  The walk stops
+/// there, so its cost is bounded by the cap, not by the domain.
+i64 count_domain_capped(const NestSpec& spec, const ParamMap& params, i64 cap);
+
 /// All points, in lexicographic order (test-sized domains only).
 std::vector<std::vector<i64>> domain_points(const NestSpec& spec, const ParamMap& params);
 

@@ -58,10 +58,14 @@ inline i64 narrow_i64(i128 v) {
 /// Used when evaluating integer-valued polynomials given over a common
 /// denominator: divisibility failure indicates a logic error upstream.
 inline i128 exact_div(i128 a, i128 b) {
-  if (b == 0 || a % b != 0)
+  if (b == 1) return a;
+  // One 128-bit division (a library call) instead of a remainder and a
+  // quotient; q * b == a exactly when b divides a.
+  const i128 q = b == 0 ? 0 : a / b;
+  if (b == 0 || q * b != a)
     throw SolveError("exact_div: " + to_string_i128(a) + " not divisible by " +
                      to_string_i128(b));
-  return a / b;
+  return q;
 }
 
 /// Floor division for int64 (rounds toward negative infinity).

@@ -1,8 +1,11 @@
 #include "symbolic/compile.hpp"
 
 #include <cmath>
-#include <map>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <tuple>
+#include <unordered_map>
 
 #include "math/roots.hpp"
 #include "support/error.hpp"
@@ -10,6 +13,36 @@
 namespace nrc {
 namespace {
 constexpr long double kPi = 3.14159265358979323846264338327950288L;
+
+// Where long double is the x87 80-bit format, the two tests below read
+// the stored bits: x87 arithmetic, comparisons included, on a NaN or an
+// infinity takes a microcode assist.
+constexpr bool kX87 = std::numeric_limits<long double>::digits == 64;
+
+/// Exponent bits of z's real (part 0) or imaginary (part 1) half.
+std::uint16_t exponent_bits(const cld& z, size_t part) {
+  std::uint16_t e;
+  std::memcpy(&e, reinterpret_cast<const unsigned char*>(&z) + part * sizeof(long double) + 8, 2);
+  return e & 0x7fff;
+}
+
+/// Both parts finite.
+bool finite_bits(const cld& z) {
+  if constexpr (kX87) return exponent_bits(z, 0) != 0x7fff && exponent_bits(z, 1) != 0x7fff;
+  return std::isfinite(z.real()) && std::isfinite(z.imag());
+}
+
+/// z == 0, either sign in either part.
+bool zero_bits(const cld& z) {
+  if constexpr (kX87) {
+    std::uint64_t re, im;
+    std::memcpy(&re, &z, 8);
+    std::memcpy(&im, reinterpret_cast<const unsigned char*>(&z) + sizeof(long double), 8);
+    return re == 0 && im == 0 && exponent_bits(z, 0) == 0 && exponent_bits(z, 1) == 0;
+  }
+  return z == cld{0.0L, 0.0L};
+}
+
 }
 
 CompiledExpr::CompiledExpr(const Expr& e, std::span<const std::string> order)
@@ -20,8 +53,20 @@ CompiledExpr::CompiledExpr(std::span<const Expr> roots, std::span<const std::str
   // are the constant's numerator/denominator, the root of unity's k/n, or
   // the index of the polynomial among the distinct ones seen so far.
   using Key = std::tuple<ExprOp, int, int, i64, i64>;
-  std::map<Key, int> numbered;
-  std::map<const ExprNode*, int> memo;  // skips re-walking shared nodes
+  struct KeyHash {
+    size_t operator()(const Key& k) const {
+      const auto [op, a, b, x, y] = k;
+      u64 h = static_cast<u64>(op);
+      for (const u64 v : {static_cast<u64>(a), static_cast<u64>(b), static_cast<u64>(x),
+                          static_cast<u64>(y)})
+        h = (h ^ v) * 0x100000001b3ull;
+      return static_cast<size_t>(h);
+    }
+  };
+  // Hash tables sized for a few dozen nodes per root: a tree map's node
+  // allocations and rebalancing were half of a level's compile time.
+  std::unordered_map<Key, int, KeyHash> numbered(64 * roots.size());
+  std::unordered_map<const ExprNode*, int> memo(64 * roots.size());  // skips shared nodes
   std::vector<const Polynomial*> polys;
 
   // Post-order emission.
@@ -69,6 +114,10 @@ CompiledExpr::CompiledExpr(std::span<const Expr> roots, std::span<const std::str
         ins.cval = cld{std::cos(a), std::sin(a)};
       } else if (n->op == ExprOp::Poly) {
         ins.poly = CompiledPoly(n->poly, order);
+        ins.reads = ins.poly.slot_mask();
+      } else if (ins.a >= 0) {
+        ins.reads = code_[static_cast<size_t>(ins.a)].reads |
+                    (ins.b >= 0 ? code_[static_cast<size_t>(ins.b)].reads : 0);
       }
       code_.push_back(std::move(ins));
     }
@@ -80,9 +129,21 @@ CompiledExpr::CompiledExpr(std::span<const Expr> roots, std::span<const std::str
     if (r.empty()) throw SolveError("CompiledExpr: empty root");
     outs_.push_back(emit(emit, r.ptr()));
   }
+
+  // Mark every value that reaches a divisor.  Consumers follow their
+  // operands in the code, so one backward pass sees each value's uses
+  // before the value.
+  for (size_t i = code_.size(); i-- > 0;) {
+    Ins& ins = code_[i];
+    if (ins.op == ExprOp::Div) code_[static_cast<size_t>(ins.b)].feeds_divisor = true;
+    if (ins.feeds_divisor) {
+      if (ins.a >= 0) code_[static_cast<size_t>(ins.a)].feeds_divisor = true;
+      if (ins.b >= 0) code_[static_cast<size_t>(ins.b)].feeds_divisor = true;
+    }
+  }
 }
 
-std::vector<cld> CompiledExpr::run(std::span<const i64> point) const {
+void CompiledExpr::run(std::span<const i64> point, u64 changed, cld* vals) const {
   if (code_.empty()) throw SolveError("CompiledExpr::eval on empty expression");
 
   // Polynomial leaves take long double points; convert once.
@@ -91,9 +152,30 @@ std::vector<cld> CompiledExpr::run(std::span<const i64> point) const {
   const size_t npt = point.size() < 32 ? point.size() : 32;
   for (size_t i = 0; i < npt; ++i) pt_ld[i] = static_cast<long double>(point[i]);
 
-  std::vector<cld> vals(code_.size());
+  // A non-finite operand makes every result non-finite, except a finite
+  // numerator over an infinite divisor (a signed zero), and so does a
+  // zero divisor.  Callers only ask whether a root is finite, so a value
+  // whose uses reach no divisor is passed on as NaN once an operand is
+  // non-finite: x87 arithmetic on NaN and infinity costs a microcode
+  // assist per operation.  Values that reach a divisor are computed as
+  // they are, so the zero a finite / infinite quotient gives is kept.
+  constexpr cld kNonFinite{std::numeric_limits<long double>::quiet_NaN(),
+                           std::numeric_limits<long double>::quiet_NaN()};
+  const bool all = changed == kAllSlots;
   for (size_t i = 0; i < code_.size(); ++i) {
     const Ins& ins = code_[i];
+    if (!all && (ins.reads & changed) == 0) continue;
+    if (!ins.feeds_divisor && ins.a >= 0) {
+      bool nonfinite = !finite_bits(vals[static_cast<size_t>(ins.a)]);
+      if (ins.b >= 0) {
+        const cld& y = vals[static_cast<size_t>(ins.b)];
+        nonfinite = nonfinite || (ins.op == ExprOp::Div ? zero_bits(y) : !finite_bits(y));
+      }
+      if (nonfinite) {
+        vals[i] = kNonFinite;
+        continue;
+      }
+    }
     switch (ins.op) {
       case ExprOp::Const:
       case ExprOp::Cis:
@@ -125,17 +207,31 @@ std::vector<cld> CompiledExpr::run(std::span<const i64> point) const {
         break;
     }
   }
-  return vals;
 }
+
+namespace {
+// One value per instruction for eval(point), in a buffer each thread
+// keeps across calls: the runtime fallback evaluates one shared const
+// program from every thread, and may not allocate per point.
+cld* thread_buffer(size_t n) {
+  thread_local std::vector<cld> buffer;
+  if (buffer.size() < n) buffer.resize(n);
+  return buffer.data();
+}
+}  // namespace
 
 cld CompiledExpr::eval(std::span<const i64> point) const {
-  return run(point)[static_cast<size_t>(outs_.front())];
+  cld* vals = thread_buffer(code_.size());
+  run(point, kAllSlots, vals);
+  return vals[static_cast<size_t>(outs_.front())];
 }
 
-void CompiledExpr::eval(std::span<const i64> point, std::span<cld> out) const {
+void CompiledExpr::eval(std::span<const i64> point, u64 changed, std::span<cld> values,
+                        std::span<cld> out) const {
   if (out.size() != outs_.size()) throw SolveError("CompiledExpr::eval: one output per root");
-  const std::vector<cld> vals = run(point);
-  for (size_t r = 0; r < outs_.size(); ++r) out[r] = vals[static_cast<size_t>(outs_[r])];
+  if (values.size() < code_.size()) throw SolveError("CompiledExpr::eval: value buffer too small");
+  run(point, changed, values.data());
+  for (size_t r = 0; r < outs_.size(); ++r) out[r] = values[static_cast<size_t>(outs_[r])];
 }
 
 }  // namespace nrc

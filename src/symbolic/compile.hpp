@@ -39,7 +39,7 @@ class CompiledExpr {
   CompiledExpr(const Expr& e, std::span<const std::string> order);
 
   /// One value-numbered program for all of `roots` (none may be empty);
-  /// eval(point, out) returns their values in this order.
+  /// eval(point, changed, values, out) returns their values in this order.
   CompiledExpr(std::span<const Expr> roots, std::span<const std::string> order);
 
   bool empty() const { return code_.empty(); }
@@ -49,9 +49,19 @@ class CompiledExpr {
   /// responsible for falling back to exact recovery in that case.
   cld eval(std::span<const i64> point) const;
 
+  /// `changed` for a point with no previous values to reuse.
+  static constexpr u64 kAllSlots = ~u64{0};
+
   /// Evaluate every root in one pass: out[r] is root r's value
-  /// (out.size() must equal the number of roots).
-  void eval(std::span<const i64> point, std::span<cld> out) const;
+  /// (out.size() must equal the number of roots), computed in a value
+  /// buffer the caller owns (at least size() values).  For a run of
+  /// points that differ from the previous one only in the slots set in
+  /// `changed` (bit s: slot s; slots from 64 on count as bit 63),
+  /// instructions that read none of them keep the value the previous
+  /// call left in `values`, which is the one they would compute again.
+  /// The first call on a buffer passes kAllSlots.
+  void eval(std::span<const i64> point, u64 changed, std::span<cld> values,
+            std::span<cld> out) const;
 
   /// Number of instructions (for tests / diagnostics).
   size_t size() const { return code_.size(); }
@@ -63,8 +73,11 @@ class CompiledExpr {
     int b = -1;
     cld cval;              // Const / Cis folded value
     CompiledPoly poly;     // Poly leaves
+    bool feeds_divisor = false;  // some use chain ends in a Div's divisor
+    u64 reads = 0;               // slots its polynomial leaves read
   };
-  std::vector<cld> run(std::span<const i64> point) const;
+  /// Compute into `vals` every instruction that reads a slot in `changed`.
+  void run(std::span<const i64> point, u64 changed, cld* vals) const;
 
   std::vector<Ins> code_;
   std::vector<int> outs_;  // instruction slot of each root

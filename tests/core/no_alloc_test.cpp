@@ -2,8 +2,9 @@
 //
 // This suite replaces the global operator new/delete with counting
 // versions (which is why it links into its own test executable) and
-// asserts that recover(), recover_block(), recover_search() and the
-// NewtonUnranker perform no allocation after bind-time setup — the
+// asserts that recover(), recover_block(), recover_search(), the
+// NewtonUnranker and the CompiledExpr interpreter perform no allocation
+// after bind-time setup — the
 // property the §V chunked schemes rely on to keep per-chunk recovery
 // overhead flat — and that neither does the tuple walk nrc::run drives
 // a range scheme's body with.
@@ -170,6 +171,46 @@ TEST(NoAllocation, TupleWalkHotPath) {
     const long long after = g_allocations.load();
     EXPECT_EQ(after, before) << c.name << ": the tuple walk allocated";
     EXPECT_NE(sum, 0) << c.name;
+  }
+}
+
+TEST(NoAllocation, CompiledExprEval) {
+  // The generic interpreter: the runtime fallback (recover_interpreted,
+  // the quartic demotion's last resort) and branch calibration, which
+  // evaluates every branch of a level in one program per point.
+  for (const NestSpec& nest : {testutil::triangular_strict(), testutil::tetrahedral_fig6(),
+                               testutil::simplex_4d()}) {
+    const Collapsed col = collapse(nest);
+    const ParamMap params{{"N", 20}};
+    const CollapsedEval cn = col.bind(params);
+    std::vector<i64> pt(col.slot_order().size(), 0);
+    pt[pt.size() - 2] = 20;
+    std::vector<CompiledExpr> roots;
+    std::vector<LevelBranches> branches;
+    for (const LevelFormula& lf : col.levels()) {
+      if (lf.branch < 0) continue;
+      roots.emplace_back(lf.root, col.slot_order());
+      branches.push_back(compile_level_branches(lf, col.slot_order()));
+    }
+    ASSERT_FALSE(roots.empty()) << nest.str();
+    std::vector<cld> out(12), values(512);
+    i64 idx[kMaxDepth];
+    const size_t d = static_cast<size_t>(cn.depth());
+    auto eval_all = [&](i64 pc) {
+      pt.back() = pc;
+      for (const CompiledExpr& ce : roots) (void)ce.eval(pt);
+      for (const LevelBranches& lb : branches)
+        lb.program.eval(pt, CompiledExpr::kAllSlots, values,
+                        std::span<cld>(out.data(), lb.roots.size()));
+      cn.recover_interpreted(pc, {idx, d});
+    };
+    eval_all(1);  // warm-up: each thread's value buffer
+
+    const i64 n = std::min<i64>(cn.trip_count(), 500);
+    const long long before = g_allocations.load();
+    for (i64 pc = 1; pc <= n; ++pc) eval_all(pc);
+    const long long after = g_allocations.load();
+    EXPECT_EQ(after, before) << nest.str() << ": CompiledExpr::eval allocated";
   }
 }
 

@@ -122,5 +122,24 @@ TEST(DefaultCalibration, ProducesUsableDomains) {
   }
 }
 
+TEST(DefaultCalibration, RejectsFarShiftedQuarticWithTheSameMessage) {
+  // Every candidate domain of i=0..N, j=i..N+64, k=j..N+64, l=k..N+64 has
+  // millions of points; each is rejected after 4001 of them.
+  NestSpec nest;
+  nest.param("N")
+      .loop("i", aff::c(0), aff::v("N"))
+      .loop("j", aff::v("i"), aff::v("N") + 64)
+      .loop("k", aff::v("j"), aff::v("N") + 64)
+      .loop("l", aff::v("k"), aff::v("N") + 64);
+  try {
+    (void)collapse(nest);
+    FAIL() << "collapse accepted a nest no calibration candidate fits";
+  } catch (const SolveError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "default_calibration: no uniform parameter assignment yields a usable "
+              "calibration domain; pass CollapseOptions::calibration explicitly");
+  }
+}
+
 }  // namespace
 }  // namespace nrc

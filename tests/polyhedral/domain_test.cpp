@@ -77,5 +77,22 @@ TEST(Domain, DeepNestWalk) {
             5 * 6 * 7 * 8 * 9 / 120);  // C(N+4, 5)
 }
 
+TEST(Domain, CappedCountIsExactBelowTheCap) {
+  const NestSpec tet = testutil::tetrahedral_fig6();
+  for (i64 n : {1, 2, 6, 10}) {
+    const i64 exact = count_domain_brute(tet, {{"N", n}});
+    EXPECT_EQ(count_domain_capped(tet, {{"N", n}}, exact), exact) << n;
+    EXPECT_EQ(count_domain_capped(tet, {{"N", n}}, exact + 7), exact) << n;
+    if (exact > 0) EXPECT_EQ(count_domain_capped(tet, {{"N", n}}, exact - 1), exact) << n;
+  }
+}
+
+TEST(Domain, CappedCountStopsPastTheCap) {
+  // 10^12 points: only a walk that stops at cap + 1 returns.
+  const ParamMap huge{{"N", 1000000}, {"M", 1000000}};
+  EXPECT_EQ(count_domain_capped(testutil::rectangular(), huge, 4000), 4001);
+  EXPECT_EQ(count_domain_capped(testutil::rectangular(), huge, 0), 1);
+}
+
 }  // namespace
 }  // namespace nrc

@@ -6,6 +6,7 @@
 
 #include "../test_util.hpp"
 #include "core/unrank_closed.hpp"
+#include "math/roots.hpp"
 #include "polyhedral/domain.hpp"
 #include "symbolic/root_formula.hpp"
 
@@ -99,7 +100,9 @@ bool same_value(long double a, long double b) {
 
 TEST(CompiledExpr, MultiRootProgramMatchesEachSingleRootBitwise) {
   // Every branch of every closed-form level of the fuzz nest classes,
-  // compiled into one program, evaluated on the calibration domain.
+  // compiled into one program, evaluated on the calibration domain:
+  // afresh at each point, and into one caller-owned buffer that keeps
+  // the values reading only slots unchanged since the previous point.
   // Quartic levels are rare in the generator: the first ones appear at
   // seed 144 (triangular and skewed).
   bool degree_seen[5] = {};
@@ -122,30 +125,72 @@ TEST(CompiledExpr, MultiRootProgramMatchesEachSingleRootBitwise) {
         if (lf.coeffs.empty()) continue;
         degree_seen[lf.degree] = true;
         const int nb = root_branch_count(lf.degree);
-        std::vector<Expr> roots;
+        const std::vector<Expr> roots = root_branch_exprs(std::span<const Polynomial>(lf.coeffs));
         std::vector<CompiledExpr> singles;
-        for (int b = 0; b < nb; ++b) {
-          roots.push_back(root_branch_expr(std::span<const Polynomial>(lf.coeffs), b));
-          singles.emplace_back(roots.back(), slots);
-        }
+        for (const Expr& root : roots) singles.emplace_back(root, slots);
         const CompiledExpr multi(roots, slots);
-        std::vector<cld> out(static_cast<size_t>(nb));
+        std::vector<cld> out(static_cast<size_t>(nb)), reused(static_cast<size_t>(nb));
+        std::vector<cld> fresh(multi.size()), values(multi.size());
+        std::vector<i64> prev;
         for (size_t i = 0; i < points.size(); ++i) {
           for (size_t q = 0; q < points[i].size(); ++q) pt[q] = points[i][q];
           pt.back() = static_cast<i64>(i) + 1;
-          multi.eval(pt, out);
+          multi.eval(pt, CompiledExpr::kAllSlots, fresh, out);
+          u64 changed = CompiledExpr::kAllSlots;
+          if (!prev.empty()) {
+            changed = 0;
+            for (size_t q = 0; q < pt.size(); ++q)
+              if (pt[q] != prev[q]) changed |= u64{1} << q;
+          }
+          multi.eval(pt, changed, values, reused);
+          prev = pt;
           for (int b = 0; b < nb; ++b) {
             const cld one = singles[static_cast<size_t>(b)].eval(pt);
-            const cld all = out[static_cast<size_t>(b)];
-            ASSERT_TRUE(same_value(one.real(), all.real()) &&
-                        same_value(one.imag(), all.imag()))
-                << fc.repro() << "degree " << lf.degree << " branch " << b << " point " << i;
+            for (const cld all : {out[static_cast<size_t>(b)], reused[static_cast<size_t>(b)]})
+              ASSERT_TRUE(same_value(one.real(), all.real()) &&
+                          same_value(one.imag(), all.imag()))
+                  << fc.repro() << "degree " << lf.degree << " branch " << b << " point " << i;
           }
         }
       }
     }
   }
   for (int d = 1; d <= 4; ++d) EXPECT_TRUE(degree_seen[d]) << "no degree-" << d << " level";
+}
+
+TEST(CompiledExpr, NonFiniteValuesMatchComplexArithmetic) {
+  // Values that became NaN or infinite pass on without arithmetic, except
+  // where they reach a divisor: finite / infinite is a (signed) zero.
+  const Expr x = Expr::variable("x");
+  const Expr y = Expr::variable("y");
+  const Expr one = Expr::constant(1);
+  const Expr inv = one / x;  // infinite at x = 0
+  struct Case {
+    Expr e;
+    cld (*direct)(cld, cld);
+  };
+  const std::vector<Case> cases = {
+      {one / inv, [](cld a, cld) { return cld{1} / (cld{1} / a); }},
+      {y / (inv * y + one), [](cld a, cld b) { return b / ((cld{1} / a) * b + cld{1}); }},
+      {(inv + y).sqrt() * y, [](cld a, cld b) { return std::sqrt(cld{1} / a + b) * b; }},
+      {y - (x / x).cbrt(), [](cld a, cld b) { return b - principal_cbrt(a / a); }},
+      {-y / (x * inv), [](cld a, cld b) { return -b / (a * (cld{1} / a)); }},
+  };
+  for (size_t c = 0; c < cases.size(); ++c) {
+    for (i64 xv : {0, 1, -2}) {
+      for (i64 yv : {0, 3, -5}) {
+        const cld got = eval(cases[c].e, xv, yv);
+        const cld want = cases[c].direct(cld{static_cast<long double>(xv)},
+                                         cld{static_cast<long double>(yv)});
+        const bool want_finite = std::isfinite(want.real()) && std::isfinite(want.imag());
+        ASSERT_EQ(std::isfinite(got.real()) && std::isfinite(got.imag()), want_finite)
+            << "case " << c << " x=" << xv << " y=" << yv;
+        if (want_finite)
+          EXPECT_TRUE(same_value(got.real(), want.real()) && same_value(got.imag(), want.imag()))
+              << "case " << c << " x=" << xv << " y=" << yv;
+      }
+    }
+  }
 }
 
 TEST(CompiledExpr, EmptyEvalThrows) {

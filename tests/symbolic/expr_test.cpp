@@ -115,10 +115,9 @@ TEST(Expr, StrMatchesTreeRenderingOnSharedDags) {
                                testutil::simplex_4d(), testutil::simplex_4d_shifted()}) {
     const RankingSystem rs = build_ranking_system(nest);
     for (const LevelFormula& lf : build_level_formulas(rs, 4)) {
-      for (int b = 0; b < root_branch_count(lf.degree); ++b) {
-        const Expr root = root_branch_expr(std::span<const Polynomial>(lf.coeffs), b);
-        EXPECT_EQ(root.str(), render_tree(root.ptr())) << nest.str() << " branch " << b;
-      }
+      const std::vector<Expr> roots = root_branch_exprs(std::span<const Polynomial>(lf.coeffs));
+      for (size_t b = 0; b < roots.size(); ++b)
+        EXPECT_EQ(roots[b].str(), render_tree(roots[b].ptr())) << nest.str() << " branch " << b;
     }
   }
 }

@@ -96,7 +96,7 @@ TEST(RootFormula, PolynomialCoefficientOverload) {
   // the equation is x^2 - n = 0 -> branches +-2.
   std::vector<Polynomial> coeffs = {-Polynomial::variable("n"), Polynomial(0),
                                     Polynomial(1)};
-  const Expr root0 = root_branch_expr(std::span<const Polynomial>(coeffs), 0);
+  const Expr root0 = root_branch_exprs(std::span<const Polynomial>(coeffs))[0];
   const std::vector<std::string> order = {"n"};
   const CompiledExpr ce(root0, order);
   const i64 pt[] = {4};
