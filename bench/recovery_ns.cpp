@@ -3,13 +3,12 @@
 // Measures the cost the §V schemes amortize per chunk: one full
 // closed-form recovery, across
 //
-//   interpreter — the seed CompiledExpr engine (complex arithmetic,
-//                 heap-allocated value vector): recover_interpreted()
-//   engine      — the compiled engine (degree-specialized solvers +
-//                 RecoveryProgram bytecode): recover()
+//   engine      — the compiled engine (degree-specialized guarded
+//                 solvers): recover()
 //   block64     — recover_block() amortized over 64 consecutive pcs
 //                 (one solve + row-major fill)
-//   search      — exact binary search: recover_search()
+//   search      — exact binary search, the lowering of a level without
+//                 a usable formula: recover_search()
 //   newton      — safeguarded Newton: NewtonUnranker::recover()
 //
 // Random pcs (fixed-seed LCG) spread probes across the domain so branch
@@ -20,12 +19,8 @@
 // fastest and slowest of its per-trial timings; the tables print the
 // fastest) and the run's provenance: cpu, nproc, git_sha and git_dirty,
 // as benchmark/run.py records them.  Exit status is non-zero when the
-// compiled engine falls below the enforced 2.5x floor against the
-// interpreter on a gated nest (the target stays >= 3x; the floor leaves
-// headroom for shared-runner noise), or when the guarded real-arithmetic
-// Ferrari falls below 2.5x over the pre-Ferrari quartic path (bytecode
-// program + checked-i128 scalar guards) on the quartic nests' block64
-// workload, or when a plan-cache hit is not at
+// compiled engine falls below the enforced 2.5x floor against exact
+// binary search on a gated nest, or when a plan-cache hit is not at
 // least 10x cheaper than a cold collapse+bind (the pipeline's
 // analyze-once contract: repeated domains must skip symbolic build and
 // bind entirely), or when auto_select — its heuristic or the
@@ -60,9 +55,8 @@ struct BenchNest {
   std::string name;
   NestSpec nest;
   ParamMap params;
-  bool gate = false;          ///< participates in the engine-vs-interpreter floor
-  bool gate_quartic = false;  ///< participates in the ferrari-vs-bytecode 2.5x check
-  bool gate_jit = false;      ///< participates in the jit-vs-engine 1.5x check
+  bool gate = false;      ///< participates in the engine-vs-search floor
+  bool gate_jit = false;  ///< participates in the jit-vs-engine 1.5x check
 };
 
 std::vector<BenchNest> bench_nests() {
@@ -80,7 +74,7 @@ std::vector<BenchNest> bench_nests() {
         .loop("i", aff::c(0), aff::v("N") - 1)
         .loop("j", aff::c(0), aff::v("i") + 1)
         .loop("k", aff::v("j"), aff::v("i") + 1);
-    v.push_back({"tetrahedral", n, {{"N", 260}}, true, false, true});
+    v.push_back({"tetrahedral", n, {{"N", 260}}, true, true});
   }
   {
     NestSpec n;  // 4-deep simplex: quartic level -> guarded real Ferrari
@@ -89,7 +83,7 @@ std::vector<BenchNest> bench_nests() {
         .loop("j", aff::v("i"), aff::v("N"))
         .loop("k", aff::v("j"), aff::v("N"))
         .loop("l", aff::v("k"), aff::v("N"));
-    v.push_back({"simplex4", n, {{"N", 120}}, false, true, true});
+    v.push_back({"simplex4", n, {{"N", 120}}, false, true});
   }
   {
     NestSpec n;  // shifted 4-deep simplex: quartic with offset coefficients
@@ -98,7 +92,7 @@ std::vector<BenchNest> bench_nests() {
         .loop("j", aff::v("i") - 2, aff::v("N") + 3)
         .loop("k", aff::v("j"), aff::v("N") + 4)
         .loop("l", aff::v("k"), aff::v("N") + 5);
-    v.push_back({"simplex4sh", n, {{"N", 110}}, false, true, true});
+    v.push_back({"simplex4sh", n, {{"N", 110}}, false, true});
   }
   {
     NestSpec n;  // rectangular: degree-1 levels -> exact integer division
@@ -146,17 +140,14 @@ int main(int argc, char** argv) {
     std::string name;
     i64 trip = 0;
     int depth = 0;
-    double interp = 0, engine = 0, block = 0, search = 0, newton = 0;
+    double engine = 0, block = 0, search = 0, newton = 0;
     double bind_cold = 0;    ///< ns per cold CollapsePlan::build (collapse+bind)
     double bind_cached = 0;  ///< ns per plan_cache().get hit on the same key
-    double qblock = 0;  ///< block64 through the PR 2 quartic path (bytecode
-                        ///< program + checked-i128 scalar guards); 0 when the
-                        ///< nest has no quartic level
     double jit = 0;             ///< ns/iter through the compiled specialized
                                 ///< kernel (single thread; 0 when not compiled)
     double jit_compile_ms = 0;  ///< one cold out-of-process specialize+compile
     bool jit_compiled = false;
-    bool gate = false, gate_quartic = false, gate_jit = false;
+    bool gate = false, gate_jit = false;
     /// Per-column min and max of the per-trial timings, keyed by the
     /// JSON column name.
     std::vector<std::pair<const char*, Spread>> spread;
@@ -179,7 +170,6 @@ int main(int argc, char** argv) {
     row.trip = cn.trip_count();
     row.depth = cn.depth();
     row.gate = bn.gate;
-    row.gate_quartic = bn.gate_quartic;
     row.gate_jit = bn.gate_jit;
 
     // Times one column: records its spread and returns the best trial.
@@ -191,12 +181,6 @@ int main(int argc, char** argv) {
 
     i64 idx[kMaxDepth];
     i64 sink = 0;
-    row.interp = timed("interpreter", static_cast<i64>(nprobes), [&] {
-      for (const i64 pc : pcs) {
-        cn.recover_interpreted(pc, {idx, d});
-        sink += idx[0];
-      }
-    });
     row.engine = timed("engine", static_cast<i64>(nprobes), [&] {
       for (const i64 pc : pcs) {
         cn.recover(pc, {idx, d});
@@ -213,25 +197,6 @@ int main(int argc, char** argv) {
         sink += block_buf[static_cast<size_t>(got - 1) * d];
       }
     });
-    // The PR 2 quartic path (RecoveryProgram bytecode + checked-i128
-    // scalar guards) on the same block64 workload: the enforced
-    // ferrari-vs-bytecode floor divides these two block64 timings.
-    bool has_quartic = false;
-    for (int k = 0; k < cn.depth(); ++k)
-      if (cn.solver_kind(k) == LevelSolverKind::Quartic) has_quartic = true;
-    if (has_quartic) {
-      CollapsedEval pr2 = cn;
-      pr2.use_bytecode_quartics();
-      pr2.set_f64_guards(false);
-      row.qblock = timed("quartic_block64", static_cast<i64>(nprobes) * kBlock, [&] {
-        for (const i64 pc : pcs) {
-          const i64 lo =
-              std::min<i64>(pc, std::max<i64>(1, pr2.trip_count() - kBlock + 1));
-          const i64 got = pr2.recover_block(lo, kBlock, {block_buf, kBlock * d});
-          sink += block_buf[static_cast<size_t>(got - 1) * d];
-        }
-      });
-    }
     // Plan-cache economics: a cold build pays collapse() + bind(); a hit
     // pays one sharded lookup.  The enforced >= 10x floor below is the
     // pipeline's analyze-once contract.
@@ -370,27 +335,25 @@ int main(int argc, char** argv) {
       "== recovery_ns: ns per recovered iteration (best of %d trials, "
       "simd_abi=%s, compiled=%s, %d-lane groups) ==\n\n",
       trials, run_abi.c_str(), simd::abi_name(), simd::kGroupLanes);
-  std::printf("%-13s %5s %11s | %11s %11s %11s %11s %11s %11s %8s %8s | %10s %10s | %8s %8s %8s %8s\n",
-              "nest", "depth", "trip", "interp[ns]", "engine[ns]", "block64",
-              "search[ns]", "newton[ns]", "qblock64", "jit[ns]", "jitc[ms]",
-              "bind-cold", "bind-hit", "eng-spdup", "q-spdup", "jit-spdup", "bindspdup");
-  bench::rule(186);
+  std::printf("%-13s %5s %11s | %11s %11s %11s %11s %8s %8s | %10s %10s | %8s %8s %8s\n",
+              "nest", "depth", "trip", "engine[ns]", "block64", "search[ns]", "newton[ns]",
+              "jit[ns]", "jitc[ms]", "bind-cold", "bind-hit", "eng-spdup", "jit-spdup",
+              "bindspdup");
+  bench::rule(152);
   const bool jit_toolchain = jit::toolchain_available();
   bool gate_ok = true;
-  bool quartic_ok = true;
   bool bind_ok = true;
   bool jit_ok = true;
   for (const Row& r : rows) {
-    const double speedup = r.interp / r.engine;
-    const double q_speedup = r.qblock > 0 ? r.qblock / r.block : 0.0;
+    const double speedup = r.search / r.engine;
     const double jit_speedup = r.jit > 0 ? r.engine / r.jit : 0.0;
     const double bind_speedup = r.bind_cached > 0 ? r.bind_cold / r.bind_cached : 0.0;
     std::printf(
-        "%-13s %5d %11lld | %11.1f %11.1f %11.2f %11.1f %11.1f %11.2f %8.2f %8.1f | "
-        "%10.0f %10.0f | %7.2fx %7.2fx %7.1fx %7.1fx\n",
-        r.name.c_str(), r.depth, static_cast<long long>(r.trip), r.interp, r.engine,
-        r.block, r.search, r.newton, r.qblock, r.jit, r.jit_compile_ms, r.bind_cold,
-        r.bind_cached, speedup, q_speedup, jit_speedup, bind_speedup);
+        "%-13s %5d %11lld | %11.1f %11.2f %11.1f %11.1f %8.2f %8.1f | "
+        "%10.0f %10.0f | %7.2fx %7.1fx %7.1fx\n",
+        r.name.c_str(), r.depth, static_cast<long long>(r.trip), r.engine, r.block,
+        r.search, r.newton, r.jit, r.jit_compile_ms, r.bind_cold, r.bind_cached, speedup,
+        jit_speedup, bind_speedup);
     if (r.gate && speedup < 2.5) gate_ok = false;
     // The JIT floor covers the cubic and quartic nests — the deep
     // recoveries where folding coefficients, guards and branch numbers
@@ -401,19 +364,16 @@ int main(int argc, char** argv) {
     if (r.gate_jit && jit_toolchain) {
       if (!r.jit_compiled || jit_speedup < 1.5) jit_ok = false;
     }
-    if (r.gate_quartic && q_speedup < 2.5) quartic_ok = false;
     // Every nest gates the plan-cache floor: a hit must be >= 10x
     // cheaper than the cold collapse+bind it replaces.
     if (bind_speedup < 10.0) bind_ok = false;
   }
-  bench::rule(186);
+  bench::rule(152);
   std::printf(
-      "eng-spdup = interpreter / engine (full closed-form recovery).  block64 is\n"
-      "recover_block amortized over 64 consecutive pcs — the per-iteration cost the\n"
-      "chunked schemes pay.\n"
-      "qblock64 is block64 through the PR 2 quartic path (bytecode program +\n"
-      "checked-i128 scalar guards); q-spdup = qblock64 / block64, the guarded\n"
-      "Ferrari's enforced >= 2.5x floor on the quartic nests.  bind-cold is ns per\n"
+      "eng-spdup = search / engine (full closed-form recovery against the exact\n"
+      "binary search a level without a usable formula lowers to), enforced >= 2.5x\n"
+      "on the gated nests.  block64 is recover_block amortized over 64 consecutive\n"
+      "pcs — the per-iteration cost the chunked schemes pay.  bind-cold is ns per\n"
       "cold CollapsePlan::build (collapse+bind), bind-hit ns per plan_cache().get\n"
       "hit on the same key; bindspdup = bind-cold / bind-hit, enforced >= 10x on\n"
       "every nest.  jit[ns] is the runtime-compiled specialized kernel's ns per\n"
@@ -461,14 +421,13 @@ int main(int argc, char** argv) {
       const Row& r = rows[i];
       std::fprintf(f,
                    "    {\"name\": \"%s\", \"depth\": %d, \"trip_count\": %lld, "
-                   "\"gate\": %s, \"gate_quartic\": %s, \"gate_jit\": %s, "
-                   "\"schemes\": {\"interpreter\": %.2f, \"engine\": %.2f, "
-                   "\"block64\": %.3f, \"search\": %.2f, \"newton\": %.2f, \"quartic_block64\": %.3f, "
+                   "\"gate\": %s, \"gate_jit\": %s, "
+                   "\"schemes\": {\"engine\": %.2f, "
+                   "\"block64\": %.3f, \"search\": %.2f, \"newton\": %.2f, "
                    "\"jit\": %.3f}, "
                    "\"jit_compile_ms\": %.2f, "
                    "\"bind\": {\"cold_ns\": %.1f, \"cached_ns\": %.1f}, "
-                   "\"speedup_engine_vs_interpreter\": %.3f, "
-                   "\"speedup_ferrari_vs_bytecode\": %.3f, "
+                   "\"speedup_engine_vs_search\": %.3f, "
                    "\"speedup_jit_vs_engine\": %.3f, "
                    "\"speedup_bind_cached_vs_cold\": %.2f, "
                    "\"selection\": {\"chosen\": \"%s\", "
@@ -478,11 +437,9 @@ int main(int argc, char** argv) {
                    "\"candidates\": {%s}}, "
                    "\"spread\": {%s}}%s\n",
                    r.name.c_str(), r.depth, static_cast<long long>(r.trip),
-                   r.gate ? "true" : "false", r.gate_quartic ? "true" : "false",
-                   r.gate_jit && jit_toolchain ? "true" : "false",
-                   r.interp, r.engine, r.block, r.search, r.newton, r.qblock, r.jit,
-                   r.jit_compile_ms, r.bind_cold, r.bind_cached, r.interp / r.engine,
-                   r.qblock > 0 ? r.qblock / r.block : 0.0,
+                   r.gate ? "true" : "false", r.gate_jit && jit_toolchain ? "true" : "false",
+                   r.engine, r.block, r.search, r.newton, r.jit, r.jit_compile_ms,
+                   r.bind_cold, r.bind_cached, r.search / r.engine,
                    r.jit > 0 ? r.engine / r.jit : 0.0,
                    r.bind_cached > 0 ? r.bind_cold / r.bind_cached : 0.0,
                    sels[i].chosen.c_str(), sels[i].measured, sels[i].best.c_str(),
@@ -502,13 +459,9 @@ int main(int argc, char** argv) {
 
   int rc = 0;
   if (!gate_ok) {
-    std::printf("FAIL: compiled engine below the enforced 2.5x floor on a gated nest\n");
-    rc = 1;
-  }
-  if (!quartic_ok) {
     std::printf(
-        "FAIL: guarded Ferrari below the enforced 2.5x floor over the PR 2 bytecode "
-        "path on a quartic nest\n");
+        "FAIL: compiled engine below the enforced 2.5x floor over exact search on a "
+        "gated nest\n");
     rc = 1;
   }
   if (!jit_ok) {

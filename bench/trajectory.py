@@ -25,8 +25,7 @@ import sys
 
 MAX_RUNS = 200          # cap the accumulated history
 MD_ROWS = 30            # rows rendered in the markdown tables
-ENGINE_FLOOR = 2.5      # enforced engine-vs-interpreter floor
-QUARTIC_FLOOR = 2.5     # enforced ferrari-vs-bytecode floor (quartic nests)
+ENGINE_FLOOR = 2.5      # enforced engine-vs-search floor (gated nests)
 BIND_FLOOR = 10.0       # enforced plan-cache-hit vs cold collapse+bind floor
 SELECT_CEIL = 2.0       # enforced auto_select-vs-measured-best ratio ceiling
                         # (gated nests, guard picks included)
@@ -75,20 +74,17 @@ def main():
         schemes = nest.get("schemes", {})
         bind = nest.get("bind", {})
         entry["nests"][nest["name"]] = {
-            "interpreter": schemes.get("interpreter"),
             "engine": schemes.get("engine"),
             "block64": schemes.get("block64"),
-            "quartic_block64": schemes.get("quartic_block64"),
+            "search": schemes.get("search"),
             "bind_cold_ns": bind.get("cold_ns"),
             "bind_cached_ns": bind.get("cached_ns"),
-            "speedup_engine": nest.get("speedup_engine_vs_interpreter"),
-            "speedup_quartic": nest.get("speedup_ferrari_vs_bytecode"),
+            "speedup_engine_vs_search": nest.get("speedup_engine_vs_search"),
             "speedup_bind": nest.get("speedup_bind_cached_vs_cold"),
             "jit": schemes.get("jit"),
             "jit_compile_ms": nest.get("jit_compile_ms"),
             "speedup_jit": nest.get("speedup_jit_vs_engine"),
             "gate": bool(nest.get("gate", False)),
-            "gate_quartic": bool(nest.get("gate_quartic", False)),
             "gate_jit": bool(nest.get("gate_jit", False)),
         }
         sel = nest.get("selection")
@@ -158,8 +154,7 @@ def main():
         "## Recovery perf trajectory",
         "",
         f"ns/iteration engine speedups per run (floors: engine ≥{ENGINE_FLOOR}x "
-        f"vs interpreter, ferrari ≥{QUARTIC_FLOOR}x vs the pre-Ferrari bytecode path on quartic "
-        f"nests, plan-cache bind hit ≥{BIND_FLOOR:.0f}x vs a cold "
+        f"vs exact search on gated nests, plan-cache bind hit ≥{BIND_FLOOR:.0f}x vs a cold "
         "collapse+bind on every nest, auto_select picks "
         f"≤{SELECT_CEIL:.0f}x the measured-best candidate on gated nests, "
         f"and the jit-compiled kernel ≥{JIT_FLOOR}x vs engine on gated "
@@ -167,10 +162,10 @@ def main():
         "bench_recovery_ns).",
         "",
         "| run | sha | abi | "
-        + " | ".join(f"{n} eng | {n} q4 | {n} bind | {n} sel | {n} jit"
+        + " | ".join(f"{n} eng | {n} bind | {n} sel | {n} jit"
                      for n in nest_names)
         + " |",
-        "|" + "---|" * (3 + 5 * len(nest_names)),
+        "|" + "---|" * (3 + 4 * len(nest_names)),
     ]
     for r in runs[-MD_ROWS:]:
         cells = [str(r.get("run", "?")), str(r.get("sha", "?")),
@@ -178,12 +173,10 @@ def main():
         for n in nest_names:
             d = r.get("nests", {}).get(n, {})
             # Floors are marked only where bench_recovery_ns enforces
-            # them (gated nests).
-            cells.append(fmt(d.get("speedup_engine"),
+            # them (gated nests).  Runs from before the search baseline
+            # recorded no engine-vs-search speedup and render "—".
+            cells.append(fmt(d.get("speedup_engine_vs_search"),
                              ENGINE_FLOOR if d.get("gate") else None))
-            q = d.get("speedup_quartic")
-            cells.append(fmt(q if q else None,
-                             QUARTIC_FLOOR if d.get("gate_quartic") else None))
             b = d.get("speedup_bind")
             cells.append(fmt(b if b else None, BIND_FLOOR if b else None))
             # Selection accuracy: chosen-vs-best ratio.  A ceiling, not a

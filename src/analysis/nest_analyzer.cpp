@@ -246,23 +246,16 @@ void analyze_bound_plan(NestCertificate& cert, const Collapsed& col,
       }
       case LevelSolverKind::Quartic:
         diag(cert, "NRC-I002", LintSeverity::Info, k,
-             "quartic level: the Ferrari estimate may demote to bytecode at "
-             "degenerate points (counted in RecoveryStats::quartic_demoted)",
+             "quartic level: the Ferrari estimate may demote to the root formula "
+             "at degenerate points (counted in RecoveryStats::quartic_demoted)",
              "demotion is exact but slower; a Search-free certificate is not "
              "available for degree-4 levels");
         why_not_f64 = "quartic levels may demote per point";
         break;
-      case LevelSolverKind::Program:
-      case LevelSolverKind::Interpreted:
       case LevelSolverKind::Search:
         diag(cert, "NRC-I001", LintSeverity::Info, k,
              std::string("level lowers to ") + level_solver_kind_name(r.solver) +
-                 ": every recovery pays " +
-                 (r.solver == LevelSolverKind::Search
-                      ? "an exact binary search over the level range"
-                      : r.solver == LevelSolverKind::Interpreted
-                            ? "a heap-allocating generic interpreter pass"
-                            : "a bytecode program evaluation"),
+                 ": every recovery pays an exact binary search over the level range",
              "prefer schedules with few recoveries (row_segments, per_thread); "
              "auto_select already weighs this");
         why_not_f64 = "no closed-form certificate for this solver";

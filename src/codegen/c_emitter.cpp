@@ -176,7 +176,7 @@ void emit_recovery(CodeWriter& w, const NestProgram& prog, const Collapsed& col)
         call += "__nrc_A" + std::to_string(e) + ", ";
       call += std::to_string(lf.branch) + ", &__nrc_est)";
       // Demotion guard: where the real-arithmetic estimate degenerates
-      // (the library would demote the point to its bytecode engine) the
+      // (the library would demote the point to the root formula) the
       // generated code starts the exact correction from the level's
       // lower bound instead of flooring a non-finite value.
       w.line(var + " = " + call + " ? __nrc_est : " + lb + ";");

@@ -7,7 +7,6 @@
 #include <mutex>
 
 #include "core/real_solvers.hpp"
-#include "core/runtime_config.hpp"
 #include "support/error.hpp"
 #include "symbolic/print_c.hpp"
 
@@ -61,10 +60,6 @@ const char* level_solver_kind_name(LevelSolverKind k) {
       return "guarded-cubic";
     case LevelSolverKind::Quartic:
       return "guarded-ferrari";
-    case LevelSolverKind::Program:
-      return "bytecode-program";
-    case LevelSolverKind::Interpreted:
-      return "interpreted";
     case LevelSolverKind::Search:
       return "binary-search";
   }
@@ -76,6 +71,9 @@ struct Collapsed::Impl {
   std::vector<LevelFormula> levels;
   std::vector<std::string> slots;
   CollapseOptions opts;
+  // Per level root formula (empty without one).  It reads the
+  // parameters from their slots, so every bind shares it.
+  std::shared_ptr<const std::vector<CompiledExpr>> roots;
 
   // Parameter-keyed bind memo: re-binding the same parameters (cache
   // eviction rebuilds, deserialized plans, warm starts) copies the
@@ -125,6 +123,13 @@ Collapsed collapse(const NestSpec& nest, const CollapseOptions& opts) {
     impl->levels = build_level_formulas(impl->rs, 0);
   }
 
+  auto roots = std::make_shared<std::vector<CompiledExpr>>(static_cast<size_t>(c));
+  for (int k = 0; k < c; ++k) {
+    const LevelFormula& lf = impl->levels[static_cast<size_t>(k)];
+    if (lf.branch >= 0) (*roots)[static_cast<size_t>(k)] = CompiledExpr(lf.root, impl->slots);
+  }
+  impl->roots = std::move(roots);
+
   Collapsed col;
   col.impl_ = std::move(impl);
   return col;
@@ -149,29 +154,15 @@ std::string Collapsed::describe() const {
     }
     const LevelSolverKind kind = planned_solver(lf, k, c);
     s += "    lowered solver: " + std::string(level_solver_kind_name(kind));
-    // Ferrari levels demote to the bytecode program at points where the
-    // selected branch goes genuinely complex.
-    if (kind == LevelSolverKind::Quartic) s += " [bytecode demotion]";
+    // Ferrari levels demote to the root formula above at points where
+    // the selected branch goes genuinely complex.
+    if (kind == LevelSolverKind::Quartic) s += " [formula demotion]";
     s += "\n";
   }
   s += "guard policy: proven-exact f64 where the bind-time slot-magnitude "
        "proof holds, checked-i128 fallback (all engines)\n";
   return s;
 }
-
-namespace {
-
-/// Apply the process-global RuntimeConfig defaults to a freshly bound
-/// (or memo-copied) evaluator.  The per-instance hooks stay available to
-/// diverge individual evaluators afterwards.
-void apply_runtime_config(CollapsedEval& ev) {
-  const RuntimeConfig& cfg = runtime_config();
-  ev.set_f64_guards(cfg.f64_guards);
-  if (cfg.bytecode_quartics) ev.use_bytecode_quartics();
-  if (cfg.force_quartic_demotion) ev.force_quartic_demotion();
-}
-
-}  // namespace
 
 CollapsedEval Collapsed::bind(const ParamMap& params) const {
   const Impl& im = *impl_;
@@ -181,9 +172,7 @@ CollapsedEval Collapsed::bind(const ParamMap& params) const {
       if (it->first == params) {
         im.bind_memo.splice(im.bind_memo.begin(), im.bind_memo, it);
         ++im.bind_reuses;
-        CollapsedEval ev = *it->second;
-        apply_runtime_config(ev);
-        return ev;
+        return *it->second;
       }
     }
   }
@@ -193,7 +182,6 @@ CollapsedEval Collapsed::bind(const ParamMap& params) const {
     im.bind_memo.emplace_front(params, std::make_shared<const CollapsedEval>(ev));
     if (im.bind_memo.size() > Impl::kBindMemoCapacity) im.bind_memo.pop_back();
   }
-  apply_runtime_config(ev);
   return ev;
 }
 
@@ -227,25 +215,15 @@ CollapsedEval Collapsed::bind_fresh(const ParamMap& params) const {
     ev.bounds_hi_.push_back(FoldedBound::fold(spec.at(k).upper, spec, params));
   }
 
-  // Engine rank polynomials get the parameters folded in (fewer terms,
-  // no runtime parameter powers) and, when small enough, a flat
-  // multiply-add form that skips the generic power loop entirely; the
-  // seed-baseline interpreter keeps the unfolded originals so
-  // recover_interpreted() measures the seed cost.
+  // Rank polynomials get the parameters folded in (fewer terms, no
+  // runtime parameter powers) and, when small enough, a flat
+  // multiply-add form that skips the generic power loop entirely.
   for (int k = 0; k < c; ++k) {
-    const Polynomial& R = im.rs.prefix_rank[static_cast<size_t>(k)];
-    const Polynomial folded = fold_params(R, params);
+    const Polynomial folded = fold_params(im.rs.prefix_rank[static_cast<size_t>(k)], params);
     ev.prank_.emplace_back(folded, im.slots);
     ev.prank_flat_.push_back(FlatPoly::build(folded, im.slots));
-    ev.prank_interp_.emplace_back(R, im.slots);
   }
-
-  ev.closed_.resize(static_cast<size_t>(c));
-  for (int k = 0; k < c; ++k) {
-    const LevelFormula& lf = im.levels[static_cast<size_t>(k)];
-    if (lf.branch >= 0)
-      ev.closed_[static_cast<size_t>(k)] = CompiledExpr(lf.root, im.slots);
-  }
+  ev.closed_ = im.roots;
 
   // Lower every level's recovery into the cheapest exact engine.  The
   // scaled coefficients A_e = D * a_e (D = common denominator) have
@@ -280,15 +258,6 @@ CollapsedEval Collapsed::bind_fresh(const ParamMap& params) const {
       sv.scaled.clear();
       sv.flat = {};
       sv.kind = LevelSolverKind::Search;
-      continue;
-    }
-
-    if (sv.kind == LevelSolverKind::Quartic) {
-      // The Ferrari solver's demotion target for points where the
-      // selected branch goes genuinely complex.  An uncompiled program
-      // (register pressure, folding overflow) is fine: demotion then
-      // falls through to the generic interpreter for those rare points.
-      sv.program = RecoveryProgram(lf.root, im.slots, params);
     }
   }
 
@@ -366,13 +335,6 @@ CollapsedEval Collapsed::bind_fresh(const ParamMap& params) const {
     }
   }
   return ev;
-}
-
-void CollapsedEval::use_bytecode_quartics() {
-  for (LevelSolver& sv : solvers_)
-    if (sv.kind == LevelSolverKind::Quartic)
-      sv.kind = sv.program.compiled() ? LevelSolverKind::Program
-                                      : LevelSolverKind::Interpreted;
 }
 
 i128 CollapsedEval::eval_rank(int k, const i64* pt) const {
@@ -505,30 +467,31 @@ i64 CollapsedEval::guard_level_f64(int k, std::span<i64> pt, i64 pc, i64 estimat
   return val;
 }
 
+/// The root formula's value array lives on this function's own frame
+/// (noinline keeps it off solve_level's), so evaluating it allocates
+/// nothing, even on a thread's first call.
+[[gnu::noinline]] bool CollapsedEval::root_value(int k, const i64* pt,
+                                                 long double* re) const {
+  const CompiledExpr& ce = (*closed_)[static_cast<size_t>(k)];
+  if (ce.empty() || ce.size() > static_cast<size_t>(kMaxRootValues)) return false;
+  cld values[kMaxRootValues];
+  cld z;
+  ce.eval({pt, nslots_}, CompiledExpr::kAllSlots, values, {&z, 1});
+  if (!std::isfinite(z.real()) || !std::isfinite(z.imag())) return false;
+  *re = z.real();
+  return true;
+}
+
 /// Demoted-quartic path: the Ferrari estimate could not follow the
-/// selected branch (or failed its guard), so evaluate the branch through
-/// the bytecode program — complex arithmetic where the branch needs it —
-/// or, when that did not compile, the generic interpreter; the exact
-/// guard still decides.  False when no finite estimate exists or the
-/// i128 guard overflowed: the caller falls back to exact search.
+/// selected branch (or failed its guard), so evaluate the level's root
+/// formula in complex arithmetic; the exact guard still decides.  False
+/// when no finite estimate exists or the i128 guard overflowed: the
+/// caller falls back to exact search.
 bool CollapsedEval::quartic_demote(int k, std::span<i64> pt, i64 pc, const i128* A,
                                    const double* Ad, int deg, RecoveryStats* stats,
                                    i64* out) const {
-  const LevelSolver& sv = solvers_[static_cast<size_t>(k)];
-  const std::span<const i64> pts(pt.data(), nslots_);
-  long double zre;
-  if (sv.program.compiled()) {
-    const RootValue z = sv.program.eval(pts);
-    if (!z.finite()) return false;
-    zre = z.re;
-  } else {
-    const CompiledExpr& ce = closed_[static_cast<size_t>(k)];
-    if (ce.empty()) return false;
-    const cld z = ce.eval(pts);
-    if (!std::isfinite(z.real()) || !std::isfinite(z.imag())) return false;
-    zre = z.real();
-  }
-  if (zre < -9.2e18L || zre > 9.2e18L) return false;
+  long double zre = 0.0L;
+  if (!root_value(k, pt.data(), &zre) || zre < -9.2e18L || zre > 9.2e18L) return false;
   const i64 est = static_cast<i64>(std::floor(zre + 1e-9L));
   if (Ad) {
     *out = guard_level_f64(k, pt, pc, est, Ad, deg, stats);
@@ -637,25 +600,13 @@ i64 CollapsedEval::solve_level(int k, std::span<i64> pt, i64 pc,
         }
         // Real arithmetic could not follow the branch (complex resolvent
         // root, w == 0 degeneration) or the estimate was badly off:
-        // demote this point to the bytecode program, guard included.
+        // demote this point to the root formula, guard included.
         if (quartic_demote(k, pt, pc, f64 ? nullptr : A, f64 ? Ad : nullptr, deg,
                            stats, &out)) {
           if (stats) ++stats->quartic_demoted;
           return out;
         }
         break;  // no finite estimate anywhere: search
-      }
-      case LevelSolverKind::Program: {
-        const RootValue z = sv.program.eval(pts);
-        if (!z.finite() || z.re < -9.2e18L || z.re > 9.2e18L) break;
-        return guard(static_cast<i64>(std::floor(z.re + 1e-9L)));
-      }
-      case LevelSolverKind::Interpreted: {
-        const cld z = closed_[static_cast<size_t>(k)].eval(pts);
-        if (!std::isfinite(z.real()) || !std::isfinite(z.imag()) ||
-            z.real() < -9.2e18L || z.real() > 9.2e18L)
-          break;
-        return guard(static_cast<i64>(std::floor(z.real() + 1e-9L)));
       }
       default:
         break;
@@ -669,27 +620,16 @@ i64 CollapsedEval::solve_level(int k, std::span<i64> pt, i64 pc,
   return val;
 }
 
-/// Innermost index is linear with unit slope: i = lb + (pc - R(prefix, lb)).
-/// `flat`, when usable, short-circuits the generic rank evaluation (the
-/// engine paths pass the bound flat form; the seed interpreter passes
-/// nullptr so it keeps measuring the seed cost).  recover() sets
-/// `use_f64`, taking the proven-exact double stream when bind()
-/// established it.
-void CollapsedEval::recover_innermost(std::span<i64> pt, std::span<i64> idx, i64 pc,
-                                      const CompiledPoly& inner_rank,
-                                      const FlatPoly* flat, bool use_f64) const {
+/// Innermost index is linear with unit slope: i = lb + (pc - R(prefix, lb)),
+/// through the proven-exact double stream when bind() established it.
+void CollapsedEval::recover_innermost(std::span<i64> pt, std::span<i64> idx, i64 pc) const {
   const int kl = c_ - 1;
   const i64 lb = bounds_lo_[static_cast<size_t>(kl)].eval(pt.data());
   pt[static_cast<size_t>(kl)] = lb;
-  i64 r0;
-  if (flat && use_f64 && flat->exact_f64()) {
-    r0 = static_cast<i64>(flat->eval_f64(pt.data()));
-  } else {
-    r0 = narrow_i64(
-        flat && flat->usable()
-            ? flat->eval_i128(pt.data())
-            : inner_rank.eval_i128(std::span<const i64>(pt.data(), nslots_)));
-  }
+  const FlatPoly& flat = prank_flat_[static_cast<size_t>(kl)];
+  const i64 r0 = f64_guards_ && flat.exact_f64()
+                     ? static_cast<i64>(flat.eval_f64(pt.data()))
+                     : narrow_i64(eval_rank(kl, pt.data()));
   idx[static_cast<size_t>(kl)] = lb + (pc - r0);
 }
 
@@ -700,8 +640,7 @@ void CollapsedEval::recover(i64 pc, std::span<i64> idx, RecoveryStats* stats) co
   std::span<i64> pts(pt.data(), nslots_);
   for (int k = 0; k + 1 < c_; ++k)
     idx[static_cast<size_t>(k)] = solve_level(k, pts, pc, stats);
-  recover_innermost(pts, idx, pc, prank_[static_cast<size_t>(c_) - 1],
-                    &prank_flat_[static_cast<size_t>(c_) - 1], f64_guards_);
+  recover_innermost(pts, idx, pc);
 }
 
 i64 CollapsedEval::recover_block(i64 pc_lo, i64 n, std::span<i64> out,
@@ -728,76 +667,17 @@ i64 CollapsedEval::recover_block(i64 pc_lo, i64 n, std::span<i64> out,
   return filled;
 }
 
-void CollapsedEval::recover_interpreted(i64 pc, std::span<i64> idx,
-                                        RecoveryStats* stats) const {
-  std::array<i64, kMaxSlots> pt = base_;
-  pt[pc_slot_] = pc;
-  std::span<i64> pts(pt.data(), nslots_);
-
-  for (int k = 0; k + 1 < c_; ++k) {
-    i64 val;
-    const CompiledExpr& ce = closed_[static_cast<size_t>(k)];
-    if (ce.empty()) {
-      val = search_level(k, pts, pc);
-      if (stats) ++stats->fallback;
-    } else {
-      const cld z = ce.eval(std::span<const i64>(pt.data(), nslots_));
-      if (!std::isfinite(z.real()) || !std::isfinite(z.imag())) {
-        val = search_level(k, pts, pc);
-        if (stats) ++stats->fallback;
-      } else {
-        const i64 lb = bounds_lo_[static_cast<size_t>(k)].eval(pt.data());
-        const i64 ub = bounds_hi_[static_cast<size_t>(k)].eval(pt.data());
-        i64 x = static_cast<i64>(std::floor(z.real() + 1e-9L));
-        if (x < lb) x = lb;
-        if (x > ub - 1) x = ub - 1;
-        // Exact integer correction: R_k(prefix, x) <= pc < R_k(prefix, x+1).
-        // Deliberately the unfolded seed polynomial: this path measures
-        // the seed engine.
-        const CompiledPoly& R = prank_interp_[static_cast<size_t>(k)];
-        auto rank_at = [&](i64 t) {
-          pt[static_cast<size_t>(k)] = t;
-          return R.eval_i128(std::span<const i64>(pt.data(), nslots_));
-        };
-        int steps = 0;
-        while (x > lb && rank_at(x) > pc && steps < kMaxCorrection) {
-          --x;
-          ++steps;
-        }
-        while (x < ub - 1 && rank_at(x + 1) <= pc && steps < kMaxCorrection) {
-          ++x;
-          ++steps;
-        }
-        if (steps >= kMaxCorrection) {
-          val = search_level(k, pts, pc);  // formula was badly off: exact fallback
-          if (stats) ++stats->fallback;
-        } else {
-          val = x;
-          if (stats) ++(steps > 0 ? stats->corrected : stats->closed_form);
-        }
-      }
-    }
-    pt[static_cast<size_t>(k)] = val;
-    idx[static_cast<size_t>(k)] = val;
-  }
-  recover_innermost(pts, idx, pc, prank_interp_[static_cast<size_t>(c_) - 1], nullptr);
-}
-
 bool CollapsedEval::recover_closed_raw(i64 pc, std::span<i64> idx) const {
   std::array<i64, kMaxSlots> pt = base_;
   pt[pc_slot_] = pc;
   for (int k = 0; k + 1 < c_; ++k) {
-    const CompiledExpr& ce = closed_[static_cast<size_t>(k)];
-    if (ce.empty()) return false;
-    const cld z = ce.eval(std::span<const i64>(pt.data(), nslots_));
-    if (!std::isfinite(z.real()) || !std::isfinite(z.imag())) return false;
-    const i64 x = static_cast<i64>(std::floor(z.real() + 1e-9L));
+    long double re = 0.0L;
+    if (!root_value(k, pt.data(), &re)) return false;
+    const i64 x = static_cast<i64>(std::floor(re + 1e-9L));
     pt[static_cast<size_t>(k)] = x;
     idx[static_cast<size_t>(k)] = x;
   }
-  std::span<i64> pts(pt.data(), nslots_);
-  recover_innermost(pts, idx, pc, prank_[static_cast<size_t>(c_) - 1],
-                    &prank_flat_[static_cast<size_t>(c_) - 1], f64_guards_);
+  recover_innermost({pt.data(), nslots_}, idx, pc);
   return true;
 }
 

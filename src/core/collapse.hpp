@@ -23,9 +23,8 @@
 //   * degree-3 levels by the guarded real-arithmetic Cardano/Viete,
 //   * degree-4 levels by the guarded real-arithmetic Ferrari (resolvent
 //     through the same Cardano path); points where the selected branch
-//     goes genuinely complex demote to the RecoveryProgram bytecode —
-//     flat real-valued instructions with the parameters constant-folded
-//     in (complex forms only where a Cardano/Ferrari branch needs them),
+//     goes genuinely complex demote to the level's convenient root
+//     formula, evaluated once in complex arithmetic (paper §IV-C),
 //   * levels without a usable formula by exact binary search.
 // Every floating-point estimate is corrected against the exact integer
 // level equation, so recover() never returns a wrong tuple.
@@ -45,7 +44,6 @@
 #include "core/unrank_closed.hpp"
 #include "polyhedral/domain.hpp"
 #include "symbolic/compile.hpp"
-#include "symbolic/recovery_program.hpp"
 
 namespace nrc {
 
@@ -86,9 +84,9 @@ class Collapsed {
   /// cache entry rebuilt, a deserialized plan re-bound, a warm_start)
   /// returns a copy of the memoized evaluator instead of re-folding
   /// bounds, rebuilding FlatPoly layouts and re-running the f64-guard
-  /// proof — the memo stores the pristine evaluator, and the
-  /// RuntimeConfig defaults are applied to the returned copy, so
-  /// config changes between binds still take effect.  Thread-safe.
+  /// proof (the memo stores the pristine evaluator; the per-instance
+  /// hooks of a returned copy do not reach it).  Every bind shares the
+  /// level root formulas compiled once by collapse().  Thread-safe.
   CollapsedEval bind(const ParamMap& params) const;
 
   /// How many bind() calls were served from the parameter memo (the
@@ -118,7 +116,7 @@ struct RecoveryStats {
   i64 fallback = 0;     ///< levels recovered by exact binary search
   /// Quartic levels whose real-arithmetic Ferrari estimate degenerated
   /// (or failed the guard) and that were then *successfully* solved
-  /// through the bytecode demotion path (a demotion that also finds no
+  /// through the root-formula demotion path (a demotion that also finds no
   /// finite estimate falls to search and counts only in fallback).  Not
   /// a level outcome of its own (the demoted solve still lands in one
   /// of the three counters above), so it does not participate in
@@ -140,12 +138,8 @@ enum class LevelSolverKind {
   ExactDivision,    ///< degree 1: one exact integer floor-division
   Quadratic,        ///< degree 2: guarded quadratic formula
   Cubic,            ///< degree 3: guarded real-arithmetic Cardano/Viete
-  Quartic,          ///< degree 4: guarded real-arithmetic Ferrari
-                    ///< (bytecode demotion where the branch goes complex)
-  Program,          ///< RecoveryProgram bytecode (ablation hook; the
-                    ///< pre-Ferrari quartic lowering)
-  Interpreted,      ///< bytecode lowering unavailable: generic interpreter
-                    ///< (the one lowering that still heap-allocates)
+  Quartic,          ///< degree 4: guarded real-arithmetic Ferrari (root-
+                    ///< formula demotion where the branch goes complex)
   Search,           ///< no usable formula: exact binary search
 };
 
@@ -159,7 +153,7 @@ class CollapsedEval {
   i64 trip_count() const { return total_; }
   const ParamMap& params() const { return params_; }
   bool has_closed_form(int level) const {
-    return !closed_[static_cast<size_t>(level)].empty();
+    return !(*closed_)[static_cast<size_t>(level)].empty();
   }
   /// The engine recover() uses for `level`.
   LevelSolverKind solver_kind(int level) const {
@@ -182,29 +176,20 @@ class CollapsedEval {
     return solvers_[static_cast<size_t>(level)].guards_f64;
   }
 
-  /// Ablation/bench hook: lower quartic levels back onto the generic
-  /// RecoveryProgram bytecode (the pre-Ferrari engine) instead of the
-  /// guarded real-arithmetic Ferrari solver.  Results stay bit-identical
-  /// (both sit behind the exact guard); only the cost changes.  Levels
-  /// whose bytecode failed to compile fall to the generic interpreter.
-  void use_bytecode_quartics();
-
-  /// Test/ablation hook: treat every quartic point as if the Ferrari
-  /// estimate had degenerated, exercising the per-point demotion path —
-  /// bytecode estimate plus exact guard, RecoveryStats::quartic_demoted
-  /// counting each demotion.  Results stay identical.
+  /// Test hook: treat every quartic point as if the Ferrari estimate
+  /// had degenerated, exercising the per-point demotion path — the root
+  /// formula's estimate plus the exact guard, RecoveryStats::
+  /// quartic_demoted counting each demotion.  Results stay identical.
   void force_quartic_demotion() { demote_quartics_ = true; }
 
   /// Exact 1-based rank of an iteration tuple.
   i64 rank(std::span<const i64> idx) const;
 
   /// Recover the iteration tuple of rank pc (1 <= pc <= trip_count()):
-  /// degree-specialized / bytecode closed forms guarded by exact integer
+  /// degree-specialized closed forms guarded by exact integer
   /// correction, with binary search as fallback.  Never returns a wrong
   /// tuple.  `stats`, when non-null, accumulates which path each level
-  /// took.  Zero heap allocation — except on levels bind() had to demote
-  /// to LevelSolverKind::Interpreted (bytecode register pressure), whose
-  /// generic evaluator allocates; solver_kind() exposes the lowering.
+  /// took.  Zero heap allocation.
   void recover(i64 pc, std::span<i64> idx, RecoveryStats* stats = nullptr) const;
 
   /// Batched recovery: fill `out` (row-major, n rows of depth() values)
@@ -216,15 +201,10 @@ class CollapsedEval {
   i64 recover_block(i64 pc_lo, i64 n, std::span<i64> out,
                     RecoveryStats* stats = nullptr) const;
 
-  /// Seed-era recovery through the generic CompiledExpr interpreter
-  /// (complex arithmetic, heap-allocated value vector).  Kept as the
-  /// ablation / benchmark baseline for the bytecode engine; results are
-  /// identical to recover().
-  void recover_interpreted(i64 pc, std::span<i64> idx, RecoveryStats* stats = nullptr) const;
-
   /// Closed-form recovery *without* the correction guard (ablation /
-  /// tests).  Returns false if any level lacks a formula or produced a
-  /// non-finite value; idx is then unspecified.
+  /// tests).  Returns false if any level lacks a formula (or one longer
+  /// than kMaxRootValues instructions) or produced a non-finite value;
+  /// idx is then unspecified.
   bool recover_closed_raw(i64 pc, std::span<i64> idx) const;
 
   /// Exact binary-search recovery (no floating point).
@@ -292,7 +272,6 @@ class CollapsedEval {
     bool guards_f64 = false;           ///< coefficients and guard may run in
                                        ///< proven-exact double (all engines)
     int branch = 0;                    ///< selected convenient branch
-    RecoveryProgram program;           ///< Program levels; Quartic demotion target
   };
 
   /// for_each_row's walk from `idx`, the already-recovered tuple of
@@ -330,16 +309,18 @@ class CollapsedEval {
                   const i128* A, int deg, RecoveryStats* stats) const;
   i64 guard_level_f64(int k, std::span<i64> pt, i64 pc, i64 estimate,
                       const double* A, int deg, RecoveryStats* stats) const;
-  /// Demoted-quartic path: bytecode (or, uncompiled, interpreter)
-  /// estimate plus the exact guard; exactly one of A / Ad is non-null
-  /// and selects the guard arithmetic.  False when no finite estimate
-  /// exists or the exact guard overflowed — the caller searches.
+  /// Demoted-quartic path: the root formula's estimate plus the exact
+  /// guard; exactly one of A / Ad is non-null and selects the guard
+  /// arithmetic.  False when no finite estimate exists or the exact
+  /// guard overflowed — the caller searches.
   bool quartic_demote(int k, std::span<i64> pt, i64 pc, const i128* A,
                       const double* Ad, int deg, RecoveryStats* stats,
                       i64* out) const;
-  void recover_innermost(std::span<i64> pt, std::span<i64> idx, i64 pc,
-                         const CompiledPoly& inner_rank, const FlatPoly* flat,
-                         bool use_f64 = false) const;
+  /// Real part of level k's root formula at `pt`, evaluated on stack
+  /// scratch.  False when the level has no formula, the formula is
+  /// longer than kMaxRootValues instructions or its value is not finite.
+  bool root_value(int k, const i64* pt, long double* re) const;
+  void recover_innermost(std::span<i64> pt, std::span<i64> idx, i64 pc) const;
   /// Exact rank-prefix evaluation through the flat form when available.
   i128 eval_rank(int k, const i64* pt) const;
   int c_ = 0;
@@ -351,8 +332,8 @@ class CollapsedEval {
   std::vector<Bound> bounds_lo_, bounds_hi_;
   std::vector<CompiledPoly> prank_;        // per level, parameters pre-folded
   std::vector<FlatPoly> prank_flat_;       // flat forms of prank_ (else unusable)
-  std::vector<CompiledPoly> prank_interp_; // per level, unfolded (seed baseline)
-  std::vector<CompiledExpr> closed_;   // per level; may be empty (interpreter)
+  // Per level root formula (empty without one), shared by every bind.
+  std::shared_ptr<const std::vector<CompiledExpr>> closed_;
   std::vector<LevelSolver> solvers_;   // per level
   bool f64_guards_ = true;             // see set_f64_guards()
   bool demote_quartics_ = false;       // see force_quartic_demotion()

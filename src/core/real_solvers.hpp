@@ -21,12 +21,12 @@
 //     Im(csqrt(z)) = sign(Im z) * sqrt((|z| - Re z)/2),
 //     so a complex resolvent root (the conjugate-pair branches the
 //     calibration routinely selects) costs two hypots instead of a
-//     ~90-instruction bytecode program.
+//     ~90-instruction complex root formula.
 //
 // Degenerate configurations (leading coefficient zero, w == 0 divisions,
 // the u -> 0 Cardano degeneration) surface as non-finite values and make
 // the estimate functions return false; the caller demotes those points
-// to the bytecode program, whose guard/search machinery stays exact.
+// to the level's complex root formula, behind the same exact guard.
 //
 // Everything is templated on the evaluation type F (long double for the
 // checked-i128 guard path, double for the proven-exact-f64 one) and on
@@ -133,7 +133,7 @@ bool cubic_estimate(const TA* A, int branch, i64* est) {
 /// and the recovered estimate is floor(Re(y) - b/4 + eps).  Returns
 /// false when the formula degenerates (A4 == 0, w == 0 divisions,
 /// non-finite, out of the index range); the caller then demotes the
-/// point to the bytecode program.
+/// point to the level's root formula.
 template <class F, class TA>
 bool ferrari_estimate(const TA* A, int branch, i64* est) {
   if (A[4] == 0) return false;

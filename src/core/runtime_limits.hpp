@@ -1,9 +1,9 @@
 #pragma once
 // Hard limits of the runtime fast path (the symbolic machinery is
 // unbounded).  These bound the fixed stack scratch used by the
-// allocation-free evaluators: CollapsedEval, NewtonUnranker and the
-// RecoveryProgram bytecode all size their working arrays with them so
-// the recover() hot path never touches the heap.
+// allocation-free evaluators: CollapsedEval and NewtonUnranker size
+// their working arrays with them so the recover() hot path never
+// touches the heap.
 
 namespace nrc {
 
@@ -12,5 +12,11 @@ inline constexpr int kMaxDepth = 12;
 
 /// Maximum number of runtime slots (loop vars + parameters + "pc").
 inline constexpr int kMaxSlots = 40;
+
+/// Maximum instructions of a level's compiled root formula that
+/// CollapsedEval evaluates on the stack (the quartic demotion); quartic
+/// Ferrari roots compile to under 90.  A longer root falls to exact
+/// binary search.
+inline constexpr int kMaxRootValues = 192;
 
 }  // namespace nrc

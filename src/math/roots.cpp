@@ -91,8 +91,7 @@ cld principal_cbrt(const cld& z) {
   // Polar form of the principal branch (arg/3 stays in (-pi/3, pi/3]):
   // the same branch cpow(z, 1/3) picks in the generated C code, at
   // roughly half the cost.  The single shared implementation keeps
-  // branch calibration, the interpreter and the bytecode engine
-  // bit-identical.
+  // branch calibration and the quartic demotion bit-identical.
   if (z == cld{0.0L, 0.0L}) return {0.0L, 0.0L};
   const long double m = std::cbrt(std::hypot(z.real(), z.imag()));
   const long double a = std::atan2(z.imag(), z.real()) / 3.0L;

@@ -26,7 +26,6 @@
 #include "core/count.hpp"
 #include "core/increment.hpp"
 #include "core/ranking.hpp"
-#include "core/runtime_config.hpp"
 #include "core/unrank_closed.hpp"
 #include "core/unrank_newton.hpp"
 #include "core/unrank_search.hpp"
@@ -56,6 +55,5 @@
 #include "symbolic/compile.hpp"
 #include "symbolic/expr.hpp"
 #include "symbolic/print_c.hpp"
-#include "symbolic/recovery_program.hpp"
 #include "symbolic/root_formula.hpp"
 #include "viz/ascii_domain.hpp"

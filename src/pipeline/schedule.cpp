@@ -149,11 +149,8 @@ Schedule Schedule::auto_select(const CollapsedEval& cn, const AutoSelectHints& h
   }
 
   bool costly_recovery = false;  // a level with no usable formula
-  for (int k = 0; k < cn.depth(); ++k) {
-    const LevelSolverKind kind = cn.solver_kind(k);
-    if (kind == LevelSolverKind::Search || kind == LevelSolverKind::Interpreted)
-      costly_recovery = true;
-  }
+  for (int k = 0; k < cn.depth(); ++k)
+    if (cn.solver_kind(k) == LevelSolverKind::Search) costly_recovery = true;
 
   if (costly_recovery) {
     // Recovery dominates: the per-thread schemes pay exactly one per

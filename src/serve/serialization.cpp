@@ -55,7 +55,7 @@ LevelSolverKind level_solver_kind_from_name(const std::string& name) {
   for (const LevelSolverKind k :
        {LevelSolverKind::InnermostLinear, LevelSolverKind::ExactDivision,
         LevelSolverKind::Quadratic, LevelSolverKind::Cubic, LevelSolverKind::Quartic,
-        LevelSolverKind::Program, LevelSolverKind::Interpreted, LevelSolverKind::Search})
+        LevelSolverKind::Search})
     if (name == level_solver_kind_name(k)) return k;
   throw ParseError("plan record: unknown solver kind '" + name + "'");
 }
@@ -155,7 +155,7 @@ std::shared_ptr<const CollapsePlan> CollapsePlan::deserialize(std::istream& is) 
   if (plan->solver_kinds() != rec.solvers)
     throw SpecError(
         "plan record: recorded solver kinds do not match this build's lowering "
-        "(corrupt record, or a snapshot taken under a different RuntimeConfig)");
+        "(corrupt record, or a snapshot taken by a build that lowers differently)");
   return plan;
 }
 

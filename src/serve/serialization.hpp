@@ -8,7 +8,7 @@
 // those inputs, plus the per-level solver kinds bind() chose as an
 // integrity check: deserialization re-runs the pipeline and rejects a
 // record whose recorded lowering no longer matches (corruption, or a
-// snapshot taken under a different RuntimeConfig).
+// snapshot taken by a build that lowers differently).
 //
 //   nrcplan 1
 //   opts build_closed_form=1 max_closed_degree=4

@@ -9,7 +9,9 @@
 //   recover   [i128]   — the same engine with set_f64_guards(false),
 //                        byte-identical by the exactness proof,
 //   recover_block      — one solve per block, then row arithmetic,
-//   recover_interpreted— the seed-era complex interpreter,
+//   recover [demoted]  — on domains with a quartic level, the same engine
+//                        with force_quartic_demotion(): every quartic
+//                        point through the complex root formula,
 //
 // plus rank() round trips.  Domains expected empty must be rejected by
 // collapse()/bind().
@@ -64,12 +66,12 @@ void check_domain(const CollapsedEval& cn, const std::string& repro, FuzzTally* 
   CollapsedEval ref_guards = cn;
   ref_guards.set_f64_guards(false);
 
-  for (int k = 0; k < cn.depth(); ++k) {
-    if (cn.solver_kind(k) == LevelSolverKind::Quartic) {
-      ++tally->quartic_domains;
-      break;
-    }
-  }
+  bool quartic = false;
+  for (int k = 0; k < cn.depth(); ++k)
+    if (cn.solver_kind(k) == LevelSolverKind::Quartic) quartic = true;
+  if (quartic) ++tally->quartic_domains;
+  CollapsedEval demoted = cn;
+  demoted.force_quartic_demotion();
 
   // The full domain when small; otherwise a stride that still lands on
   // both ends (the generator keeps most domains small enough for full
@@ -81,8 +83,10 @@ void check_domain(const CollapsedEval& cn, const std::string& repro, FuzzTally* 
     cn.recover_search(pc, ref);
     cn.recover(pc, eng, &tally->stats);
     ASSERT_EQ(eng, ref) << repro << "recover disagrees with search at pc=" << pc;
-    cn.recover_interpreted(pc, other);
-    ASSERT_EQ(other, ref) << repro << "recover_interpreted disagrees at pc=" << pc;
+    if (quartic) {
+      demoted.recover(pc, other);
+      ASSERT_EQ(other, ref) << repro << "recover with quartics demoted disagrees at pc=" << pc;
+    }
     ref_guards.recover(pc, other);
     ASSERT_EQ(other, ref) << repro << "recover with i128 guards disagrees at pc=" << pc;
     ASSERT_EQ(cn.rank(ref), pc) << repro << "rank round trip failed at pc=" << pc;

@@ -7,27 +7,32 @@
 // after bind-time setup — the
 // property the §V chunked schemes rely on to keep per-chunk recovery
 // overhead flat — and that neither does the tuple walk nrc::run drives
-// a range scheme's body with.
+// a range scheme's body with.  The quartic demotion allocates nothing
+// even on a thread's first recovery.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <thread>
 
 #include "../test_util.hpp"
 
 namespace {
 std::atomic<long long> g_allocations{0};
+thread_local long long t_allocations = 0;  // this thread's share
 }  // namespace
 
 void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  ++t_allocations;
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  ++t_allocations;
   return std::malloc(size);
 }
 void* operator new[](std::size_t size, const std::nothrow_t& t) noexcept {
@@ -54,19 +59,16 @@ std::vector<Case> engine_cases() {
                    collapse(testutil::triangular_strict()).bind({{"N", 300}})});
   cases.push_back({"tetrahedral_cubic",
                    collapse(testutil::tetrahedral_fig6()).bind({{"N", 40}})});
-  // The guarded Ferrari, in all four engine configurations: proven-f64
-  // guards (the default), the checked-i128 reference guards, the forced
-  // per-point bytecode demotion path, and the bytecode ablation — every
-  // one must stay allocation-free.
+  // The guarded Ferrari, in all three engine configurations: proven-f64
+  // guards (the default), the checked-i128 reference guards and the
+  // forced per-point root-formula demotion — every one must stay
+  // allocation-free.
   cases.push_back({"simplex_quartic", collapse(testutil::simplex_4d()).bind({{"N", 20}})});
   cases.push_back({"simplex_quartic_i128", collapse(testutil::simplex_4d()).bind({{"N", 20}})});
   cases.back().cn.set_f64_guards(false);
   cases.push_back(
       {"simplex_quartic_demoted", collapse(testutil::simplex_4d()).bind({{"N", 20}})});
   cases.back().cn.force_quartic_demotion();
-  cases.push_back(
-      {"simplex_quartic_bytecode", collapse(testutil::simplex_4d()).bind({{"N", 20}})});
-  cases.back().cn.use_bytecode_quartics();
   cases.push_back({"quartic_shifted",
                    collapse(testutil::simplex_4d_shifted()).bind({{"N", 16}})});
   cases.push_back({"rectangular_division",
@@ -124,6 +126,27 @@ TEST(NoAllocation, LaneBlockWalkHotPath) {
   }
 }
 
+TEST(NoAllocation, FirstQuarticDemotionOnAFreshThread) {
+  // No warm-up: the demotion evaluates the root formula on stack
+  // scratch, so a new thread's very first demoted recoveries allocate
+  // nothing.  Only this thread's allocations count.
+  CollapsedEval cn = collapse(testutil::simplex_4d()).bind({{"N", 20}});
+  cn.force_quartic_demotion();
+  const i64 n = std::min<i64>(cn.trip_count(), 500);
+  long long allocated = -1;
+  RecoveryStats stats;
+  std::thread worker([&] {
+    i64 idx[kMaxDepth];
+    const size_t d = static_cast<size_t>(cn.depth());
+    const long long before = t_allocations;
+    for (i64 pc = 1; pc <= n; ++pc) cn.recover(pc, {idx, d}, &stats);
+    allocated = t_allocations - before;
+  });
+  worker.join();
+  EXPECT_EQ(allocated, 0) << "a fresh thread's demoted recover() allocated";
+  EXPECT_EQ(stats.quartic_demoted, n);
+}
+
 TEST(NoAllocation, SearchRecoveryHotPath) {
   for (auto& c : engine_cases()) {
     i64 idx[kMaxDepth];
@@ -175,14 +198,12 @@ TEST(NoAllocation, TupleWalkHotPath) {
 }
 
 TEST(NoAllocation, CompiledExprEval) {
-  // The generic interpreter: the runtime fallback (recover_interpreted,
-  // the quartic demotion's last resort) and branch calibration, which
-  // evaluates every branch of a level in one program per point.
+  // The generic interpreter: single-root evaluation through each
+  // thread's value buffer, and branch calibration, which evaluates
+  // every branch of a level in one program per point.
   for (const NestSpec& nest : {testutil::triangular_strict(), testutil::tetrahedral_fig6(),
                                testutil::simplex_4d()}) {
     const Collapsed col = collapse(nest);
-    const ParamMap params{{"N", 20}};
-    const CollapsedEval cn = col.bind(params);
     std::vector<i64> pt(col.slot_order().size(), 0);
     pt[pt.size() - 2] = 20;
     std::vector<CompiledExpr> roots;
@@ -194,21 +215,17 @@ TEST(NoAllocation, CompiledExprEval) {
     }
     ASSERT_FALSE(roots.empty()) << nest.str();
     std::vector<cld> out(12), values(512);
-    i64 idx[kMaxDepth];
-    const size_t d = static_cast<size_t>(cn.depth());
     auto eval_all = [&](i64 pc) {
       pt.back() = pc;
       for (const CompiledExpr& ce : roots) (void)ce.eval(pt);
       for (const LevelBranches& lb : branches)
         lb.program.eval(pt, CompiledExpr::kAllSlots, values,
                         std::span<cld>(out.data(), lb.roots.size()));
-      cn.recover_interpreted(pc, {idx, d});
     };
     eval_all(1);  // warm-up: each thread's value buffer
 
-    const i64 n = std::min<i64>(cn.trip_count(), 500);
     const long long before = g_allocations.load();
-    for (i64 pc = 1; pc <= n; ++pc) eval_all(pc);
+    for (i64 pc = 1; pc <= 150; ++pc) eval_all(pc);  // inside every N = 20 domain
     const long long after = g_allocations.load();
     EXPECT_EQ(after, before) << nest.str() << ": CompiledExpr::eval allocated";
   }

@@ -1,7 +1,6 @@
-// The compiled recovery engine: degree-specialized solvers, bytecode
-// programs and batched block recovery must agree exactly with the
-// all-integer binary-search recovery (and with the seed-era interpreter)
-// over full domains.
+// The compiled recovery engine: degree-specialized solvers, the quartic
+// root-formula demotion and batched block recovery must agree exactly
+// with the all-integer binary-search recovery over full domains.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -16,13 +15,15 @@ namespace {
 
 void expect_engine_matches_search(const CollapsedEval& cn, const std::string& tag) {
   const size_t d = static_cast<size_t>(cn.depth());
-  std::vector<i64> via_engine(d), via_interp(d), via_search(d);
+  CollapsedEval demoted = cn;
+  demoted.force_quartic_demotion();
+  std::vector<i64> via_engine(d), via_demoted(d), via_search(d);
   for (i64 pc = 1; pc <= cn.trip_count(); ++pc) {
     cn.recover(pc, via_engine);
-    cn.recover_interpreted(pc, via_interp);
+    demoted.recover(pc, via_demoted);
     cn.recover_search(pc, via_search);
     ASSERT_EQ(via_engine, via_search) << tag << " pc=" << pc;
-    ASSERT_EQ(via_interp, via_search) << tag << " (interpreter) pc=" << pc;
+    ASSERT_EQ(via_demoted, via_search) << tag << " (quartics demoted) pc=" << pc;
   }
 }
 
@@ -65,7 +66,7 @@ TEST(RecoveryEngine, BlocksMatchSearchOnEveryKernelNest) {
 
 TEST(RecoveryEngine, MatchesSearchOnAllShapes) {
   // The shape menagerie exercises every solver kind: exact-division
-  // (degree 1), guarded-quadratic, bytecode programs (degrees 3 and 4).
+  // (degree 1), guarded-quadratic, guarded-cubic and guarded-ferrari.
   for (const auto& sc : testutil::closed_form_shapes()) {
     const ParamMap p = testutil::uniform_params(sc.nest, 7);
     if (!has_no_empty_ranges(sc.nest, p)) continue;
@@ -188,7 +189,7 @@ TEST(RecoveryEngine, DescribeNamesLoweredSolvers) {
   EXPECT_NE(d.find("lowered solver: innermost-linear"), std::string::npos);
   const std::string q = collapse(testutil::simplex_4d()).describe();
   EXPECT_NE(q.find("lowered solver: guarded-ferrari"), std::string::npos) << q;
-  EXPECT_NE(q.find("[bytecode demotion]"), std::string::npos) << q;
+  EXPECT_NE(q.find("[formula demotion]"), std::string::npos) << q;
   EXPECT_NE(q.find("guard policy: proven-exact f64"), std::string::npos) << q;
   const std::string r = collapse(testutil::rectangular()).describe();
   EXPECT_NE(r.find("lowered solver: exact-division"), std::string::npos) << r;
@@ -206,11 +207,9 @@ TEST(RecoveryEngine, DescribeIsHostIndependent) {
 
 TEST(RecoveryEngine, AstronomicalParameterOffsetsStillBind) {
   // Folding A ~ 1e6 into quartic level coefficients produces A^4-scale
-  // constants in the RecoveryProgram lowering beyond the exact int64
-  // range; the bytecode demotion target stays uncompiled, but the
-  // guarded Ferrari runs fine on the exactly evaluated i128 coefficients
-  // (the exact-double proof fails at these magnitudes, so the checked
-  // reference guards carry the level).
+  // constants; the guarded Ferrari runs fine on the exactly evaluated
+  // i128 coefficients (the exact-double proof fails at these magnitudes,
+  // so the checked reference guards carry the level).
   NestSpec n;
   n.param("A");
   n.loop("i", aff::v("A"), aff::v("A") + 9)
@@ -287,10 +286,10 @@ TEST(FerrariEstimate, RandomQuarticsTrackReference) {
   }
 }
 
-/// Complex Cardano with the +i convention for real radicands — exactly
-/// what the RecoveryProgram bytecode computes (its real-valued registers
-/// carry im = +0, so CSqrt of a negative real register always takes the
-/// +i branch).  root_branch_value is *not* a usable oracle for cubic
+/// Complex Cardano with the +i convention for real radicands: the
+/// square root of a negative real discriminant is always taken on the
+/// +i branch, as cubic_estimate does.  root_branch_value is *not* a
+/// usable oracle for cubic
 /// branches 1/2: its fully-complex evaluation can flip the radicand's
 /// imaginary zero to -0 depending on coefficient signs, conjugating the
 /// cube root and swapping those two branches — Re of a quartic branch is
@@ -312,7 +311,7 @@ cld cardano_plus_i(const double* A, int branch) {
 }
 
 TEST(CubicEstimate, AllBranchesTrackReference) {
-  // The Viete/Cardano estimate must track the bytecode-semantics
+  // The Viete/Cardano estimate must track the +i-convention
   // reference on all three branches (the seed only ever exercised
   // branch 0; the Ferrari resolvent reaches every branch).
   std::mt19937_64 rng(777);
@@ -335,8 +334,7 @@ TEST(CubicEstimate, AllBranchesTrackReference) {
 
 /// Every quartic-level shape: the Ferrari engine must agree with search
 /// over the full domain without a single search fallback or demotion
-/// (healthy nests never leave the real-arithmetic path), and the
-/// bytecode ablation (use_bytecode_quartics) must stay byte-identical.
+/// (healthy nests never leave the real-arithmetic path).
 TEST(RecoveryEngine, FerrariSolvesQuarticNestsWithoutDemotion) {
   for (const auto& sc : {testutil::simplex_4d(), testutil::simplex_4d_shifted(),
                          testutil::trapezoid_tower_4d(), testutil::simplex_4d_tower()}) {
@@ -344,19 +342,14 @@ TEST(RecoveryEngine, FerrariSolvesQuarticNestsWithoutDemotion) {
     if (!has_no_empty_ranges(sc, p)) continue;
     const CollapsedEval cn = collapse(sc).bind(p);
     ASSERT_EQ(cn.solver_kind(0), LevelSolverKind::Quartic);
-    CollapsedEval bytecode = cn;
-    bytecode.use_bytecode_quartics();
-    ASSERT_NE(bytecode.solver_kind(0), LevelSolverKind::Quartic);
 
     RecoveryStats stats;
     const size_t d = static_cast<size_t>(cn.depth());
-    std::vector<i64> eng(d), via_bc(d), ref(d);
+    std::vector<i64> eng(d), ref(d);
     for (i64 pc = 1; pc <= cn.trip_count(); ++pc) {
       cn.recover_search(pc, ref);
       cn.recover(pc, eng, &stats);
       ASSERT_EQ(eng, ref) << "ferrari pc=" << pc;
-      bytecode.recover(pc, via_bc);
-      ASSERT_EQ(via_bc, ref) << "bytecode ablation pc=" << pc;
     }
     EXPECT_EQ(stats.fallback, 0);
     EXPECT_EQ(stats.quartic_demoted, 0);
@@ -364,11 +357,11 @@ TEST(RecoveryEngine, FerrariSolvesQuarticNestsWithoutDemotion) {
   }
 }
 
-/// Demotion to bytecode on guard failure: force_quartic_demotion makes
-/// every quartic point take the demoted path (bytecode estimate + exact
-/// guard, quartic_demoted counting), and the results must still match
-/// search exactly.
-TEST(RecoveryEngine, QuarticGuardFailureDemotesToBytecode) {
+/// Demotion to the root formula on guard failure: force_quartic_demotion
+/// makes every quartic point take the demoted path (the complex root
+/// formula's estimate + exact guard, quartic_demoted counting), and the
+/// results must still match search exactly.
+TEST(RecoveryEngine, QuarticGuardFailureDemotesToRootFormula) {
   for (const auto& nest : {testutil::simplex_4d(), testutil::trapezoid_tower_4d()}) {
     const CollapsedEval cn = collapse(nest).bind({{"N", 11}});
     CollapsedEval demoted = cn;
@@ -384,7 +377,7 @@ TEST(RecoveryEngine, QuarticGuardFailureDemotesToBytecode) {
       ASSERT_EQ(idx, ref) << "demoted recover pc=" << pc;
     }
     EXPECT_EQ(stats.quartic_demoted, cn.trip_count());
-    EXPECT_EQ(stats.fallback, 0);  // the bytecode estimate still lands
+    EXPECT_EQ(stats.fallback, 0);  // the root formula's estimate still lands
 
   }
 }

@@ -319,6 +319,13 @@ TEST(ServeSerialization, CorruptRecordsAreRejected) {
   tampered.replace(pos, std::string("innermost-linear").size(), "binary-search");
   EXPECT_THROW(CollapsePlan::deserialize(tampered), SpecError);
 
+  // Names of lowerings the library no longer has are not solver kinds.
+  for (const char* retired : {"bytecode-program", "interpreted"}) {
+    std::string old = record;
+    old.replace(pos, std::string("innermost-linear").size(), retired);
+    EXPECT_THROW(CollapsePlan::deserialize(old), ParseError) << retired;
+  }
+
   EXPECT_THROW(CollapsePlan::deserialize(std::string("garbage here\n")), ParseError);
   EXPECT_THROW(CollapsePlan::deserialize(std::string()), ParseError);
   // A record cut off mid-nest is malformed, not silently accepted.
