@@ -1,11 +1,13 @@
 // cold_build — what a cold collapse() costs, stage by stage.
 //
 // A structure the plan cache has not seen pays the symbolic build before
-// its first run: the ranking system, the level equations, the default
-// calibration, the calibration domain, the branch expressions with their
-// compiled program, the branch scoring, and then a bind.  This bench
-// times each stage separately (the library functions collapse() is
-// made of, called in its order) plus collapse() as a whole, on
+// its first run: the ranking system and the level equations, and then a
+// bind.  (Each level's root is chosen by interval at recovery time, so
+// nothing is calibrated here.)  This bench times each stage separately
+// (the library functions collapse() is made of, called in its order)
+// plus collapse() as a whole — which also walks a small domain for its
+// model check (a nest empty-ranged at every size is refused), a cost
+// only that column shows — on
 //
 //   the eight serving shapes and six cold families of the benchmark
 //   population (benchmark/population.cpp, the families at their fixed
@@ -16,7 +18,8 @@
 // JSON (BENCH_build.json, --out=PATH overrides) records min, median and
 // max per stage in microseconds, with the run's provenance (cpu, nproc,
 // git_sha, git_dirty) and trial count.  No floor is enforced: the
-// numbers are a per-layer record.
+// numbers are a per-layer record.  It exits non-zero only if the staged
+// level equations differ from collapse()'s.
 //
 //   ./bench_cold_build --trials=7
 
@@ -61,7 +64,7 @@ std::vector<BuildNest> build_nests() {
       {"c4b", parse("params N\nloop i = 0 .. N\nloop j = i .. N + 1\nloop k = j .. N + 1\n"
                     "loop l = k .. N + 1\n")},
   };
-  for (int s : {0, 1, 2, 4, 8, 14, 16, 20}) {
+  for (int s : {0, 1, 2, 4, 8, 14, 16, 20, 32, 64}) {
     const std::string sh = std::to_string(s);
     out.push_back({"quartic_s" + sh,
                    parse("params N\nloop i = 0 .. N\nloop j = i .. N + " + sh +
@@ -70,9 +73,8 @@ std::vector<BuildNest> build_nests() {
   return out;
 }
 
-constexpr const char* kStages[] = {"ranking", "formulas", "calibration", "domain",
-                                   "branches", "scoring",  "bind",        "collapse"};
-constexpr int kNumStages = 8;
+constexpr const char* kStages[] = {"ranking", "formulas", "bind", "collapse"};
+constexpr int kNumStages = 4;
 
 using Clock = std::chrono::steady_clock;
 double us_since(Clock::time_point t0) {
@@ -83,45 +85,21 @@ double us_since(Clock::time_point t0) {
 std::vector<double> time_stages(const BuildNest& bn) {
   std::vector<double> us(kNumStages, 0.0);
   const NestSpec& nest = bn.nest;
-  std::vector<std::string> slots = nest.loop_vars();
-  for (const auto& p : nest.params()) slots.push_back(p);
-  slots.push_back(kPcVar);
 
   auto t0 = Clock::now();
   const RankingSystem rs = build_ranking_system(nest);
   us[0] = us_since(t0);
 
   t0 = Clock::now();
-  std::vector<LevelFormula> levels = build_level_formulas(rs, 4);
+  const std::vector<LevelFormula> levels = build_level_formulas(rs, 4);
   us[1] = us_since(t0);
 
   t0 = Clock::now();
-  const ParamMap cal = default_calibration(nest);
-  us[2] = us_since(t0);
-
-  t0 = Clock::now();
-  const CalibrationRows rows = calibration_rows(rs, cal, slots);
-  us[3] = us_since(t0);
-
-  t0 = Clock::now();
-  std::vector<LevelBranches> branches;
-  for (const LevelFormula& lf : levels)
-    if (!lf.coeffs.empty()) branches.push_back(compile_level_branches(lf, slots));
-  us[4] = us_since(t0);
-
-  t0 = Clock::now();
-  size_t b = 0;
-  for (int k = 0; k < nest.depth(); ++k)
-    if (!levels[static_cast<size_t>(k)].coeffs.empty())
-      levels[static_cast<size_t>(k)].branch = score_level_branches(branches[b++], k, rows);
-  us[5] = us_since(t0);
-
-  t0 = Clock::now();
   const Collapsed col = collapse(nest);
-  us[7] = us_since(t0);
+  us[3] = us_since(t0);
   for (int k = 0; k < nest.depth(); ++k)
-    if (col.levels()[static_cast<size_t>(k)].branch != levels[static_cast<size_t>(k)].branch) {
-      std::fprintf(stderr, "FAIL: %s level %d: staged branch differs from collapse()\n",
+    if (col.levels()[static_cast<size_t>(k)].coeffs != levels[static_cast<size_t>(k)].coeffs) {
+      std::fprintf(stderr, "FAIL: %s level %d: staged equation differs from collapse()\n",
                    bn.name.c_str(), k);
       std::exit(1);
     }
@@ -130,7 +108,7 @@ std::vector<double> time_stages(const BuildNest& bn) {
   for (const auto& p : nest.params()) params[p] = 64;
   t0 = Clock::now();
   const CollapsedEval ev = col.bind(params);
-  us[6] = us_since(t0);
+  us[2] = us_since(t0);
   if (ev.trip_count() <= 0) std::exit(1);
   return us;
 }
@@ -175,9 +153,8 @@ int main(int argc, char** argv) {
   }
   bench::rule(12 + 12 * kNumStages);
   std::printf(
-      "stages: ranking system, level formulas, default calibration, calibration\n"
-      "domain (points and exact pc), branch expressions + compile, branch scoring,\n"
-      "bind (all parameters 64); collapse = the whole build, timed separately.\n");
+      "stages: ranking system, level formulas, bind (all parameters 64);\n"
+      "collapse = the whole build (with its model-check walk), timed separately.\n");
 
   const std::string out_path = args.out.empty() ? "BENCH_build.json" : args.out;
   FILE* f = std::fopen(out_path.c_str(), "w");

@@ -205,8 +205,8 @@ int main(int argc, char** argv) {
     // Contended: builders force distinct cold quartic plans through the
     // same (only) shard while one hitter hammers the hot key.
     std::atomic<int> builders_left{kBuilders};
-    // Distinct across trials too; stays small (large constant shifts
-    // push the quartic outside the default calibration domain).
+    // Distinct across trials too, and small: each shift is one more
+    // cold quartic build.
     std::atomic<i64> shift_counter{trial * kBuilders * kColdBuildsPerBuilder};
     std::vector<std::thread> builders;
     std::atomic<i64> trial_cold_ns{0};

@@ -24,10 +24,12 @@
 //
 // Transport is deliberately boring: one POSIX listening socket, one
 // detached thread per connection, a streambuf over the fd so the
-// protocol module reads the socket like any istream.  Replies go out
-// with send(MSG_NOSIGNAL): a client that hangs up with replies unread
-// fails the write on its own connection, which is then dropped, instead
-// of raising SIGPIPE and taking the whole server down.
+// protocol module reads the socket like any istream.  Each reply goes
+// out whole through one send(MSG_NOSIGNAL) loop, so a large describe
+// leaves as few segments as the kernel allows instead of one per 4 KB
+// buffer, and a client that hangs up with replies unread fails the
+// write on its own connection, which is then dropped, instead of
+// raising SIGPIPE and taking the whole server down.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -41,7 +43,6 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
-#include <ostream>
 #include <streambuf>
 #include <string>
 #include <thread>
@@ -52,14 +53,11 @@ using namespace nrc;
 
 namespace {
 
-/// Minimal bidirectional streambuf over a connected socket fd, so the
-/// transport-free protocol functions read/write it as iostreams.
+/// Minimal read-side streambuf over a connected socket fd, so the
+/// transport-free protocol functions read it as an istream.
 class FdStreambuf : public std::streambuf {
  public:
-  explicit FdStreambuf(int fd) : fd_(fd) {
-    setg(rbuf_, rbuf_, rbuf_);
-    setp(wbuf_, wbuf_ + sizeof(wbuf_));
-  }
+  explicit FdStreambuf(int fd) : fd_(fd) { setg(rbuf_, rbuf_, rbuf_); }
 
  protected:
   int_type underflow() override {
@@ -68,34 +66,24 @@ class FdStreambuf : public std::streambuf {
     setg(rbuf_, rbuf_, rbuf_ + n);
     return traits_type::to_int_type(rbuf_[0]);
   }
-  int_type overflow(int_type ch) override {
-    if (!flush()) return traits_type::eof();
-    if (ch != traits_type::eof()) {
-      wbuf_[0] = traits_type::to_char_type(ch);
-      pbump(1);
-    }
-    return ch;
-  }
-  int sync() override { return flush() ? 0 : -1; }
 
  private:
-  bool flush() {
-    const char* p = pbase();
-    ssize_t left = pptr() - pbase();
-    while (left > 0) {
-      const ssize_t n = ::send(fd_, p, static_cast<size_t>(left), MSG_NOSIGNAL);
-      if (n <= 0) return false;
-      p += n;
-      left -= n;
-    }
-    setp(wbuf_, wbuf_ + sizeof(wbuf_));
-    return true;
-  }
-
   int fd_;
   char rbuf_[4096];
-  char wbuf_[4096];
 };
+
+/// Write all of `reply`; false when the client hung up.
+bool send_all(int fd, const std::string& reply) {
+  const char* p = reply.data();
+  size_t left = reply.size();
+  while (left > 0) {
+    const ssize_t n = ::send(fd, p, left, MSG_NOSIGNAL);
+    if (n <= 0) return false;
+    p += n;
+    left -= static_cast<size_t>(n);
+  }
+  return true;
+}
 
 std::atomic<bool> g_stop{false};
 void on_signal(int) { g_stop.store(true); }
@@ -103,19 +91,17 @@ void on_signal(int) { g_stop.store(true); }
 void serve_connection(int fd) {
   FdStreambuf buf(fd);
   std::istream in(&buf);
-  std::ostream out(&buf);
   serve::Request req;
   for (;;) {
     try {
       if (!serve::read_request(in, req)) break;  // client closed
     } catch (const Error& e) {
       serve::Response bad{false, std::string(e.what()) + "\n", "-", 0};
-      out << serve::format_response(bad) << std::flush;
+      send_all(fd, serve::format_response(bad));
       break;  // framing is gone; drop the connection
     }
     const serve::Response resp = serve::handle_request(plan_cache(), req);
-    out << serve::format_response(resp) << std::flush;
-    if (!out || req.verb == "quit") break;  // !out: the client hung up
+    if (!send_all(fd, serve::format_response(resp)) || req.verb == "quit") break;
   }
   ::close(fd);
 }

@@ -246,11 +246,12 @@ void analyze_bound_plan(NestCertificate& cert, const Collapsed& col,
       }
       case LevelSolverKind::Quartic:
         diag(cert, "NRC-I002", LintSeverity::Info, k,
-             "quartic level: the Ferrari estimate may demote to the root formula "
-             "at degenerate points (counted in RecoveryStats::quartic_demoted)",
-             "demotion is exact but slower; a Search-free certificate is not "
+             "quartic level: where the Ferrari estimate finds no root in the level "
+             "range, the point falls to exact binary search (counted in "
+             "RecoveryStats::fallback)",
+             "the search is exact but slower; a Search-free certificate is not "
              "available for degree-4 levels");
-        why_not_f64 = "quartic levels may demote per point";
+        why_not_f64 = "quartic levels may fall to search per point";
         break;
       case LevelSolverKind::Search:
         diag(cert, "NRC-I001", LintSeverity::Info, k,

@@ -5,7 +5,7 @@
 // the f64 guard proof assumes intermediates below 2^53, the emitted C
 // computes coefficients in long long, the executors partition an i64 trip
 // count — and historically those bounds were discovered *dynamically*
-// (guard demotions, UBSan in the fuzzers).  The analyzer proves or
+// (search fallbacks, UBSan in the fuzzers).  The analyzer proves or
 // refutes them *statically*, before a plan runs, is emitted, cached or
 // served: it propagates interval bounds over the nest's affine bounds and
 // the collapse's level-equation coefficients and renders the result as a
@@ -18,12 +18,12 @@
 //   NRC-W004  degenerate-level           info/warn/error
 //   NRC-W005  serve-limit                warn  (attached by the serve layer)
 //   NRC-I001  costly-solver              info
-//   NRC-I002  quartic-demotion-possible  info
+//   NRC-I002  quartic-search-possible    info
 //   NRC-E001  bind-failed                error
 //
 // The verdicts are *checkable*: the differential fuzzer cross-validates
 // them against runtime behaviour (a nest certified f64-exact must report
-// zero guard fallbacks and zero quartic demotions; a nest certified
+// zero search fallbacks; a nest certified
 // i64-safe must match the odometer reference), so a certificate is a
 // promise, not a heuristic.  Soundness over completeness: the analyzer
 // may decline to certify a nest that happens to behave (no false
@@ -87,8 +87,8 @@ struct NestCertificate {
   bool trip_i64_safe = false;
 
   /// (b) Every level's recovery is certified to run its proven-exact
-  /// double path with zero guard fallbacks and zero quartic demotions —
-  /// RecoveryStats{fallback, quartic_demoted} must stay 0 at runtime.
+  /// double path with zero search fallbacks — RecoveryStats::fallback
+  /// must stay 0 at runtime.
   bool exact_f64 = false;
 
   /// (c) The emitted C's coefficient/Horner arithmetic fits long long on

@@ -1,5 +1,6 @@
 #include "codegen/c_emitter.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "analysis/nest_analyzer.hpp"
@@ -129,63 +130,62 @@ void emit_inner_loops_and_body(CodeWriter& w, const NestProgram& prog) {
 ///
 /// Each non-innermost index is recovered by the closed-form root and
 /// then pinned by an exact integer-arithmetic correction against the
-/// ranking polynomial.  Degree <= 2 levels print the symbolic root as
-/// in the paper's Fig. 3; degree 3 and 4 levels call the guarded
-/// real-arithmetic Cardano/Ferrari helpers (real_solver_helpers_c) on
-/// the integer-scaled level-equation coefficients — the same formulas,
-/// branch numbering and coefficient scaling the library engine runs, so
-/// the generated C and CollapsedEval estimate identically instead of
-/// diverging at degenerate/near-discriminant points the C99 complex
-/// `creal(cpow(...))` form mishandles (a non-finite complex estimate
-/// floored into a long is undefined behaviour; the helper reports
-/// degeneration and the demotion fallback below keeps the recovery
-/// exact).  The paper's raw formulas floor a double, which misplaces
-/// the index when the root lands exactly on an integer and the FP value
-/// comes out a hair below it; the guard makes the generated code
-/// correct for every size at the cost of a few integer operations per
-/// recovery (recoveries already run only once per thread/chunk).
+/// ranking polynomial.  Degree-1 levels divide; degree 2-4 levels call
+/// the real-arithmetic helpers (real_solver_helpers_c) on the
+/// integer-scaled level-equation coefficients and the level's range —
+/// the same formulas, root selection and coefficient scaling the
+/// library engine runs, so the generated C and CollapsedEval estimate
+/// identically.  Where no root lies in the range the helper says so and
+/// the correction starts from the lower bound.  The paper's raw formulas
+/// floor a double, which misplaces the index when the root lands
+/// exactly on an integer and the FP value comes out a hair below it;
+/// the guard makes the generated code correct for every size at the
+/// cost of a few integer operations per recovery (recoveries already
+/// run only once per thread/chunk).
 void emit_recovery(CodeWriter& w, const NestProgram& prog, const Collapsed& col) {
   const NestSpec& sub = col.nest();
   const int c = sub.depth();
   for (int k = 0; k + 1 < c; ++k) {
     const LevelFormula& lf = col.levels()[static_cast<size_t>(k)];
-    if (lf.branch < 0)
+    if (lf.coeffs.empty())
       throw SolveError("emit: level '" + sub.at(k).var +
                        "' has no closed-form recovery (degree " +
                        std::to_string(lf.degree) + ")");
     const std::string& var = sub.at(k).var;
     const std::string lb = "(" + sub.at(k).lower.str() + ")";
     const std::string ub = "(" + sub.at(k).upper.str() + ")";
-    if (lf.degree >= 3) {
-      // Integer-scaled coefficients A_e = D * a_e (D the common
-      // denominator over the level, exactly as bind() scales them for
-      // the library solvers; a uniform positive scale leaves the roots
-      // and the branch numbering untouched).
-      i64 den = 1;
-      for (const auto& a : lf.coeffs) den = lcm_i64(den, a.denominator_lcm());
-      w.line("{");
-      ++w.depth;
-      for (size_t e = 0; e < lf.coeffs.size(); ++e)
-        w.line("const double __nrc_A" + std::to_string(e) + " = (double)" +
-               print_poly_c(lf.coeffs[e] * Rational(den), wide_int_opts(),
-                            /*integer_arith=*/true) +
-               ";");
+    // Integer-scaled coefficients A_e = D * a_e (D the common
+    // denominator over the level, exactly as bind() scales them for the
+    // library solvers; a uniform positive scale leaves the roots
+    // untouched).
+    i64 den = 1;
+    for (const auto& a : lf.coeffs) den = lcm_i64(den, a.denominator_lcm());
+    w.line("{");
+    ++w.depth;
+    for (size_t e = 0; e < lf.coeffs.size(); ++e)
+      w.line("const double __nrc_A" + std::to_string(e) + " = (double)" +
+             print_poly_c(lf.coeffs[e] * Rational(den), wide_int_opts(),
+                          /*integer_arith=*/true) +
+             ";");
+    if (lf.degree == 1) {
+      // A1 x + A0 <= 0 with A1 > 0 along the level (the model); the
+      // correction below pins the rounded quotient.
+      w.line(var + " = __nrc_A1 > 0.0 ? (" + std::string(kIntT) +
+             ")floor(-__nrc_A0 / __nrc_A1) : " + lb + ";");
+    } else {
       w.line(std::string(kIntT) + " __nrc_est;");
-      std::string call = lf.degree == 3 ? "nrc_cubic_est(" : "nrc_ferrari_est(";
+      std::string call = lf.degree == 2   ? "nrc_quad_est("
+                         : lf.degree == 3 ? "nrc_cubic_est("
+                                          : "nrc_ferrari_est(";
       for (size_t e = 0; e < lf.coeffs.size(); ++e)
         call += "__nrc_A" + std::to_string(e) + ", ";
-      call += std::to_string(lf.branch) + ", &__nrc_est)";
-      // Demotion guard: where the real-arithmetic estimate degenerates
-      // (the library would demote the point to the root formula) the
-      // generated code starts the exact correction from the level's
-      // lower bound instead of flooring a non-finite value.
+      call += lb + ", " + ub + ", &__nrc_est)";
+      // Where no root lies in the range (the library would fall to
+      // binary search) the exact correction starts from the lower bound.
       w.line(var + " = " + call + " ? __nrc_est : " + lb + ";");
-      --w.depth;
-      w.line("}");
-    } else {
-      const std::string e = print_c(lf.root, {});
-      w.line(var + " = (" + std::string(kIntT) + ")floor(" + e + ");");
     }
+    --w.depth;
+    w.line("}");
     // Exact guard: clamp into the level's range, then correct against
     // the integer-valued ranking polynomial (monotone in this index),
     // evaluated in nrc_wide — the plain-long form overflowed on
@@ -232,14 +232,14 @@ void emit_increment(CodeWriter& w, const Collapsed& col) {
   }
 }
 
-/// True when some collapsed level recovers through the guarded
-/// real-arithmetic Cardano/Ferrari helpers (degree >= 3), which must
-/// then accompany the emitted function.
-bool needs_real_solvers(const Collapsed& col) {
+/// The highest degree among the recovered (non-innermost) collapsed
+/// levels: 2 and above need the real-arithmetic helpers
+/// (real_solver_helpers_c) beside the emitted function.
+int max_solver_degree(const Collapsed& col) {
   const int c = col.nest().depth();
-  for (int k = 0; k + 1 < c; ++k)
-    if (col.levels()[static_cast<size_t>(k)].degree >= 3) return true;
-  return false;
+  int d = 0;
+  for (int k = 0; k + 1 < c; ++k) d = std::max(d, col.levels()[static_cast<size_t>(k)].degree);
+  return d;
 }
 
 std::string private_clause(const Collapsed& col) {
@@ -339,11 +339,11 @@ std::string emit_collapsed_function(const NestProgram& prog, const Collapsed& co
     }
     w.out += " */\n";
   }
-  // Degree >= 3 recoveries call the guarded real-arithmetic solver
+  // Degree 2-4 recoveries call the guarded real-arithmetic solver
   // helpers; emit them with the function (their include guard keeps a
   // translation unit holding several collapsed functions well-formed).
   w.out += wide_typedef_c();
-  if (needs_real_solvers(col)) w.out += real_solver_helpers_c();
+  if (const int deg = max_solver_degree(col); deg >= 2) w.out += real_solver_helpers_c(deg);
   w.open(signature(prog, "collapsed"));
   w.line("const " + std::string(kIntT) + " __nrc_total = (" + std::string(kIntT) +
          ")" + print_poly_c(col.ranking().total, wide_int_opts(),

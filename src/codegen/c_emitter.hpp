@@ -9,13 +9,13 @@
 //                    CHUNK) with one recovery per chunk;
 //   * SimdBlocks   — §VI-A: precompute vlength index tuples, omp simd
 //                    body.
-// Degree <= 2 recoveries use plain sqrt/floor (as Fig. 3); degree >= 3
-// call emitted guarded real-arithmetic Cardano/Ferrari helpers — the C
+// Degree-1 recoveries divide; degree 2-4 recoveries call emitted guarded
+// real-arithmetic helpers (quadratic, Cardano/Viete, Ferrari) — the C
 // transliteration of the library's core/real_solvers.hpp
 // (print_c.hpp::real_solver_helpers_c) — so the generated code computes
 // the same estimates as CollapsedEval and never floors a non-finite
-// C99 complex value (the paper's Fig. 7 creal(cpow(...)) form is UB at
-// degenerate points; degeneration now falls back to the exact
+// value (the paper's Fig. 3 sqrt and Fig. 7 creal(cpow(...)) forms are
+// UB at degenerate points; degeneration now falls back to the exact
 // integer-guard walk instead).
 //
 // The emitter consumes the same Schedule descriptor the runtime

@@ -5,10 +5,10 @@
 #include <cstring>
 #include <list>
 #include <mutex>
+#include <type_traits>
 
 #include "core/real_solvers.hpp"
 #include "support/error.hpp"
-#include "symbolic/print_c.hpp"
 
 namespace nrc {
 
@@ -21,10 +21,31 @@ i64 floor_div_i128_to_i64(i128 a, i128 b) {
   return narrow_i64(q);
 }
 
+/// Throw when the nest breaks the empty-range model at the given
+/// parameter values, or (none given) at every small uniform size: its
+/// ranking polynomial then counts no domain correctly.  Each walk stops
+/// after kModelCheckPoints points, so a size whose walk ends unbroken
+/// there passes the nest.
+void check_model(const NestSpec& nest, const ParamMap& given) {
+  constexpr i64 kModelCheckPoints = 4096;
+  if (!given.empty() || nest.params().empty()) {
+    if (has_no_empty_ranges(nest, given, kModelCheckPoints)) return;
+  } else {
+    for (i64 v : {6, 8, 5, 7, 10, 12, 4, 16, 3, 24, 32, 2, 48, 64}) {
+      ParamMap params;
+      for (const auto& p : nest.params()) params[p] = v;
+      if (has_no_empty_ranges(nest, params, kModelCheckPoints)) return;
+    }
+  }
+  throw SolveError(
+      "collapse: the nest has an empty loop range at every sampled parameter size; "
+      "its ranking polynomial would be wrong (the model needs non-empty ranges)");
+}
+
 /// Static classification of the solver bind() will pick for a level.
 LevelSolverKind planned_solver(const LevelFormula& lf, int level, int depth) {
   if (level == depth - 1) return LevelSolverKind::InnermostLinear;
-  if (lf.branch < 0) return LevelSolverKind::Search;
+  if (lf.coeffs.empty()) return LevelSolverKind::Search;
   if (lf.degree == 1) return LevelSolverKind::ExactDivision;
   if (lf.degree == 2) return LevelSolverKind::Quadratic;
   if (lf.degree == 3) return LevelSolverKind::Cubic;
@@ -71,9 +92,6 @@ struct Collapsed::Impl {
   std::vector<LevelFormula> levels;
   std::vector<std::string> slots;
   CollapseOptions opts;
-  // Per level root formula (empty without one).  It reads the
-  // parameters from their slots, so every bind shares it.
-  std::shared_ptr<const std::vector<CompiledExpr>> roots;
 
   // Parameter-keyed bind memo: re-binding the same parameters (cache
   // eviction rebuilds, deserialized plans, warm starts) copies the
@@ -93,7 +111,7 @@ const std::vector<std::string>& Collapsed::slot_order() const { return impl_->sl
 
 bool Collapsed::fully_closed_form() const {
   for (const auto& lf : impl_->levels)
-    if (lf.branch < 0) return false;
+    if (lf.coeffs.empty()) return false;
   return true;
 }
 
@@ -111,24 +129,12 @@ Collapsed collapse(const NestSpec& nest, const CollapseOptions& opts) {
   impl->slots.push_back(kPcVar);
   if (impl->slots.size() > static_cast<size_t>(kMaxSlots))
     throw SpecError("collapse: too many variables+parameters for the runtime fast path");
+  check_model(nest, opts.model_params);
 
-  if (opts.build_closed_form) {
-    impl->levels = build_level_formulas(impl->rs, opts.max_closed_degree);
-    const ParamMap cal =
-        opts.calibration.empty() && !nest.params().empty() ? default_calibration(nest)
-                                                           : opts.calibration;
-    select_convenient_branches(impl->levels, impl->rs, cal, impl->slots);
-  } else {
-    // Degrees still need computing so describe() and codegen stay useful.
-    impl->levels = build_level_formulas(impl->rs, 0);
-  }
-
-  auto roots = std::make_shared<std::vector<CompiledExpr>>(static_cast<size_t>(c));
-  for (int k = 0; k < c; ++k) {
-    const LevelFormula& lf = impl->levels[static_cast<size_t>(k)];
-    if (lf.branch >= 0) (*roots)[static_cast<size_t>(k)] = CompiledExpr(lf.root, impl->slots);
-  }
-  impl->roots = std::move(roots);
+  // Without closed forms the degrees still get computed, so describe()
+  // and codegen stay useful.
+  impl->levels =
+      build_level_formulas(impl->rs, opts.build_closed_form ? opts.max_closed_degree : 0);
 
   Collapsed col;
   col.impl_ = std::move(impl);
@@ -144,20 +150,20 @@ std::string Collapsed::describe() const {
   const int c = rs.nest.depth();
   for (int k = 0; k < c; ++k) {
     const LevelFormula& lf = impl_->levels[static_cast<size_t>(k)];
-    s += "level " + std::to_string(k) + " (" + rs.nest.at(k).var +
-         "): degree " + std::to_string(lf.degree);
-    if (lf.branch >= 0) {
-      s += ", branch " + std::to_string(lf.branch) + "\n    " + rs.nest.at(k).var +
-           " = floor(" + lf.root.str() + ")\n";
-    } else {
+    const Loop& loop = rs.nest.at(k);
+    s += "level " + std::to_string(k) + " (" + loop.var + "): degree " +
+         std::to_string(lf.degree);
+    if (lf.coeffs.empty()) {
       s += ", recovered by exact binary search\n";
+    } else {
+      // The level equation sum_e a_e * x^e = rank(prefix, x) - pc; the
+      // solver keeps its root in the level's range.
+      s += ", root in [" + loop.lower.str() + ", " + loop.upper.str() + ")\n";
+      for (size_t e = lf.coeffs.size(); e-- > 0;)
+        s += "    a" + std::to_string(e) + " = " + lf.coeffs[e].str() + "\n";
     }
-    const LevelSolverKind kind = planned_solver(lf, k, c);
-    s += "    lowered solver: " + std::string(level_solver_kind_name(kind));
-    // Ferrari levels demote to the root formula above at points where
-    // the selected branch goes genuinely complex.
-    if (kind == LevelSolverKind::Quartic) s += " [formula demotion]";
-    s += "\n";
+    s += "    lowered solver: " + std::string(level_solver_kind_name(planned_solver(lf, k, c))) +
+         "\n";
   }
   s += "guard policy: proven-exact f64 where the bind-time slot-magnitude "
        "proof holds, checked-i128 fallback (all engines)\n";
@@ -223,7 +229,6 @@ CollapsedEval Collapsed::bind_fresh(const ParamMap& params) const {
     ev.prank_.emplace_back(folded, im.slots);
     ev.prank_flat_.push_back(FlatPoly::build(folded, im.slots));
   }
-  ev.closed_ = im.roots;
 
   // Lower every level's recovery into the cheapest exact engine.  The
   // scaled coefficients A_e = D * a_e (D = common denominator) have
@@ -235,9 +240,8 @@ CollapsedEval Collapsed::bind_fresh(const ParamMap& params) const {
     CollapsedEval::LevelSolver& sv = ev.solvers_[static_cast<size_t>(k)];
     const LevelFormula& lf = im.levels[static_cast<size_t>(k)];
     sv.kind = planned_solver(lf, k, c);
-    if (k == c - 1 || lf.branch < 0) continue;
+    if (k == c - 1 || lf.coeffs.empty()) continue;
 
-    sv.branch = lf.branch;
     try {
       i64 den = 1;
       for (const auto& a : lf.coeffs) den = lcm_i64(den, a.denominator_lcm());
@@ -377,21 +381,25 @@ i64 CollapsedEval::search_level(int k, std::span<i64> pt, i64 pc) const {
 /// equation.  A(t) = sum A[e] * t^e satisfies A(t) <= 0 iff
 /// rank(prefix, t) <= pc, so the boundary test is an O(degree) Horner
 /// evaluation instead of a full rank-polynomial evaluation; the solver
-/// passes the coefficient values it already evaluated.  False when the
-/// estimate was off by more than kMaxCorrection steps.
-bool CollapsedEval::try_guard_level(int k, std::span<i64> pt, i64 pc, i64 estimate,
-                                    const i128* A, int deg, RecoveryStats* stats,
-                                    i64* out) const {
-  const i64 lb = bounds_lo_[static_cast<size_t>(k)].eval(pt.data());
-  const i64 ub = bounds_hi_[static_cast<size_t>(k)].eval(pt.data());
-
+/// passes the coefficient values it already evaluated.  The double
+/// Horner only runs where bind() proved (LevelSolver::guards_f64) that
+/// every intermediate is an exact integer below 2^53, so it decides
+/// identically to the checked i128 one.
+template <class TA>
+bool CollapsedEval::guard_level(int k, std::span<i64> pt, i64 estimate, i64 lb, i64 ub,
+                                const TA* A, int deg, RecoveryStats* stats) const {
   i64 x = estimate;
   if (x < lb) x = lb;
   if (x > ub - 1) x = ub - 1;
 
   auto above = [&](i64 t) {  // A(t) > 0  <=>  rank(prefix, t) > pc
-    i128 v = A[deg];
-    for (int e = deg - 1; e >= 0; --e) v = checked_add(checked_mul(v, t), A[e]);
+    TA v = A[deg];
+    for (int e = deg - 1; e >= 0; --e) {
+      if constexpr (std::is_same_v<TA, double>)
+        v = v * static_cast<double>(t) + A[e];
+      else
+        v = checked_add(checked_mul(v, t), A[e]);
+    }
     return v > 0;
   };
 
@@ -404,217 +412,79 @@ bool CollapsedEval::try_guard_level(int k, std::span<i64> pt, i64 pc, i64 estima
     ++x;
     ++steps;
   }
-  if (steps >= kMaxCorrection) return false;  // formula was badly off
+  if (steps >= kMaxCorrection) return false;  // the estimate was badly off
   if (stats) ++(steps > 0 ? stats->corrected : stats->closed_form);
   pt[static_cast<size_t>(k)] = x;
-  *out = x;
   return true;
 }
 
-/// try_guard_level with the Horner boundary test in plain double — only
-/// reached when bind() proved (LevelSolver::guards_f64) that every
-/// intermediate is an exact integer below 2^53, so the test decides
-/// identically to the i128 version.
-bool CollapsedEval::try_guard_level_f64(int k, std::span<i64> pt, i64 pc, i64 estimate,
-                                        const double* A, int deg,
-                                        RecoveryStats* stats, i64* out) const {
-  const i64 lb = bounds_lo_[static_cast<size_t>(k)].eval(pt.data());
-  const i64 ub = bounds_hi_[static_cast<size_t>(k)].eval(pt.data());
-
-  i64 x = estimate;
-  if (x < lb) x = lb;
-  if (x > ub - 1) x = ub - 1;
-
-  auto above = [&](i64 t) {  // A(t) > 0  <=>  rank(prefix, t) > pc
-    const double td = static_cast<double>(t);
-    double v = A[deg];
-    for (int e = deg - 1; e >= 0; --e) v = v * td + A[e];
-    return v > 0.0;
-  };
-
-  int steps = 0;
-  while (x > lb && above(x) && steps < kMaxCorrection) {
-    --x;
-    ++steps;
-  }
-  while (x < ub - 1 && !above(x + 1) && steps < kMaxCorrection) {
-    ++x;
-    ++steps;
-  }
-  if (steps >= kMaxCorrection) return false;  // formula was badly off
-  if (stats) ++(steps > 0 ? stats->corrected : stats->closed_form);
-  pt[static_cast<size_t>(k)] = x;
-  *out = x;
-  return true;
-}
-
-i64 CollapsedEval::guard_level(int k, std::span<i64> pt, i64 pc, i64 estimate,
-                               const i128* A, int deg, RecoveryStats* stats) const {
-  i64 out;
-  if (try_guard_level(k, pt, pc, estimate, A, deg, stats, &out)) return out;
-  const i64 val = search_level(k, pt, pc);
-  if (stats) ++stats->fallback;
-  return val;
-}
-
-i64 CollapsedEval::guard_level_f64(int k, std::span<i64> pt, i64 pc, i64 estimate,
-                                   const double* A, int deg,
-                                   RecoveryStats* stats) const {
-  i64 out;
-  if (try_guard_level_f64(k, pt, pc, estimate, A, deg, stats, &out)) return out;
-  const i64 val = search_level(k, pt, pc);
-  if (stats) ++stats->fallback;
-  return val;
-}
-
-/// The root formula's value array lives on this function's own frame
-/// (noinline keeps it off solve_level's), so evaluating it allocates
-/// nothing, even on a thread's first call.
-[[gnu::noinline]] bool CollapsedEval::root_value(int k, const i64* pt,
-                                                 long double* re) const {
-  const CompiledExpr& ce = (*closed_)[static_cast<size_t>(k)];
-  if (ce.empty() || ce.size() > static_cast<size_t>(kMaxRootValues)) return false;
-  cld values[kMaxRootValues];
-  cld z;
-  ce.eval({pt, nslots_}, CompiledExpr::kAllSlots, values, {&z, 1});
-  if (!std::isfinite(z.real()) || !std::isfinite(z.imag())) return false;
-  *re = z.real();
-  return true;
-}
-
-/// Demoted-quartic path: the Ferrari estimate could not follow the
-/// selected branch (or failed its guard), so evaluate the level's root
-/// formula in complex arithmetic; the exact guard still decides.  False
-/// when no finite estimate exists or the i128 guard overflowed: the
-/// caller falls back to exact search.
-bool CollapsedEval::quartic_demote(int k, std::span<i64> pt, i64 pc, const i128* A,
-                                   const double* Ad, int deg, RecoveryStats* stats,
-                                   i64* out) const {
-  long double zre = 0.0L;
-  if (!root_value(k, pt.data(), &zre) || zre < -9.2e18L || zre > 9.2e18L) return false;
-  const i64 est = static_cast<i64>(std::floor(zre + 1e-9L));
-  if (Ad) {
-    *out = guard_level_f64(k, pt, pc, est, Ad, deg, stats);
-    return true;
-  }
-  try {
-    *out = guard_level(k, pt, pc, est, A, deg, stats);
-    return true;
-  } catch (const OverflowError&) {
-    return false;
+template <class F, class TA>
+bool CollapsedEval::estimate_level(int k, const TA* A, i64 lb, i64 ub, i64* est) const {
+  switch (solvers_[static_cast<size_t>(k)].kind) {
+    case LevelSolverKind::Quadratic:
+      return quadratic_estimate<F>(A, lb, ub, est);
+    case LevelSolverKind::Cubic:
+      return cubic_estimate<F>(A, lb, ub, est);
+    case LevelSolverKind::Quartic:
+      return ferrari_estimate<F>(A, lb, ub, est);
+    default:
+      return false;
   }
 }
 
-i64 CollapsedEval::solve_level(int k, std::span<i64> pt, i64 pc,
-                               RecoveryStats* stats) const {
+bool CollapsedEval::closed_level(int k, std::span<i64> pt, RecoveryStats* stats) const {
   const LevelSolver& sv = solvers_[static_cast<size_t>(k)];
-  const std::span<const i64> pts(pt.data(), nslots_);
-
-  // No guard coefficients: Search levels, or bind() dropped them on
-  // overflow — only exact binary search can recover those.
   const int deg = static_cast<int>(sv.scaled.size()) - 1;
-  if (deg < 1) {
-    const i64 val = search_level(k, pt, pc);
-    if (stats) ++stats->fallback;
-    return val;
-  }
+  if (deg < 1) return false;  // a Search level, or bind() dropped the guard on overflow
 
   // Exact guard coefficients: when bind() proved the exact-double path
   // (guards_f64) they evaluate — and the guard runs — in plain double,
   // with no 128-bit arithmetic anywhere; otherwise checked i128.
-  const bool f64 = sv.guards_f64 && f64_guards_;
   try {
+    const i64 lb = bounds_lo_[static_cast<size_t>(k)].eval(pt.data());
+    const i64 ub = bounds_hi_[static_cast<size_t>(k)].eval(pt.data());
     i128 A[5];
-    double Ad[5] = {0.0, 0.0, 0.0, 0.0, 0.0};
-    if (f64) {
+    i64 est;
+    if (sv.guards_f64 && f64_guards_) {
+      double Ad[5];
       for (int e = 0; e <= deg; ++e)
         Ad[e] = sv.flat[static_cast<size_t>(e)].eval_f64(pt.data());
+      if (sv.kind != LevelSolverKind::ExactDivision)
+        return estimate_level<double>(k, Ad, lb, ub, &est) &&
+               guard_level(k, pt, est, lb, ub, Ad, deg, stats);
+      // The f64 coefficients are exact integers, so materializing them
+      // back into i128 keeps the division below exact.
+      A[0] = static_cast<i128>(Ad[0]);
+      A[1] = static_cast<i128>(Ad[1]);
     } else {
+      const std::span<const i64> pts(pt.data(), nslots_);
       for (int e = 0; e <= deg; ++e)
         A[e] = sv.flat[static_cast<size_t>(e)].usable()
                    ? sv.flat[static_cast<size_t>(e)].eval_i128(pt.data())
                    : sv.scaled[static_cast<size_t>(e)].eval_i128(pts);
+      if (sv.kind != LevelSolverKind::ExactDivision)
+        return estimate_level<long double>(k, A, lb, ub, &est) &&
+               guard_level(k, pt, est, lb, ub, A, deg, stats);
     }
-    auto guard = [&](i64 est) {
-      return f64 ? guard_level_f64(k, pt, pc, est, Ad, deg, stats)
-                 : guard_level(k, pt, pc, est, A, deg, stats);
-    };
-
-    switch (sv.kind) {
-      case LevelSolverKind::ExactDivision: {
-        // A1 * x + A0 <= 0, A1 > 0:  x = floor(-A0 / A1), exactly (the
-        // f64 coefficients are exact integers, so materializing them
-        // back into i128 keeps the division exact).
-        if (f64) {
-          A[0] = static_cast<i128>(Ad[0]);
-          A[1] = static_cast<i128>(Ad[1]);
-        }
-        if (A[1] <= 0) break;  // slope violates the model here: search
-        const i64 x = floor_div_i128_to_i64(-A[0], A[1]);
-        const i64 lb = bounds_lo_[static_cast<size_t>(k)].eval(pt.data());
-        const i64 ub = bounds_hi_[static_cast<size_t>(k)].eval(pt.data());
-        if (x < lb || x > ub - 1) break;  // inconsistent pc: search decides
+    // A1 * x + A0 <= 0, A1 > 0:  x = floor(-A0 / A1), exactly.
+    if (A[1] > 0) {
+      const i64 x = floor_div_i128_to_i64(-A[0], A[1]);
+      if (x >= lb && x <= ub - 1) {
         if (stats) ++stats->closed_form;
         pt[static_cast<size_t>(k)] = x;
-        return x;
+        return true;
       }
-      case LevelSolverKind::Quadratic: {
-        if (f64) {
-          const double disc = Ad[1] * Ad[1] - 4.0 * Ad[2] * Ad[0];
-          if (disc < 0.0 || Ad[2] == 0.0) break;  // degenerate here: search
-          const double s = std::sqrt(disc);
-          const double num = sv.branch == 1 ? -Ad[1] - s : -Ad[1] + s;
-          const double root = num / (2.0 * Ad[2]);
-          if (!index_range_finite(root)) break;
-          return guard(static_cast<i64>(std::floor(root + 1e-9)));
-        }
-        const i128 disc = checked_sub(checked_mul(A[1], A[1]),
-                                      checked_mul(checked_mul(4, A[2]), A[0]));
-        if (disc < 0 || A[2] == 0) break;  // degenerate here: search
-        const long double s = std::sqrt(static_cast<long double>(disc));
-        const long double num = sv.branch == 1 ? -static_cast<long double>(A[1]) - s
-                                               : -static_cast<long double>(A[1]) + s;
-        const long double root = num / (2.0L * static_cast<long double>(A[2]));
-        if (!index_range_finite(root)) break;
-        return guard(static_cast<i64>(std::floor(root + 1e-9L)));
-      }
-      case LevelSolverKind::Cubic: {
-        i64 est;
-        const bool ok = f64 ? cubic_estimate<double>(Ad, sv.branch, &est)
-                            : cubic_estimate<long double>(A, sv.branch, &est);
-        if (!ok) break;
-        return guard(est);
-      }
-      case LevelSolverKind::Quartic: {
-        i64 est;
-        i64 out;
-        const bool ok =
-            !demote_quartics_ &&
-            (f64 ? ferrari_estimate<double>(Ad, sv.branch, &est)
-                 : ferrari_estimate<long double>(A, sv.branch, &est));
-        if (ok) {
-          const bool done = f64
-                                ? try_guard_level_f64(k, pt, pc, est, Ad, deg, stats, &out)
-                                : try_guard_level(k, pt, pc, est, A, deg, stats, &out);
-          if (done) return out;
-        }
-        // Real arithmetic could not follow the branch (complex resolvent
-        // root, w == 0 degeneration) or the estimate was badly off:
-        // demote this point to the root formula, guard included.
-        if (quartic_demote(k, pt, pc, f64 ? nullptr : A, f64 ? Ad : nullptr, deg,
-                           stats, &out)) {
-          if (stats) ++stats->quartic_demoted;
-          return out;
-        }
-        break;  // no finite estimate anywhere: search
-      }
-      default:
-        break;
     }
+    // A slope that violates the model here, or an inconsistent pc.
   } catch (const OverflowError&) {
-    // Exact arithmetic left the checked range (astronomical parameters):
-    // binary search below is still exact.
+    // Exact arithmetic left the checked range (astronomical parameters).
   }
+  return false;
+}
+
+i64 CollapsedEval::solve_level(int k, std::span<i64> pt, i64 pc,
+                               RecoveryStats* stats) const {
+  if (closed_level(k, pt, stats)) return pt[static_cast<size_t>(k)];
   const i64 val = search_level(k, pt, pc);
   if (stats) ++stats->fallback;
   return val;
@@ -670,12 +540,28 @@ i64 CollapsedEval::recover_block(i64 pc_lo, i64 n, std::span<i64> out,
 bool CollapsedEval::recover_closed_raw(i64 pc, std::span<i64> idx) const {
   std::array<i64, kMaxSlots> pt = base_;
   pt[pc_slot_] = pc;
-  for (int k = 0; k + 1 < c_; ++k) {
-    long double re = 0.0L;
-    if (!root_value(k, pt.data(), &re)) return false;
-    const i64 x = static_cast<i64>(std::floor(re + 1e-9L));
-    pt[static_cast<size_t>(k)] = x;
-    idx[static_cast<size_t>(k)] = x;
+  const std::span<const i64> pts(pt.data(), nslots_);
+  try {
+    for (int k = 0; k + 1 < c_; ++k) {
+      const LevelSolver& sv = solvers_[static_cast<size_t>(k)];
+      const int deg = static_cast<int>(sv.scaled.size()) - 1;
+      if (deg < 1) return false;
+      i128 A[5];
+      for (int e = 0; e <= deg; ++e) A[e] = sv.scaled[static_cast<size_t>(e)].eval_i128(pts);
+      i64 x;
+      if (sv.kind == LevelSolverKind::ExactDivision) {
+        if (A[1] <= 0) return false;
+        x = floor_div_i128_to_i64(-A[0], A[1]);
+      } else if (!estimate_level<long double>(k, A, bounds_lo_[static_cast<size_t>(k)].eval(pt.data()),
+                                              bounds_hi_[static_cast<size_t>(k)].eval(pt.data()),
+                                              &x)) {
+        return false;
+      }
+      pt[static_cast<size_t>(k)] = x;
+      idx[static_cast<size_t>(k)] = x;
+    }
+  } catch (const OverflowError&) {
+    return false;
   }
   recover_innermost({pt.data(), nslots_}, idx, pc);
   return true;

@@ -11,8 +11,7 @@
 //   // cn.trip_count(), cn.recover(pc, idx), cn.increment(idx), ...
 //
 // `Collapsed` holds the symbolic artifacts (ranking polynomial, level
-// equations, convenient root formulas) and is what the code generator
-// consumes; `CollapsedEval` is the allocation-free runtime evaluator the
+// equations) and is what the code generator consumes; `CollapsedEval` is the allocation-free runtime evaluator the
 // OpenMP execution schemes are built on.
 //
 // bind() lowers every level's recovery into the cheapest engine that is
@@ -22,12 +21,13 @@
 //     evaluated integer coefficients,
 //   * degree-3 levels by the guarded real-arithmetic Cardano/Viete,
 //   * degree-4 levels by the guarded real-arithmetic Ferrari (resolvent
-//     through the same Cardano path); points where the selected branch
-//     goes genuinely complex demote to the level's convenient root
-//     formula, evaluated once in complex arithmetic (paper §IV-C),
+//     through the same Cardano path),
 //   * levels without a usable formula by exact binary search.
-// Every floating-point estimate is corrected against the exact integer
-// level equation, so recover() never returns a wrong tuple.
+// Each closed form keeps the real root that lies in the level's range
+// [lb, ub] (core/real_solvers.hpp); a point with no such root falls
+// to exact binary search.  Every floating-point estimate is corrected
+// against the exact integer level equation, so recover() never returns
+// a wrong tuple.
 
 #include <algorithm>
 #include <array>
@@ -43,7 +43,7 @@
 #include "core/runtime_limits.hpp"
 #include "core/unrank_closed.hpp"
 #include "polyhedral/domain.hpp"
-#include "symbolic/compile.hpp"
+#include "math/polynomial.hpp"
 
 namespace nrc {
 
@@ -53,9 +53,12 @@ struct CollapseOptions {
   bool build_closed_form = true;
   /// Maximum level-equation degree inverted in closed form (paper limit: 4).
   int max_closed_degree = 4;
-  /// Calibration parameters for convenient-branch selection; empty means
-  /// choose automatically (default_calibration).
-  ParamMap calibration;
+  /// Parameter values at which collapse() checks that no loop range is
+  /// empty (the model the ranking polynomial needs); empty: the uniform
+  /// values 6, 8, 5, 7, ... 64, any one of which may pass.  It decides
+  /// only whether the nest is accepted, never the plan, so the plan
+  /// cache does not key on it.
+  ParamMap model_params;
 };
 
 class CollapsedEval;
@@ -67,8 +70,8 @@ class Collapsed {
   const NestSpec& nest() const;
   const RankingSystem& ranking() const;
 
-  /// Per-level closed-form info (degree, coefficients, chosen branch,
-  /// symbolic root).  levels().size() == nest().depth().
+  /// Per-level closed-form info (degree, coefficients).
+  /// levels().size() == nest().depth().
   const std::vector<LevelFormula>& levels() const;
 
   /// True when every level has a usable closed-form recovery.
@@ -85,8 +88,7 @@ class Collapsed {
   /// returns a copy of the memoized evaluator instead of re-folding
   /// bounds, rebuilding FlatPoly layouts and re-running the f64-guard
   /// proof (the memo stores the pristine evaluator; the per-instance
-  /// hooks of a returned copy do not reach it).  Every bind shares the
-  /// level root formulas compiled once by collapse().  Thread-safe.
+  /// settings of a returned copy do not reach it).  Thread-safe.
   CollapsedEval bind(const ParamMap& params) const;
 
   /// How many bind() calls were served from the parameter memo (the
@@ -94,7 +96,8 @@ class Collapsed {
   size_t bind_reuses() const;
 
   /// Human-readable report: ranking polynomial, trip count, per-level
-  /// recovery formulas and the solver each level lowers to at bind time.
+  /// equation coefficients and the solver each level lowers to at bind
+  /// time.
   std::string describe() const;
 
  private:
@@ -114,20 +117,11 @@ struct RecoveryStats {
   i64 closed_form = 0;  ///< levels recovered by the closed form directly
   i64 corrected = 0;    ///< levels where the integer guard moved the index
   i64 fallback = 0;     ///< levels recovered by exact binary search
-  /// Quartic levels whose real-arithmetic Ferrari estimate degenerated
-  /// (or failed the guard) and that were then *successfully* solved
-  /// through the root-formula demotion path (a demotion that also finds no
-  /// finite estimate falls to search and counts only in fallback).  Not
-  /// a level outcome of its own (the demoted solve still lands in one
-  /// of the three counters above), so it does not participate in
-  /// levels().
-  i64 quartic_demoted = 0;
   i64 levels() const { return closed_form + corrected + fallback; }
   RecoveryStats& operator+=(const RecoveryStats& o) {
     closed_form += o.closed_form;
     corrected += o.corrected;
     fallback += o.fallback;
-    quartic_demoted += o.quartic_demoted;
     return *this;
   }
 };
@@ -138,8 +132,7 @@ enum class LevelSolverKind {
   ExactDivision,    ///< degree 1: one exact integer floor-division
   Quadratic,        ///< degree 2: guarded quadratic formula
   Cubic,            ///< degree 3: guarded real-arithmetic Cardano/Viete
-  Quartic,          ///< degree 4: guarded real-arithmetic Ferrari (root-
-                    ///< formula demotion where the branch goes complex)
+  Quartic,          ///< degree 4: guarded real-arithmetic Ferrari
   Search,           ///< no usable formula: exact binary search
 };
 
@@ -152,9 +145,7 @@ class CollapsedEval {
   int depth() const { return c_; }
   i64 trip_count() const { return total_; }
   const ParamMap& params() const { return params_; }
-  bool has_closed_form(int level) const {
-    return !(*closed_)[static_cast<size_t>(level)].empty();
-  }
+  bool has_closed_form(int level) const { return solver_kind(level) != LevelSolverKind::Search; }
   /// The engine recover() uses for `level`.
   LevelSolverKind solver_kind(int level) const {
     return solvers_[static_cast<size_t>(level)].kind;
@@ -176,12 +167,6 @@ class CollapsedEval {
     return solvers_[static_cast<size_t>(level)].guards_f64;
   }
 
-  /// Test hook: treat every quartic point as if the Ferrari estimate
-  /// had degenerated, exercising the per-point demotion path — the root
-  /// formula's estimate plus the exact guard, RecoveryStats::
-  /// quartic_demoted counting each demotion.  Results stay identical.
-  void force_quartic_demotion() { demote_quartics_ = true; }
-
   /// Exact 1-based rank of an iteration tuple.
   i64 rank(std::span<const i64> idx) const;
 
@@ -202,9 +187,9 @@ class CollapsedEval {
                     RecoveryStats* stats = nullptr) const;
 
   /// Closed-form recovery *without* the correction guard (ablation /
-  /// tests).  Returns false if any level lacks a formula (or one longer
-  /// than kMaxRootValues instructions) or produced a non-finite value;
-  /// idx is then unspecified.
+  /// tests): each level's interval-selected root estimate, floored.
+  /// Returns false if any level lacks a formula or has no root in its
+  /// range; idx is then unspecified.
   bool recover_closed_raw(i64 pc, std::span<i64> idx) const;
 
   /// Exact binary-search recovery (no floating point).
@@ -271,7 +256,6 @@ class CollapsedEval {
                                        ///< low-degree A_e (else unusable)
     bool guards_f64 = false;           ///< coefficients and guard may run in
                                        ///< proven-exact double (all engines)
-    int branch = 0;                    ///< selected convenient branch
   };
 
   /// for_each_row's walk from `idx`, the already-recovered tuple of
@@ -295,31 +279,25 @@ class CollapsedEval {
     }
   }
 
+  /// Exact binary search for level k's index; pt[k] is left at it.
   i64 search_level(int k, std::span<i64> pt, i64 pc) const;
+  /// Level k's index by closed form, else exact search (a fallback).
   i64 solve_level(int k, std::span<i64> pt, i64 pc, RecoveryStats* stats) const;
-  /// Correct `estimate` against the exact level equation; false when the
-  /// estimate was off by more than kMaxCorrection (no stats recorded,
-  /// pt[k] unspecified) — the caller demotes or searches.
-  bool try_guard_level(int k, std::span<i64> pt, i64 pc, i64 estimate,
-                       const i128* A, int deg, RecoveryStats* stats, i64* out) const;
-  bool try_guard_level_f64(int k, std::span<i64> pt, i64 pc, i64 estimate,
-                           const double* A, int deg, RecoveryStats* stats,
-                           i64* out) const;
-  i64 guard_level(int k, std::span<i64> pt, i64 pc, i64 estimate,
-                  const i128* A, int deg, RecoveryStats* stats) const;
-  i64 guard_level_f64(int k, std::span<i64> pt, i64 pc, i64 estimate,
-                      const double* A, int deg, RecoveryStats* stats) const;
-  /// Demoted-quartic path: the root formula's estimate plus the exact
-  /// guard; exactly one of A / Ad is non-null and selects the guard
-  /// arithmetic.  False when no finite estimate exists or the exact
-  /// guard overflowed — the caller searches.
-  bool quartic_demote(int k, std::span<i64> pt, i64 pc, const i128* A,
-                      const double* Ad, int deg, RecoveryStats* stats,
-                      i64* out) const;
-  /// Real part of level k's root formula at `pt`, evaluated on stack
-  /// scratch.  False when the level has no formula, the formula is
-  /// longer than kMaxRootValues instructions or its value is not finite.
-  bool root_value(int k, const i64* pt, long double* re) const;
+  /// Level k's closed form behind the exact guard: true with pt[k] set
+  /// to the index, false where only search can decide (no root in
+  /// range, a degenerate point, a guard miss past kMaxCorrection steps,
+  /// or exact arithmetic leaving the checked range).
+  bool closed_level(int k, std::span<i64> pt, RecoveryStats* stats) const;
+  /// Correct `estimate` against the exact level equation A (Horner in
+  /// TA: i128 checked, or double on proven-exact levels); false when it
+  /// is off by more than kMaxCorrection.
+  template <class TA>
+  bool guard_level(int k, std::span<i64> pt, i64 estimate, i64 lb, i64 ub, const TA* A, int deg,
+                   RecoveryStats* stats) const;
+  /// Level k's root estimate from the evaluated coefficients, selected
+  /// by the level range [lb, ub); false when no root lies there.
+  template <class F, class TA>
+  bool estimate_level(int k, const TA* A, i64 lb, i64 ub, i64* est) const;
   void recover_innermost(std::span<i64> pt, std::span<i64> idx, i64 pc) const;
   /// Exact rank-prefix evaluation through the flat form when available.
   i128 eval_rank(int k, const i64* pt) const;
@@ -332,11 +310,8 @@ class CollapsedEval {
   std::vector<Bound> bounds_lo_, bounds_hi_;
   std::vector<CompiledPoly> prank_;        // per level, parameters pre-folded
   std::vector<FlatPoly> prank_flat_;       // flat forms of prank_ (else unusable)
-  // Per level root formula (empty without one), shared by every bind.
-  std::shared_ptr<const std::vector<CompiledExpr>> closed_;
   std::vector<LevelSolver> solvers_;   // per level
   bool f64_guards_ = true;             // see set_f64_guards()
-  bool demote_quartics_ = false;       // see force_quartic_demotion()
   static constexpr int kMaxCorrection = 16;
 };
 

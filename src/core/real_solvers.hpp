@@ -1,178 +1,196 @@
 #pragma once
-// Guarded real-arithmetic closed-form root estimates for the recovery
-// engine (degrees 3 and 4).
+// Real-arithmetic closed-form root estimates for the recovery engine
+// (degrees 2, 3 and 4), selected by interval.
 //
-// The level solvers in CollapsedEval only need floor(Re(x)) of the
-// *selected convenient branch* of a level equation — and they sit behind
-// the exact integer correction guard, so an estimate may be off by a few
-// ulps without ever producing a wrong tuple.  That licence lets both the
-// cubic (Cardano/Viete) and the quartic (Ferrari) run without any
-// std::complex arithmetic:
+// A level equation A(t) = R(prefix, t) - pc has one sign change on the
+// level's range [lb, ub]: the rank R does not decrease as t steps from
+// lb to ub (each step adds a sub-nest count >= 0), A(lb) <= 0 and
+// A(ub) > 0.  The level index is the last t with A(t) <= 0, so the
+// convenient root of the paper's §IV is the largest real root inside
+// [lb, ub] — no calibrated branch index is needed, and the choice holds
+// at every parameter size.  The estimators compute every real root in a
+// numerically stable way and keep that one:
 //
-//   * a Cardano branch value is computed as an explicit (re, im) pair:
-//     three-real-root cubics (negative discriminant) take the Viete
-//     trigonometric form, one-real-root cubics read the branch off
-//     tables of cos/sin of multiples of pi/3 (the rotation the principal
-//     complex cube root introduces for a negative real radicand),
-//   * the Ferrari resolvent cubic reuses that Cardano path, and the two
-//     principal complex square roots of the quadratic-factor stage
-//     unfold into their real-arithmetic closed forms
-//     Re(csqrt(z)) = sqrt((|z| + Re z)/2),
-//     Im(csqrt(z)) = sign(Im z) * sqrt((|z| - Re z)/2),
-//     so a complex resolvent root (the conjugate-pair branches the
-//     calibration routinely selects) costs two hypots instead of a
-//     ~90-instruction complex root formula.
+//   * quadratics use the cancellation-free pair q, c/q of x^2 + b x + c,
+//     q = -(b + sign(b) sqrt(disc)) / 2 (a level's own quadratic needs
+//     only the upward crossing, the one root where A' = +sqrt(disc)),
+//   * cubics with three real roots use the trigonometric (Viete) form;
+//     with one real root, Cardano takes the cube root of the radicand
+//     that does not cancel, -q/2 - sign(q) sqrt(delta), and adds its
+//     partner -p/(3u) — through -q/(u^2 + v^2 + p/3) when p > 0, where
+//     u + v itself would cancel,
+//   * quartics (Ferrari) factor through the largest real root of the
+//     resolvent cubic (always >= 0, polished by one Newton step so a
+//     tiny root keeps its relative accuracy) into two real quadratics,
+//     each solved as above; a zero resolvent root is the biquadratic
+//     y^4 + p y^2 + r, solved through y^2.
 //
-// Degenerate configurations (leading coefficient zero, w == 0 divisions,
-// the u -> 0 Cardano degeneration) surface as non-finite values and make
-// the estimate functions return false; the caller demotes those points
-// to the level's complex root formula, behind the same exact guard.
+// A root counts when it lies within half a step of [lb, ub]; when none
+// does, or the formula degenerates (zero leading coefficient, non-finite
+// values), the estimate functions return false and the caller falls
+// back to exact binary search.  Every estimate feeds the exact integer guard,
+// so an estimate a few ulps off never produces a wrong tuple.
 //
 // Everything is templated on the evaluation type F (long double for the
 // checked-i128 guard path, double for the proven-exact-f64 one) and on
-// the coefficient type TA (i128 or double).
+// the coefficient type TA (i128 or double).  print_c.cpp's
+// real_solver_helpers_c() is the same code in C at double precision.
 
 #include <cmath>
+#include <type_traits>
 
 #include "support/int128.hpp"
 
 namespace nrc {
 
-/// Complex value of Cardano branch `branch` of the monic cubic
-/// x^3 + b x^2 + c x + d, as an explicit real pair.  Algebraically
-/// identical to the branch-k complex formula
-/// u*cis(k,3) - p/(3*u*cis(k,3)) - b/3 that the symbolic root encodes
-/// (u the principal cube root of -q/2 + csqrt(delta)); no complex
-/// arithmetic anywhere.  The u -> 0 degeneration surfaces as a
-/// non-finite value.
+/// Floor of the largest of the n candidate roots within half a step of
+/// the level range [lb, ub]; false when none lies there (non-finite
+/// candidates never do).
 template <class F>
-struct CardanoBranch {
-  F re = F(0);
-  F im = F(0);
-};
-
-template <class F>
-CardanoBranch<F> cardano_branch(F b, F c, F d, int branch) {
-  const F p = c - b * b / F(3);
-  const F q = F(2) * b * b * b / F(27) - b * c / F(3) + d;
-  const F delta = q * q / F(4) + p * p * p / F(27);
-  constexpr F k2Pi3 = F(2.0943951023931954923084289221863353L);
-  CardanoBranch<F> out;
-  if (delta < F(0)) {
-    // Three real roots: u = m*cis(phi/3), |u|^2 = -p/3, and the k-th
-    // root collapses to 2*m*cos(phi/3 + 2*pi*k/3).  (The seed's solver
-    // divided the whole phase by 3 — cos((phi + 2*pi*k/3)/3) — which is
-    // wrong for branches 1 and 2; the exact guard silently absorbed it
-    // as a search fallback, and the calibrated nests all picked branch
-    // 0.  The Ferrari resolvent exercises every branch, so the phase is
-    // now correct and branches 1/2 estimate exactly.)
-    const F m = std::sqrt(-p / F(3));
-    const F phi = std::atan2(std::sqrt(-delta), -q / F(2));
-    out.re = F(2) * m * std::cos(phi / F(3) + k2Pi3 * static_cast<F>(branch)) -
-             b / F(3);
-  } else {
-    // One real root: the radicand v is real, so u = m*cis(theta) with
-    // theta a multiple of pi/3 (shifted by pi/3 when v < 0, from the
-    // principal cube root of a negative real).  With |u| = m,
-    // u_k - p/(3 u_k) = (m - p/(3m))*cos(theta) + i*(m + p/(3m))*sin(theta).
-    const F v = -q / F(2) + std::sqrt(delta);
-    const F m = std::cbrt(std::fabs(v));
-    constexpr F kR3o2 = F(0.86602540378443864676372317075293618L);  // sqrt(3)/2
-    static constexpr F kCosPos[3] = {F(1), F(-0.5), F(-0.5)};    // v >= 0
-    static constexpr F kSinPos[3] = {F(0), kR3o2, -kR3o2};
-    static constexpr F kCosNeg[3] = {F(0.5), F(-1), F(0.5)};     // v < 0
-    static constexpr F kSinNeg[3] = {kR3o2, F(0), -kR3o2};
-    const F cosw = v < F(0) ? kCosNeg[branch] : kCosPos[branch];
-    const F sinw = v < F(0) ? kSinNeg[branch] : kSinPos[branch];
-    const F po3m = p / (F(3) * m);  // m == 0 degenerates to inf: guard
-    out.re = (m - po3m) * cosw - b / F(3);
-    out.im = (m + po3m) * sinw;
+bool pick_root(const F* roots, int n, i64 lb, i64 ub, i64* est) {
+  const F lo = static_cast<F>(lb) - F(0.5);
+  const F hi = static_cast<F>(ub) + F(0.5);
+  bool found = false;
+  F best = lo;
+  for (int i = 0; i < n; ++i) {
+    if (roots[i] >= lo && roots[i] <= hi && (!found || roots[i] > best)) {
+      best = roots[i];
+      found = true;
+    }
   }
-  return out;
-}
-
-/// True when `root` can be floored into the i64 index range.
-template <class F>
-inline bool index_range_finite(F root) {
-  return std::isfinite(root) && root >= F(-9.2e18L) && root <= F(9.2e18L);
-}
-
-/// Real-arithmetic Cardano/Viete estimate for A3*t^3 + ... + A0 <= 0,
-/// evaluated in long double on i128 coefficients or in double on
-/// exact-double ones (the exact guard absorbs the precision
-/// difference).  Only Re of the branch is needed for the
-/// floor.  Returns false when the formula degenerates here (A3 == 0,
-/// non-finite, or out of the index range).
-template <class F, class TA>
-bool cubic_estimate(const TA* A, int branch, i64* est) {
-  if (A[3] == 0) return false;
-  const F a3 = static_cast<F>(A[3]);
-  const CardanoBranch<F> cb =
-      cardano_branch<F>(static_cast<F>(A[2]) / a3, static_cast<F>(A[1]) / a3,
-                        static_cast<F>(A[0]) / a3, branch);
-  if (!index_range_finite(cb.re)) return false;
-  *est = static_cast<i64>(std::floor(cb.re + F(1e-9L)));
+  if (!found) return false;
+  *est = static_cast<i64>(std::floor(best + F(1e-9L)));
   return true;
 }
 
-/// Guarded real-arithmetic Ferrari estimate for A4*t^4 + ... + A0 <= 0,
-/// branch = 4*(resolvent Cardano branch) + quadratic-factor branch —
-/// the same branch family as math/roots.cpp::root_quartic and the
-/// symbolic quartic_root, so the estimate tracks the branch the
-/// calibration selected.  The resolvent root w (complex for the
-/// conjugate-pair Cardano branches) flows through the chain as an
-/// explicit (re, im) pair:
-///
-///   alpha = csqrt(w):   ar = sqrt((|w| + wr)/2),
-///                       ai = sign(wi) * sqrt((|w| - wr)/2),
-///   q/alpha           = q * conj(alpha) / |w|,
-///   beta, gamma       = (p + w -+ q/alpha)/2,
-///   D = alpha^2 - 4*{beta,gamma} = w - 4*{beta,gamma},
-///   Re(y)             = (-+ar +- sqrt((|D| + Dr)/2)) / 2,
-///
-/// and the recovered estimate is floor(Re(y) - b/4 + eps).  Returns
-/// false when the formula degenerates (A4 == 0, w == 0 divisions,
-/// non-finite, out of the index range); the caller then demotes the
-/// point to the level's root formula.
+/// Real roots of the monic x^2 + b x + c: both, without cancellation.
+/// Returns their number (0 when the discriminant is negative).
+template <class F>
+int quadratic_roots(F b, F c, F* r) {
+  const F disc = b * b - F(4) * c;
+  if (!(disc >= F(0))) return 0;
+  r[0] = -(b + std::copysign(std::sqrt(disc), b)) / F(2);
+  r[1] = c / r[0];  // r[0] == 0 only for the double root 0
+  return 2;
+}
+
+/// Real roots of the monic cubic x^3 + b x^2 + c x + d.  Returns their
+/// number: 3 (trigonometric form) or 1 (stable Cardano).
+template <class F>
+int cubic_roots(F b, F c, F d, F* r) {
+  const F p = c - b * b / F(3);
+  const F q = F(2) * b * b * b / F(27) - b * c / F(3) + d;
+  const F delta = q * q / F(4) + p * p * p / F(27);
+  const F shift = b / F(3);
+  if (delta < F(0)) {
+    // Three real roots: 2m cos(phi/3 - 2 pi k/3), m = sqrt(-p/3).
+    constexpr F kR3o2 = F(0.86602540378443864676372317075293618L);  // sqrt(3)/2
+    const F m = std::sqrt(-p / F(3));
+    const F phi = std::atan2(std::sqrt(-delta), -q / F(2));
+    const F c0 = std::cos(phi / F(3));
+    const F s0 = std::sin(phi / F(3));
+    r[0] = F(2) * m * c0 - shift;
+    r[1] = F(2) * m * (-c0 / F(2) - s0 * kR3o2) - shift;
+    r[2] = F(2) * m * (-c0 / F(2) + s0 * kR3o2) - shift;
+    return 3;
+  }
+  // One real root u + v, u^3 the radicand that does not cancel, u*v = -p/3.
+  const F sq = std::sqrt(delta);
+  const F u = std::cbrt(q > F(0) ? -q / F(2) - sq : -q / F(2) + sq);
+  F y = F(0);  // u == 0: q == p == 0, the triple root 0
+  if (u != F(0)) {
+    const F v = -p / (F(3) * u);
+    y = p > F(0) ? -q / (u * u + v * v + p / F(3)) : u + v;
+  }
+  r[0] = y - shift;
+  return 1;
+}
+
+/// Interval-selected estimate for A2 t^2 + A1 t + A0 <= 0.  The
+/// discriminant is exact for i128 coefficients (checked) and computed in
+/// double for double ones.  A rises through the level's root, and of
+/// the two roots only (-A1 + sqrt(disc)) / (2 A2) has A' = +sqrt(disc)
+/// >= 0, so that one alone is computed, in the form that does not
+/// cancel.
 template <class F, class TA>
-bool ferrari_estimate(const TA* A, int branch, i64* est) {
+bool quadratic_estimate(const TA* A, i64 lb, i64 ub, i64* est) {
+  F disc;
+  if constexpr (std::is_same_v<TA, double>)
+    disc = A[1] * A[1] - 4.0 * A[2] * A[0];
+  else
+    disc = static_cast<F>(
+        checked_sub(checked_mul(A[1], A[1]), checked_mul(checked_mul(4, A[2]), A[0])));
+  const F a0 = static_cast<F>(A[0]);
+  const F a1 = static_cast<F>(A[1]);
+  const F a2 = static_cast<F>(A[2]);
+  if (a2 == F(0) || !(disc >= F(0))) return false;
+  const F s = std::sqrt(disc);
+  const F r = a1 > F(0) ? F(-2) * a0 / (a1 + s) : (s - a1) / (F(2) * a2);
+  return pick_root(&r, 1, lb, ub, est);
+}
+
+/// Interval-selected Cardano/Viete estimate for A3 t^3 + ... + A0 <= 0.
+template <class F, class TA>
+bool cubic_estimate(const TA* A, i64 lb, i64 ub, i64* est) {
+  if (A[3] == 0) return false;
+  const F a3 = static_cast<F>(A[3]);
+  F r[3];
+  const int n = cubic_roots<F>(static_cast<F>(A[2]) / a3, static_cast<F>(A[1]) / a3,
+                               static_cast<F>(A[0]) / a3, r);
+  return pick_root(r, n, lb, ub, est);
+}
+
+/// Interval-selected Ferrari estimate for A4 t^4 + ... + A0 <= 0.  The
+/// depressed quartic y^4 + p y^2 + q y + r (t = y - b/4) factors as
+/// (y^2 + alpha y + beta)(y^2 - alpha y + gamma) with alpha^2 = w, the
+/// largest root of the resolvent w^3 + 2p w^2 + (p^2 - 4r) w - q^2, and
+/// beta, gamma = (p + w)/2 -+ q/(2 alpha).
+template <class F, class TA>
+bool ferrari_estimate(const TA* A, i64 lb, i64 ub, i64* est) {
   if (A[4] == 0) return false;
   const F a4 = static_cast<F>(A[4]);
   const F b = static_cast<F>(A[3]) / a4;
   const F c = static_cast<F>(A[2]) / a4;
   const F d = static_cast<F>(A[1]) / a4;
   const F e = static_cast<F>(A[0]) / a4;
-
-  // Depressed quartic y^4 + p y^2 + q y + r (x = y - b/4).
   const F p = c - b * b * (F(3) / F(8));
   const F q = d - b * c / F(2) + b * b * b / F(8);
   const F r = e - b * d / F(4) + b * b * c / F(16) - b * b * b * b * (F(3) / F(256));
 
-  const int rb = branch / 4;  // resolvent Cardano branch, 0..2
-  const int qb = branch % 4;  // quadratic-factor branch, 0..3
+  const F c2 = F(2) * p;
+  const F c1 = p * p - F(4) * r;
+  const F c0 = -(q * q);
+  F w3[3];
+  const int nw = cubic_roots<F>(c2, c1, c0, w3);
+  F w = F(0);
+  for (int i = 0; i < nw; ++i)
+    if (w3[i] > w) w = w3[i];
+  // One Newton step on the resolvent: a small root comes out of the
+  // shifted Cardano form with only absolute accuracy.
+  const F fw = ((w + c2) * w + c1) * w + c0;
+  const F dfw = (F(3) * w + F(2) * c2) * w + c1;
+  if (dfw != F(0)) w -= fw / dfw;
 
-  // Resolvent cubic w^3 + 2p w^2 + (p^2 - 4r) w - q^2 = 0 (monic).
-  const CardanoBranch<F> w =
-      cardano_branch<F>(F(2) * p, p * p - F(4) * r, -(q * q), rb);
-
-  // alpha = csqrt(w), principal (Re >= 0, Im carries sign(Im w)).
-  const F aw = std::hypot(w.re, w.im);
-  const F ar = std::sqrt((aw + w.re) / F(2));
-  const F ai = std::copysign(std::sqrt((aw - w.re) / F(2)), w.im);
-  // q / alpha = q * conj(alpha) / |alpha|^2, |alpha|^2 = |w|.
-  const F qar = q * ar / aw;  // w == 0 degenerates to NaN: caught below
-  const F qai = -q * ai / aw;
-  // D = alpha^2 - 4*{beta,gamma} = w - 2*(p + w +- q/alpha).
-  const F sg = qb < 2 ? F(-1) : F(1);
-  const F Dr = w.re - F(2) * (p + w.re + sg * qar);
-  const F Di = -w.im - F(2) * sg * qai;
-  const F sr = std::sqrt((std::hypot(Dr, Di) + Dr) / F(2));  // Re(csqrt(D))
-  const F y = ((qb < 2 ? -ar : ar) + ((qb & 1) ? -sr : sr)) / F(2);
-
-  const F root = y - b / F(4);
-  if (!index_range_finite(root)) return false;
-  *est = static_cast<i64>(std::floor(root + F(1e-9L)));
-  return true;
+  F y[4];
+  int n = 0;
+  if (w > F(0)) {
+    const F alpha = std::sqrt(w);
+    const F h = (p + w) / F(2);
+    const F g = q / (F(2) * alpha);
+    n = quadratic_roots(alpha, h - g, y);
+    n += quadratic_roots(-alpha, h + g, y + n);
+  } else {
+    // Biquadratic: y^2 = z for each real z >= 0 of z^2 + p z + r.
+    F z[2];
+    const int nz = quadratic_roots(p, r, z);
+    for (int i = 0; i < nz; ++i) {
+      if (!(z[i] >= F(0))) continue;
+      y[n++] = std::sqrt(z[i]);
+      y[n++] = -std::sqrt(z[i]);
+    }
+  }
+  for (int i = 0; i < n; ++i) y[i] -= b / F(4);
+  return pick_root(y, n, lb, ub, est);
 }
 
 }  // namespace nrc

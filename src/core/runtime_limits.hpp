@@ -13,10 +13,4 @@ inline constexpr int kMaxDepth = 12;
 /// Maximum number of runtime slots (loop vars + parameters + "pc").
 inline constexpr int kMaxSlots = 40;
 
-/// Maximum instructions of a level's compiled root formula that
-/// CollapsedEval evaluates on the stack (the quartic demotion); quartic
-/// Ferrari roots compile to under 90.  A longer root falls to exact
-/// binary search.
-inline constexpr int kMaxRootValues = 192;
-
 }  // namespace nrc

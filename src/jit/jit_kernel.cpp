@@ -105,8 +105,8 @@ std::string JitKernel::render_source(const CollapsePlan& plan, const Schedule& s
 
   // Argument list calling an emitted collapsed function with every nest
   // parameter folded to its bound literal — `cc -O2` then inlines the
-  // static function and constant-folds coefficients, guards and branch
-  // numbers, which is the whole point of the specialization.
+  // static function and constant-folds coefficients, guards and level
+  // ranges, which is the whole point of the specialization.
   std::string lit_args;
   for (const std::string& p : nest.params())
     lit_args += std::to_string(params.at(p)) + "LL, ";

@@ -8,7 +8,7 @@
 // function is *fully specialized* — the exported entry points call it
 // with every nest parameter as an integer literal, so `cc -O2` inlines
 // the static function and constant-folds the ranking coefficients,
-// guards and branch calibration that the library engine re-derives from
+// guards and level ranges that the library engine re-derives from
 // memory on every recovery — compiles it out of process into a shared
 // object, dlopens the result and dispatches through it.
 //

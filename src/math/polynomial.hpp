@@ -110,7 +110,7 @@ class CompiledPoly {
   /// Exact integer value at the point; throws on overflow / inexactness.
   i128 eval_i128(std::span<const i64> point) const;
 
-  /// Floating evaluation (long double) for root formulas.
+  /// Floating evaluation (long double), e.g. for Newton's derivative.
   long double eval_ld(std::span<const long double> point) const;
 
   i64 denominator() const { return den_; }

@@ -38,7 +38,6 @@
 #include "math/faulhaber.hpp"
 #include "math/polynomial.hpp"
 #include "math/rational.hpp"
-#include "math/roots.hpp"
 #include "pipeline/dispatch.hpp"
 #include "pipeline/plan.hpp"
 #include "pipeline/plan_cache.hpp"
@@ -52,8 +51,5 @@
 #include "runtime/thread_stats.hpp"
 #include "serve/protocol.hpp"
 #include "serve/serialization.hpp"
-#include "symbolic/compile.hpp"
-#include "symbolic/expr.hpp"
 #include "symbolic/print_c.hpp"
-#include "symbolic/root_formula.hpp"
 #include "viz/ascii_domain.hpp"

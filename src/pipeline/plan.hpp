@@ -6,7 +6,7 @@
 //   NestSpec  --collapse()-->  Collapsed  --bind(params)-->  CollapsedEval
 //
 // where collapse() does the symbolic work (ranking polynomials, level
-// formulas, branch calibration) and bind() the per-domain lowering
+// formulas) and bind() the per-domain lowering
 // (parameter folding, solver selection, the f64-guard proof).  A
 // CollapsePlan captures one full traversal of that pipeline — the nest,
 // the CollapseOptions, the symbolic Collapsed and the bound evaluator —
@@ -17,8 +17,7 @@
 //   nrc::run(*plan, Schedule::auto_select(plan->eval()), body);
 //
 // Immutability contract: the stored CollapsedEval is exposed const-only
-// and never has its mutable tuning hooks (set_f64_guards, demotion
-// forcing) touched, so every const method is safe to call from any
+// and never has its mutable tuning hook (set_f64_guards) touched, so every const method is safe to call from any
 // number of threads concurrently — the property the concurrent plan
 // cache relies on to hand one plan to many threads.
 

@@ -90,8 +90,6 @@ std::string plan_cache_key(const NestSpec& nest, const ParamMap& params,
   key += opts.build_closed_form ? '1' : '0';
   key += ',';
   key += std::to_string(opts.max_closed_degree);
-  for (const auto& [name, v] : opts.calibration)
-    key += "," + name + "=" + std::to_string(v);
   key += "|params:";
   for (const auto& [name, v] : params) key += name + "=" + std::to_string(v) + ";";
   return key;

@@ -1,7 +1,6 @@
 #include "polyhedral/domain.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "support/error.hpp"
 #include "support/int128.hpp"
@@ -104,13 +103,12 @@ void walk_domain(const NestSpec& spec, const ParamMap& params,
 }
 
 i64 count_domain_brute(const NestSpec& spec, const ParamMap& params) {
-  return count_domain_capped(spec, params, std::numeric_limits<i64>::max() - 1);
-}
-
-i64 count_domain_capped(const NestSpec& spec, const ParamMap& params, i64 cap) {
   spec.validate();
   i64 n = 0;
-  Walker(spec, params).run([&](std::span<const i64>) { return ++n <= cap; });
+  Walker(spec, params).run([&](std::span<const i64>) {
+    ++n;
+    return true;
+  });
   return n;
 }
 
@@ -133,10 +131,11 @@ i64 rank_brute(const NestSpec& spec, const ParamMap& params, std::span<const i64
   return found ? r : 0;
 }
 
-bool has_no_empty_ranges(const NestSpec& spec, const ParamMap& params) {
+bool has_no_empty_ranges(const NestSpec& spec, const ParamMap& params, i64 max_points) {
   Walker w(spec, params);
   w.stop_at_empty = true;
-  w.run([](std::span<const i64>) { return true; });
+  i64 n = 0;
+  w.run([&](std::span<const i64>) { return ++n < max_points; });
   return !w.saw_empty;
 }
 

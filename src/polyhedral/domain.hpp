@@ -3,10 +3,11 @@
 //
 // These walkers execute a nest specification directly (nested loops with
 // bound evaluation).  They are the ground truth that the symbolic
-// machinery is tested against, the reference executor for validation,
-// and the oracle used during closed-form branch selection.
+// machinery is tested against and the reference executor for
+// validation.
 
 #include <functional>
+#include <limits>
 #include <map>
 #include <span>
 #include <vector>
@@ -27,11 +28,6 @@ void walk_domain(const NestSpec& spec, const ParamMap& params,
 /// Exact number of points (by enumeration).
 i64 count_domain_brute(const NestSpec& spec, const ParamMap& params);
 
-/// Number of points, counting no further than cap + 1: exact when the
-/// domain has at most `cap` points, cap + 1 otherwise.  The walk stops
-/// there, so its cost is bounded by the cap, not by the domain.
-i64 count_domain_capped(const NestSpec& spec, const ParamMap& params, i64 cap);
-
 /// All points, in lexicographic order (test-sized domains only).
 std::vector<std::vector<i64>> domain_points(const NestSpec& spec, const ParamMap& params);
 
@@ -42,6 +38,9 @@ i64 rank_brute(const NestSpec& spec, const ParamMap& params, std::span<const i64
 /// True when the nest satisfies the Fig. 5 model requirement that every
 /// loop body executes at least once for every feasible prefix (no empty
 /// ranges).  Ranking polynomials are only valid under this condition.
-bool has_no_empty_ranges(const NestSpec& spec, const ParamMap& params);
+/// The walk stops after `max_points` points; the answer then covers the
+/// prefixes it reached.
+bool has_no_empty_ranges(const NestSpec& spec, const ParamMap& params,
+                         i64 max_points = std::numeric_limits<i64>::max());
 
 }  // namespace nrc

@@ -33,7 +33,7 @@ void write_record(std::ostream& os, const NestSpec& nest, const ParamMap& params
   os << "nrcplan " << serve::kPlanFormatVersion << "\n";
   os << "opts build_closed_form=" << (opts.build_closed_form ? 1 : 0)
      << " max_closed_degree=" << opts.max_closed_degree << "\n";
-  for (const auto& [name, v] : opts.calibration) os << "calib " << name << "=" << v << "\n";
+  for (const auto& [name, v] : opts.model_params) os << "model " << name << "=" << v << "\n";
   for (const auto& [name, v] : params) os << "param " << name << "=" << v << "\n";
   os << "solvers";
   for (const LevelSolverKind k : solvers) os << " " << level_solver_kind_name(k);
@@ -94,11 +94,11 @@ bool read_plan_record(std::istream& is, PlanRecord& out) {
           throw ParseError("plan record: unknown option '" + name + "'");
       }
       saw_opts = true;
-    } else if (kw == "calib") {
+    } else if (kw == "model") {
       std::string tok;
       ls >> tok;
-      const auto [name, v] = parse_binding(tok, "calibration");
-      rec.opts.calibration[name] = v;
+      const auto [name, v] = parse_binding(tok, "model parameter");
+      rec.opts.model_params[name] = v;
     } else if (kw == "param") {
       std::string tok;
       ls >> tok;

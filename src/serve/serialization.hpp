@@ -12,7 +12,7 @@
 //
 //   nrcplan 1
 //   opts build_closed_form=1 max_closed_degree=4
-//   calib N=500                    (0+ lines; CollapseOptions::calibration)
+//   model N=3                      (0+ lines; CollapseOptions::model_params)
 //   param N=2000                   (0+ lines; the bound parameters)
 //   solvers guarded-quadratic innermost-linear
 //   nest

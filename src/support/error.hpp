@@ -29,7 +29,7 @@ class DegreeError : public Error {
   explicit DegreeError(const std::string& what) : Error(what) {}
 };
 
-/// Failure while selecting or evaluating a closed-form root branch.
+/// Failure while recovering an index from a level equation.
 class SolveError : public Error {
  public:
   explicit SolveError(const std::string& what) : Error(what) {}

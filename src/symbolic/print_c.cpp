@@ -2,8 +2,6 @@
 
 #include <cstdio>
 
-#include "support/error.hpp"
-
 namespace nrc {
 namespace {
 
@@ -64,47 +62,6 @@ std::string print_poly_c(const Polynomial& p, const CPrintOptions& opt, bool int
 
 namespace {
 
-std::string render(const ExprPtr& n, const CPrintOptions& opt) {
-  if (!n) throw SolveError("print_c: empty expression");
-  switch (n->op) {
-    case ExprOp::Const: {
-      const Rational& c = n->cval;
-      if (c.is_integer()) {
-        return c.num() < 0 ? "(" + std::to_string(c.num()) + ")" : std::to_string(c.num());
-      }
-      return "(" + std::to_string(c.num()) + ".0/" + std::to_string(c.den()) + ".0)";
-    }
-    case ExprOp::Cis:
-      // e^{2*pi*I*k/n}; only meaningful in complex mode.
-      return "cexp(2.0*M_PI*I*" + std::to_string(n->cis_k) + ".0/" + std::to_string(n->cis_n) +
-             ".0)";
-    case ExprOp::Poly:
-      return print_poly_c(n->poly, opt);
-    case ExprOp::Add:
-      return "(" + render(n->a, opt) + " + " + render(n->b, opt) + ")";
-    case ExprOp::Sub:
-      return "(" + render(n->a, opt) + " - " + render(n->b, opt) + ")";
-    case ExprOp::Mul:
-      return "(" + render(n->a, opt) + " * " + render(n->b, opt) + ")";
-    case ExprOp::Div:
-      return "(" + render(n->a, opt) + " / " + render(n->b, opt) + ")";
-    case ExprOp::Neg:
-      return "(-" + render(n->a, opt) + ")";
-    case ExprOp::Sqrt:
-      return (opt.complex_mode ? "csqrt(" : "sqrt(") + render(n->a, opt) + ")";
-    case ExprOp::Cbrt:
-      if (opt.complex_mode) return "cpow(" + render(n->a, opt) + ", 1.0/3.0)";
-      return "cbrt(" + render(n->a, opt) + ")";
-  }
-  throw SolveError("print_c: unknown op");
-}
-
-}  // namespace
-
-std::string print_c(const Expr& e, const CPrintOptions& opt) { return render(e.ptr(), opt); }
-
-namespace {
-
 /// Hexadecimal double literal of `v` — bit-exact in any C99 compiler,
 /// immune to the double-rounding a decimal literal could pick up going
 /// through a long double parse.
@@ -116,98 +73,141 @@ std::string hex_double(double v) {
 
 }  // namespace
 
-std::string real_solver_helpers_c() {
+std::string real_solver_helpers_c(int max_degree) {
   // The constants below are the double values of the long double
   // literals in core/real_solvers.hpp (the F = double instantiations
   // the proven-f64 guard path runs), rendered as hex floats so the C side parses
   // the identical bits.
-  const std::string k2pi3 = hex_double(static_cast<double>(2.0943951023931954923084289221863353L));
   const std::string r3o2 = hex_double(static_cast<double>(0.86602540378443864676372317075293618L));
   const std::string eps = hex_double(static_cast<double>(1e-9L));
-  const std::string lim_lo = hex_double(static_cast<double>(-9.2e18L));
-  const std::string lim_hi = hex_double(static_cast<double>(9.2e18L));
   std::string s;
+  s += "#ifndef NRC_QUAD_SOLVER_C\n";
+  s += "#define NRC_QUAD_SOLVER_C\n";
+  s += "/* Real-arithmetic root estimators, the C transliteration of the\n";
+  s += " * library's core/real_solvers.hpp at double precision.  An estimate is\n";
+  s += " * the floor of the largest real root within half a step of the level\n";
+  s += " * range [lb, ub]; it feeds an exact integer correction guard.  A 0\n";
+  s += " * return means no root lies in the range and the caller starts its\n";
+  s += " * correction from a bound.  No C99 complex anywhere. */\n";
+  s += "static int nrc_pick_root(const double *r, int n, long long lb, long long ub,\n";
+  s += "                         long long *est) {\n";
+  s += "  const double lo = (double)lb - 0.5;\n";
+  s += "  const double hi = (double)ub + 0.5;\n";
+  s += "  int found = 0;\n";
+  s += "  double best = lo;\n";
+  s += "  int i;\n";
+  s += "  for (i = 0; i < n; i++) {\n";
+  s += "    if (r[i] >= lo && r[i] <= hi && (!found || r[i] > best)) {\n";
+  s += "      best = r[i];\n";
+  s += "      found = 1;\n";
+  s += "    }\n";
+  s += "  }\n";
+  s += "  if (!found) return 0;\n";
+  s += "  *est = (long long)floor(best + " + eps + ");\n";
+  s += "  return 1;\n";
+  s += "}\n";
+  s += "/* A2 t^2 + A1 t + A0: the upward crossing, (-A1 + sqrt(disc)) / (2 A2),\n";
+  s += " * in the form that does not cancel. */\n";
+  s += "static int nrc_quad_est(double a0, double a1, double a2, long long lb, long long ub,\n";
+  s += "                        long long *est) {\n";
+  s += "  const double disc = a1 * a1 - 4.0 * a2 * a0;\n";
+  s += "  double sq, r;\n";
+  s += "  if (a2 == 0.0 || !(disc >= 0.0)) return 0;\n";
+  s += "  sq = sqrt(disc);\n";
+  s += "  r = a1 > 0.0 ? -2.0 * a0 / (a1 + sq) : (sq - a1) / (2.0 * a2);\n";
+  s += "  return nrc_pick_root(&r, 1, lb, ub, est);\n";
+  s += "}\n";
+  s += "#endif /* NRC_QUAD_SOLVER_C */\n";
+  if (max_degree < 3) return s;
   s += "#ifndef NRC_REAL_SOLVERS_C\n";
   s += "#define NRC_REAL_SOLVERS_C\n";
-  s += "/* Guarded real-arithmetic root estimators (Cardano/Viete and Ferrari),\n";
-  s += " * the C transliteration of the library's core/real_solvers.hpp at double\n";
-  s += " * precision.  Estimates feed floor() + an exact integer correction guard;\n";
-  s += " * a 0 return means the formula degenerated here and the caller must fall\n";
-  s += " * back to its demotion guard.  No C99 complex arithmetic anywhere. */\n";
-  s += "static double nrc_cardano_re(double b, double c, double d, int branch,\n";
-  s += "                             double *im) {\n";
+  s += "/* Cardano/Viete and Ferrari. */\n";
+  s += "static int nrc_quad_roots(double b, double c, double *r) {\n";
+  s += "  const double disc = b * b - 4.0 * c;\n";
+  s += "  if (!(disc >= 0.0)) return 0;\n";
+  s += "  r[0] = -(b + copysign(sqrt(disc), b)) / 2.0;\n";
+  s += "  r[1] = c / r[0];\n";
+  s += "  return 2;\n";
+  s += "}\n";
+  s += "static int nrc_cubic_roots(double b, double c, double d, double *r) {\n";
   s += "  const double p = c - b * b / 3.0;\n";
   s += "  const double q = 2.0 * b * b * b / 27.0 - b * c / 3.0 + d;\n";
   s += "  const double delta = q * q / 4.0 + p * p * p / 27.0;\n";
-  s += "  double re, iv = 0.0;\n";
+  s += "  const double shift = b / 3.0;\n";
   s += "  if (delta < 0.0) {\n";
   s += "    const double m = sqrt(-p / 3.0);\n";
   s += "    const double phi = atan2(sqrt(-delta), -q / 2.0);\n";
-  s += "    re = 2.0 * m * cos(phi / 3.0 + " + k2pi3 + " * (double)branch) - b / 3.0;\n";
+  s += "    const double c0 = cos(phi / 3.0);\n";
+  s += "    const double s0 = sin(phi / 3.0);\n";
+  s += "    r[0] = 2.0 * m * c0 - shift;\n";
+  s += "    r[1] = 2.0 * m * (-c0 / 2.0 - s0 * " + r3o2 + ") - shift;\n";
+  s += "    r[2] = 2.0 * m * (-c0 / 2.0 + s0 * " + r3o2 + ") - shift;\n";
+  s += "    return 3;\n";
   s += "  } else {\n";
-  s += "    const double v = -q / 2.0 + sqrt(delta);\n";
-  s += "    const double m = cbrt(fabs(v));\n";
-  s += "    static const double cpos[3] = {1.0, -0.5, -0.5};\n";
-  s += "    static const double spos[3] = {0.0, " + r3o2 + ", -" + r3o2 + "};\n";
-  s += "    static const double cneg[3] = {0.5, -1.0, 0.5};\n";
-  s += "    static const double sneg[3] = {" + r3o2 + ", 0.0, -" + r3o2 + "};\n";
-  s += "    const double cosw = v < 0.0 ? cneg[branch] : cpos[branch];\n";
-  s += "    const double sinw = v < 0.0 ? sneg[branch] : spos[branch];\n";
-  s += "    const double po3m = p / (3.0 * m);\n";
-  s += "    re = (m - po3m) * cosw - b / 3.0;\n";
-  s += "    iv = (m + po3m) * sinw;\n";
+  s += "    const double sq = sqrt(delta);\n";
+  s += "    const double u = cbrt(q > 0.0 ? -q / 2.0 - sq : -q / 2.0 + sq);\n";
+  s += "    double y = 0.0;\n";
+  s += "    if (u != 0.0) {\n";
+  s += "      const double v = -p / (3.0 * u);\n";
+  s += "      y = p > 0.0 ? -q / (u * u + v * v + p / 3.0) : u + v;\n";
+  s += "    }\n";
+  s += "    r[0] = y - shift;\n";
+  s += "    return 1;\n";
   s += "  }\n";
-  s += "  *im = iv;\n";
-  s += "  return re;\n";
-  s += "}\n";
-  s += "static int nrc_est_in_range(double root) {\n";
-  s += "  return isfinite(root) && root >= " + lim_lo + " && root <= " + lim_hi + ";\n";
   s += "}\n";
   s += "static int nrc_cubic_est(double a0, double a1, double a2, double a3,\n";
-  s += "                         int branch, long long *est) {\n";
-  s += "  double im;\n";
-  s += "  double re;\n";
+  s += "                         long long lb, long long ub, long long *est) {\n";
+  s += "  double r[3];\n";
+  s += "  int n;\n";
   s += "  if (a3 == 0.0) return 0;\n";
-  s += "  re = nrc_cardano_re(a2 / a3, a1 / a3, a0 / a3, branch, &im);\n";
-  s += "  if (!nrc_est_in_range(re)) return 0;\n";
-  s += "  *est = (long long)floor(re + " + eps + ");\n";
-  s += "  return 1;\n";
+  s += "  n = nrc_cubic_roots(a2 / a3, a1 / a3, a0 / a3, r);\n";
+  s += "  return nrc_pick_root(r, n, lb, ub, est);\n";
   s += "}\n";
   s += "static int nrc_ferrari_est(double A0, double A1, double A2, double A3,\n";
-  s += "                           double A4, int branch, long long *est) {\n";
+  s += "                           double A4, long long lb, long long ub, long long *est) {\n";
+  s += "  double b, c, d, e, p, q, r, c2, c1, c0, fw, dfw;\n";
+  s += "  double w = 0.0;\n";
+  s += "  double w3[3], y[4], z[2];\n";
+  s += "  int nw, nz, i;\n";
+  s += "  int n = 0;\n";
   s += "  if (A4 == 0.0) return 0;\n";
-  s += "  {\n";
-  s += "    const double b = A3 / A4;\n";
-  s += "    const double c = A2 / A4;\n";
-  s += "    const double d = A1 / A4;\n";
-  s += "    const double e = A0 / A4;\n";
-  s += "    /* Depressed quartic y^4 + p y^2 + q y + r (x = y - b/4). */\n";
-  s += "    const double p = c - b * b * (3.0 / 8.0);\n";
-  s += "    const double q = d - b * c / 2.0 + b * b * b / 8.0;\n";
-  s += "    const double r = e - b * d / 4.0 + b * b * c / 16.0 -\n";
-  s += "                     b * b * b * b * (3.0 / 256.0);\n";
-  s += "    const int rb = branch / 4;\n";
-  s += "    const int qb = branch % 4;\n";
-  s += "    /* Resolvent cubic w^3 + 2p w^2 + (p^2 - 4r) w - q^2 = 0. */\n";
-  s += "    double wi;\n";
-  s += "    const double wr = nrc_cardano_re(2.0 * p, p * p - 4.0 * r, -(q * q), rb, &wi);\n";
-  s += "    /* alpha = principal complex sqrt of w, unfolded to real pairs;\n";
-  s += "     * q/alpha = q*conj(alpha)/|w|. */\n";
-  s += "    const double aw = hypot(wr, wi);\n";
-  s += "    const double ar = sqrt((aw + wr) / 2.0);\n";
-  s += "    const double ai = copysign(sqrt((aw - wr) / 2.0), wi);\n";
-  s += "    const double qar = q * ar / aw;\n";
-  s += "    const double qai = -q * ai / aw;\n";
-  s += "    const double sg = qb < 2 ? -1.0 : 1.0;\n";
-  s += "    const double Dr = wr - 2.0 * (p + wr + sg * qar);\n";
-  s += "    const double Di = -wi - 2.0 * sg * qai;\n";
-  s += "    const double sr = sqrt((hypot(Dr, Di) + Dr) / 2.0);\n";
-  s += "    const double y = ((qb < 2 ? -ar : ar) + ((qb & 1) ? -sr : sr)) / 2.0;\n";
-  s += "    const double root = y - b / 4.0;\n";
-  s += "    if (!nrc_est_in_range(root)) return 0;\n";
-  s += "    *est = (long long)floor(root + " + eps + ");\n";
+  s += "  b = A3 / A4;\n";
+  s += "  c = A2 / A4;\n";
+  s += "  d = A1 / A4;\n";
+  s += "  e = A0 / A4;\n";
+  s += "  /* Depressed quartic y^4 + p y^2 + q y + r (x = y - b/4). */\n";
+  s += "  p = c - b * b * (3.0 / 8.0);\n";
+  s += "  q = d - b * c / 2.0 + b * b * b / 8.0;\n";
+  s += "  r = e - b * d / 4.0 + b * b * c / 16.0 - b * b * b * b * (3.0 / 256.0);\n";
+  s += "  /* Largest root w >= 0 of the resolvent w^3 + 2p w^2 + (p^2 - 4r) w - q^2,\n";
+  s += "   * polished by one Newton step. */\n";
+  s += "  c2 = 2.0 * p;\n";
+  s += "  c1 = p * p - 4.0 * r;\n";
+  s += "  c0 = -(q * q);\n";
+  s += "  nw = nrc_cubic_roots(c2, c1, c0, w3);\n";
+  s += "  for (i = 0; i < nw; i++)\n";
+  s += "    if (w3[i] > w) w = w3[i];\n";
+  s += "  fw = ((w + c2) * w + c1) * w + c0;\n";
+  s += "  dfw = (3.0 * w + 2.0 * c2) * w + c1;\n";
+  s += "  if (dfw != 0.0) w -= fw / dfw;\n";
+  s += "  if (w > 0.0) {\n";
+  s += "    /* (y^2 + alpha y + beta)(y^2 - alpha y + gamma), alpha^2 = w. */\n";
+  s += "    const double alpha = sqrt(w);\n";
+  s += "    const double h = (p + w) / 2.0;\n";
+  s += "    const double g = q / (2.0 * alpha);\n";
+  s += "    n = nrc_quad_roots(alpha, h - g, y);\n";
+  s += "    n += nrc_quad_roots(-alpha, h + g, y + n);\n";
+  s += "  } else {\n";
+  s += "    /* Biquadratic: y^2 = z for each real z >= 0 of z^2 + p z + r. */\n";
+  s += "    nz = nrc_quad_roots(p, r, z);\n";
+  s += "    for (i = 0; i < nz; i++) {\n";
+  s += "      if (!(z[i] >= 0.0)) continue;\n";
+  s += "      y[n++] = sqrt(z[i]);\n";
+  s += "      y[n++] = -sqrt(z[i]);\n";
+  s += "    }\n";
   s += "  }\n";
-  s += "  return 1;\n";
+  s += "  for (i = 0; i < n; i++) y[i] -= b / 4.0;\n";
+  s += "  return nrc_pick_root(y, n, lb, ub, est);\n";
   s += "}\n";
   s += "#endif /* NRC_REAL_SOLVERS_C */\n";
   return s;

@@ -1,21 +1,21 @@
 #pragma once
-// C source rendering of symbolic expressions.
+// C source rendering of polynomials and of the library's root
+// estimators.
 //
-// Reproduces the style of the paper's generated code: plain sqrt/floor
-// for degree-2 recoveries (Fig. 3) and C99 complex csqrt/cpow/creal for
-// degree >= 3 (Fig. 7), with (double) casts on the integer loop
-// variables.
+// The emitter prints each level equation's coefficients with
+// print_poly_c and recovers degree 2-4 levels through the
+// real-arithmetic estimators of real_solver_helpers_c() — the library's
+// own closed forms — instead of the paper's sqrt (Fig. 3) and C99
+// complex cpow/creal (Fig. 7) expressions.
 
 #include <map>
 #include <string>
 
-#include "symbolic/expr.hpp"
+#include "math/polynomial.hpp"
 
 namespace nrc {
 
 struct CPrintOptions {
-  /// Use C99 _Complex math (csqrt/cpow/cexp); otherwise real sqrt/cbrt.
-  bool complex_mode = false;
   /// Cast inserted before each integer variable occurrence, e.g. "(double)".
   std::string var_cast = "(double)";
   /// Cast applied to variables in integer_arith polynomials instead of
@@ -26,9 +26,6 @@ struct CPrintOptions {
   /// Variable renamings (library name -> C identifier).
   std::map<std::string, std::string> rename;
 };
-
-/// Render `e` as a C expression string (no trailing semicolon).
-std::string print_c(const Expr& e, const CPrintOptions& opt = {});
 
 /// Render a polynomial as a C expression.  Rational coefficients are
 /// emitted over the polynomial's common denominator so the expression
@@ -41,19 +38,19 @@ std::string print_c(const Expr& e, const CPrintOptions& opt = {});
 std::string print_poly_c(const Polynomial& p, const CPrintOptions& opt = {},
                          bool integer_arith = false);
 
-/// C99 transliteration of the guarded real-arithmetic root estimators in
-/// core/real_solvers.hpp at double precision (`nrc_cardano_re`,
-/// `nrc_cubic_est`, `nrc_ferrari_est`), wrapped in a preprocessor guard
-/// so several emitted functions can share one copy per translation
-/// unit.  The generated code performs exactly the library's operations
-/// in the library's order (magic constants are rendered as hexadecimal
-/// double literals of the library's values), so on the same coefficient
-/// set a compiled helper and cubic_estimate<double, double> /
-/// ferrari_estimate<double, double> return byte-identical estimates —
-/// the codegen round-trip property the executor fuzzer enforces.  The
-/// estimators return 0 on degeneration (non-finite / out-of-range
-/// roots); callers fall back to their demotion guard.  Requires
-/// <math.h>; no C99 complex anywhere.
-std::string real_solver_helpers_c();
+/// C99 transliteration of the interval-selected root estimators in
+/// core/real_solvers.hpp at double precision: `nrc_quad_est` always,
+/// `nrc_cubic_est` and `nrc_ferrari_est` when `max_degree` >= 3.  Each
+/// part sits in its own preprocessor guard so several emitted functions
+/// can share one copy per translation unit.  The generated code performs
+/// exactly the library's operations in the library's order (magic
+/// constants are rendered as hexadecimal double literals of the
+/// library's values), so on the same coefficient set and level range a
+/// compiled helper and quadratic_estimate<double> / cubic_estimate<double>
+/// / ferrari_estimate<double> return byte-identical estimates.  The
+/// estimators return 0 when no root lies in the range; callers start
+/// their exact correction from a bound.  Requires <math.h>; no C99
+/// complex anywhere.
+std::string real_solver_helpers_c(int max_degree);
 
 }  // namespace nrc

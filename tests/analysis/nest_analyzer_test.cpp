@@ -200,9 +200,9 @@ TEST(NestAnalyzer, I001CostlySolverNote) {
   EXPECT_EQ(d->severity, LintSeverity::Info);
 }
 
-// NRC-I002: quartic levels can demote per point, so no f64-exact
-// certificate exists for them by policy.
-TEST(NestAnalyzer, I002QuarticDemotionNote) {
+// NRC-I002: a quartic point with no root in range falls to binary
+// search, so no f64-exact certificate exists for quartic levels by policy.
+TEST(NestAnalyzer, I002QuarticFallbackNote) {
   const NestCertificate cert = analyze_nest(testutil::simplex_4d(), {{"N", 12}});
   EXPECT_TRUE(cert.bind_ok);
   EXPECT_FALSE(cert.exact_f64);

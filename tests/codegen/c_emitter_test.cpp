@@ -67,8 +67,12 @@ TEST(Emitter, CollapsedPerThreadMirrorsFig4) {
             std::string::npos)
       << src;
   EXPECT_NE(src.find("if (__nrc_first)"), std::string::npos);
-  EXPECT_NE(src.find("i = (long long)floor("), std::string::npos);
-  EXPECT_NE(src.find("sqrt("), std::string::npos);  // degree 2: real sqrt, Fig. 3 style
+  // Degree 2: the library's cancellation-free quadratic estimate on the
+  // integer-scaled coefficients and the level's range.
+  EXPECT_NE(src.find("i = nrc_quad_est(__nrc_A0, __nrc_A1, __nrc_A2, (0), (N - 1), "
+                     "&__nrc_est) ? __nrc_est : (0);"),
+            std::string::npos)
+      << src;
   EXPECT_EQ(src.find("csqrt("), std::string::npos);
   EXPECT_NE(src.find("j++;"), std::string::npos);
   EXPECT_NE(src.find("if (j >= N)"), std::string::npos);
@@ -109,22 +113,23 @@ TEST(Emitter, CubicNestUsesGuardedRealSolvers) {
   const NestProgram prog = fig6_prog();
   const Collapsed col = collapse(prog.collapsed_nest());
   const std::string src = emit_collapsed_function(prog, col, {});
-  // Level 0 recovery (degree 3) goes through the emitted guarded
-  // real-arithmetic Cardano helper on the integer-scaled level-equation
-  // coefficients — the same formulas and branch the library engine runs
-  // (core/real_solvers.hpp), NOT the paper's Fig. 7 C99 complex
-  // creal(cpow(...)) form, which diverges from the engine at
+  // Level 0 recovery (degree 3) goes through the emitted real-arithmetic
+  // Cardano helper on the integer-scaled level-equation coefficients and
+  // the level's range — the same formulas and root selection the library
+  // engine runs (core/real_solvers.hpp), NOT the paper's Fig. 7 C99
+  // complex creal(cpow(...)) form, which diverges from the engine at
   // degenerate/near-discriminant points and floors non-finite values
-  // (undefined behaviour).  Regression for the PR 4 emitter fix: these
-  // assertions fail if the complex emission comes back.
+  // (undefined behaviour).  These assertions fail if the complex
+  // emission comes back.
   EXPECT_NE(src.find("static int nrc_cubic_est("), std::string::npos) << src;
-  EXPECT_NE(src.find("nrc_cardano_re("), std::string::npos);
+  EXPECT_NE(src.find("nrc_cubic_roots("), std::string::npos);
+  EXPECT_NE(src.find("__nrc_A3, (0), (N - 1), &__nrc_est)"), std::string::npos) << src;
   EXPECT_NE(src.find("const double __nrc_A0 = (double)("), std::string::npos) << src;
   EXPECT_EQ(src.find("creal("), std::string::npos) << src;
   EXPECT_EQ(src.find("csqrt("), std::string::npos);
   EXPECT_EQ(src.find("cpow("), std::string::npos);
-  // Degeneration falls back to the level's lower bound, where the exact
-  // integer guard walk takes over (the demotion-guard equivalent).
+  // No root in range: the exact integer guard walk starts from the
+  // level's lower bound.
   EXPECT_NE(src.find("? __nrc_est : (0);"), std::string::npos) << src;
   // Innermost recovery stays integer.
   EXPECT_NE(src.find("k = (long long)((j) + (pc - "), std::string::npos) << src;
@@ -154,12 +159,13 @@ body { s[i] += 1.0; }
   EXPECT_NE(src.find("#ifndef NRC_REAL_SOLVERS_C"), std::string::npos);
 }
 
-TEST(Emitter, QuadraticNestCarriesNoSolverHelpers) {
-  // Degree <= 2 recoveries keep the paper's Fig. 3 sqrt form; the
-  // helper block would be dead weight in the generated source.
+TEST(Emitter, QuadraticNestCarriesOnlyTheQuadraticHelper) {
+  // Degree-2 recoveries need nrc_quad_est alone; the Cardano/Ferrari
+  // block would be dead weight in the generated source.
   const NestProgram prog = correlation_prog();
   const Collapsed col = collapse(prog.collapsed_nest());
   const std::string src = emit_collapsed_function(prog, col, {});
+  EXPECT_NE(src.find("static int nrc_quad_est("), std::string::npos) << src;
   EXPECT_EQ(src.find("nrc_cubic_est"), std::string::npos) << src;
   EXPECT_EQ(src.find("NRC_REAL_SOLVERS_C"), std::string::npos);
 }

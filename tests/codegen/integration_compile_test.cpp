@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "../test_util.hpp"
 #include "codegen/c_emitter.hpp"
 #include "core/real_solvers.hpp"
 #include "jit/toolchain.hpp"
@@ -186,20 +187,85 @@ std::string hexd(double v) {
   return buf;
 }
 
-/// The emitted guarded real solvers must return byte-identical
-/// (ok, estimate) pairs to the library's double-precision
-/// cubic_estimate / ferrari_estimate on every branch of every
-/// coefficient set — the codegen/engine contract the PR 3 emitter
-/// violated by printing the C99 complex creal(cpow(...)) estimate
-/// instead.  The sets are PR 3's Ferrari edge-case families
-/// (biquadratic / repeated / near-discriminant / clustered /
-/// degenerate-leading) plus seeded random quartics and cubics across
-/// three magnitude regimes; all 12 Ferrari branches and all 3 Cardano
-/// branches run for each.  Fails when the emitter's solver
+/// One level-equation instance: the integer-scaled coefficients (as the
+/// doubles both sides compute them from) and the level's range.
+struct EstimateRow {
+  int degree;
+  std::array<double, 5> A;
+  i64 lb, ub;
+};
+
+/// Degree-2/3/4 level instances at sampled pcs of bound nests: the true
+/// prefix from exact search, the coefficients evaluated exactly.
+void sample_rows(const Collapsed& col, const ParamMap& params, int pcs,
+                 std::vector<EstimateRow>* rows) {
+  const CollapsedEval cn = col.bind(params);
+  const std::vector<std::string>& slots = col.slot_order();
+  std::vector<std::vector<CompiledPoly>> scaled(col.levels().size());
+  for (size_t k = 0; k < col.levels().size(); ++k) {
+    const LevelFormula& lf = col.levels()[k];
+    i64 den = 1;
+    for (const auto& a : lf.coeffs) den = lcm_i64(den, a.denominator_lcm());
+    for (const auto& a : lf.coeffs) scaled[k].emplace_back(a * Rational(den), slots);
+  }
+  std::vector<i64> pt(slots.size(), 0), ref(static_cast<size_t>(cn.depth()));
+  for (size_t s = 0; s < slots.size(); ++s)
+    if (auto it = params.find(slots[s]); it != params.end()) pt[s] = it->second;
+  std::mt19937_64 rng(static_cast<u64>(cn.trip_count()));
+  for (int i = 0; i < pcs; ++i) {
+    const i64 pc = i == 0 ? cn.trip_count()
+                          : 1 + static_cast<i64>(rng() % static_cast<u64>(cn.trip_count()));
+    cn.recover_search(pc, ref);
+    pt.back() = pc;
+    for (int k = 0; k + 1 < cn.depth(); ++k) {
+      const int degree = col.levels()[static_cast<size_t>(k)].degree;
+      if (degree >= 2 && !scaled[static_cast<size_t>(k)].empty()) {
+        EstimateRow r{degree, {0, 0, 0, 0, 0}, cn.lower_bound(k, ref), cn.upper_bound(k, ref)};
+        for (int e = 0; e <= degree; ++e)
+          r.A[static_cast<size_t>(e)] =
+              static_cast<double>(scaled[static_cast<size_t>(k)][static_cast<size_t>(e)]
+                                      .eval_i128(pt));
+        rows->push_back(r);
+      }
+      pt[static_cast<size_t>(k)] = ref[static_cast<size_t>(k)];
+    }
+  }
+}
+
+/// The emitted real solvers must return byte-identical (ok, estimate)
+/// pairs to the library's double-precision quadratic_estimate /
+/// cubic_estimate / ferrari_estimate on the same coefficients and level
+/// range: every quadratic, cubic and quartic level of the test shapes
+/// and of the shifted quartic
+/// at sampled pcs, plus the Ferrari edge families (biquadratic,
+/// repeated, near-discriminant, clustered roots, degenerate leading
+/// coefficient) over several windows.  Fails when the emitter's solver
 /// transliteration drifts from core/real_solvers.hpp in any operation,
 /// ordering, or constant.
-TEST_F(IntegrationCompile, EmittedRealSolversByteIdenticalOn12BranchFamilies) {
-  std::vector<std::array<double, 5>> quartics = {
+TEST_F(IntegrationCompile, EmittedEstimatesEqualLibraryOnSampledPcs) {
+  std::vector<EstimateRow> rows;
+  std::vector<NestSpec> nests;
+  for (const auto& sc : testutil::closed_form_shapes()) nests.push_back(sc.nest);
+  for (const int s : {8, 64}) {
+    NestSpec q;
+    q.param("N")
+        .loop("i", aff::c(0), aff::v("N"))
+        .loop("j", aff::v("i"), aff::v("N") + s)
+        .loop("k", aff::v("j"), aff::v("N") + s)
+        .loop("l", aff::v("k"), aff::v("N") + s);
+    nests.push_back(q);
+  }
+  for (const NestSpec& nest : nests) {
+    const Collapsed col = collapse(nest);
+    for (const i64 n : {9, 1000}) {
+      const ParamMap p = testutil::uniform_params(nest, n);
+      if (col.ranking().total.eval_i128(std::map<std::string, i64>(p.begin(), p.end())) >
+          (i128{1} << 60))
+        continue;
+      sample_rows(col, p, 40, &rows);
+    }
+  }
+  const std::vector<std::array<double, 5>> families = {
       {4, 0, -5, 0, 1},          // biquadratic (x^2-1)(x^2-4): w = 0 resolvent root
       {36, -12, -11, 2, 1},      // repeated roots (x-2)^2 (x+3)^2: zero discriminant
       {35, -12, -11, 2, 1},      // near-zero resolvent discriminant (low side)
@@ -207,82 +273,57 @@ TEST_F(IntegrationCompile, EmittedRealSolversByteIdenticalOn12BranchFamilies) {
       {-392, -231, 139, -21, 1}, // clustered real roots 7, 7, 8, -1
       {1, 2, 3, 4, 0},           // degenerate leading coefficient: never estimates
   };
-  std::vector<std::array<double, 4>> cubics = {
-      {0, 0, 0, 1},  // triple root at 0
-      {-6, 11, -6, 1},
-  };
-  std::mt19937_64 rng(20260726);
-  for (int iter = 0; iter < 60; ++iter) {
-    const i64 m = iter % 3 == 0 ? 9 : iter % 3 == 1 ? 1000 : 2000000;
-    std::array<double, 5> A;
-    for (auto& a : A)
-      a = static_cast<double>(static_cast<i64>(rng() % static_cast<u64>(2 * m + 1)) - m);
-    if (A[4] == 0) A[4] = 1;
-    if (iter % 7 == 0) A[3] = A[1] = 0;  // biquadratic slice
-    quartics.push_back(A);
-    std::array<double, 4> C;
-    for (auto& c : C)
-      c = static_cast<double>(static_cast<i64>(rng() % static_cast<u64>(2 * m + 1)) - m);
-    if (C[3] == 0) C[3] = 1;
-    cubics.push_back(C);
-  }
+  for (const auto& A : families)
+    for (const auto& [lb, ub] : std::vector<std::pair<i64, i64>>{{-9, 9}, {-3, 0}, {1, 2}, {7, 8}})
+      rows.push_back({4, A, lb, ub});
+  rows.push_back({3, {0, 0, 0, 1, 0}, -2, 2});   // triple root at 0
+  rows.push_back({3, {-6, 11, -6, 1, 0}, 0, 9});  // roots 1, 2, 3
+  rows.push_back({2, {-4, 0, 1, 0, 0}, -5, 5});   // roots -2, 2
+  rows.push_back({2, {1, 0, 1, 0, 0}, -5, 5});    // no real root
+  rows.push_back({2, {1, 2, 0, 0, 0}, -5, 5});    // degenerate leading coefficient
+  ASSERT_GT(rows.size(), 1000u);
 
-  // Library side: the double-precision instantiations the lane engines
-  // (and now the emitted C) run.
+  // Library side: the double-precision instantiations the proven-f64
+  // guard path (and the emitted C) runs.
   std::string expect;
   char line[64];
-  for (const auto& A : quartics) {
-    for (int br = 0; br < 12; ++br) {
-      i64 est = -777;
-      const bool ok = ferrari_estimate<double>(A.data(), br, &est);
-      std::snprintf(line, sizeof(line), "%d %lld\n", ok ? 1 : 0,
-                    static_cast<long long>(ok ? est : -777));
-      expect += line;
-    }
-  }
-  for (const auto& C : cubics) {
-    for (int br = 0; br < 3; ++br) {
-      i64 est = -777;
-      const bool ok = cubic_estimate<double>(C.data(), br, &est);
-      std::snprintf(line, sizeof(line), "%d %lld\n", ok ? 1 : 0,
-                    static_cast<long long>(ok ? est : -777));
-      expect += line;
-    }
+  for (const EstimateRow& r : rows) {
+    i64 est = -777;
+    const bool ok = r.degree == 4   ? ferrari_estimate<double>(r.A.data(), r.lb, r.ub, &est)
+                    : r.degree == 3 ? cubic_estimate<double>(r.A.data(), r.lb, r.ub, &est)
+                                    : quadratic_estimate<double>(r.A.data(), r.lb, r.ub, &est);
+    std::snprintf(line, sizeof(line), "%d %lld\n", ok ? 1 : 0,
+                  static_cast<long long>(ok ? est : -777));
+    expect += line;
   }
 
   // Emitted side: the helpers verbatim as the emitter ships them, driven
-  // over the same sets (embedded as hex-float literals, bit-exact).
+  // over the same rows (embedded as hex-float literals, bit-exact).
   std::string src;
   src += "#include <stdio.h>\n#include <math.h>\n";
-  src += real_solver_helpers_c();
+  src += real_solver_helpers_c(4);
+  src += "static const double A[][5] = {\n";
+  for (const EstimateRow& r : rows) {
+    src += "  {";
+    for (size_t e = 0; e < 5; ++e) src += (e ? ", " : "") + hexd(r.A[e]);
+    src += "},\n";
+  }
+  src += "};\nstatic const long long R[][3] = {\n";
+  for (const EstimateRow& r : rows)
+    src += "  {" + std::to_string(r.degree) + ", " + std::to_string(r.lb) + "LL, " +
+           std::to_string(r.ub) + "LL},\n";
+  src += "};\n";
   src += "int main(void) {\n";
-  src += "  static const double Q[][5] = {\n";
-  for (const auto& A : quartics) {
-    src += "    {";
-    for (int e = 0; e < 5; ++e) src += (e ? ", " : "") + hexd(A[static_cast<size_t>(e)]);
-    src += "},\n";
-  }
-  src += "  };\n";
-  src += "  static const double C[][4] = {\n";
-  for (const auto& Cc : cubics) {
-    src += "    {";
-    for (int e = 0; e < 4; ++e) src += (e ? ", " : "") + hexd(Cc[static_cast<size_t>(e)]);
-    src += "},\n";
-  }
-  src += "  };\n";
-  src += "  for (unsigned i = 0; i < sizeof(Q) / sizeof(Q[0]); i++)\n";
-  src += "    for (int br = 0; br < 12; br++) {\n";
-  src += "      long long est = -777;\n";
-  src += "      int ok = nrc_ferrari_est(Q[i][0], Q[i][1], Q[i][2], Q[i][3], Q[i][4],\n";
-  src += "                               br, &est);\n";
-  src += "      printf(\"%d %lld\\n\", ok, ok ? est : (long long)-777);\n";
-  src += "    }\n";
-  src += "  for (unsigned i = 0; i < sizeof(C) / sizeof(C[0]); i++)\n";
-  src += "    for (int br = 0; br < 3; br++) {\n";
-  src += "      long long est = -777;\n";
-  src += "      int ok = nrc_cubic_est(C[i][0], C[i][1], C[i][2], C[i][3], br, &est);\n";
-  src += "      printf(\"%d %lld\\n\", ok, ok ? est : (long long)-777);\n";
-  src += "    }\n";
+  src += "  unsigned i;\n";
+  src += "  for (i = 0; i < sizeof(R) / sizeof(R[0]); i++) {\n";
+  src += "    long long est = -777;\n";
+  src += "    const int ok = R[i][0] == 4\n";
+  src += "        ? nrc_ferrari_est(A[i][0], A[i][1], A[i][2], A[i][3], A[i][4], R[i][1], R[i][2], &est)\n";
+  src += "        : R[i][0] == 3\n";
+  src += "        ? nrc_cubic_est(A[i][0], A[i][1], A[i][2], A[i][3], R[i][1], R[i][2], &est)\n";
+  src += "        : nrc_quad_est(A[i][0], A[i][1], A[i][2], R[i][1], R[i][2], &est);\n";
+  src += "    printf(\"%d %lld\\n\", ok, ok ? est : (long long)-777);\n";
+  src += "  }\n";
   src += "  return 0;\n}\n";
 
   const jit::CompileResult res = jit::compile_c(src, {"-std=c99", "-O2"}, ".bin");

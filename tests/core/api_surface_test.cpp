@@ -17,7 +17,9 @@ TEST(Describe, ContainsPaperFormulasForCorrelation) {
   EXPECT_NE(d.find("N*i"), std::string::npos);
   EXPECT_NE(d.find("1/2*N^2 - 1/2*N"), std::string::npos);
   EXPECT_NE(d.find("degree 2"), std::string::npos);
-  EXPECT_NE(d.find("floor("), std::string::npos);
+  // Level 0's equation: -1/2*i^2 + (N - 1/2)*i + 1 - pc = 0, solved in [0, N - 1).
+  EXPECT_NE(d.find("root in [0, N - 1)"), std::string::npos) << d;
+  EXPECT_NE(d.find("    a2 = -1/2\n"), std::string::npos) << d;
 }
 
 TEST(Describe, SearchFallbackIsReported) {

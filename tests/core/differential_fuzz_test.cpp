@@ -9,18 +9,19 @@
 //   recover   [i128]   — the same engine with set_f64_guards(false),
 //                        byte-identical by the exactness proof,
 //   recover_block      — one solve per block, then row arithmetic,
-//   recover [demoted]  — on domains with a quartic level, the same engine
-//                        with force_quartic_demotion(): every quartic
-//                        point through the complex root formula,
 //
 // plus rank() round trips.  Domains expected empty must be rejected by
-// collapse()/bind().
+// collapse()/bind().  Every domain also cross-checks the analyzer's
+// certificate: an exact_f64 verdict promises zero search fallbacks.
 //
 // Slices: the fast deterministic slice (a few hundred domains per class)
 // runs under the plain tier1 ctest label; the long randomized slice
 // (NRC_FUZZ_DOMAINS per class, default 10000 — the CI push-to-main
 // sanitize leg runs it under ASan/UBSan) is the separate
-// nrc_differential_fuzz_long ctest entry (labels tier1;long).
+// nrc_differential_fuzz_long ctest entry (labels tier1;long).  The long
+// slice also binds the generated shapes at N = 10^3 .. 10^6, where the
+// closed forms meet index magnitudes the small sweeps never reach, and
+// samples pcs there to cross-check every exact_f64 certificate.
 //
 // Reproducing a failure: every assertion prefixes its message with
 // "class=<name> seed=<decimal>".  Rerun exactly that case with
@@ -30,6 +31,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -52,7 +54,7 @@ struct FuzzTally {
   i64 domains = 0;
   i64 rejected_empty = 0;
   i64 quartic_domains = 0;
-  i64 search_levels = 0;  // Search/overflow-demoted level solves
+  i64 search_levels = 0;  // level solves that fell back to search
   i64 certified_exact = 0;  // domains the analyzer certified f64-exact
   RecoveryStats stats;
 };
@@ -70,8 +72,6 @@ void check_domain(const CollapsedEval& cn, const std::string& repro, FuzzTally* 
   for (int k = 0; k < cn.depth(); ++k)
     if (cn.solver_kind(k) == LevelSolverKind::Quartic) quartic = true;
   if (quartic) ++tally->quartic_domains;
-  CollapsedEval demoted = cn;
-  demoted.force_quartic_demotion();
 
   // The full domain when small; otherwise a stride that still lands on
   // both ends (the generator keeps most domains small enough for full
@@ -83,10 +83,6 @@ void check_domain(const CollapsedEval& cn, const std::string& repro, FuzzTally* 
     cn.recover_search(pc, ref);
     cn.recover(pc, eng, &tally->stats);
     ASSERT_EQ(eng, ref) << repro << "recover disagrees with search at pc=" << pc;
-    if (quartic) {
-      demoted.recover(pc, other);
-      ASSERT_EQ(other, ref) << repro << "recover with quartics demoted disagrees at pc=" << pc;
-    }
     ref_guards.recover(pc, other);
     ASSERT_EQ(other, ref) << repro << "recover with i128 guards disagrees at pc=" << pc;
     ASSERT_EQ(cn.rank(ref), pc) << repro << "rank round trip failed at pc=" << pc;
@@ -117,7 +113,7 @@ void check_domain(const CollapsedEval& cn, const std::string& repro, FuzzTally* 
 /// env-driven Repro test).
 void run_case(const FuzzNest& fc, FuzzTally* tally) {
   CollapseOptions opts;
-  opts.calibration = fc.calibration;
+  opts.model_params = fc.model_params;
   if (fc.expect_empty) {
     ParamMap p = fc.fixed_params;
     p["N"] = 2;
@@ -174,14 +170,11 @@ void run_case(const FuzzNest& fc, FuzzTally* tally) {
       if (::testing::Test::HasFatalFailure()) return;
       if (cert.exact_f64) {
         // Certified f64-exact: every recovery the sweep performed must
-        // have stayed on the closed-form path — zero search fallbacks,
-        // zero quartic demotions (the acceptance bar: no false "exact"
-        // certificates, ever).
+        // have stayed on the closed-form path — zero search fallbacks
+        // (the acceptance bar: no false "exact" certificates, ever).
         ASSERT_EQ(tally->stats.fallback, before.fallback)
             << repro << "certified f64-exact but a recovery fell back to search:\n"
             << cert.str();
-        ASSERT_EQ(tally->stats.quartic_demoted, before.quartic_demoted)
-            << repro << "certified f64-exact but a quartic demoted:\n" << cert.str();
         ++tally->certified_exact;
       }
       ++tally->domains;
@@ -201,15 +194,14 @@ void run_fuzz(FuzzClass cls, i64 domains_target, u64 seed_base) {
   tally.search_levels = tally.stats.fallback;
   std::printf(
       "[fuzz %-10s] domains=%lld (empty=%lld, quartic=%lld, certified_exact=%lld) "
-      "levels: closed=%lld corrected=%lld search=%lld quartic_demoted=%lld\n",
+      "levels: closed=%lld corrected=%lld search=%lld\n",
       testutil::fuzz_class_name(cls), static_cast<long long>(tally.domains),
       static_cast<long long>(tally.rejected_empty),
       static_cast<long long>(tally.quartic_domains),
       static_cast<long long>(tally.certified_exact),
       static_cast<long long>(tally.stats.closed_form),
       static_cast<long long>(tally.stats.corrected),
-      static_cast<long long>(tally.stats.fallback),
-      static_cast<long long>(tally.stats.quartic_demoted));
+      static_cast<long long>(tally.stats.fallback));
   // The sweep must actually exercise the engine, not degenerate into
   // vacuous domains: every class recovers through closed forms somewhere.
   EXPECT_GT(tally.stats.closed_form, 0);
@@ -277,6 +269,78 @@ TEST(DifferentialFuzzLong, Skewed) {
 }
 TEST(DifferentialFuzzLong, Degenerate) {
   run_fuzz(FuzzClass::Degenerate, long_domains(), 0xA400);
+}
+
+/// One class's shapes bound at large N: wherever the analyzer certifies
+/// exact_f64 and proves every row non-empty (extent_min >= 1: the
+/// generator only guarantees the model for small N), sampled pcs must
+/// recover exactly with zero search fallbacks.  Uncertified domains
+/// still have to recover exactly.
+void run_large_magnitudes(FuzzClass cls, i64 seeds, u64 seed_base) {
+  i64 domains = 0, certified = 0, false_certificates = 0;
+  RecoveryStats all;
+  for (u64 seed = seed_base; seed < seed_base + static_cast<u64>(seeds); ++seed) {
+    const FuzzNest fc = testutil::make_fuzz_nest(cls, seed);
+    if (fc.expect_empty) continue;
+    CollapseOptions opts;
+    opts.model_params = fc.model_params;
+    const Collapsed col = collapse(fc.nest, opts);
+    for (const i64 nv : {i64{1000}, i64{10000}, i64{100000}, i64{1000000}}) {
+      ParamMap p = fc.fixed_params;
+      p["N"] = nv;
+      const NestCertificate cert = analyze_nest(fc.nest, p, {});
+      if (!cert.bind_ok) continue;  // trip count past i64: the bind limit
+      bool in_model = true;
+      for (const LevelReport& r : cert.levels) in_model = in_model && r.extent_min >= 1;
+      if (!in_model) continue;
+      const CollapsedEval cn = col.bind(p);
+      const std::string repro = fc.repro() + "\nN=" + std::to_string(nv) + "\n";
+      const size_t d = static_cast<size_t>(cn.depth());
+      std::vector<i64> eng(d), ref(d);
+      RecoveryStats stats;
+      std::mt19937_64 rng(seed * 31 + static_cast<u64>(nv));
+      for (int i = 0; i < 200; ++i) {
+        const i64 pc = i == 0 ? cn.trip_count()
+                              : 1 + static_cast<i64>(rng() % static_cast<u64>(cn.trip_count()));
+        cn.recover_search(pc, ref);
+        cn.recover(pc, eng, &stats);
+        ASSERT_EQ(eng, ref) << repro << "recover disagrees with search at pc=" << pc;
+      }
+      ++domains;
+      all += stats;
+      if (cert.exact_f64) {
+        ++certified;
+        if (stats.fallback > 0) ++false_certificates;
+        EXPECT_EQ(stats.fallback, 0)
+            << repro << "certified f64-exact but a recovery fell back to search:\n"
+            << cert.str();
+      }
+    }
+  }
+  std::printf(
+      "[large %-10s] domains=%lld certified_exact=%lld false_certificates=%lld "
+      "levels: closed=%lld corrected=%lld search=%lld\n",
+      testutil::fuzz_class_name(cls), static_cast<long long>(domains),
+      static_cast<long long>(certified), static_cast<long long>(false_certificates),
+      static_cast<long long>(all.closed_form), static_cast<long long>(all.corrected),
+      static_cast<long long>(all.fallback));
+  EXPECT_EQ(false_certificates, 0);
+  EXPECT_GT(certified, 0) << "analyzer certified nothing at large magnitudes";
+}
+
+i64 large_seeds() { return env_i64("NRC_FUZZ_LARGE_SEEDS", 400); }
+
+TEST(DifferentialFuzzLong, TriangularAtLargeMagnitudes) {
+  run_large_magnitudes(FuzzClass::Triangular, large_seeds(), 0xC100);
+}
+TEST(DifferentialFuzzLong, TiledAtLargeMagnitudes) {
+  run_large_magnitudes(FuzzClass::Tiled, large_seeds(), 0xC200);
+}
+TEST(DifferentialFuzzLong, SkewedAtLargeMagnitudes) {
+  run_large_magnitudes(FuzzClass::Skewed, large_seeds(), 0xC300);
+}
+TEST(DifferentialFuzzLong, DegenerateAtLargeMagnitudes) {
+  run_large_magnitudes(FuzzClass::Degenerate, large_seeds(), 0xC400);
 }
 
 }  // namespace

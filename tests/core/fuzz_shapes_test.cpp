@@ -68,8 +68,9 @@ TEST_P(FuzzShapes, WholeDomainRoundTrip) {
   try {
     col = collapse(nest);
   } catch (const SolveError& e) {
-    // Calibration can legitimately fail if the nest violates the model
-    // at every calibration size; that is a correct rejection.
+    // A nest with an empty range at every sampled size, or a level
+    // equation constant in its own variable, violates the model; that
+    // is a correct rejection.
     GTEST_SKIP() << "rejected at collapse time: " << e.what();
   }
   // Depth-4 random nests can reach ~10^6 points; cap the sweep so the
@@ -79,7 +80,7 @@ TEST_P(FuzzShapes, WholeDomainRoundTrip) {
   const auto rep = validate_collapsed(col, params, vopts);
   EXPECT_TRUE(rep.ok) << nest.str() << rep.first_error;
 
-  // A second, larger size: branch selection must generalize (§IV-D).
+  // A second, larger size: the interval root generalizes (§IV-D).
   // Gate on the symbolic count first — walking a multi-million-point
   // domain just to validate a capped prefix is wasted time.
   const ParamMap big{{"N", 19}};

@@ -2,12 +2,11 @@
 //
 // This suite replaces the global operator new/delete with counting
 // versions (which is why it links into its own test executable) and
-// asserts that recover(), recover_block(), recover_search(), the
-// NewtonUnranker and the CompiledExpr interpreter perform no allocation
-// after bind-time setup — the
+// asserts that recover(), recover_block(), recover_search() and the
+// NewtonUnranker perform no allocation after bind-time setup — the
 // property the §V chunked schemes rely on to keep per-chunk recovery
 // overhead flat — and that neither does the tuple walk nrc::run drives
-// a range scheme's body with.  The quartic demotion allocates nothing
+// a range scheme's body with.  The quartic solver allocates nothing
 // even on a thread's first recovery.
 #include <gtest/gtest.h>
 
@@ -59,16 +58,12 @@ std::vector<Case> engine_cases() {
                    collapse(testutil::triangular_strict()).bind({{"N", 300}})});
   cases.push_back({"tetrahedral_cubic",
                    collapse(testutil::tetrahedral_fig6()).bind({{"N", 40}})});
-  // The guarded Ferrari, in all three engine configurations: proven-f64
-  // guards (the default), the checked-i128 reference guards and the
-  // forced per-point root-formula demotion — every one must stay
-  // allocation-free.
+  // The guarded Ferrari, in both engine configurations: proven-f64
+  // guards (the default) and the checked-i128 reference guards — each
+  // must stay allocation-free.
   cases.push_back({"simplex_quartic", collapse(testutil::simplex_4d()).bind({{"N", 20}})});
   cases.push_back({"simplex_quartic_i128", collapse(testutil::simplex_4d()).bind({{"N", 20}})});
   cases.back().cn.set_f64_guards(false);
-  cases.push_back(
-      {"simplex_quartic_demoted", collapse(testutil::simplex_4d()).bind({{"N", 20}})});
-  cases.back().cn.force_quartic_demotion();
   cases.push_back({"quartic_shifted",
                    collapse(testutil::simplex_4d_shifted()).bind({{"N", 16}})});
   cases.push_back({"rectangular_division",
@@ -126,12 +121,11 @@ TEST(NoAllocation, LaneBlockWalkHotPath) {
   }
 }
 
-TEST(NoAllocation, FirstQuarticDemotionOnAFreshThread) {
-  // No warm-up: the demotion evaluates the root formula on stack
-  // scratch, so a new thread's very first demoted recoveries allocate
-  // nothing.  Only this thread's allocations count.
-  CollapsedEval cn = collapse(testutil::simplex_4d()).bind({{"N", 20}});
-  cn.force_quartic_demotion();
+TEST(NoAllocation, FirstQuarticRecoveriesOnAFreshThread) {
+  // No warm-up: the Ferrari estimate works on stack scratch, so a new
+  // thread's very first recoveries allocate nothing.  Only this
+  // thread's allocations count.
+  const CollapsedEval cn = collapse(testutil::simplex_4d()).bind({{"N", 20}});
   const i64 n = std::min<i64>(cn.trip_count(), 500);
   long long allocated = -1;
   RecoveryStats stats;
@@ -143,8 +137,8 @@ TEST(NoAllocation, FirstQuarticDemotionOnAFreshThread) {
     allocated = t_allocations - before;
   });
   worker.join();
-  EXPECT_EQ(allocated, 0) << "a fresh thread's demoted recover() allocated";
-  EXPECT_EQ(stats.quartic_demoted, n);
+  EXPECT_EQ(allocated, 0) << "a fresh thread's recover() allocated";
+  EXPECT_EQ(stats.levels(), 3 * n);
 }
 
 TEST(NoAllocation, SearchRecoveryHotPath) {
@@ -194,40 +188,6 @@ TEST(NoAllocation, TupleWalkHotPath) {
     const long long after = g_allocations.load();
     EXPECT_EQ(after, before) << c.name << ": the tuple walk allocated";
     EXPECT_NE(sum, 0) << c.name;
-  }
-}
-
-TEST(NoAllocation, CompiledExprEval) {
-  // The generic interpreter: single-root evaluation through each
-  // thread's value buffer, and branch calibration, which evaluates
-  // every branch of a level in one program per point.
-  for (const NestSpec& nest : {testutil::triangular_strict(), testutil::tetrahedral_fig6(),
-                               testutil::simplex_4d()}) {
-    const Collapsed col = collapse(nest);
-    std::vector<i64> pt(col.slot_order().size(), 0);
-    pt[pt.size() - 2] = 20;
-    std::vector<CompiledExpr> roots;
-    std::vector<LevelBranches> branches;
-    for (const LevelFormula& lf : col.levels()) {
-      if (lf.branch < 0) continue;
-      roots.emplace_back(lf.root, col.slot_order());
-      branches.push_back(compile_level_branches(lf, col.slot_order()));
-    }
-    ASSERT_FALSE(roots.empty()) << nest.str();
-    std::vector<cld> out(12), values(512);
-    auto eval_all = [&](i64 pc) {
-      pt.back() = pc;
-      for (const CompiledExpr& ce : roots) (void)ce.eval(pt);
-      for (const LevelBranches& lb : branches)
-        lb.program.eval(pt, CompiledExpr::kAllSlots, values,
-                        std::span<cld>(out.data(), lb.roots.size()));
-    };
-    eval_all(1);  // warm-up: each thread's value buffer
-
-    const long long before = g_allocations.load();
-    for (i64 pc = 1; pc <= 150; ++pc) eval_all(pc);  // inside every N = 20 domain
-    const long long after = g_allocations.load();
-    EXPECT_EQ(after, before) << nest.str() << ": CompiledExpr::eval allocated";
   }
 }
 

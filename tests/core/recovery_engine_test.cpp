@@ -1,29 +1,27 @@
-// The compiled recovery engine: degree-specialized solvers, the quartic
-// root-formula demotion and batched block recovery must agree exactly
-// with the all-integer binary-search recovery over full domains.
+// The compiled recovery engine: degree-specialized solvers with
+// interval-selected roots and batched block recovery must agree exactly
+// with the all-integer binary-search recovery over full domains, and at
+// scale without falling back to search.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <random>
 
 #include "../test_util.hpp"
 #include "core/real_solvers.hpp"
 #include "kernels/registry.hpp"
-#include "math/roots.hpp"
 
 namespace nrc {
 namespace {
 
 void expect_engine_matches_search(const CollapsedEval& cn, const std::string& tag) {
   const size_t d = static_cast<size_t>(cn.depth());
-  CollapsedEval demoted = cn;
-  demoted.force_quartic_demotion();
-  std::vector<i64> via_engine(d), via_demoted(d), via_search(d);
+  std::vector<i64> via_engine(d), via_search(d);
   for (i64 pc = 1; pc <= cn.trip_count(); ++pc) {
     cn.recover(pc, via_engine);
-    demoted.recover(pc, via_demoted);
     cn.recover_search(pc, via_search);
     ASSERT_EQ(via_engine, via_search) << tag << " pc=" << pc;
-    ASSERT_EQ(via_demoted, via_search) << tag << " (quartics demoted) pc=" << pc;
   }
 }
 
@@ -189,7 +187,8 @@ TEST(RecoveryEngine, DescribeNamesLoweredSolvers) {
   EXPECT_NE(d.find("lowered solver: innermost-linear"), std::string::npos);
   const std::string q = collapse(testutil::simplex_4d()).describe();
   EXPECT_NE(q.find("lowered solver: guarded-ferrari"), std::string::npos) << q;
-  EXPECT_NE(q.find("[formula demotion]"), std::string::npos) << q;
+  EXPECT_NE(q.find("root in [0, N)"), std::string::npos) << q;
+  EXPECT_NE(q.find("    a4 = -1/24\n"), std::string::npos) << q;
   EXPECT_NE(q.find("guard policy: proven-exact f64"), std::string::npos) << q;
   const std::string r = collapse(testutil::rectangular()).describe();
   EXPECT_NE(r.find("lowered solver: exact-division"), std::string::npos) << r;
@@ -223,119 +222,141 @@ TEST(RecoveryEngine, AstronomicalParameterOffsetsStillBind) {
   expect_blocks_match_search(cn, 13, "astronomical_offsets");
 }
 
-// ---------------------------------------------------------------------------
-// Guarded real-arithmetic Ferrari (PR 3).
-
-/// Compare ferrari_estimate against the complex reference evaluator for
-/// every one of the 12 Ferrari branches of one coefficient set.  Where
-/// the real-arithmetic path claims success, its floor must match the
-/// reference floor to within 1 (the correction budget of the exact
-/// guard); where the reference itself degenerates the claim is skipped.
-void expect_ferrari_tracks_reference(const double (&A)[5], const std::string& tag) {
-  cld cc[5];
-  for (int e = 0; e < 5; ++e) cc[e] = cld(static_cast<long double>(A[e]), 0.0L);
-  for (int br = 0; br < 12; ++br) {
-    i64 est;
-    if (!ferrari_estimate<long double>(A, br, &est)) continue;  // demotes: fine
-    const cld ref = root_branch_value(std::span<const cld>(cc, 5), br);
-    if (!std::isfinite(static_cast<double>(ref.real()))) continue;
-    const long double re = ref.real();
-    if (re < -9e18L || re > 9e18L) continue;
-    const i64 ref_est = static_cast<i64>(std::floor(re + 1e-9L));
-    EXPECT_NEAR(static_cast<double>(est), static_cast<double>(ref_est), 1.0)
-        << tag << " branch=" << br;
+TEST(RecoveryEngine, FailedEstimatesFallBackToExactSearch) {
+  // An offset S far above a short range: the level equation's
+  // coefficients reach S^3 (cubic) or S^4 (quartic) while its root moves
+  // within a few steps, so the long double estimate loses the root — it
+  // lands outside the range, or further than the guard's correction
+  // window — and the level falls to exact search.  The exact-double
+  // proof refuses these magnitudes, so the checked-i128 path runs; the
+  // proven-f64 path ends in the same fallback call.
+  for (const auto& [depth, S] : {std::pair{3, i64{30000000}}, std::pair{4, i64{1000000}}}) {
+    const char* vars[] = {"i", "j", "k", "l"};
+    NestSpec n;
+    n.param("N").param("S");
+    n.loop("i", aff::v("S"), aff::v("S") + aff::v("N"));
+    for (int d = 1; d < depth; ++d) n.loop(vars[d], aff::v(vars[d - 1]), aff::v("S") + aff::v("N"));
+    const CollapsedEval cn = collapse(n).bind({{"N", 5}, {"S", S}});
+    const std::string tag = "depth " + std::to_string(depth);
+    ASSERT_FALSE(cn.guards_provably_f64(0)) << tag;
+    const size_t d = static_cast<size_t>(depth);
+    std::vector<i64> eng(d), ref(d);
+    RecoveryStats stats;
+    for (i64 pc = 1; pc <= cn.trip_count(); ++pc) {
+      cn.recover(pc, eng, &stats);
+      cn.recover_search(pc, ref);
+      ASSERT_EQ(eng, ref) << tag << " pc=" << pc;
+    }
+    EXPECT_GT(stats.fallback, 0) << tag;
+    EXPECT_EQ(stats.levels(), cn.trip_count() * (depth - 1)) << tag;
+    expect_blocks_match_search(cn, 7, tag);
   }
 }
 
-TEST(FerrariEstimate, QuarticEdgeFamilies) {
-  // Biquadratic (x^2-1)(x^2-4): odd coefficients zero, the resolvent
-  // has the w = 0 root Ferrari cannot divide through (those branches
-  // must report degeneration, not a wrong estimate).
-  const double biquadratic[5] = {4, 0, -5, 0, 1};
-  expect_ferrari_tracks_reference(biquadratic, "biquadratic");
-  // Repeated real roots (x-2)^2 (x+3)^2: the resolvent discriminant is
-  // exactly zero.
-  const double repeated[5] = {36, -12, -11, 2, 1};
-  expect_ferrari_tracks_reference(repeated, "repeated");
-  // Near-zero resolvent discriminant: the repeated-root quartic
-  // perturbed one unit either way.
-  const double near_lo[5] = {35, -12, -11, 2, 1};
-  const double near_hi[5] = {37, -12, -11, 2, 1};
-  expect_ferrari_tracks_reference(near_lo, "near_disc_lo");
-  expect_ferrari_tracks_reference(near_hi, "near_disc_hi");
-  // Clustered real roots 7, 7, 8, -1.
-  const double clustered[5] = {-392, -231, 139, -21, 1};
-  expect_ferrari_tracks_reference(clustered, "clustered");
+// ---------------------------------------------------------------------------
+// Interval-selected real-arithmetic estimates.
+
+/// floor of the largest of `roots` within half a step of [lb, ub], or
+/// nullopt when none lies there: what every estimator must return.
+std::optional<i64> expected_pick(const std::vector<double>& roots, i64 lb, i64 ub) {
+  std::optional<double> best;
+  for (const double r : roots)
+    if (r >= lb - 0.5 && r <= ub + 0.5 && (!best || r > *best)) best = r;
+  if (!best) return std::nullopt;
+  return static_cast<i64>(std::floor(*best));
+}
+
+/// Coefficients a0..a_deg of lead * prod (x - r) * (x^2 + s) (the
+/// quadratic factor only when s > 0: a complex pair).
+std::vector<double> poly_from_roots(double lead, const std::vector<double>& roots, double s) {
+  std::vector<double> c{lead};
+  auto mul = [&](const std::vector<double>& f) {
+    std::vector<double> out(c.size() + f.size() - 1, 0.0);
+    for (size_t i = 0; i < c.size(); ++i)
+      for (size_t j = 0; j < f.size(); ++j) out[i + j] += c[i] * f[j];
+    c = out;
+  };
+  for (const double r : roots) mul({-r, 1.0});
+  if (s > 0) mul({s, 0.0, 1.0});
+  return c;
+}
+
+void expect_estimate(const std::vector<double>& A, const std::vector<double>& roots, i64 lb,
+                     i64 ub, const std::string& tag) {
+  i64 est = -777;
+  const bool ok = A.size() == 5 ? ferrari_estimate<long double>(A.data(), lb, ub, &est)
+                                : cubic_estimate<long double>(A.data(), lb, ub, &est);
+  const std::optional<i64> want = expected_pick(roots, lb, ub);
+  ASSERT_EQ(ok, want.has_value()) << tag << " [" << lb << ", " << ub << "]";
+  if (ok) EXPECT_EQ(est, *want) << tag << " [" << lb << ", " << ub << "]";
+}
+
+TEST(FerrariEstimate, EdgeFamiliesPickTheLargestRootInRange) {
+  // Biquadratic (x^2-1)(x^2-4): odd coefficients zero, the resolvent's
+  // largest root is 0 and the solver goes through y^2.
+  const std::vector<double> biquadratic = {4, 0, -5, 0, 1};
+  for (const auto& [lb, ub] : std::vector<std::pair<i64, i64>>{
+           {-3, 3}, {-2, 1}, {-2, 0}, {0, 1}, {2, 5}, {-6, -3}, {3, 9}, {-1, -1}})
+    expect_estimate(biquadratic, {-2, -1, 1, 2}, lb, ub, "biquadratic");
+  // Roots 7, 8 and -1 with 7 doubled, and the simple roots of a quartic
+  // with a complex pair; the double root may come out complex, so only
+  // windows away from it are pinned.
+  const std::vector<double> clustered = {-392, -231, 139, -21, 1};
+  for (const auto& [lb, ub] :
+       std::vector<std::pair<i64, i64>>{{8, 8}, {-1, -1}, {-3, 0}, {0, 5}, {9, 20}, {-1, 3}})
+    expect_estimate(clustered, {7, 7, 8, -1}, lb, ub, "clustered");
+  const std::vector<double> pair = poly_from_roots(3, {-5, 4}, 2.0);
+  for (const auto& [lb, ub] :
+       std::vector<std::pair<i64, i64>>{{-9, 9}, {-9, 0}, {-4, 3}, {4, 4}, {5, 9}})
+    expect_estimate(pair, {-5, 4}, lb, ub, "complex pair");
   // Degenerate leading coefficient: never claims an estimate.
   const double cubic_like[5] = {1, 2, 3, 4, 0};
   i64 est;
-  for (int br = 0; br < 12; ++br)
-    EXPECT_FALSE(ferrari_estimate<long double>(cubic_like, br, &est)) << br;
+  EXPECT_FALSE(ferrari_estimate<long double>(cubic_like, -100, 100, &est));
 }
 
-TEST(FerrariEstimate, RandomQuarticsTrackReference) {
-  std::mt19937_64 rng(20260726);
-  for (int iter = 0; iter < 4000; ++iter) {
-    double A[5];
-    const i64 m = iter % 3 == 0 ? 9 : iter % 3 == 1 ? 1000 : 2000000;
-    for (int e = 0; e < 5; ++e)
-      A[e] = static_cast<double>(static_cast<i64>(rng() % static_cast<u64>(2 * m + 1)) - m);
-    if (A[4] == 0) A[4] = 1;
-    if (iter % 7 == 0) A[3] = A[1] = 0;  // biquadratic slice
-    expect_ferrari_tracks_reference(A, "random#" + std::to_string(iter));
-  }
-}
-
-/// Complex Cardano with the +i convention for real radicands: the
-/// square root of a negative real discriminant is always taken on the
-/// +i branch, as cubic_estimate does.  root_branch_value is *not* a
-/// usable oracle for cubic
-/// branches 1/2: its fully-complex evaluation can flip the radicand's
-/// imaginary zero to -0 depending on coefficient signs, conjugating the
-/// cube root and swapping those two branches — Re of a quartic branch is
-/// invariant under that conjugation, a cubic branch value is not.
-cld cardano_plus_i(const double* A, int branch) {
-  const long double b = static_cast<long double>(A[2]) / A[3];
-  const long double c = static_cast<long double>(A[1]) / A[3];
-  const long double d = static_cast<long double>(A[0]) / A[3];
-  const long double p = c - b * b / 3.0L;
-  const long double q = 2.0L * b * b * b / 27.0L - b * c / 3.0L + d;
-  const long double delta = q * q / 4.0L + p * p * p / 27.0L;
-  const cld sq = delta >= 0 ? cld(std::sqrt(delta), 0.0L)
-                            : cld(0.0L, std::sqrt(-delta));
-  const cld u = principal_cbrt(-q / 2.0L + sq);
-  constexpr long double kPi = 3.14159265358979323846264338327950288L;
-  const cld uk = u * cld(std::cos(2.0L * kPi * branch / 3.0L),
-                         std::sin(2.0L * kPi * branch / 3.0L));
-  return uk - p / (3.0L * uk) - b / 3.0L;
-}
-
-TEST(CubicEstimate, AllBranchesTrackReference) {
-  // The Viete/Cardano estimate must track the +i-convention
-  // reference on all three branches (the seed only ever exercised
-  // branch 0; the Ferrari resolvent reaches every branch).
-  std::mt19937_64 rng(777);
-  for (int iter = 0; iter < 4000; ++iter) {
-    double A[4];
-    for (int e = 0; e < 4; ++e)
-      A[e] = static_cast<double>(static_cast<i64>(rng() % 2001) - 1000);
-    if (A[3] == 0) A[3] = 1;
-    for (int br = 0; br < 3; ++br) {
-      i64 est;
-      if (!cubic_estimate<long double>(A, br, &est)) continue;
-      const cld ref = cardano_plus_i(A, br);
-      if (!std::isfinite(static_cast<double>(ref.real()))) continue;
-      const i64 ref_est = static_cast<i64>(std::floor(ref.real() + 1e-9L));
-      EXPECT_NEAR(static_cast<double>(est), static_cast<double>(ref_est), 1.0)
-          << "iter=" << iter << " branch=" << br;
+/// Random integer-root cubics and quartics (with and without a complex
+/// pair), each with a window around one root that excludes the larger
+/// ones: the estimate is that root's floor, in double and long double.
+TEST(RealEstimate, RandomPolynomialsPickTheRootInRange) {
+  std::mt19937_64 rng(20261018);
+  auto pick = [&](i64 lo, i64 hi) {
+    return lo + static_cast<i64>(rng() % static_cast<u64>(hi - lo + 1));
+  };
+  for (int iter = 0; iter < 6000; ++iter) {
+    const i64 m = iter % 3 == 0 ? 20 : iter % 3 == 1 ? 1000 : 100000;
+    const int nroots = iter % 2 == 0 ? 3 : pick(0, 1) ? 4 : 2;  // 2: plus a complex pair
+    std::vector<double> roots;
+    while (static_cast<int>(roots.size()) < nroots) {
+      const double r = static_cast<double>(pick(-m, m));
+      if (std::find(roots.begin(), roots.end(), r) == roots.end()) roots.push_back(r);
     }
+    std::sort(roots.begin(), roots.end());
+    const double lead = static_cast<double>(pick(1, 6)) * (pick(0, 1) ? 1 : -1);
+    const std::vector<double> A = poly_from_roots(lead, roots, nroots == 2 ? pick(1, 50) : 0);
+    const size_t t = static_cast<size_t>(pick(0, nroots - 1));
+    const i64 r = static_cast<i64>(roots[t]);
+    const i64 room = t + 1 < roots.size() ? static_cast<i64>(roots[t + 1]) - r - 1 : 10;
+    const i64 lb = r - pick(0, 5);
+    const i64 ub = r + std::min<i64>(room, pick(0, 5));
+    const std::string tag = "iter=" + std::to_string(iter);
+    i64 est_ld = -777, est_d = -777;
+    const bool ok_ld = A.size() == 5 ? ferrari_estimate<long double>(A.data(), lb, ub, &est_ld)
+                                     : cubic_estimate<long double>(A.data(), lb, ub, &est_ld);
+    const bool ok_d = A.size() == 5 ? ferrari_estimate<double>(A.data(), lb, ub, &est_d)
+                                    : cubic_estimate<double>(A.data(), lb, ub, &est_d);
+    ASSERT_TRUE(ok_ld) << tag;
+    ASSERT_TRUE(ok_d) << tag;
+    // An exact integer root may come out a hair low: the guard absorbs
+    // one step.
+    EXPECT_LE(std::llabs(est_ld - r), 1) << tag;
+    EXPECT_LE(std::llabs(est_d - r), 1) << tag;
   }
 }
 
 /// Every quartic-level shape: the Ferrari engine must agree with search
-/// over the full domain without a single search fallback or demotion
-/// (healthy nests never leave the real-arithmetic path).
-TEST(RecoveryEngine, FerrariSolvesQuarticNestsWithoutDemotion) {
+/// over the full domain without a single search fallback.
+TEST(RecoveryEngine, FerrariSolvesQuarticNestsWithoutFallback) {
   for (const auto& sc : {testutil::simplex_4d(), testutil::simplex_4d_shifted(),
                          testutil::trapezoid_tower_4d(), testutil::simplex_4d_tower()}) {
     const ParamMap p = testutil::uniform_params(sc, 9);
@@ -352,33 +373,41 @@ TEST(RecoveryEngine, FerrariSolvesQuarticNestsWithoutDemotion) {
       ASSERT_EQ(eng, ref) << "ferrari pc=" << pc;
     }
     EXPECT_EQ(stats.fallback, 0);
-    EXPECT_EQ(stats.quartic_demoted, 0);
     EXPECT_GT(stats.closed_form, 0);
   }
 }
 
-/// Demotion to the root formula on guard failure: force_quartic_demotion
-/// makes every quartic point take the demoted path (the complex root
-/// formula's estimate + exact guard, quartic_demoted counting), and the
-/// results must still match search exactly.
-TEST(RecoveryEngine, QuarticGuardFailureDemotesToRootFormula) {
-  for (const auto& nest : {testutil::simplex_4d(), testutil::trapezoid_tower_4d()}) {
-    const CollapsedEval cn = collapse(nest).bind({{"N", 11}});
-    CollapsedEval demoted = cn;
-    demoted.force_quartic_demotion();
-    ASSERT_EQ(demoted.solver_kind(0), LevelSolverKind::Quartic);
-
-    RecoveryStats stats;
-    const size_t d = static_cast<size_t>(cn.depth());
-    std::vector<i64> idx(d), ref(d);
-    for (i64 pc = 1; pc <= cn.trip_count(); ++pc) {
-      cn.recover_search(pc, ref);
-      demoted.recover(pc, idx, &stats);
-      ASSERT_EQ(idx, ref) << "demoted recover pc=" << pc;
+/// The cubic and quartic nests at N = 10^3, 10^4 and 10^5 (the trip
+/// count must fit i64; simplex_4d_tower's floor keeps M = 2): sampled
+/// pcs recover exactly, and no level falls back to search.
+TEST(RecoveryEngine, AtScaleNestsNeverFallBack) {
+  const std::pair<const char*, NestSpec> nests[] = {
+      {"tetrahedral_ordered", testutil::tetrahedral_ordered()},
+      {"simplex_4d", testutil::simplex_4d()},
+      {"simplex_4d_tower", testutil::simplex_4d_tower()},
+      {"simplex_4d_shifted", testutil::simplex_4d_shifted()},
+  };
+  for (const auto& [name, nest] : nests) {
+    const Collapsed col = collapse(nest);
+    for (const i64 n : {i64{1000}, i64{10000}, i64{100000}}) {
+      ParamMap p{{"N", n}};
+      if (nest.params().size() > 1) p["M"] = 2;
+      const CollapsedEval cn = col.bind(p);
+      const std::string tag = std::string(name) + " N=" + std::to_string(n);
+      const size_t d = static_cast<size_t>(cn.depth());
+      std::vector<i64> eng(d), ref(d);
+      RecoveryStats stats;
+      std::mt19937_64 rng(static_cast<u64>(n));
+      for (int s = 0; s < 3000; ++s) {
+        const i64 pc = s < 2 ? (s == 0 ? 1 : cn.trip_count())
+                             : 1 + static_cast<i64>(rng() % static_cast<u64>(cn.trip_count()));
+        cn.recover_search(pc, ref);
+        cn.recover(pc, eng, &stats);
+        ASSERT_EQ(eng, ref) << tag << " pc=" << pc;
+      }
+      EXPECT_EQ(stats.fallback, 0) << tag;
+      EXPECT_EQ(stats.levels(), 3000 * (cn.depth() - 1)) << tag;
     }
-    EXPECT_EQ(stats.quartic_demoted, cn.trip_count());
-    EXPECT_EQ(stats.fallback, 0);  // the root formula's estimate still lands
-
   }
 }
 

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "../test_util.hpp"
 #include "core/unrank_closed.hpp"
 #include "core/unrank_search.hpp"
+#include "core/validate.hpp"
 
 namespace nrc {
 namespace {
@@ -70,74 +73,50 @@ TEST(LevelFormulas, CoefficientsReconstructTheEquation) {
   EXPECT_EQ(rebuilt, rs.prefix_rank[0] - Polynomial::variable(kPcVar));
 }
 
-TEST(BranchSelection, FindsConvenientBranchOnAllShapes) {
+TEST(IntervalRoot, FoundOnEveryShapeLevel) {
+  // Every closed-form level of every shape has a real root in its range
+  // at every pc: the unguarded estimate never comes up empty.
   for (const auto& sc : testutil::closed_form_shapes()) {
-    const RankingSystem rs = build_ranking_system(sc.nest);
-    auto lf = build_level_formulas(rs, 4);
-    std::vector<std::string> slots = sc.nest.loop_vars();
-    for (const auto& pp : sc.nest.params()) slots.push_back(pp);
-    slots.push_back(kPcVar);
-    const ParamMap cal = sc.nest.params().empty() ? ParamMap{} : default_calibration(sc.nest);
-    select_convenient_branches(lf, rs, cal, slots);
-    for (size_t k = 0; k < lf.size(); ++k) {
-      if (lf[k].coeffs.empty()) continue;
-      EXPECT_GE(lf[k].branch, 0) << sc.name << " level " << k;
-      EXPECT_FALSE(lf[k].root.empty()) << sc.name << " level " << k;
-    }
+    const ParamMap p = testutil::uniform_params(sc.nest, 7);
+    if (!has_no_empty_ranges(sc.nest, p)) continue;
+    const CollapsedEval cn = collapse(sc.nest).bind(p);
+    std::vector<i64> raw(static_cast<size_t>(cn.depth()));
+    for (i64 pc = 1; pc <= cn.trip_count(); ++pc)
+      ASSERT_TRUE(cn.recover_closed_raw(pc, raw)) << sc.name << " pc=" << pc;
   }
 }
 
-TEST(BranchSelection, CorrelationUsesNegativeSqrtBranch) {
-  // Paper §IV-A picks i = -(sqrt(...) - 2N + 1)/2, i.e. the "minus"
-  // branch of the quadratic (our branch 1, since the leading coefficient
-  // -1/2 is negative: (-b - s)/(2a) with a < 0 is the smaller-sqrt form).
-  const RankingSystem rs = build_ranking_system(testutil::triangular_strict());
-  auto lf = build_level_formulas(rs, 4);
-  std::vector<std::string> slots = {"i", "j", "N", "pc"};
-  select_convenient_branches(lf, rs, {{"N", 8}}, slots);
-  ASSERT_GE(lf[0].branch, 0);
-  // Verify the selected branch reproduces the paper's floor values for a
-  // larger N than calibration used.
-  const CompiledExpr ce(lf[0].root, slots);
+TEST(IntervalRoot, CorrelationMatchesThePaperFormula) {
+  // Paper §IV-A recovers i = floor(-(sqrt(4N^2-4N-8pc+9) - 2N + 1)/2): the
+  // root of the level equation inside [0, N - 1).
+  const CollapsedEval cn = collapse(testutil::triangular_strict()).bind({{"N", 50}});
   const i64 N = 50;
-  auto expect_i = [&](i64 pc) {
-    // Paper formula: floor(-(sqrt(4N^2-4N-8pc+9) - 2N + 1)/2).
+  auto paper_i = [&](i64 pc) {
     const double v =
         -(std::sqrt(4.0 * N * N - 4.0 * N - 8.0 * pc + 9.0) - 2.0 * N + 1.0) / 2.0;
     return static_cast<i64>(std::floor(v + 1e-9));
   };
+  std::vector<i64> raw(2);
   for (i64 pc : {1, 2, 10, 49, 50, 500, 1224, 1225}) {
-    const i64 pt[] = {0, 0, N, pc};
-    const cld z = ce.eval({pt, 4});
-    EXPECT_EQ(static_cast<i64>(std::floor(z.real() + 1e-9L)), expect_i(pc)) << pc;
+    ASSERT_TRUE(cn.recover_closed_raw(pc, raw)) << pc;
+    EXPECT_EQ(raw[0], paper_i(pc)) << pc;
   }
 }
 
-TEST(DefaultCalibration, ProducesUsableDomains) {
-  for (const auto& sc : testutil::closed_form_shapes()) {
-    if (sc.nest.params().empty()) continue;
-    const ParamMap cal = default_calibration(sc.nest);
-    EXPECT_GE(count_domain_brute(sc.nest, cal), 4) << sc.name;
-    EXPECT_TRUE(has_no_empty_ranges(sc.nest, cal)) << sc.name;
-  }
-}
-
-TEST(DefaultCalibration, RejectsFarShiftedQuarticWithTheSameMessage) {
-  // Every candidate domain of i=0..N, j=i..N+64, k=j..N+64, l=k..N+64 has
-  // millions of points; each is rejected after 4001 of them.
-  NestSpec nest;
-  nest.param("N")
-      .loop("i", aff::c(0), aff::v("N"))
-      .loop("j", aff::v("i"), aff::v("N") + 64)
-      .loop("k", aff::v("j"), aff::v("N") + 64)
-      .loop("l", aff::v("k"), aff::v("N") + 64);
-  try {
-    (void)collapse(nest);
-    FAIL() << "collapse accepted a nest no calibration candidate fits";
-  } catch (const SolveError& e) {
-    EXPECT_EQ(std::string(e.what()),
-              "default_calibration: no uniform parameter assignment yields a usable "
-              "calibration domain; pass CollapseOptions::calibration explicitly");
+TEST(ShiftedQuartic, FarShiftsBuildAndValidate) {
+  // i=0..N, j=i..N+s, k=j..N+s, l=k..N+s: collapse() samples no domain,
+  // so the far shifts build like s = 0 and recover exactly.
+  for (const int s : {32, 64}) {
+    NestSpec nest;
+    nest.param("N")
+        .loop("i", aff::c(0), aff::v("N"))
+        .loop("j", aff::v("i"), aff::v("N") + s)
+        .loop("k", aff::v("j"), aff::v("N") + s)
+        .loop("l", aff::v("k"), aff::v("N") + s);
+    const Collapsed col = collapse(nest);
+    EXPECT_TRUE(col.fully_closed_form()) << s;
+    const auto rep = validate_collapsed(col, {{"N", 3}});
+    EXPECT_TRUE(rep.ok) << "s=" << s << ": " << rep.first_error;
   }
 }
 

@@ -29,8 +29,7 @@ TEST(Validate, MaxPointsLimitsWork) {
 
 TEST(Validate, AlwaysViolatingNestIsRejectedAtCollapseTime) {
   // Empty inner ranges break the ranking polynomial.  A nest that is
-  // empty-ranged for every parameter value cannot even be calibrated:
-  // collapse() refuses it up front.
+  // empty-ranged for every parameter value is refused up front.
   NestSpec bad;
   bad.param("N")
       .loop("i", aff::c(0), aff::v("N"))
@@ -38,8 +37,23 @@ TEST(Validate, AlwaysViolatingNestIsRejectedAtCollapseTime) {
   EXPECT_THROW(collapse(bad), SolveError);
 }
 
+TEST(Validate, ModelParamsChooseWhereCollapseChecksTheModel) {
+  // j's range is non-empty only when S > N + 59: no uniform size fits,
+  // so collapse() refuses the nest unless told where it holds.
+  NestSpec n;
+  n.param("N").param("S");
+  n.loop("i", aff::c(0), aff::v("N")).loop("j", aff::c(0), aff::v("S") - aff::v("N") - 59);
+  EXPECT_THROW(collapse(n), SolveError);
+  CollapseOptions opts;
+  opts.model_params = {{"N", 3}, {"S", 70}};
+  const auto rep = validate_collapsed(collapse(n, opts), {{"N", 3}, {"S", 70}});
+  EXPECT_TRUE(rep.ok) << rep.first_error;
+  opts.model_params = {{"N", 3}, {"S", 60}};
+  EXPECT_THROW(collapse(n, opts), SolveError);
+}
+
 TEST(Validate, DetectsModelViolationAtTargetSize) {
-  // This nest satisfies the model at the calibration size (N = 6: the
+  // This nest satisfies the model at a small size (N = 6: the
   // inner range 0 <= j < N - 2i + 12 is never empty) but violates it at
   // N = 40 (empty for i > 26).  The validator must catch the mismatch.
   NestSpec bad;

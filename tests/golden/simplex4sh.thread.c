@@ -8,87 +8,132 @@ typedef __int128 nrc_wide;
 typedef long long nrc_wide; /* demotion: no 128-bit type here */
 #endif
 #endif /* NRC_WIDE_C */
+#ifndef NRC_QUAD_SOLVER_C
+#define NRC_QUAD_SOLVER_C
+/* Real-arithmetic root estimators, the C transliteration of the
+ * library's core/real_solvers.hpp at double precision.  An estimate is
+ * the floor of the largest real root within half a step of the level
+ * range [lb, ub]; it feeds an exact integer correction guard.  A 0
+ * return means no root lies in the range and the caller starts its
+ * correction from a bound.  No C99 complex anywhere. */
+static int nrc_pick_root(const double *r, int n, long long lb, long long ub,
+                         long long *est) {
+  const double lo = (double)lb - 0.5;
+  const double hi = (double)ub + 0.5;
+  int found = 0;
+  double best = lo;
+  int i;
+  for (i = 0; i < n; i++) {
+    if (r[i] >= lo && r[i] <= hi && (!found || r[i] > best)) {
+      best = r[i];
+      found = 1;
+    }
+  }
+  if (!found) return 0;
+  *est = (long long)floor(best + 0x1.12e0be826d695p-30);
+  return 1;
+}
+/* A2 t^2 + A1 t + A0: the upward crossing, (-A1 + sqrt(disc)) / (2 A2),
+ * in the form that does not cancel. */
+static int nrc_quad_est(double a0, double a1, double a2, long long lb, long long ub,
+                        long long *est) {
+  const double disc = a1 * a1 - 4.0 * a2 * a0;
+  double sq, r;
+  if (a2 == 0.0 || !(disc >= 0.0)) return 0;
+  sq = sqrt(disc);
+  r = a1 > 0.0 ? -2.0 * a0 / (a1 + sq) : (sq - a1) / (2.0 * a2);
+  return nrc_pick_root(&r, 1, lb, ub, est);
+}
+#endif /* NRC_QUAD_SOLVER_C */
 #ifndef NRC_REAL_SOLVERS_C
 #define NRC_REAL_SOLVERS_C
-/* Guarded real-arithmetic root estimators (Cardano/Viete and Ferrari),
- * the C transliteration of the library's core/real_solvers.hpp at double
- * precision.  Estimates feed floor() + an exact integer correction guard;
- * a 0 return means the formula degenerated here and the caller must fall
- * back to its demotion guard.  No C99 complex arithmetic anywhere. */
-static double nrc_cardano_re(double b, double c, double d, int branch,
-                             double *im) {
+/* Cardano/Viete and Ferrari. */
+static int nrc_quad_roots(double b, double c, double *r) {
+  const double disc = b * b - 4.0 * c;
+  if (!(disc >= 0.0)) return 0;
+  r[0] = -(b + copysign(sqrt(disc), b)) / 2.0;
+  r[1] = c / r[0];
+  return 2;
+}
+static int nrc_cubic_roots(double b, double c, double d, double *r) {
   const double p = c - b * b / 3.0;
   const double q = 2.0 * b * b * b / 27.0 - b * c / 3.0 + d;
   const double delta = q * q / 4.0 + p * p * p / 27.0;
-  double re, iv = 0.0;
+  const double shift = b / 3.0;
   if (delta < 0.0) {
     const double m = sqrt(-p / 3.0);
     const double phi = atan2(sqrt(-delta), -q / 2.0);
-    re = 2.0 * m * cos(phi / 3.0 + 0x1.0c152382d7366p+1 * (double)branch) - b / 3.0;
+    const double c0 = cos(phi / 3.0);
+    const double s0 = sin(phi / 3.0);
+    r[0] = 2.0 * m * c0 - shift;
+    r[1] = 2.0 * m * (-c0 / 2.0 - s0 * 0x1.bb67ae8584caap-1) - shift;
+    r[2] = 2.0 * m * (-c0 / 2.0 + s0 * 0x1.bb67ae8584caap-1) - shift;
+    return 3;
   } else {
-    const double v = -q / 2.0 + sqrt(delta);
-    const double m = cbrt(fabs(v));
-    static const double cpos[3] = {1.0, -0.5, -0.5};
-    static const double spos[3] = {0.0, 0x1.bb67ae8584caap-1, -0x1.bb67ae8584caap-1};
-    static const double cneg[3] = {0.5, -1.0, 0.5};
-    static const double sneg[3] = {0x1.bb67ae8584caap-1, 0.0, -0x1.bb67ae8584caap-1};
-    const double cosw = v < 0.0 ? cneg[branch] : cpos[branch];
-    const double sinw = v < 0.0 ? sneg[branch] : spos[branch];
-    const double po3m = p / (3.0 * m);
-    re = (m - po3m) * cosw - b / 3.0;
-    iv = (m + po3m) * sinw;
+    const double sq = sqrt(delta);
+    const double u = cbrt(q > 0.0 ? -q / 2.0 - sq : -q / 2.0 + sq);
+    double y = 0.0;
+    if (u != 0.0) {
+      const double v = -p / (3.0 * u);
+      y = p > 0.0 ? -q / (u * u + v * v + p / 3.0) : u + v;
+    }
+    r[0] = y - shift;
+    return 1;
   }
-  *im = iv;
-  return re;
-}
-static int nrc_est_in_range(double root) {
-  return isfinite(root) && root >= -0x1.feb3dd06766p+62 && root <= 0x1.feb3dd06766p+62;
 }
 static int nrc_cubic_est(double a0, double a1, double a2, double a3,
-                         int branch, long long *est) {
-  double im;
-  double re;
+                         long long lb, long long ub, long long *est) {
+  double r[3];
+  int n;
   if (a3 == 0.0) return 0;
-  re = nrc_cardano_re(a2 / a3, a1 / a3, a0 / a3, branch, &im);
-  if (!nrc_est_in_range(re)) return 0;
-  *est = (long long)floor(re + 0x1.12e0be826d695p-30);
-  return 1;
+  n = nrc_cubic_roots(a2 / a3, a1 / a3, a0 / a3, r);
+  return nrc_pick_root(r, n, lb, ub, est);
 }
 static int nrc_ferrari_est(double A0, double A1, double A2, double A3,
-                           double A4, int branch, long long *est) {
+                           double A4, long long lb, long long ub, long long *est) {
+  double b, c, d, e, p, q, r, c2, c1, c0, fw, dfw;
+  double w = 0.0;
+  double w3[3], y[4], z[2];
+  int nw, nz, i;
+  int n = 0;
   if (A4 == 0.0) return 0;
-  {
-    const double b = A3 / A4;
-    const double c = A2 / A4;
-    const double d = A1 / A4;
-    const double e = A0 / A4;
-    /* Depressed quartic y^4 + p y^2 + q y + r (x = y - b/4). */
-    const double p = c - b * b * (3.0 / 8.0);
-    const double q = d - b * c / 2.0 + b * b * b / 8.0;
-    const double r = e - b * d / 4.0 + b * b * c / 16.0 -
-                     b * b * b * b * (3.0 / 256.0);
-    const int rb = branch / 4;
-    const int qb = branch % 4;
-    /* Resolvent cubic w^3 + 2p w^2 + (p^2 - 4r) w - q^2 = 0. */
-    double wi;
-    const double wr = nrc_cardano_re(2.0 * p, p * p - 4.0 * r, -(q * q), rb, &wi);
-    /* alpha = principal complex sqrt of w, unfolded to real pairs;
-     * q/alpha = q*conj(alpha)/|w|. */
-    const double aw = hypot(wr, wi);
-    const double ar = sqrt((aw + wr) / 2.0);
-    const double ai = copysign(sqrt((aw - wr) / 2.0), wi);
-    const double qar = q * ar / aw;
-    const double qai = -q * ai / aw;
-    const double sg = qb < 2 ? -1.0 : 1.0;
-    const double Dr = wr - 2.0 * (p + wr + sg * qar);
-    const double Di = -wi - 2.0 * sg * qai;
-    const double sr = sqrt((hypot(Dr, Di) + Dr) / 2.0);
-    const double y = ((qb < 2 ? -ar : ar) + ((qb & 1) ? -sr : sr)) / 2.0;
-    const double root = y - b / 4.0;
-    if (!nrc_est_in_range(root)) return 0;
-    *est = (long long)floor(root + 0x1.12e0be826d695p-30);
+  b = A3 / A4;
+  c = A2 / A4;
+  d = A1 / A4;
+  e = A0 / A4;
+  /* Depressed quartic y^4 + p y^2 + q y + r (x = y - b/4). */
+  p = c - b * b * (3.0 / 8.0);
+  q = d - b * c / 2.0 + b * b * b / 8.0;
+  r = e - b * d / 4.0 + b * b * c / 16.0 - b * b * b * b * (3.0 / 256.0);
+  /* Largest root w >= 0 of the resolvent w^3 + 2p w^2 + (p^2 - 4r) w - q^2,
+   * polished by one Newton step. */
+  c2 = 2.0 * p;
+  c1 = p * p - 4.0 * r;
+  c0 = -(q * q);
+  nw = nrc_cubic_roots(c2, c1, c0, w3);
+  for (i = 0; i < nw; i++)
+    if (w3[i] > w) w = w3[i];
+  fw = ((w + c2) * w + c1) * w + c0;
+  dfw = (3.0 * w + 2.0 * c2) * w + c1;
+  if (dfw != 0.0) w -= fw / dfw;
+  if (w > 0.0) {
+    /* (y^2 + alpha y + beta)(y^2 - alpha y + gamma), alpha^2 = w. */
+    const double alpha = sqrt(w);
+    const double h = (p + w) / 2.0;
+    const double g = q / (2.0 * alpha);
+    n = nrc_quad_roots(alpha, h - g, y);
+    n += nrc_quad_roots(-alpha, h + g, y + n);
+  } else {
+    /* Biquadratic: y^2 = z for each real z >= 0 of z^2 + p z + r. */
+    nz = nrc_quad_roots(p, r, z);
+    for (i = 0; i < nz; i++) {
+      if (!(z[i] >= 0.0)) continue;
+      y[n++] = sqrt(z[i]);
+      y[n++] = -sqrt(z[i]);
+    }
   }
-  return 1;
+  for (i = 0; i < n; i++) y[i] -= b / 4.0;
+  return nrc_pick_root(y, n, lb, ub, est);
 }
 #endif /* NRC_REAL_SOLVERS_C */
 static void simplex4sh_collapsed(long long N, double *s) {
@@ -105,7 +150,7 @@ static void simplex4sh_collapsed(long long N, double *s) {
         const double __nrc_A3 = (double)(4*(nrc_wide)N + 34);
         const double __nrc_A4 = (double)(-1);
         long long __nrc_est;
-        i = nrc_ferrari_est(__nrc_A0, __nrc_A1, __nrc_A2, __nrc_A3, __nrc_A4, 1, &__nrc_est) ? __nrc_est : (3);
+        i = nrc_ferrari_est(__nrc_A0, __nrc_A1, __nrc_A2, __nrc_A3, __nrc_A4, (3), (N + 3), &__nrc_est) ? __nrc_est : (3);
       }
       if (i < (3)) i = (3);
       if (i > (N + 3) - 1) i = (N + 3) - 1;
@@ -117,13 +162,19 @@ static void simplex4sh_collapsed(long long N, double *s) {
         const double __nrc_A2 = (double)(-12*(nrc_wide)N - 72);
         const double __nrc_A3 = (double)(4);
         long long __nrc_est;
-        j = nrc_cubic_est(__nrc_A0, __nrc_A1, __nrc_A2, __nrc_A3, 1, &__nrc_est) ? __nrc_est : (i - 2);
+        j = nrc_cubic_est(__nrc_A0, __nrc_A1, __nrc_A2, __nrc_A3, (i - 2), (N + 3), &__nrc_est) ? __nrc_est : (i - 2);
       }
       if (j < (i - 2)) j = (i - 2);
       if (j > (N + 3) - 1) j = (N + 3) - 1;
       while (j > (i - 2) && ((-(nrc_wide)i*(nrc_wide)i*(nrc_wide)i*(nrc_wide)i + 4*(nrc_wide)N*(nrc_wide)N*(nrc_wide)N*(nrc_wide)i - 6*(nrc_wide)N*(nrc_wide)N*(nrc_wide)i*(nrc_wide)i + 4*(nrc_wide)N*(nrc_wide)i*(nrc_wide)i*(nrc_wide)i + 4*(nrc_wide)j*(nrc_wide)j*(nrc_wide)j + 30*(nrc_wide)i*(nrc_wide)i*(nrc_wide)i - 12*(nrc_wide)N*(nrc_wide)N*(nrc_wide)N + 12*(nrc_wide)N*(nrc_wide)N*(nrc_wide)j + 90*(nrc_wide)N*(nrc_wide)N*(nrc_wide)i - 12*(nrc_wide)N*(nrc_wide)j*(nrc_wide)j - 90*(nrc_wide)N*(nrc_wide)i*(nrc_wide)i - 72*(nrc_wide)j*(nrc_wide)j - 323*(nrc_wide)i*(nrc_wide)i - 228*(nrc_wide)N*(nrc_wide)N + 144*(nrc_wide)N*(nrc_wide)j + 646*(nrc_wide)N*(nrc_wide)i + 404*(nrc_wide)j + 1446*(nrc_wide)i - 1368*(nrc_wide)N - 2472) / 24) > pc) j -= 1;
       while (j < (N + 3) - 1 && ((-(nrc_wide)i*(nrc_wide)i*(nrc_wide)i*(nrc_wide)i + 4*(nrc_wide)N*(nrc_wide)N*(nrc_wide)N*(nrc_wide)i - 6*(nrc_wide)N*(nrc_wide)N*(nrc_wide)i*(nrc_wide)i + 4*(nrc_wide)N*(nrc_wide)i*(nrc_wide)i*(nrc_wide)i + 4*(nrc_wide)j*(nrc_wide)j*(nrc_wide)j + 30*(nrc_wide)i*(nrc_wide)i*(nrc_wide)i - 12*(nrc_wide)N*(nrc_wide)N*(nrc_wide)N + 12*(nrc_wide)N*(nrc_wide)N*(nrc_wide)j + 90*(nrc_wide)N*(nrc_wide)N*(nrc_wide)i - 12*(nrc_wide)N*(nrc_wide)j*(nrc_wide)j - 90*(nrc_wide)N*(nrc_wide)i*(nrc_wide)i - 60*(nrc_wide)j*(nrc_wide)j - 323*(nrc_wide)i*(nrc_wide)i - 216*(nrc_wide)N*(nrc_wide)N + 120*(nrc_wide)N*(nrc_wide)j + 646*(nrc_wide)N*(nrc_wide)i + 272*(nrc_wide)j + 1446*(nrc_wide)i - 1236*(nrc_wide)N - 2136) / 24) <= pc) j += 1;
-      k = (long long)floor((((-((2*(double)N + 11) / 2.0)) + sqrt(((((2*(double)N + 11) / 2.0) * ((2*(double)N + 11) / 2.0)) - ((-2) * ((-(double)i*(double)i*(double)i*(double)i + 4*(double)N*(double)N*(double)N*(double)i - 6*(double)N*(double)N*(double)i*(double)i + 4*(double)N*(double)i*(double)i*(double)i + 4*(double)j*(double)j*(double)j + 30*(double)i*(double)i*(double)i - 12*(double)N*(double)N*(double)N + 12*(double)N*(double)N*(double)j + 90*(double)N*(double)N*(double)i - 12*(double)N*(double)j*(double)j - 90*(double)N*(double)i*(double)i - 60*(double)j*(double)j - 323*(double)i*(double)i - 228*(double)N*(double)N + 120*(double)N*(double)j + 646*(double)N*(double)i - 24*(double)pc + 272*(double)j + 1446*(double)i - 1368*(double)N - 2472) / 24.0))))) / (-1)));
+      {
+        const double __nrc_A0 = (double)(-(nrc_wide)i*(nrc_wide)i*(nrc_wide)i*(nrc_wide)i + 4*(nrc_wide)N*(nrc_wide)N*(nrc_wide)N*(nrc_wide)i - 6*(nrc_wide)N*(nrc_wide)N*(nrc_wide)i*(nrc_wide)i + 4*(nrc_wide)N*(nrc_wide)i*(nrc_wide)i*(nrc_wide)i + 4*(nrc_wide)j*(nrc_wide)j*(nrc_wide)j + 30*(nrc_wide)i*(nrc_wide)i*(nrc_wide)i - 12*(nrc_wide)N*(nrc_wide)N*(nrc_wide)N + 12*(nrc_wide)N*(nrc_wide)N*(nrc_wide)j + 90*(nrc_wide)N*(nrc_wide)N*(nrc_wide)i - 12*(nrc_wide)N*(nrc_wide)j*(nrc_wide)j - 90*(nrc_wide)N*(nrc_wide)i*(nrc_wide)i - 60*(nrc_wide)j*(nrc_wide)j - 323*(nrc_wide)i*(nrc_wide)i - 228*(nrc_wide)N*(nrc_wide)N + 120*(nrc_wide)N*(nrc_wide)j + 646*(nrc_wide)N*(nrc_wide)i - 24*(nrc_wide)pc + 272*(nrc_wide)j + 1446*(nrc_wide)i - 1368*(nrc_wide)N - 2472);
+        const double __nrc_A1 = (double)(24*(nrc_wide)N + 132);
+        const double __nrc_A2 = (double)(-12);
+        long long __nrc_est;
+        k = nrc_quad_est(__nrc_A0, __nrc_A1, __nrc_A2, (j), (N + 4), &__nrc_est) ? __nrc_est : (j);
+      }
       if (k < (j)) k = (j);
       if (k > (N + 4) - 1) k = (N + 4) - 1;
       while (k > (j) && ((-(nrc_wide)i*(nrc_wide)i*(nrc_wide)i*(nrc_wide)i + 4*(nrc_wide)N*(nrc_wide)N*(nrc_wide)N*(nrc_wide)i - 6*(nrc_wide)N*(nrc_wide)N*(nrc_wide)i*(nrc_wide)i + 4*(nrc_wide)N*(nrc_wide)i*(nrc_wide)i*(nrc_wide)i + 4*(nrc_wide)j*(nrc_wide)j*(nrc_wide)j + 30*(nrc_wide)i*(nrc_wide)i*(nrc_wide)i - 12*(nrc_wide)N*(nrc_wide)N*(nrc_wide)N + 12*(nrc_wide)N*(nrc_wide)N*(nrc_wide)j + 90*(nrc_wide)N*(nrc_wide)N*(nrc_wide)i - 12*(nrc_wide)N*(nrc_wide)j*(nrc_wide)j - 90*(nrc_wide)N*(nrc_wide)i*(nrc_wide)i - 12*(nrc_wide)k*(nrc_wide)k - 60*(nrc_wide)j*(nrc_wide)j - 323*(nrc_wide)i*(nrc_wide)i - 228*(nrc_wide)N*(nrc_wide)N + 24*(nrc_wide)N*(nrc_wide)k + 120*(nrc_wide)N*(nrc_wide)j + 646*(nrc_wide)N*(nrc_wide)i + 132*(nrc_wide)k + 272*(nrc_wide)j + 1446*(nrc_wide)i - 1368*(nrc_wide)N - 2472) / 24) > pc) k -= 1;

@@ -96,7 +96,7 @@ int fuzz_one(const FuzzNest& fc, const Schedule& s, const char* sched_name,
   ParamMap pm = fc.fixed_params;
   pm["N"] = testutil::fuzz_bind_values(fc).back();
   CollapseOptions opts;
-  opts.calibration = fc.calibration;
+  opts.model_params = fc.model_params;
   std::shared_ptr<const CollapsePlan> plan;
   try {
     plan = CollapsePlan::build(fc.nest, pm, opts);

@@ -112,7 +112,7 @@ TEST(AutoSelect, OneThreadPickIsTheRowWalkOnEveryFuzzClass) {
       const testutil::FuzzNest fc = testutil::make_fuzz_nest(cls, seed);
       if (fc.expect_empty) continue;
       CollapseOptions opts;
-      opts.calibration = fc.calibration;
+      opts.model_params = fc.model_params;
       const Collapsed col = collapse(fc.nest, opts);
       for (const i64 nv : testutil::fuzz_bind_values(fc)) {
         ParamMap p = fc.fixed_params;

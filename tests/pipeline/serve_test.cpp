@@ -307,6 +307,20 @@ TEST(ServeSerialization, RoundTripIsByteIdenticalOnEveryKernelNest) {
   }
 }
 
+TEST(ServeSerialization, ModelParamsRideTheRecord) {
+  // Valid only where S > N + 59: the rebuild needs the record's model
+  // check point, or collapse() refuses the nest.
+  NestSpec n;
+  n.param("N").param("S");
+  n.loop("i", aff::c(0), aff::v("N")).loop("j", aff::c(0), aff::v("S") - aff::v("N") - 59);
+  CollapseOptions opts;
+  opts.model_params = {{"N", 3}, {"S", 70}};
+  const auto plan = CollapsePlan::build(n, {{"N", 4}, {"S", 80}}, opts);
+  const std::string record = plan->serialize();
+  EXPECT_NE(record.find("model N=3\nmodel S=70\n"), std::string::npos) << record;
+  EXPECT_EQ(CollapsePlan::deserialize(record)->serialize(), record);
+}
+
 TEST(ServeSerialization, CorruptRecordsAreRejected) {
   const auto plan = CollapsePlan::build(testutil::triangular_strict(), {{"N", 20}});
   std::string record = plan->serialize();

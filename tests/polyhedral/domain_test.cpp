@@ -45,6 +45,10 @@ TEST(Domain, HasNoEmptyRangesDetectsViolations) {
       .loop("i", aff::c(0), aff::v("N") - 1)
       .loop("j", aff::v("i") + 2, aff::v("N"));
   EXPECT_FALSE(has_no_empty_ranges(bad, {{"N", 6}}));
+  // The walk reaches the empty range (at i = 4) after 4+3+2+1 = 10
+  // points; a walk stopped before that sees none.
+  EXPECT_FALSE(has_no_empty_ranges(bad, {{"N", 6}}, 11));
+  EXPECT_TRUE(has_no_empty_ranges(bad, {{"N", 6}}, 10));
 }
 
 TEST(Domain, WalkSkipsEmptyInnerRanges) {
@@ -75,23 +79,6 @@ TEST(Domain, DeepNestWalk) {
             6 * 7 * 8 * 9 / 24);  // C(N+3, 4)
   EXPECT_EQ(count_domain_brute(testutil::simplex_5d(), {{"N", 5}}),
             5 * 6 * 7 * 8 * 9 / 120);  // C(N+4, 5)
-}
-
-TEST(Domain, CappedCountIsExactBelowTheCap) {
-  const NestSpec tet = testutil::tetrahedral_fig6();
-  for (i64 n : {1, 2, 6, 10}) {
-    const i64 exact = count_domain_brute(tet, {{"N", n}});
-    EXPECT_EQ(count_domain_capped(tet, {{"N", n}}, exact), exact) << n;
-    EXPECT_EQ(count_domain_capped(tet, {{"N", n}}, exact + 7), exact) << n;
-    if (exact > 0) EXPECT_EQ(count_domain_capped(tet, {{"N", n}}, exact - 1), exact) << n;
-  }
-}
-
-TEST(Domain, CappedCountStopsPastTheCap) {
-  // 10^12 points: only a walk that stops at cap + 1 returns.
-  const ParamMap huge{{"N", 1000000}, {"M", 1000000}};
-  EXPECT_EQ(count_domain_capped(testutil::rectangular(), huge, 4000), 4001);
-  EXPECT_EQ(count_domain_capped(testutil::rectangular(), huge, 0), 1);
 }
 
 }  // namespace

@@ -152,7 +152,7 @@ void check_executors(const CollapsedEval& cn, const std::string& repro, bool ful
 void run_case(const FuzzNest& fc, bool full, FuzzTally* tally) {
   if (fc.expect_empty) return;  // bind() rejection is the recovery fuzzer's job
   CollapseOptions opts;
-  opts.calibration = fc.calibration;
+  opts.model_params = fc.model_params;
   try {
     const Collapsed col = collapse(fc.nest, opts);
     for (const i64 nv : testutil::fuzz_bind_values(fc)) {
@@ -222,7 +222,7 @@ TEST(ExecutorFuzz, Degenerate) {
 /// constant widths too.
 struct DepthNest {
   NestSpec nest;
-  ParamMap calibration, fixed_params;
+  ParamMap model_params, fixed_params;
   std::string repro;
 };
 
@@ -233,14 +233,14 @@ DepthNest make_depth_nest(int depth, u64 seed) {
   };
   DepthNest dn;
   dn.nest.param("N");
-  dn.calibration["N"] = pick(2, 3);
+  dn.model_params["N"] = pick(2, 3);
   const i64 magroll = pick(0, 9);
   const i64 shift = magroll >= 2 ? 0 : magroll == 1 ? pick(50, 4000) : pick(50000, 3000000);
   AffineExpr base = aff::c(pick(-2, 2));
   if (shift > 0) {
     dn.nest.param("S");
     dn.fixed_params["S"] = shift;
-    dn.calibration["S"] = shift;
+    dn.model_params["S"] = shift;
     base += aff::v("S");
   }
   AffineExpr upper = base + pick(0, 1) * aff::v("N") + aff::c(pick(1, 3));
@@ -280,7 +280,7 @@ void run_depth_fuzz(int depth, i64 domains_target, u64 seed_base) {
   for (u64 seed = seed_base; tally.domains < domains_target; ++seed) {
     const DepthNest dn = make_depth_nest(depth, seed);
     CollapseOptions opts;
-    opts.calibration = dn.calibration;
+    opts.model_params = dn.model_params;
     try {
       const Collapsed col = collapse(dn.nest, opts);
       for (const i64 nv : {i64{1}, 2 + static_cast<i64>(seed % (testutil::kFuzzMaxN - 1)),
@@ -449,7 +449,7 @@ std::string bind_args(const NestProgram& prog, const ParamMap& pm) {
 int roundtrip_case(const FuzzNest& fc) {
   if (fc.expect_empty) return 0;
   CollapseOptions opts;
-  opts.calibration = fc.calibration;
+  opts.model_params = fc.model_params;
   NestProgram prog;
   prog.name = "fz";
   prog.nest = fc.nest;

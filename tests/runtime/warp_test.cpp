@@ -110,7 +110,6 @@ TEST(WarpSim, LaneResyncsInsteadOfDroppingOnAdvanceFailure) {
   for (u64 seed = 4; fc.expect_empty; ++seed)
     fc = testutil::make_fuzz_nest(testutil::FuzzClass::Degenerate, seed);
   CollapseOptions opts;
-  opts.calibration = fc.calibration;
   ParamMap p = fc.fixed_params;
   p["N"] = testutil::kFuzzMaxN;
   const CollapsedEval cn = collapse(fc.nest, opts).bind(p);

@@ -42,61 +42,5 @@ TEST(PrintPolyC, Renaming) {
   EXPECT_EQ(print_poly_c(var("i"), opt), "(ii)");
 }
 
-TEST(PrintC, SqrtRealVsComplexMode) {
-  const Expr e = Expr::poly(var("x")).sqrt();
-  CPrintOptions real_mode;
-  real_mode.complex_mode = false;
-  CPrintOptions cmplx;
-  cmplx.complex_mode = true;
-  EXPECT_EQ(print_c(e, real_mode), "sqrt(((double)x))");
-  EXPECT_EQ(print_c(e, cmplx), "csqrt(((double)x))");
-}
-
-TEST(PrintC, CbrtModes) {
-  const Expr e = Expr::poly(var("x")).cbrt();
-  CPrintOptions cmplx;
-  cmplx.complex_mode = true;
-  EXPECT_EQ(print_c(e, cmplx), "cpow(((double)x), 1.0/3.0)");
-  EXPECT_EQ(print_c(e, {}), "cbrt(((double)x))");
-}
-
-TEST(PrintC, RationalConstant) {
-  EXPECT_EQ(print_c(Expr::constant(Rational(1, 3))), "(1.0/3.0)");
-  EXPECT_EQ(print_c(Expr::constant(5)), "5");
-  EXPECT_EQ(print_c(Expr::constant(-5)), "(-5)");
-}
-
-TEST(PrintC, CisPrintsAsCexp) {
-  const std::string s = print_c(Expr::cis(1, 3), {});
-  EXPECT_NE(s.find("cexp"), std::string::npos);
-  EXPECT_NE(s.find("M_PI"), std::string::npos);
-}
-
-TEST(PrintC, BinaryOpsParenthesized) {
-  const Expr x = Expr::poly(var("x"));
-  const Expr y = Expr::poly(var("y"));
-  CPrintOptions opt;
-  opt.var_cast = "";
-  EXPECT_EQ(print_c(x + y, opt), "((x) + (y))");
-  EXPECT_EQ(print_c(x / y, opt), "((x) / (y))");
-  EXPECT_EQ(print_c(-x, opt), "(-(x))");
-}
-
-TEST(PrintC, PaperStyleQuadraticFormulaCompilesTextually) {
-  // The correlation i-recovery should mention sqrt and pc with casts,
-  // mirroring Fig. 3's flavor.
-  const Polynomial N = var("N");
-  const Polynomial pc = var("pc");
-  // discriminant-ish poly: 4N^2 - 4N - 8pc + 9
-  const Polynomial disc =
-      N.pow(2) * Rational(4) - N * Rational(4) - pc * Rational(8) + Polynomial(9);
-  const Expr root =
-      (-(Expr::poly(disc).sqrt() - Expr::poly(N * Rational(2) - Polynomial(1)))) /
-      Expr::constant(2);
-  const std::string s = print_c(root, {});
-  EXPECT_NE(s.find("sqrt"), std::string::npos);
-  EXPECT_NE(s.find("(double)pc"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace nrc

@@ -272,7 +272,7 @@ struct FuzzNest {
   FuzzClass cls = FuzzClass::Triangular;
   u64 seed = 0;
   bool expect_empty = false;  ///< collapse()/bind() must reject the domain
-  ParamMap calibration;       ///< small explicit calibration (keeps fuzzing fast)
+  ParamMap model_params;      ///< collapse()'s model check point (small, valid)
   ParamMap fixed_params;      ///< non-N parameters (the "S" offset), bound as-is
 
   /// Repro line prefixed to every assertion message.
@@ -293,7 +293,7 @@ inline FuzzNest make_fuzz_nest(FuzzClass cls, u64 seed) {
   FuzzNest fc;
   fc.cls = cls;
   fc.seed = seed;
-  fc.calibration["N"] = pick(2, 3);
+  fc.model_params["N"] = pick(2, 3);
 
   NestSpec n;
   n.param("N");
@@ -310,7 +310,7 @@ inline FuzzNest make_fuzz_nest(FuzzClass cls, u64 seed) {
   }
 
   // Magnitude regime: small coefficients, medium offsets, or
-  // near-demotion offsets.  The offset rides on a dedicated parameter S
+  // offsets near the exact-double limit.  The offset rides on a dedicated parameter S
   // (a literal 3e6 constant would overflow the *symbolic* ranking
   // machinery at depth 4 — shift^4 > int64 — whereas parameter folding
   // at bind() time demotes gracefully, exercising the i128 guards and
@@ -323,7 +323,7 @@ inline FuzzNest make_fuzz_nest(FuzzClass cls, u64 seed) {
   if (shift > 0) {
     n.param("S");
     fc.fixed_params["S"] = shift;
-    fc.calibration["S"] = shift;
+    fc.model_params["S"] = shift;
   }
 
   // Degenerate sub-modes.
