@@ -31,6 +31,14 @@
 //      the JSON, not SLO-gated; skipped with a note when no C toolchain
 //      is present.
 //
+//   4. Hit path per verb: serve::handle_request latency p50/p99 for
+//      describe, run, emit and lint on one hot (primed) key per depth
+//      2-4, each of 5k-50k iterations like the benchmark's serve keys.
+//      One client, the run verb at omp_get_max_threads() threads (nrcd
+//      under benchmark/ runs with OMP_NUM_THREADS=1); each trial's
+//      percentiles are reported as median, min and max over --trials.
+//      Reported, not gated.
+//
 // Emits BENCH_serving.json (bench/trajectory.py renders the serving
 // table from it) and exits non-zero when the SLO fails — the CI
 // perf-trajectory leg runs this binary, so the floor is enforced on
@@ -105,6 +113,36 @@ for (i = 0; i < N - 1; i++)
     /* body */;
   }
 )";
+
+/// Phase 4's hot keys: one per depth, 5k-50k iterations each.
+struct HitKey {
+  const char* name;
+  int depth;
+  const char* cfor;
+  i64 n;
+};
+const HitKey kHitKeys[] = {
+    {"triangular", 2, kHotCFor, 300},
+    {"tetrahedral", 3,
+     "for (i = 0; i < N; i++)\n"
+     "  for (j = i; j < N; j++)\n"
+     "    for (k = j; k < N; k++) { /* body */; }\n",
+     60},
+    {"simplex4", 4,
+     "for (i = 0; i < N; i++)\n"
+     "  for (j = i; j < N; j++)\n"
+     "    for (k = j; k < N; k++)\n"
+     "      for (l = k; l < N; l++) { /* body */; }\n",
+     25},
+};
+const char* const kHitVerbs[] = {"describe", "run", "emit", "lint"};
+
+/// "[median, min, max]" of one percentile's per-trial values, in ns.
+std::string median_min_max(std::vector<i64> v) {
+  std::sort(v.begin(), v.end());
+  return "[" + std::to_string(v[v.size() / 2]) + ", " + std::to_string(v.front()) + ", " +
+         std::to_string(v.back()) + "]";
+}
 
 }  // namespace
 
@@ -326,10 +364,60 @@ int main(int argc, char** argv) {
     std::printf("jit kernel serving: skipped (no C toolchain)\n");
   }
 
+  bench::rule();
+
+  // ------------------------------------- phase 4: hit path per verb
+  const int kHitSamples = smoke ? 40 : 400;
+  const int omp_threads = omp_get_max_threads();
+  constexpr size_t kNumKeys = std::size(kHitKeys);
+  constexpr size_t kNumVerbs = std::size(kHitVerbs);
+  // [key][verb][trial]
+  std::vector<i64> hit_p50[kNumKeys][kNumVerbs], hit_p99[kNumKeys][kNumVerbs];
+  PlanCache hits(64, 16);
+  for (int trial = 0; trial < trials; ++trial) {
+    for (size_t k = 0; k < kNumKeys; ++k) {
+      for (size_t v = 0; v < kNumVerbs; ++v) {
+        serve::Request req;
+        req.verb = kHitVerbs[v];
+        req.params = {{"N", kHitKeys[k].n}};
+        req.nest_text = kHitKeys[k].cfor;
+        const serve::Response first = serve::handle_request(hits, req);  // primes the key
+        std::vector<i64> ns;
+        ns.reserve(static_cast<size_t>(kHitSamples));
+        for (int r = 0; r < kHitSamples; ++r) {
+          const i64 t0 = now_ns();
+          const serve::Response resp = serve::handle_request(hits, req);
+          ns.push_back(now_ns() - t0);
+          if (!resp.ok || resp.outcome != "hit" ||
+              (req.verb == "run" && resp.payload != first.payload)) {
+            std::fprintf(stderr, "FAIL: %s on %s: %s %s", req.verb.c_str(), kHitKeys[k].name,
+                         resp.outcome.c_str(), resp.payload.c_str());
+            return 1;
+          }
+        }
+        hit_p50[k][v].push_back(percentile(ns, 0.50));
+        hit_p99[k][v].push_back(percentile(ns, 0.99));
+      }
+    }
+  }
+  std::printf("hit path per verb (handle_request, %d omp threads, median over %d trials)\n",
+              omp_threads, trials);
+  for (size_t k = 0; k < kNumKeys; ++k) {
+    std::printf("  %-12s d%d  N=%-4lld", kHitKeys[k].name, kHitKeys[k].depth,
+                static_cast<long long>(kHitKeys[k].n));
+    for (size_t v = 0; v < kNumVerbs; ++v) {
+      std::vector<i64> p50 = hit_p50[k][v];
+      std::printf("  %s p50 %7.1f us", kHitVerbs[v],
+                  static_cast<double>(percentile(p50, 0.50)) / 1e3);
+    }
+    std::printf("\n");
+  }
+
   const std::string out = args.out.empty() ? "BENCH_serving.json" : args.out;
   if (FILE* f = std::fopen(out.c_str(), "w")) {
     std::fprintf(f, "{\n");
     std::fprintf(f, "  \"bench\": \"serving_hammer\",\n");
+    std::fprintf(f, "  %s,\n", bench::provenance_json().c_str());
     std::fprintf(f, "  \"clients\": %d,\n", clients);
     std::fprintf(f, "  \"requests_per_s\": %.1f,\n", requests_per_s);
     std::fprintf(f, "  \"p50_request_ns\": %lld,\n", static_cast<long long>(p50_req));
@@ -349,6 +437,25 @@ int main(int argc, char** argv) {
     std::fprintf(f, "    \"warm_hit_p50_ns\": %lld,\n", static_cast<long long>(jit_p50));
     std::fprintf(f, "    \"warm_hit_p99_ns\": %lld,\n", static_cast<long long>(jit_p99));
     std::fprintf(f, "    \"disk_restart_ms\": %.2f\n", jit_disk_ms);
+    std::fprintf(f, "  },\n");
+    std::fprintf(f, "  \"hit_path\": {\n");
+    std::fprintf(f, "    \"omp_threads\": %d,\n", omp_threads);
+    std::fprintf(f, "    \"samples_per_trial\": %d,\n", kHitSamples);
+    std::fprintf(f, "    \"trials\": %d,\n", trials);
+    std::fprintf(f,
+                 "    \"stat\": \"[median, min, max] over trials of each trial's "
+                 "percentile, ns\",\n");
+    std::fprintf(f, "    \"keys\": [\n");
+    for (size_t k = 0; k < kNumKeys; ++k) {
+      std::fprintf(f, "      {\"name\": \"%s\", \"depth\": %d, \"N\": %lld, \"verbs\": {",
+                   kHitKeys[k].name, kHitKeys[k].depth, static_cast<long long>(kHitKeys[k].n));
+      for (size_t v = 0; v < kNumVerbs; ++v)
+        std::fprintf(f, "%s\"%s\": {\"p50_ns\": %s, \"p99_ns\": %s}", v ? ", " : "",
+                     kHitVerbs[v], median_min_max(hit_p50[k][v]).c_str(),
+                     median_min_max(hit_p99[k][v]).c_str());
+      std::fprintf(f, "}}%s\n", k + 1 < kNumKeys ? "," : "");
+    }
+    std::fprintf(f, "    ]\n");
     std::fprintf(f, "  }\n");
     std::fprintf(f, "}\n");
     std::fclose(f);

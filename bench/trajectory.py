@@ -120,6 +120,18 @@ def main():
             "contended_over_uncontended": slo.get("contended_over_uncontended"),
             "slo_ok": bool(slo.get("ok", False)),
         }
+        hp = serving.get("hit_path")
+        if hp:
+            # Median over trials of each trial's p50, per verb, one value
+            # per hot key in the bench's order (depth 2, 3, 4).
+            entry["serving"]["hit_path"] = {
+                "omp_threads": hp.get("omp_threads"),
+                "p50_ns": {
+                    verb: [k["verbs"][verb]["p50_ns"][0] for k in hp["keys"]]
+                    for verb in ("describe", "run", "emit", "lint")
+                },
+                "depths": [k.get("depth") for k in hp["keys"]],
+            }
         sj = serving.get("jit")
         if sj and sj.get("available"):
             entry["serving"]["jit"] = {
@@ -305,6 +317,30 @@ def main():
                     ("—" if s.get("jit", {}).get("disk_restart_ms") is None
                      else f"{s['jit']['disk_restart_ms']:.2f}"),
                 ]) + " |")
+
+    # Table 4: the hit path per verb (serving_hammer's in-process
+    # handle_request on one primed key per depth), when recorded.
+    if any("hit_path" in r.get("serving", {}) for r in runs):
+        lines += [
+            "",
+            "## Hit path per verb (serving_hammer)",
+            "",
+            "handle_request p50 in µs on one primed key per depth, each "
+            "cell `d2 / d3 / d4` (median over trials).",
+            "",
+            "| run | sha | omp threads | describe | run | emit | lint |",
+            "|" + "---|" * 7,
+        ]
+        for r in runs[-MD_ROWS:]:
+            hp = r.get("serving", {}).get("hit_path")
+            if hp is None:
+                continue
+            cells = [str(r.get("run", "?")), str(r.get("sha", "?")),
+                     str(hp.get("omp_threads", "?"))]
+            for verb in ("describe", "run", "emit", "lint"):
+                cells.append(" / ".join(f"{v / 1e3:.1f}"
+                                        for v in hp["p50_ns"].get(verb, [])))
+            lines.append("| " + " | ".join(cells) + " |")
 
     with open(args.out_md, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")

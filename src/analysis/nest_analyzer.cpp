@@ -430,6 +430,10 @@ NestCertificate analyze(const CollapsePlan& plan) {
   return cert;
 }
 
-NestCertificate CollapsePlan::analyze() const { return nrc::analyze(*this); }
+const NestCertificate& CollapsePlan::analyze() const {
+  std::call_once(cert_once_,
+                 [this] { cert_ = std::make_shared<const NestCertificate>(nrc::analyze(*this)); });
+  return *cert_;
+}
 
 }  // namespace nrc

@@ -32,8 +32,9 @@
 //
 // Entry points: analyze_nest() runs the whole pipeline defensively (it
 // never throws — a failed collapse/bind becomes NRC-E001), analyze()
-// inspects an already-built plan, and CollapsePlan::analyze() forwards
-// here.  Consumers: the describe() lint block, the nrcd "lint" verb,
+// inspects an already-built plan, and CollapsePlan::analyze() keeps the
+// plan's analyze() result after its first call.  Consumers: the
+// describe() lint block, the nrcd "lint" verb,
 // PlanCache::set_reject_errors, EmitOptions::certificate and the
 // standalone nrclint CLI.
 

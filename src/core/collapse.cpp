@@ -102,6 +102,13 @@ struct Collapsed::Impl {
   mutable std::mutex bind_mu;
   mutable std::list<std::pair<ParamMap, std::shared_ptr<const CollapsedEval>>> bind_memo;
   mutable size_t bind_reuses = 0;
+
+  // describe()'s text, rendered on first use: the artifact is immutable,
+  // and every plan bound from it shares the one copy.
+  mutable std::once_flag describe_once;
+  mutable std::string describe_text;
+
+  std::string render_describe() const;
 };
 
 const NestSpec& Collapsed::nest() const { return impl_->rs.nest; }
@@ -142,14 +149,19 @@ Collapsed collapse(const NestSpec& nest, const CollapseOptions& opts) {
 }
 
 std::string Collapsed::describe() const {
-  const RankingSystem& rs = impl_->rs;
+  std::call_once(impl_->describe_once,
+                 [im = impl_.get()] { im->describe_text = im->render_describe(); });
+  return impl_->describe_text;
+}
+
+std::string Collapsed::Impl::render_describe() const {
   std::string s;
   s += "collapsed nest:\n" + rs.nest.str();
   s += "ranking polynomial r = " + rs.rank.str() + "\n";
   s += "trip count = " + rs.total.str() + "\n";
   const int c = rs.nest.depth();
   for (int k = 0; k < c; ++k) {
-    const LevelFormula& lf = impl_->levels[static_cast<size_t>(k)];
+    const LevelFormula& lf = levels[static_cast<size_t>(k)];
     const Loop& loop = rs.nest.at(k);
     s += "level " + std::to_string(k) + " (" + loop.var + "): degree " +
          std::to_string(lf.degree);
@@ -309,6 +321,19 @@ CollapsedEval Collapsed::bind_fresh(const ParamMap& params) const {
           std::max(bound_abs(ev.bounds_lo_[static_cast<size_t>(k)], k),
                    bound_abs(ev.bounds_hi_[static_cast<size_t>(k)], k)) +
           2.0;  // margin for the guard's x+1 probes
+
+    // Every recovery evaluates rank prefixes exactly, in checked i128
+    // (the innermost level, and search wherever a closed form gives
+    // up).  Where those evaluations are not proven to fit, refuse the
+    // domain here rather than bind a plan whose recover() would throw.
+    for (int k = 0; k < c; ++k) {
+      const double worst = ev.prank_[static_cast<size_t>(k)].value_bound(B);
+      if (worst >= 0x1p127)
+        throw OverflowError("bind: the rank evaluation of level " + std::to_string(k) +
+                            " can leave the i128 range for these parameters (terms up to ~10^" +
+                            std::to_string(static_cast<int>(std::log10(worst))) +
+                            "); shrink the parameter magnitudes or offsets");
+    }
 
     for (int k = 0; k < c; ++k) {
       ev.prank_flat_[static_cast<size_t>(k)].enable_f64(B);

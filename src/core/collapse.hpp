@@ -81,7 +81,11 @@ class Collapsed {
   const std::vector<std::string>& slot_order() const;
 
   /// Bind concrete parameter values, producing the runtime evaluator.
-  /// Throws SpecError if a parameter is missing or the domain is empty.
+  /// Throws SpecError if a parameter is missing or the domain is empty,
+  /// and OverflowError where the slot-magnitude bounds cannot show that
+  /// the rank evaluations recovery needs stay inside i128 (a far shift
+  /// of a deep nest: its expanded rank terms grow with the shift to the
+  /// depth's power, so every recover() there would throw).
   ///
   /// Re-binding the same parameters on the same Collapsed (an evicted
   /// cache entry rebuilt, a deserialized plan re-bound, a warm_start)
@@ -97,7 +101,8 @@ class Collapsed {
 
   /// Human-readable report: ranking polynomial, trip count, per-level
   /// equation coefficients and the solver each level lowers to at bind
-  /// time.
+  /// time.  Rendered once per symbolic artifact (on first call) and
+  /// shared by every copy of this Collapsed.
   std::string describe() const;
 
  private:

@@ -1,6 +1,7 @@
 #include "math/polynomial.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "support/error.hpp"
 
@@ -225,6 +226,21 @@ i128 CompiledPoly::eval_i128(std::span<const i64> point) const {
     acc = checked_add(acc, v);
   }
   return exact_div(acc, den_);
+}
+
+double CompiledPoly::value_bound(const double* slot_bound) const {
+  double sum = 0.0;
+  double worst = 0.0;
+  for (const auto& t : terms_) {
+    // Factors below 1 in magnitude would shrink the product: bounding
+    // each by max(bound, 1) covers every partial product too.
+    double v = std::fabs(static_cast<double>(t.scaled_num));
+    for (std::uint32_t f = t.first; f < t.last; ++f)
+      v *= std::pow(std::max(slot_bound[factors_[f].first], 1.0), factors_[f].second);
+    sum += v;
+    worst = std::max({worst, v, sum});
+  }
+  return worst;
 }
 
 u64 CompiledPoly::slot_mask() const {

@@ -110,6 +110,10 @@ class CompiledPoly {
   /// Exact integer value at the point; throws on overflow / inexactness.
   i128 eval_i128(std::span<const i64> point) const;
 
+  /// Worst-case |value| of eval_i128's intermediates (before the final
+  /// exact division) over points with |point[s]| <= slot_bound[s].
+  double value_bound(const double* slot_bound) const;
+
   /// Floating evaluation (long double), e.g. for Newton's derivative.
   long double eval_ld(std::span<const long double> point) const;
 

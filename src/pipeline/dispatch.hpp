@@ -39,13 +39,28 @@
 // build a fresh register-resident tuple per iteration
 // (run_scalar_range_d); deeper nests share one depth-generic walk.
 //
+// A segment body can hoist what does not change along the innermost
+// loop out of it: the work on the prefix runs once per row, and the
+// innermost range is a plain loop.  The nrcd run verb sums a hash of
+// every tuple this way (serve/protocol.cpp):
+//
+//   nrc::run(plan, sched, [&](std::span<const i64> prefix, i64 j0, i64 j1) {
+//     const u64 h = hash(prefix);              // once per row
+//     u64 sum = 0;
+//     for (i64 j = j0; j < j1; ++j) sum += mix(h, j);
+//     partial[omp_get_thread_num()] += sum;    // once per segment
+//   });
+//
 // Bodies must be safe to run concurrently on distinct iterations (the
-// collapsed loops carry no dependence by assumption).
+// collapsed loops carry no dependence by assumption).  A body may
+// throw: the parallel drivers keep the first exception, skip the work
+// not yet started, and rethrow it from run() after the team has joined.
 
 #include <omp.h>
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -103,17 +118,48 @@ inline i64 chunk_end(i64 total, i64 lo, i64 chunk) {
 //
 // The two partitioning shapes every parallel range scheme reduces to.
 // `fn` receives an inclusive 1-based pc range [lo, hi] and runs inside
-// the parallel region.
+// the parallel region; a throw from it is rethrown after the join.
+
+/// The first exception a parallel region's work threw.  An exception
+/// must not leave an OpenMP region (the runtime would terminate the
+/// process), so every driver runs its work items through run(): the
+/// first throw is kept, later items are skipped, and the driver calls
+/// rethrow() on the calling thread after the join.
+class FirstException {
+ public:
+  /// Run `f` unless an earlier item failed; false once any item failed.
+  template <class F>
+  bool run(F&& f) noexcept {
+    if (failed_.load(std::memory_order_relaxed)) return false;
+    try {
+      f();
+      return true;
+    } catch (...) {
+      if (!failed_.exchange(true)) err_ = std::current_exception();
+      return false;
+    }
+  }
+  /// Call after the join.
+  void rethrow() const {
+    if (err_) std::rethrow_exception(err_);
+  }
+
+ private:
+  std::atomic<bool> failed_{false};
+  std::exception_ptr err_;  ///< written once, by the first thrower
+};
 
 /// One contiguous static block per thread.
 template <class RangeFn>
 void parallel_static_ranges(i64 total, int nt, RangeFn&& fn) {
+  FirstException err;
 #pragma omp parallel num_threads(nt)
   {
     i64 lo, cnt;
     static_thread_range(total, omp_get_num_threads(), omp_get_thread_num(), &lo, &cnt);
-    if (cnt > 0) fn(lo, lo + cnt - 1);
+    if (cnt > 0) err.run([&] { fn(lo, lo + cnt - 1); });
   }
+  err.rethrow();
 }
 
 /// Chunks of `chunk` pcs, dealt by `omp`.  Static: schedule(static,
@@ -131,6 +177,7 @@ void parallel_static_ranges(i64 total, int nt, RangeFn&& fn) {
 template <class RangeFn>
 void parallel_chunk_ranges(i64 total, i64 chunk, OmpSchedule omp, int nt, RangeFn&& fn) {
   const i64 nchunks = chunk_count(total, chunk);
+  FirstException err;
   if (omp == OmpSchedule::Dynamic) {
     std::atomic<i64> next{0};
 #pragma omp parallel num_threads(nt)
@@ -141,18 +188,20 @@ void parallel_chunk_ranges(i64 total, i64 chunk, OmpSchedule omp, int nt, RangeF
         const i64 q = next.fetch_add(take);
         if (q >= nchunks) break;
         const i64 q_last = std::min(nchunks, q + take) - 1;
-        fn(1 + q * chunk, chunk_end(total, 1 + q_last * chunk, chunk));
+        if (!err.run([&] { fn(1 + q * chunk, chunk_end(total, 1 + q_last * chunk, chunk)); }))
+          break;
       }
     }
-    return;
-  }
+  } else {
 #pragma omp parallel num_threads(nt)
-  {
-    const i64 t = omp_get_thread_num();
-    const i64 np = omp_get_num_threads();
-    for (i64 q = t; q < nchunks; q += np)
-      fn(1 + q * chunk, chunk_end(total, 1 + q * chunk, chunk));
+    {
+      const i64 t = omp_get_thread_num();
+      const i64 np = omp_get_num_threads();
+      for (i64 q = t; q < nchunks; q += np)
+        if (!err.run([&] { fn(1 + q * chunk, chunk_end(total, 1 + q * chunk, chunk)); })) break;
+    }
   }
+  err.rethrow();
 }
 
 // ------------------------------------------------------ range executors
@@ -325,21 +374,21 @@ void warp_lane_walk(const Eval& cn, i64 lane, i64 W, i64 total, std::span<i64> i
 template <class Body>
 void run_per_iteration(const CollapsedEval& cn, OmpSchedule sched, int nt, Body& body) {
   const i64 total = cn.trip_count();
+  const size_t d = static_cast<size_t>(cn.depth());
+  FirstException err;
+  const auto visit = [&](i64 pc) {
+    i64 idx[kMaxDepth];
+    cn.recover(pc, {idx, d});
+    body(std::span<const i64>(idx, d));
+  };
   if (sched == OmpSchedule::Static) {
 #pragma omp parallel for schedule(static) num_threads(nt)
-    for (i64 pc = 1; pc <= total; ++pc) {
-      i64 idx[kMaxDepth];
-      cn.recover(pc, {idx, static_cast<size_t>(cn.depth())});
-      body(std::span<const i64>(idx, static_cast<size_t>(cn.depth())));
-    }
+    for (i64 pc = 1; pc <= total; ++pc) err.run([&] { visit(pc); });
   } else {
 #pragma omp parallel for schedule(dynamic, 64) num_threads(nt)
-    for (i64 pc = 1; pc <= total; ++pc) {
-      i64 idx[kMaxDepth];
-      cn.recover(pc, {idx, static_cast<size_t>(cn.depth())});
-      body(std::span<const i64>(idx, static_cast<size_t>(cn.depth())));
-    }
+    for (i64 pc = 1; pc <= total; ++pc) err.run([&] { visit(pc); });
   }
+  err.rethrow();
 }
 
 template <class Body>
@@ -363,12 +412,16 @@ void run_warp_sim(const CollapsedEval& cn, int warp_size, int nt, Body& body) {
   std::vector<i64> tile(d * static_cast<size_t>(L));
   cn.recover_block(1, L, tile);
 
+  FirstException err;
 #pragma omp parallel for schedule(static) num_threads(nt)
   for (i64 lane = 0; lane < L; ++lane) {
-    i64 idx[kMaxDepth];
-    std::copy_n(tile.data() + static_cast<size_t>(lane) * d, d, idx);
-    warp_lane_walk(cn, lane, W, total, {idx, d}, body);
+    err.run([&] {
+      i64 idx[kMaxDepth];
+      std::copy_n(tile.data() + static_cast<size_t>(lane) * d, d, idx);
+      warp_lane_walk(cn, lane, W, total, {idx, d}, body);
+    });
   }
+  err.rethrow();
 }
 
 /// The Fig. 10 serial protocol, segment flavour: `n_chunks` costly

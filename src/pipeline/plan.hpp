@@ -23,6 +23,7 @@
 
 #include <iosfwd>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -74,15 +75,21 @@ class CollapsePlan : public std::enable_shared_from_this<CollapsePlan> {
 
   /// Static certificate for this plan: interval-propagated verdicts
   /// (trip-count i64 safety, proven-exact f64 recovery, emitted-C
-  /// coefficient range) plus structured diagnostics.  Defined in
-  /// analysis/nest_analyzer.cpp; include analysis/nest_analyzer.hpp for
-  /// the NestCertificate definition.
-  NestCertificate analyze() const;
+  /// coefficient range) plus structured diagnostics.  Computed on the
+  /// first call and kept: the plan is immutable, so describe(), the
+  /// lint verb and the JIT all reuse the one certificate (copy it to
+  /// add diagnostics).  Defined in analysis/nest_analyzer.cpp; include
+  /// analysis/nest_analyzer.hpp for the NestCertificate definition.
+  const NestCertificate& analyze() const;
 
   /// The symbolic report plus the pipeline lines: the bound parameters,
   /// the auto-selected schedule, the JIT kernel state for that
   /// schedule, the static certificate, and — for plans built through a
-  /// PlanCache — that cache's hit/miss/eviction counters.
+  /// PlanCache — that cache's hit/miss/eviction counters.  The symbolic
+  /// report (Collapsed::describe, shared by every plan of the structure)
+  /// and the certificate are computed once; the schedule line (it
+  /// follows omp_get_max_threads()), the jit line (kernel-cache state)
+  /// and the cache-stats line are rendered on every call.
   std::string describe() const;
 
   /// Serialize everything needed to rebuild this plan bit-identically —
@@ -113,6 +120,9 @@ class CollapsePlan : public std::enable_shared_from_this<CollapsePlan> {
   Collapsed col_;
   CollapsedEval eval_;
   CollapseOptions opts_;
+  /// analyze()'s memo (shared_ptr: NestCertificate is incomplete here).
+  mutable std::once_flag cert_once_;
+  mutable std::shared_ptr<const NestCertificate> cert_;
   /// The building cache's state, tracked weakly: plans share ownership
   /// and routinely outlive the cache (eviction hands the last reference
   /// to the holder), so describe() prints the cache-stats line only

@@ -53,10 +53,10 @@ std::string CollapsePlan::describe() const {
     s += "not compiled (plan->jit() / the jitrun verb compile on demand)";
   }
   s += "\n";
-  // The static certificate: verdict summary plus one line per
-  // diagnostic.  Deterministic for a given plan, so it sits above the
-  // live cache-stats line (serve clients compare everything above
-  // "plan cache:" across hits).
+  // The static certificate (computed once per plan): verdict summary
+  // plus one line per diagnostic.  Deterministic for a given plan, so
+  // it sits above the live cache-stats line (serve clients compare
+  // everything above "plan cache:" across hits).
   s += analyze().str();
   // Plans share ownership and routinely outlive the cache that built
   // them (eviction hands the last reference to the holder), so the
@@ -295,7 +295,7 @@ GetResult PlanCache::get_with_outcome(const NestSpec& nest, const ParamMap& para
     // certificate fails the build like any other bind failure — the
     // refusal propagates to every waiter and nothing stays cached.
     if (st.reject_errors.load(std::memory_order_relaxed)) {
-      const NestCertificate cert = plan->analyze();
+      const NestCertificate& cert = plan->analyze();
       if (cert.max_severity() == LintSeverity::Error) {
         std::string msg = "plan rejected by the static analyzer:";
         for (const Diagnostic& d : cert.diagnostics)

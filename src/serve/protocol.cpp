@@ -79,12 +79,13 @@ thread_local u64 tl_walk = 0;        ///< the walk tl_sum belongs to
 thread_local u64* tl_sum = nullptr;  ///< this thread's slot in that walk
 
 /// The run checksum's accumulator: per-thread cache-line-padded partial
-/// sums, added up once after the walk, so each tuple costs a plain add
-/// instead of an atomic one.  A thread claims a slot on its first tuple
-/// of a walk (the walk's serial number tells a stale claim from a live
-/// one), so any team gets distinct slots — the dispatcher's or a JIT
-/// kernel's, whatever OpenMP runtime it was built against.  Threads
-/// beyond kSlots share one atomic overflow sum.
+/// sums, added up once after the walk, so each add (one per row segment
+/// under run, one per tuple under jitrun) is a plain add instead of an
+/// atomic one.  A thread claims a slot on its first add of a walk (the
+/// walk's serial number tells a stale claim from a live one), so any
+/// team gets distinct slots — the dispatcher's or a JIT kernel's,
+/// whatever OpenMP runtime it was built against.  Threads beyond kSlots
+/// share one atomic overflow sum.
 class PartialSums {
  public:
   void add(u64 v) {
@@ -125,16 +126,21 @@ class PartialSums {
   std::atomic<u64> overflow_{0};
 };
 
+constexpr u64 kMixSeed = 0x9e3779b97f4a7c15ULL;
+
+/// One splitmix step of tuple_mix's chain: index v folded into hash h.
+inline u64 mix_step(u64 h, i64 v) {
+  u64 x = static_cast<u64>(v) + kMixSeed + h;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 }  // namespace
 
 u64 tuple_mix(std::span<const i64> idx) {
-  u64 h = 0x9e3779b97f4a7c15ULL;
-  for (const i64 v : idx) {
-    u64 x = static_cast<u64>(v) + 0x9e3779b97f4a7c15ULL + h;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    h = x ^ (x >> 31);
-  }
+  u64 h = kMixSeed;
+  for (const i64 v : idx) h = mix_step(h, v);
   return h;
 }
 
@@ -275,7 +281,8 @@ Response handle_request(PlanCache& cache, const Request& req, const ServeLimits&
         plan = std::move(got.plan);
       } catch (const Error&) {
       }
-      NestCertificate cert = plan ? analyze(*plan) : analyze_nest(nest, req.params);
+      // A copy: the plan's own certificate stays free of serving limits.
+      NestCertificate cert = plan ? plan->analyze() : analyze_nest(nest, req.params);
       // Serving limits are analyzer diagnostics here: what run would
       // refuse, lint reports as NRC-W005 with the same numbers.
       if (cert.bind_ok && cert.total_trip > limits.max_run_trip) {
@@ -313,15 +320,23 @@ Response handle_request(PlanCache& cache, const Request& req, const ServeLimits&
                         "without refusing]");
       const Schedule sched = plan.auto_schedule();
       PartialSums checksum;
-      auto body = [&checksum](std::span<const i64> idx) { checksum.add(tuple_mix(idx)); };
       std::string jit_line;
       if (req.verb == "jitrun") {
-        // The kernel's own fallback ladder guarantees an answer.
+        // The kernel calls back once per tuple; its own fallback ladder
+        // guarantees an answer.
         auto kernel = plan.jit(sched);
-        kernel->run(body);
+        kernel->run([&checksum](std::span<const i64> idx) { checksum.add(tuple_mix(idx)); });
         jit_line = "jit " + kernel->status() + "\n";
       } else {
-        nrc::run(plan, sched, body);
+        // The same sum, one row segment at a time: the prefix is hashed
+        // once per row, and the innermost range is a plain loop of one
+        // mix step per j into a local sum.
+        nrc::run(plan, sched, [&checksum](std::span<const i64> prefix, i64 j0, i64 j1) {
+          const u64 h = tuple_mix(prefix);
+          u64 sum = 0;
+          for (i64 j = j0; j < j1; ++j) sum += mix_step(h, j);
+          checksum.add(sum);
+        });
       }
       resp.payload = "checksum " + std::to_string(checksum.total()) + "\ntrip " +
                      std::to_string(plan.eval().trip_count()) + "\n" + jit_line;

@@ -18,12 +18,18 @@
 //
 // Verbs:
 //   describe  nest+params -> the plan's describe() report (includes
-//             the auto-selected schedule)
+//             the auto-selected schedule).  On a hit the symbolic
+//             report and the certificate come from memos (see
+//             CollapsePlan::describe); the schedule, jit and plan-cache
+//             lines are rendered per request.
 //   emit      nest+params -> the collapsed nest as OpenMP C (the
 //             auto-selected schedule drives the emission style)
 //   run       nest+params -> execute through the dispatcher, reply with
-//             an order-insensitive checksum and the trip count.  run
-//             never compiles: jitrun is the one verb that reaches the JIT.
+//             an order-insensitive checksum (the sum of tuple_mix over
+//             the domain) and the trip count.  The walk hands the body
+//             row segments: each row's prefix is hashed once and the
+//             innermost range summed in a plain loop.  run never
+//             compiles: jitrun is the one verb that reaches the JIT.
 //   jitrun    nest+params -> execute through the JIT-compiled
 //             specialized kernel (jit/jit_kernel.hpp) via the
 //             process-global KernelCache; replies with the run verb's
@@ -119,14 +125,17 @@ bool read_response(std::istream& is, Response& out);
 NestProgram parse_nest_text(const std::string& text);
 
 /// The run/jitrun checksum's per-tuple word: a chained splitmix mix of
-/// the recovered indices.  The reply's checksum is the sum of this over
-/// every visited tuple mod 2^64, so it does not depend on the schedule,
-/// the thread count or the visit order.
+/// the recovered indices, outermost first.  The reply's checksum is the
+/// sum of this over every visited tuple mod 2^64, so it does not depend
+/// on the schedule, the thread count or the visit order.  Because the
+/// chain runs outermost first, run computes the prefix's part once per
+/// row and only the last step per innermost index.
 u64 tuple_mix(std::span<const i64> idx);
 
 /// Serve one request against `cache`.  Never throws: every nrc::Error
-/// (parse failures, empty domains, refused limits) becomes an
-/// ok=false response with the message as payload — except under lint,
+/// (parse failures, empty domains, refused limits, binds refused for
+/// overflow, a recovery that throws inside the parallel walk) becomes
+/// an ok=false response with the message as payload — except under lint,
 /// which certifies the cached plan and turns a failing build into
 /// NRC-* diagnostics through the uncached analyze_nest().
 Response handle_request(PlanCache& cache, const Request& req,

@@ -144,5 +144,34 @@ TEST(Collapse, LargeParameterRecoveryIsExact) {
   }
 }
 
+// The 4-deep simplex shifted by S has C(N+3, 4) points whatever S is,
+// but its rank polynomial is evaluated in expanded monomials up to i^4.
+// bind() refuses a shift whose terms may leave the i128 range — every
+// recovery there would throw — and keeps binding S = 10^9 exactly.
+TEST(Collapse, BindRefusesRankEvaluationsPastI128) {
+  NestSpec nest;
+  nest.param("N").param("S")
+      .loop("i", aff::v("S"), aff::v("S") + aff::v("N"))
+      .loop("j", aff::v("i"), aff::v("S") + aff::v("N"))
+      .loop("k", aff::v("j"), aff::v("S") + aff::v("N"))
+      .loop("l", aff::v("k"), aff::v("S") + aff::v("N"));
+  const Collapsed col = collapse(nest);
+  try {
+    (void)col.bind({{"N", 5}, {"S", 30'000'000'000}});
+    ADD_FAILURE() << "bind accepted a domain every recovery of which overflows";
+  } catch (const OverflowError& e) {
+    EXPECT_NE(std::string(e.what()).find("rank evaluation"), std::string::npos) << e.what();
+  }
+
+  const CollapsedEval cn = col.bind({{"N", 5}, {"S", 1'000'000'000}});
+  ASSERT_EQ(cn.trip_count(), 70);
+  std::vector<i64> idx(4), ref(4);
+  for (i64 pc = 1; pc <= cn.trip_count(); ++pc) {
+    cn.recover(pc, idx);
+    cn.recover_search(pc, ref);
+    EXPECT_EQ(idx, ref) << "pc=" << pc;
+  }
+}
+
 }  // namespace
 }  // namespace nrc

@@ -2,12 +2,16 @@
 // key construction, the concurrent one-build hammer, key aliasing, and
 // eviction byte-identity against a cold plan.
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <set>
 #include <thread>
 #include <vector>
 
 #include "../test_util.hpp"
+#include "analysis/nest_analyzer.hpp"
+#include "jit/jit_kernel.hpp"
+#include "jit/toolchain.hpp"
 #include "pipeline/plan.hpp"
 #include "pipeline/plan_cache.hpp"
 
@@ -68,6 +72,73 @@ TEST(CollapsePlan, DescribeIsSafeAfterTheBuildingCacheDies) {
   const std::string d = plan->describe();
   EXPECT_EQ(d.find("plan cache: "), std::string::npos) << d;
   EXPECT_NE(d.find("schedule (auto): "), std::string::npos) << d;
+}
+
+/// describe() as it rendered before the memo: a fresh symbolic
+/// artifact's report, the bound parameters, the live schedule, a plan
+/// with no kernel compiled, and a certificate analyzed from scratch.
+std::string fresh_describe(const CollapsePlan& plan) {
+  std::string s = collapse(plan.nest(), plan.options()).describe();
+  s += "bound parameters:";
+  for (const auto& [name, v] : plan.params()) s += " " + name + "=" + std::to_string(v);
+  s += " (trip count " + std::to_string(plan.eval().trip_count()) + ")\n";
+  s += "schedule (auto): " + plan.auto_schedule().describe() + "\n";
+  s += "jit: not compiled (plan->jit() / the jitrun verb compile on demand)\n";
+  return s + analyze(plan).str();
+}
+
+TEST(CollapsePlan, DescribeMatchesAFreshRender) {
+  const int saved = omp_get_max_threads();
+  for (const auto& sc : testutil::closed_form_shapes()) {
+    const ParamMap p = testutil::uniform_params(sc.nest, 9);
+    if (!has_no_empty_ranges(sc.nest, p)) continue;  // outside the model
+    const auto plan = CollapsePlan::build(sc.nest, p);
+    EXPECT_EQ(plan->describe(), fresh_describe(*plan)) << sc.name;
+    // The schedule line stays live: it follows the thread count.
+    omp_set_num_threads(saved == 1 ? 3 : 1);
+    EXPECT_EQ(plan->describe(), fresh_describe(*plan)) << sc.name;
+    omp_set_num_threads(saved);
+  }
+  // A plan of the same structure through a cache shares the symbolic
+  // text and adds only the live stats line.
+  PlanCache cache(4, 2);
+  const auto a = cache.get(testutil::tetrahedral_fig6(), {{"N", 9}});
+  const auto b = cache.get(testutil::tetrahedral_fig6(), {{"N", 10}});
+  EXPECT_EQ(a->describe(), fresh_describe(*a) + cache.stats_line() + "\n");
+  EXPECT_EQ(b->describe(), fresh_describe(*b) + cache.stats_line() + "\n");
+}
+
+TEST(CollapsePlan, DescribeJitLineFollowsTheKernelCache) {
+  if (!jit::toolchain_available()) GTEST_SKIP() << "no C toolchain: no kernel can compile";
+  // A domain no other test compiles, so the process-global kernel
+  // cache holds no kernel for it yet.
+  const auto plan = CollapsePlan::build(testutil::triangular_strict(), {{"N", 4321}});
+  EXPECT_NE(plan->describe().find("\njit: not compiled"), std::string::npos);
+  ASSERT_TRUE(plan->jit()->compiled()) << plan->jit()->status();
+  const std::string d = plan->describe();
+  EXPECT_NE(d.find("\njit: kernel compiled"), std::string::npos) << d;
+}
+
+TEST(CollapsePlan, ConcurrentDescribesAgree) {
+  // Neither the symbolic text nor the certificate exists before the
+  // threads race to render them first.
+  const auto plan = CollapsePlan::build(testutil::simplex_4d(), {{"N", 11}});
+  constexpr int kThreads = 8;
+  std::vector<std::string> seen(kThreads);
+  std::vector<std::string> lint(kThreads);
+  {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+      threads.emplace_back([&, t] {
+        seen[static_cast<size_t>(t)] = plan->describe();
+        lint[static_cast<size_t>(t)] = plan->analyze().str();
+      });
+    for (auto& th : threads) th.join();
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(seen[static_cast<size_t>(t)], fresh_describe(*plan)) << "thread " << t;
+    EXPECT_EQ(lint[static_cast<size_t>(t)], analyze(*plan).str()) << "thread " << t;
+  }
 }
 
 TEST(CollapsePlan, BuildPropagatesBindFailures) {

@@ -227,6 +227,53 @@ TEST(Dispatch, EverySchemeVisitsTheExactDomain) {
   }
 }
 
+/// A body that throws must not take the process down: the exception
+/// leaves the parallel region only after the join, as itself, under
+/// every scheme and at 1 and 4 threads — and the team serves the next
+/// run.
+TEST(Dispatch, ThrowingBodyRethrowsAfterTheJoin) {
+  const Collapsed col = collapse(testutil::tetrahedral_fig6());
+  const CollapsedEval cn = col.bind({{"N", 12}});
+  const auto ref = testutil::odometer_reference(cn);
+  for (const int t : {1, 4}) {
+    const Schedule schedules[] = {
+        Schedule::per_iteration(OmpSchedule::Static, {t}),
+        Schedule::per_iteration(OmpSchedule::Dynamic, {t}),
+        Schedule::per_thread({t}),
+        Schedule::chunked(7, {t}),
+        Schedule::chunked(5, {t}, OmpSchedule::Dynamic),
+        Schedule::row_segments({t}),
+        Schedule::row_segments_chunked(11, {t}),
+        Schedule::row_segments_chunked(0, {t}, OmpSchedule::Dynamic),
+        Schedule::simd_blocks(4, {t}),
+        Schedule::simd_blocks_chunked(4, 9, {t}),
+        Schedule::warp_sim(6, {t}),
+        Schedule::serial_sim(5),
+    };
+    for (const Schedule& s : schedules) {
+      // Every tuple past the first rows throws, so several threads throw
+      // at once.
+      EXPECT_THROW(run(cn, s,
+                       [](std::span<const i64> idx) {
+                         if (idx[0] >= 3) throw OverflowError("body overflow");
+                       }),
+                   OverflowError)
+          << s.describe();
+      if (s.scheme == Scheme::RowSegments || s.scheme == Scheme::RowSegmentsChunked) {
+        EXPECT_THROW(run(cn, s,
+                         [](std::span<const i64> prefix, i64, i64) {
+                           if (prefix[0] >= 3) throw OverflowError("segment overflow");
+                         }),
+                     OverflowError)
+            << s.describe();
+      }
+      EXPECT_TRUE(testutil::run_scheme_differential(
+          cn, ref, [&](auto&& visit) { run(cn, s, visit); }))
+          << s.describe();
+    }
+  }
+}
+
 TEST(Dispatch, SegmentBodyRunsNativeOnSegmentSchemes) {
   const Collapsed col = collapse(testutil::triangular_inclusive());
   const CollapsedEval cn = col.bind({{"N", 24}});

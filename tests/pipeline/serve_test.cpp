@@ -4,6 +4,8 @@
 // rejection, and the snapshot/warm_start cache round trip.
 #include <gtest/gtest.h>
 
+#include <omp.h>
+
 #include <sstream>
 
 #include "../test_util.hpp"
@@ -73,7 +75,7 @@ TEST(ServeProtocol, ResponseWireRoundTrip) {
 
 TEST(ServeProtocol, MalformedRequestsThrowParseError) {
   serve::Request req;
-  std::istringstream unterminated("describe N=5\nfor (i = 0; i < N; i++) {}\n");
+  std::istringstream unterminated("describe N=5\nfor (i = 0; i < N; i++) { /* body */; }\n");
   EXPECT_THROW(serve::read_request(unterminated, req), ParseError);
 
   std::istringstream bad_param("describe N=abc\nfor (i = 0; i < N; i++) {}\n.\n");
@@ -180,6 +182,105 @@ TEST(ServeHandle, RunChecksumIsSyntaxAndRepeatInvariant) {
   EXPECT_EQ(again.payload, c_run.payload);
 }
 
+/// The run reply for `nest_text` at `params`, and what it must be: the
+/// sum of tuple_mix over a plain odometer of the same domain.
+void expect_run_matches_odometer(PlanCache& cache, const std::string& nest_text,
+                                 const ParamMap& params, const std::string& where) {
+  const NestSpec nest = serve::parse_nest_text(nest_text).collapsed_nest();
+  u64 sum = 0;
+  i64 trip = 0;
+  for (const auto& pt : domain_points(nest, params)) {
+    sum += serve::tuple_mix(pt);
+    ++trip;
+  }
+  const serve::Response r = serve::handle_request(cache, make_req("run", params, nest_text));
+  ASSERT_TRUE(r.ok) << where << "\n" << r.payload;
+  EXPECT_EQ(r.payload,
+            "checksum " + std::to_string(sum) + "\ntrip " + std::to_string(trip) + "\n")
+      << where;
+}
+
+// run sums tuple_mix one row segment at a time, hashing each row's
+// prefix once.  The reply must equal the per-tuple sum over a plain
+// odometer at every depth (depth 5 past the specialised walks), on rows
+// of a single point, through both surface syntaxes, and at 1 and 4
+// threads (4 threads pick the dynamic row_segments_chunked schedule).
+TEST(ServeHandle, RunChecksumMatchesTheOdometer) {
+  const struct {
+    const char* name;
+    const char* cfor;
+    ParamMap params;
+  } cases[] = {
+      {"depth 1", "for (i = 3; i < N; i++) { /* body */; }\n", {{"N", 300}}},
+      {"depth 2", kTriCFor, {{"N", 90}}},
+      {"rows of one point",
+       "for (i = 0; i < N; i++)\n"
+       "  for (j = i; j < i + 1; j++) { /* body */; }\n",
+       {{"N", 200}}},
+      {"depth 3",
+       "for (i = 0; i < N; i++)\n"
+       "  for (j = i; j < N; j++)\n"
+       "    for (k = j; k < N; k++) { /* body */; }\n",
+       {{"N", 20}}},
+      {"depth 4 shifted",
+       "for (i = S; i < S + N; i++)\n"
+       "  for (j = i; j < S + N; j++)\n"
+       "    for (k = j; k < S + N; k++)\n"
+       "      for (l = k; l < S + N + 2; l++) { /* body */; }\n",
+       {{"N", 9}, {"S", 1000}}},
+      {"depth 5",
+       "for (i = 0; i < N; i++)\n"
+       "  for (j = i; j < N; j++)\n"
+       "    for (k = 0; k < 3; k++)\n"
+       "      for (l = 0; l < 2; l++)\n"
+       "        for (m = j; m < N; m++) { /* body */; }\n",
+       {{"N", 12}}},
+  };
+  const int saved = omp_get_max_threads();
+  bool dynamic_chunks = false;
+  for (const int threads : {1, 4}) {
+    omp_set_num_threads(threads);
+    PlanCache cache(16, 2);
+    for (const auto& c : cases) {
+      const std::string where = std::string(c.name) + " at " + std::to_string(threads) + " threads";
+      expect_run_matches_odometer(cache, c.cfor, c.params, where);
+      const NestProgram prog = parse_c_for_nest(c.cfor);
+      expect_run_matches_odometer(cache, render_nest_program(prog), c.params, where + " (DSL)");
+      const Schedule pick = CollapsePlan::build(prog.collapsed_nest(), c.params)->auto_schedule();
+      dynamic_chunks = dynamic_chunks || (pick.scheme == Scheme::RowSegmentsChunked &&
+                                          pick.omp == OmpSchedule::Dynamic);
+    }
+  }
+  omp_set_num_threads(saved);
+  EXPECT_TRUE(dynamic_chunks) << "no case took the dynamic row_segments_chunked walk";
+}
+
+// The 4-deep simplex shifted by S = 3*10^10 has 70 points, but its rank
+// polynomial's terms reach ~10^43: bind refuses it, so run answers with
+// an err reply (the recovery used to throw inside the parallel region
+// and abort the server), and the next request is served as usual.
+TEST(ServeHandle, RunOverflowIsAnErrReplyNotAnAbort) {
+  const std::string shifted =
+      "for (i = S; i < S + N; i++)\n"
+      "  for (j = i; j < S + N; j++)\n"
+      "    for (k = j; k < S + N; k++)\n"
+      "      for (l = k; l < S + N; l++) { /* body */; }\n";
+  PlanCache cache(16, 2);
+  const serve::Response far = serve::handle_request(
+      cache, make_req("run", {{"N", 5}, {"S", 30'000'000'000}}, shifted));
+  EXPECT_FALSE(far.ok);
+  EXPECT_NE(far.payload.find("rank evaluation"), std::string::npos) << far.payload;
+  EXPECT_FALSE(serve::handle_request(
+                   cache, make_req("describe", {{"N", 5}, {"S", 30'000'000'000}}, shifted))
+                   .ok);
+  const serve::Response lint = serve::handle_request(
+      cache, make_req("lint", {{"N", 5}, {"S", 30'000'000'000}}, shifted));
+  ASSERT_TRUE(lint.ok);
+  EXPECT_NE(lint.payload.find("NRC-E001"), std::string::npos) << lint.payload;
+
+  expect_run_matches_odometer(cache, shifted, {{"N", 5}, {"S", 1'000'000'000}}, "S=10^9");
+}
+
 TEST(ServeHandle, RunRefusesDomainsOverTheServingLimit) {
   PlanCache cache(16, 2);
   serve::ServeLimits limits;
@@ -242,9 +343,22 @@ TEST(ServeHandle, LintIsServedFromThePlanCache) {
       serve::handle_request(cache, make_req("lint", {{"N", 50}}, kTriCFor), limits);
   ASSERT_TRUE(hit.ok) << hit.payload;
   EXPECT_EQ(hit.outcome, "hit");
-  EXPECT_EQ(hit.payload, analyze_nest(parse_c_for_nest(kTriCFor).collapsed_nest(),
-                                      {{"N", 50}})
-                             .str());
+  const std::string certificate =
+      analyze_nest(parse_c_for_nest(kTriCFor).collapsed_nest(), {{"N", 50}}).str();
+  EXPECT_EQ(hit.payload, certificate);
+  // A serving-limit warning goes on a copy of the plan's certificate:
+  // the next lint and describe of the same plan do not carry it.
+  serve::ServeLimits tight;
+  tight.max_run_trip = 10;
+  const serve::Response warned =
+      serve::handle_request(cache, make_req("lint", {{"N", 50}}, kTriCFor), tight);
+  EXPECT_NE(warned.payload.find("NRC-W005"), std::string::npos) << warned.payload;
+  EXPECT_EQ(serve::handle_request(cache, make_req("lint", {{"N", 50}}, kTriCFor), limits).payload,
+            certificate);
+  const serve::Response described =
+      serve::handle_request(cache, make_req("describe", {{"N", 50}}, kTriCFor), limits);
+  EXPECT_EQ(described.payload.find("NRC-W005"), std::string::npos) << described.payload;
+  EXPECT_NE(described.payload.find(certificate), std::string::npos) << described.payload;
 
   const size_t before = cache.size();
   const serve::Response fresh =
