@@ -34,11 +34,9 @@ int main() {
     std::printf("%.2f", i);
     // Evaluate the rational polynomial at the real point.
     double value = 0.0;
-    for (const auto& [mono, coef] : r_i00.terms()) {
-      double term = coef.to_double();
-      for (const auto& [var, exp] : mono.factors()) {
-        for (int e = 0; e < exp; ++e) term *= i;
-      }
+    for (size_t t = 0; t < r_i00.num_terms(); ++t) {
+      double term = r_i00.coef(t).to_double();
+      for (int e = 0; e < r_i00.term_degree(t); ++e) term *= i;
       value += term;
     }
     for (int pc = 1; pc <= 10; ++pc) std::printf(",%.4f", value - pc);

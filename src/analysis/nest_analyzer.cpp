@@ -150,20 +150,21 @@ IntervalPass run_interval_pass(const NestSpec& nest, const ParamMap& params,
 /// well below 2^63, so +inf simply means "does not fit").
 double poly_magnitude_bound(const Polynomial& p, i64 den_scale,
                             const std::map<std::string, Interval>& box) {
+  std::vector<double> mag;
+  for (const std::string& var : p.vars()) {
+    const auto it = box.find(var);
+    // An unbound name here means the interval pass bailed; treat as
+    // unbounded so the check conservatively refuses.
+    mag.push_back(it == box.end()
+                      ? std::numeric_limits<double>::infinity()
+                      : static_cast<double>(
+                            std::max(std::llabs(it->second.lo), std::llabs(it->second.hi))));
+  }
   double total = 0.0;
-  for (const auto& [mono, coef] : p.terms()) {
-    double term = std::fabs(coef.to_double()) * static_cast<double>(den_scale);
-    for (const auto& [var, exp] : mono.factors()) {
-      const auto it = box.find(var);
-      // An unbound name here means the interval pass bailed; treat as
-      // unbounded so the check conservatively refuses.
-      const double m =
-          it == box.end()
-              ? std::numeric_limits<double>::infinity()
-              : static_cast<double>(std::max(std::llabs(it->second.lo),
-                                             std::llabs(it->second.hi)));
-      for (int e = 0; e < exp; ++e) term *= m;
-    }
+  for (size_t t = 0; t < p.num_terms(); ++t) {
+    double term = std::fabs(p.coef(t).to_double()) * static_cast<double>(den_scale);
+    for (size_t v = 0; v < mag.size(); ++v)
+      for (int e = 0; e < p.exponent(t, v); ++e) term *= mag[v];
     total += term;
   }
   return total;

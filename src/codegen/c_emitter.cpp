@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string_view>
 
 #include "analysis/nest_analyzer.hpp"
 #include "math/rational.hpp"
@@ -16,7 +17,7 @@ struct CodeWriter {
   std::string out;
   int depth = 0;
 
-  void line(const std::string& s) {
+  void line(std::string_view s) {
     if (s.empty()) {
       out += "\n";
       return;
@@ -24,6 +25,11 @@ struct CodeWriter {
     for (int i = 0; i < depth; ++i) out += "  ";
     out += s;
     out += "\n";
+  }
+  /// Each line of `text` (rendered at depth 0) at the current depth.
+  void replay(std::string_view text) {
+    for (size_t nl; (nl = text.find('\n')) != std::string_view::npos; text.remove_prefix(nl + 1))
+      line(text.substr(0, nl));
   }
   void open(const std::string& s) {
     line(s + " {");
@@ -142,7 +148,7 @@ void emit_inner_loops_and_body(CodeWriter& w, const NestProgram& prog) {
 /// the guard makes the generated code correct for every size at the
 /// cost of a few integer operations per recovery (recoveries already
 /// run only once per thread/chunk).
-void emit_recovery(CodeWriter& w, const NestProgram& prog, const Collapsed& col) {
+void emit_recovery(CodeWriter& w, const Collapsed& col) {
   const NestSpec& sub = col.nest();
   const int c = sub.depth();
   for (int k = 0; k + 1 < c; ++k) {
@@ -211,7 +217,17 @@ void emit_recovery(CodeWriter& w, const NestProgram& prog, const Collapsed& col)
   w.line(last.var + " = (" + std::string(kIntT) + ")((" + last.lower.str() +
          ") + (pc - " + print_poly_c(r_at_lb, wide_int_opts(), /*integer_arith=*/true) +
          "));");
-  (void)prog;
+}
+
+/// The lines of an emission that depend on the Collapsed alone: the
+/// __nrc_total declaration, then the recovery (emit_recovery), at depth
+/// 0.  Rendered once per symbolic artifact (Collapsed::memo_text).
+std::string render_fixed_lines(const Collapsed& col) {
+  CodeWriter w;
+  w.line("const " + std::string(kIntT) + " __nrc_total = (" + std::string(kIntT) + ")" +
+         print_poly_c(col.ranking().total, wide_int_opts(), /*integer_arith=*/true) + ";");
+  emit_recovery(w, col);
+  return w.out;
 }
 
 /// Original-nest index incrementation (paper Fig. 4 / §V), cascading
@@ -345,10 +361,9 @@ std::string emit_collapsed_function(const NestProgram& prog, const Collapsed& co
   w.out += wide_typedef_c();
   if (const int deg = max_solver_degree(col); deg >= 2) w.out += real_solver_helpers_c(deg);
   w.open(signature(prog, "collapsed"));
-  w.line("const " + std::string(kIntT) + " __nrc_total = (" + std::string(kIntT) +
-         ")" + print_poly_c(col.ranking().total, wide_int_opts(),
-                            /*integer_arith=*/true) +
-         ";");
+  const std::string_view fixed = col.memo_text(render_fixed_lines);
+  const std::string_view recovery = fixed.substr(fixed.find('\n') + 1);
+  w.replay(fixed.substr(0, fixed.size() - recovery.size()));
   {
     std::string decl = std::string(kIntT) + " ";
     decl += private_clause(col);
@@ -362,7 +377,7 @@ std::string emit_collapsed_function(const NestProgram& prog, const Collapsed& co
         w.line("#pragma omp parallel for private(" + private_clause(col) + ") schedule(" +
                omp_sched + ")");
       w.open("for (" + std::string(kIntT) + " pc = 1; pc <= __nrc_total; pc++)");
-      emit_recovery(w, prog, col);
+      w.replay(recovery);
       emit_inner_loops_and_body(w, prog);
       w.close();
       break;
@@ -374,7 +389,7 @@ std::string emit_collapsed_function(const NestProgram& prog, const Collapsed& co
                private_clause(col) + ") schedule(" + omp_sched + ")");
       w.open("for (" + std::string(kIntT) + " pc = 1; pc <= __nrc_total; pc++)");
       w.open("if (__nrc_first)");
-      emit_recovery(w, prog, col);
+      w.replay(recovery);
       w.line("__nrc_first = 0;");
       w.close();
       emit_inner_loops_and_body(w, prog);
@@ -388,7 +403,7 @@ std::string emit_collapsed_function(const NestProgram& prog, const Collapsed& co
                omp_sched + ")");
       w.open("for (" + std::string(kIntT) + " pc = 1; pc <= __nrc_total; pc++)");
       w.open("if ((pc - 1) % " + std::to_string(opt.schedule.chunk) + " == 0)");
-      emit_recovery(w, prog, col);
+      w.replay(recovery);
       w.close();
       emit_inner_loops_and_body(w, prog);
       emit_increment(w, col);
@@ -407,7 +422,7 @@ std::string emit_collapsed_function(const NestProgram& prog, const Collapsed& co
                private_clause(col) + ") schedule(" + omp_sched + ")");
       w.open("for (" + std::string(kIntT) + " pc = 1; pc <= __nrc_total; pc += " + vlen + ")");
       w.open("if (__nrc_first)");
-      emit_recovery(w, prog, col);
+      w.replay(recovery);
       w.line("__nrc_first = 0;");
       w.close();
       for (const auto& v : sub.loop_vars())

@@ -107,6 +107,8 @@ struct Collapsed::Impl {
   // and every plan bound from it shares the one copy.
   mutable std::once_flag describe_once;
   mutable std::string describe_text;
+  mutable std::once_flag memo_once;
+  mutable std::string memo;
 
   std::string render_describe() const;
 };
@@ -152,6 +154,11 @@ std::string Collapsed::describe() const {
   std::call_once(impl_->describe_once,
                  [im = impl_.get()] { im->describe_text = im->render_describe(); });
   return impl_->describe_text;
+}
+
+const std::string& Collapsed::memo_text(std::string (*render)(const Collapsed&)) const {
+  std::call_once(impl_->memo_once, [&] { impl_->memo = render(*this); });
+  return impl_->memo;
 }
 
 std::string Collapsed::Impl::render_describe() const {
@@ -324,10 +331,37 @@ CollapsedEval Collapsed::bind_fresh(const ParamMap& params) const {
 
     // Every recovery evaluates rank prefixes exactly, in checked i128
     // (the innermost level, and search wherever a closed form gives
-    // up).  Where those evaluations are not proven to fit, refuse the
-    // domain here rather than bind a plan whose recover() would throw.
+    // up).  Where those evaluations are not proven to fit over signed
+    // per-slot ranges (the parameters, pc in [1, total], each level's
+    // clamped range with the probes' margin), refuse the domain here
+    // rather than bind a plan whose recover() would throw.
+    double lo[kMaxSlots];
+    double hi[kMaxSlots];
+    for (size_t s = 0; s < ev.nslots_; ++s) lo[s] = hi[s] = static_cast<double>(ev.base_[s]);
+    lo[ev.pc_slot_] = 1.0;
+    hi[ev.pc_slot_] = static_cast<double>(ev.total_);
+    auto range = [&](const FoldedBound& b, int level, double& r_lo, double& r_hi) {
+      r_lo = r_hi = static_cast<double>(b.cst);
+      for (int t = 0; t < b.nterms; ++t) {
+        if (b.slot[t] >= level) {  // as in bound_abs: poison the proof
+          r_lo = -1.0e300;
+          r_hi = 1.0e300;
+          return;
+        }
+        const double co = static_cast<double>(b.coef[t]);
+        r_lo += std::min(co * lo[b.slot[t]], co * hi[b.slot[t]]);
+        r_hi += std::max(co * lo[b.slot[t]], co * hi[b.slot[t]]);
+      }
+    };
     for (int k = 0; k < c; ++k) {
-      const double worst = ev.prank_[static_cast<size_t>(k)].value_bound(B);
+      double lb_lo, lb_hi, ub_lo, ub_hi;
+      range(ev.bounds_lo_[static_cast<size_t>(k)], k, lb_lo, lb_hi);
+      range(ev.bounds_hi_[static_cast<size_t>(k)], k, ub_lo, ub_hi);
+      lo[k] = std::min(lb_lo, ub_lo) - 2.0;
+      hi[k] = std::max(lb_hi, ub_hi) + 2.0;
+    }
+    for (int k = 0; k < c; ++k) {
+      const double worst = ev.prank_[static_cast<size_t>(k)].value_bound(lo, hi);
       if (worst >= 0x1p127)
         throw OverflowError("bind: the rank evaluation of level " + std::to_string(k) +
                             " can leave the i128 range for these parameters (terms up to ~10^" +

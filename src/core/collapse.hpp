@@ -105,6 +105,12 @@ class Collapsed {
   /// shared by every copy of this Collapsed.
   std::string describe() const;
 
+  /// Text that depends on this symbolic artifact alone, rendered by
+  /// `render` on first call and shared by every copy (the C emitter keeps
+  /// its recovery statements here).  Every call must pass the same
+  /// `render`.  Thread-safe.
+  const std::string& memo_text(std::string (*render)(const Collapsed&)) const;
+
  private:
   friend Collapsed collapse(const NestSpec&, const CollapseOptions&);
   CollapsedEval bind_fresh(const ParamMap& params) const;

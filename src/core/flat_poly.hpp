@@ -23,6 +23,7 @@
 // as plain (vectorizable, FMA-friendly) double math.  The recovery
 // solvers run their proven-exact guard arithmetic through this path.
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <span>
@@ -50,31 +51,27 @@ class FlatPoly {
     } catch (const OverflowError&) {
       return f;
     }
+    // Too many terms, or a degree beyond the flat cap.
+    if (p.num_terms() > static_cast<size_t>(kMaxTerms) || p.total_degree() > kMaxFactors)
+      return f;
+    const auto& vars = p.vars();
     int n = 0;
-    for (const auto& [mono, coef] : p.terms()) {
-      if (n >= kMaxTerms) return f;
+    for (size_t i = 0; i < p.num_terms(); ++i) {
       Term t;
       try {
-        const Rational scaled = coef * Rational(den);
+        const Rational scaled = p.coef(i) * Rational(den);
         if (!scaled.is_integer()) return f;  // scaling overflowed into inexactness
         t.c = scaled.num();
       } catch (const OverflowError&) {
         return f;
       }
       int nf = 0;
-      for (const auto& [var, exp] : mono.factors()) {
-        int slot = -1;
-        for (size_t s = 0; s < order.size(); ++s) {
-          if (order[s] == var) {
-            slot = static_cast<int>(s);
-            break;
-          }
-        }
-        if (slot < 0) return f;  // unbound variable
-        for (int e = 0; e < exp; ++e) {
-          if (nf >= kMaxFactors) return f;  // degree beyond the flat cap
-          t.s[nf++] = static_cast<signed char>(slot);
-        }
+      for (size_t v = 0; v < vars.size(); ++v) {
+        const int exp = p.exponent(i, v);
+        if (exp == 0) continue;
+        const auto it = std::find(order.begin(), order.end(), vars[v]);
+        if (it == order.end()) return f;  // unbound variable
+        for (int e = 0; e < exp; ++e) t.s[nf++] = static_cast<signed char>(it - order.begin());
       }
       f.t_[static_cast<size_t>(n++)] = t;
     }

@@ -31,8 +31,8 @@ struct RankingSystem {
   /// is `rank` itself.
   std::vector<Polynomial> prefix_rank;
 
-  /// Total trip count in the parameters: r(lexmax).  Always equals
-  /// subtree[0] (cross-checked by the test suite).
+  /// Total trip count in the parameters: subtree[0], which equals
+  /// r(lexmax) (cross-checked by the test suite).
   Polynomial total;
 };
 

@@ -1,5 +1,6 @@
 #include "jit/kernel_cache.hpp"
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <future>
@@ -38,6 +39,9 @@ struct KernelCacheState {
 
   size_t capacity = 32;
   std::vector<std::unique_ptr<Shard>> shards;
+  /// Entries over all shards, kept under each shard's lock; peek() reads
+  /// it without one to skip building a key when the cache is empty.
+  std::atomic<size_t> entries{0};
 
   mutable std::mutex hook_mu;
   std::function<void(const std::string&)> build_hook;
@@ -97,6 +101,7 @@ std::shared_ptr<const JitKernel> KernelCache::get(
       fut = prom.get_future().share();
       sh.lru.emplace_front(key, KernelCacheState::Entry{my_id, fut});
       sh.map.emplace(key, sh.lru.begin());
+      ++st.entries;
       if (sh.lru.size() > st.capacity) {
         // Evicting an in-flight entry is safe: waiters hold their own
         // future copies; the builder only loses the right to stay
@@ -104,6 +109,7 @@ std::shared_ptr<const JitKernel> KernelCache::get(
         // shared_ptr every consumer already holds).
         sh.map.erase(sh.lru.back().first);
         sh.lru.pop_back();
+        --st.entries;
         ++sh.stats.evictions;
       }
     }
@@ -149,6 +155,7 @@ std::shared_ptr<const JitKernel> KernelCache::get(
           it != sh.map.end() && it->second->second.id == my_id) {
         sh.lru.erase(it->second);
         sh.map.erase(it);
+        --st.entries;
       }
     }
     throw;
@@ -157,6 +164,8 @@ std::shared_ptr<const JitKernel> KernelCache::get(
 
 std::shared_ptr<const JitKernel> KernelCache::peek(const CollapsePlan& plan,
                                                    const Schedule& s) const {
+  // An empty cache holds no kernel for any key: skip serializing the plan.
+  if (state_->entries.load(std::memory_order_relaxed) == 0) return nullptr;
   const std::string key = kernel_key(plan, s);
   const KernelCacheState::Shard& sh = state_->shard_for(key);
   KernelCacheState::KernelFuture fut;
@@ -188,6 +197,7 @@ size_t KernelCache::size() const {
 void KernelCache::clear() {
   for (const auto& sh : state_->shards) {
     std::lock_guard<std::mutex> lock(sh->mu);
+    state_->entries -= sh->map.size();
     sh->lru.clear();
     sh->map.clear();
   }

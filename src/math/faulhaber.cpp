@@ -1,9 +1,8 @@
 #include "math/faulhaber.hpp"
 
+#include <deque>
 #include <mutex>
 #include <vector>
-
-#include "support/error.hpp"
 
 namespace nrc {
 namespace {
@@ -47,27 +46,30 @@ Polynomial build_faulhaber(unsigned p) {
 
 const Polynomial& faulhaber(unsigned p) {
   static std::mutex mu;
-  static std::vector<Polynomial> cache;
+  static std::deque<Polynomial> cache;  // growing it keeps returned references valid
   std::lock_guard<std::mutex> lock(mu);
   while (cache.size() <= p) cache.push_back(build_faulhaber(static_cast<unsigned>(cache.size())));
   return cache[p];
 }
 
-Polynomial sum_over_range(const Polynomial& P, const std::string& var, const Polynomial& lo,
-                          const Polynomial& hi) {
-  const Polynomial lo_minus_1 = lo - Polynomial(Rational(1));
+std::vector<Polynomial> antiderivative(const Polynomial& P, const std::string& var) {
+  // With P = sum_e c_e * var^e, Q(x) = sum_e c_e * F_e(x), so
+  // G[m] = sum_e c_e * [x^m]F_e.  F_e has degree e + 1.
   const auto coeffs = P.coefficients_in(var);
-  Polynomial acc;
+  std::vector<Polynomial> G(coeffs.size() + 1);
   for (size_t e = 0; e < coeffs.size(); ++e) {
     if (coeffs[e].is_zero()) continue;
-    if (coeffs[e].degree_in(var) > 0)
-      throw SpecError("sum_over_range: coefficient still mentions summation variable " + var);
     const Polynomial& F = faulhaber(static_cast<unsigned>(e));
-    const Polynomial upper = F.substitute("x", hi);
-    const Polynomial lower = F.substitute("x", lo_minus_1);
-    acc += coeffs[e] * (upper - lower);
+    for (size_t t = 0; t < F.num_terms(); ++t)
+      G[static_cast<size_t>(F.term_degree(t))].add_scaled(coeffs[e], F.coef(t));
   }
-  return acc;
+  return G;
+}
+
+Polynomial sum_over_range(const Polynomial& P, const std::string& var, const Polynomial& lo,
+                          const Polynomial& hi) {
+  const auto G = antiderivative(P, var);
+  return Polynomial::horner(G, hi) - Polynomial::horner(G, lo - Polynomial(Rational(1)));
 }
 
 }  // namespace nrc

@@ -13,6 +13,7 @@
 // composed with the affine bounds.  All arithmetic is exact rational.
 
 #include <string>
+#include <vector>
 
 #include "math/polynomial.hpp"
 
@@ -22,6 +23,12 @@ namespace nrc {
 /// "x" (cached; thread-safe after first use of each degree).
 /// F_0(x) = x + 1 (we use the convention 0^0 = 1).
 const Polynomial& faulhaber(unsigned p);
+
+/// The discrete antiderivative of P in `var`, as the coefficients G of
+/// Q(x) = sum_m G[m] * x^m (Polynomial::horner evaluates it):
+/// sum_{var = lo}^{hi} P = Q(hi) - Q(lo - 1) for `lo` and `hi` not
+/// involving `var`.
+std::vector<Polynomial> antiderivative(const Polynomial& P, const std::string& var);
 
 /// Closed form of   sum_{var = lo}^{hi} P   (hi inclusive) where `lo` and
 /// `hi` are polynomials not involving `var`.  The result no longer

@@ -2,68 +2,341 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <memory>
+#include <numeric>
 
 #include "support/error.hpp"
 
 namespace nrc {
+namespace {
+
+// A term's key packs one byte per field, big-endian in 64-bit words: the
+// total degree, then the exponent of each variable in name order, each
+// stored as x - 1 (mod 256), then 0xFF padding (a zero exponent).  With
+// the degree byte moved back by one (kDegreeOne), key order is the graded
+// term order: at the first variable whose exponents differ, the smaller
+// nonzero exponent comes first and a zero one last, which is how the
+// factor lists (name, exponent) compare.  The key of a product is the
+// bytewise sum of the factors' keys plus one in every byte.
+constexpr u64 kHighBits = 0x8080808080808080ull;
+constexpr u64 kOnes = 0x0101010101010101ull;
+constexpr u64 kDegreeOne = u64{1} << 56;
+
+size_t words_for(size_t nvars) { return (nvars + 8) / 8; }
+
+int shift_of(size_t i) { return 56 - 8 * static_cast<int>(i % 8); }
+
+std::uint8_t stored(const u64* key, size_t i) {
+  return static_cast<std::uint8_t>(key[i / 8] >> shift_of(i));
+}
+
+void store(u64* key, size_t i, std::uint8_t b) {
+  key[i / 8] = (key[i / 8] & ~(u64{0xFF} << shift_of(i))) | (u64{b} << shift_of(i));
+}
+
+/// Bytewise a + b (mod 256 in every byte).
+u64 add_bytes(u64 a, u64 b) {
+  return ((a & ~kHighBits) + (b & ~kHighBits)) ^ ((a ^ b) & kHighBits);
+}
+
+void append_key(std::vector<u64>& keys, const u64* key, size_t w) {
+  for (size_t k = 0; k < w; ++k) keys.push_back(key[k]);
+}
+
+bool key_less(const u64* a, const u64* b, size_t w) {
+  if (a[0] != b[0]) return a[0] + kDegreeOne < b[0] + kDegreeOne;
+  for (size_t i = 1; i < w; ++i)
+    if (a[i] != b[i]) return a[i] < b[i];
+  return false;
+}
+
+/// Buffers reused by every operation on this thread: operand keys
+/// widened to a common variable list, a product's unsorted terms, the
+/// result's terms before they are copied out at their exact size, and a
+/// byte map for re-laying keys.
+struct Scratch {
+  std::vector<u64> a, b, rows, res;
+  std::vector<Rational> coefs, res_coefs;
+  std::vector<std::uint32_t> order;
+  std::vector<int> to;
+};
+
+Scratch& scratch() {
+  thread_local Scratch s;
+  return s;
+}
+
+const std::vector<std::string>& list(const Polynomial::Names& n) {
+  static const std::vector<std::string> none;
+  return n ? *n : none;
+}
+
+/// A shared name list, or null for an empty one.
+Polynomial::Names share(std::vector<std::string> names) {
+  if (names.empty()) return nullptr;
+  return std::make_shared<const std::vector<std::string>>(std::move(names));
+}
+
+/// The sorted union of the name lists a and b: one of them when it holds
+/// the other.
+Polynomial::Names union_vars(const Polynomial::Names& a, const Polynomial::Names& b) {
+  if (a == b || std::includes(list(a).begin(), list(a).end(), list(b).begin(), list(b).end()))
+    return a;
+  if (std::includes(list(b).begin(), list(b).end(), list(a).begin(), list(a).end())) return b;
+  std::vector<std::string> u;
+  std::set_union(a->begin(), a->end(), b->begin(), b->end(), std::back_inserter(u));
+  return share(std::move(u));
+}
+
+/// n keys of src_w words re-laid into keys of w words: byte i moves to
+/// byte to[i], or is dropped when to[i] < 0.
+void relayout(const u64* src, size_t n, size_t src_w, const std::vector<int>& to, size_t w,
+              std::vector<u64>& dst) {
+  dst.assign(n * w, ~u64{0});
+  for (size_t i = 0; i < to.size(); ++i) {
+    if (to[i] < 0) continue;
+    const auto j = static_cast<size_t>(to[i]);
+    for (size_t t = 0; t < n; ++t)  // the 0xFF byte at j becomes byte i
+      dst[t * w + j / 8] ^= ((~src[t * src_w + i / 8] >> shift_of(i)) & 0xFF) << shift_of(j);
+  }
+}
+
+/// `keys` (terms over `pvars`) over `vars`, a sorted superset of `pvars`:
+/// the keys themselves when the lists agree, else widened copies in `buf`.
+const u64* widen(const std::vector<std::string>& pvars, const std::vector<u64>& keys,
+                 const std::vector<std::string>& vars, std::vector<u64>& buf) {
+  if (pvars.size() == vars.size()) return keys.data();
+  std::vector<int>& to = scratch().to;
+  to.assign(pvars.size() + 1, 0);
+  for (size_t v = 0, u = 0; v < pvars.size(); ++v, ++u) {
+    while (vars[u] != pvars[v]) ++u;
+    to[v + 1] = static_cast<int>(u + 1);
+  }
+  const size_t src_w = words_for(pvars.size());
+  relayout(keys.data(), keys.size() / src_w, src_w, to, words_for(vars.size()), buf);
+  return buf.data();
+}
+
+/// The keys (terms over `vars`) without variable v, each degree lowered
+/// by its exponent, into sc.rows, and the other variables into `rest`;
+/// returns the new key width.
+size_t drop_var(const std::vector<std::string>& vars, const std::vector<u64>& keys, size_t v,
+                Scratch& sc, Polynomial::Names& rest) {
+  const size_t src_w = words_for(vars.size());
+  const size_t w = words_for(vars.size() - 1);
+  const size_t n = keys.size() / src_w;
+  sc.to.resize(vars.size() + 1);
+  for (size_t i = 0; i < sc.to.size(); ++i) sc.to[i] = static_cast<int>(i <= v ? i : i - 1);
+  sc.to[v + 1] = -1;
+  relayout(keys.data(), n, src_w, sc.to, w, sc.rows);
+  for (size_t t = 0; t < n; ++t) {
+    const u64* key = &keys[t * src_w];
+    store(&sc.rows[t * w], 0, static_cast<std::uint8_t>(stored(key, 0) - stored(key, v + 1) - 1));
+  }
+  std::vector<std::string> names = vars;
+  names.erase(names.begin() + static_cast<std::ptrdiff_t>(v));
+  rest = share(std::move(names));
+  return w;
+}
+
+/// Sort the terms in sc.rows / sc.coefs (keys of w words) and sum those
+/// with equal keys into sc.res / sc.res_coefs; true when a sum cancelled.
+bool sort_and_combine(Scratch& sc, size_t w) {
+  sc.order.resize(sc.coefs.size());
+  std::iota(sc.order.begin(), sc.order.end(), 0u);
+  const u64* rows = sc.rows.data();
+  std::sort(sc.order.begin(), sc.order.end(), [rows, w](std::uint32_t x, std::uint32_t y) {
+    return key_less(rows + x * w, rows + y * w, w);
+  });
+  bool cancelled = false;
+  sc.res.clear();
+  sc.res_coefs.clear();
+  for (size_t k = 0; k < sc.order.size();) {
+    const u64* r = rows + sc.order[k] * w;
+    Rational c = sc.coefs[sc.order[k]];
+    for (++k; k < sc.order.size() && std::equal(r, r + w, rows + sc.order[k] * w); ++k)
+      c += sc.coefs[sc.order[k]];
+    if (c.is_zero()) {
+      cancelled = true;
+      continue;
+    }
+    append_key(sc.res, r, w);
+    sc.res_coefs.push_back(c);
+  }
+  return cancelled;
+}
+
+/// The rendering of a term's monomial, e.g. "i^2*N".
+std::string monomial_str(const Polynomial& p, size_t t) {
+  std::string s;
+  for (size_t v = 0; v < p.vars().size(); ++v) {
+    const int e = p.exponent(t, v);
+    if (e == 0) continue;
+    if (!s.empty()) s += "*";
+    s += p.vars()[v];
+    if (e != 1) s += "^" + std::to_string(e);
+  }
+  return s;
+}
+
+}  // namespace
 
 Polynomial::Polynomial(const Rational& c) {
-  if (!c.is_zero()) terms_.emplace(Monomial(), c);
+  if (c.is_zero()) return;
+  keys_.push_back(~u64{0});
+  coefs_.push_back(c);
 }
 
 Polynomial Polynomial::variable(const std::string& name) {
   Polynomial p;
-  p.terms_.emplace(Monomial::var(name), Rational(1));
+  p.vars_ = share({name});
+  p.keys_.push_back(~u64{0} >> 16);  // degree 1, exponent 1
+  p.coefs_.emplace_back(1);
   return p;
 }
 
-bool Polynomial::is_constant() const {
-  return terms_.empty() || (terms_.size() == 1 && terms_.begin()->first.is_constant());
-}
+const std::vector<std::string>& Polynomial::vars() const { return list(vars_); }
 
 Rational Polynomial::constant_term() const {
-  auto it = terms_.find(Monomial());
-  return it == terms_.end() ? Rational() : it->second;
+  return !is_zero() && term_degree(0) == 0 ? coefs_[0] : Rational();
 }
 
-void Polynomial::add_term(const Monomial& m, const Rational& c) {
-  if (c.is_zero()) return;
-  auto [it, inserted] = terms_.emplace(m, c);
-  if (!inserted) {
-    it->second += c;
-    if (it->second.is_zero()) terms_.erase(it);
+void Polynomial::set_terms(const Names& vars, const std::vector<u64>& keys,
+                           const std::vector<Rational>& coefs, bool prune) {
+  vars_ = vars;
+  keys_.assign(keys.begin(), keys.end());
+  coefs_.assign(coefs.begin(), coefs.end());
+  if (!prune) return;
+  // Drop the variables no term mentions any more; the term order stays.
+  std::vector<int>& to = scratch().to;
+  to.assign(nvars() + 1, 0);
+  int kept = 0;
+  for (size_t v = 0; v < nvars(); ++v) {
+    bool used = false;
+    for (size_t t = 0; t < num_terms() && !used; ++t) used = exponent(t, v) != 0;
+    to[v + 1] = used ? ++kept : -1;
   }
+  if (kept == static_cast<int>(nvars())) return;
+  std::vector<std::string> names;
+  for (size_t v = 0; v < nvars(); ++v)
+    if (to[v + 1] > 0) names.push_back((*vars_)[v]);
+  std::vector<u64> old;
+  old.swap(keys_);
+  relayout(old.data(), num_terms(), words_for(nvars()), to, words_for(names.size()), keys_);
+  vars_ = share(std::move(names));
+}
+
+// sum() and product() read their operands before writing `out`.
+void Polynomial::sum(const Polynomial& a, const Polynomial& b, const Rational& k,
+                     Polynomial& out) {
+  if (k.is_zero()) {
+    if (&out != &a) out = a;
+    return;
+  }
+  const bool one = k == Rational(1);
+  const bool minus_one = k == Rational(-1);
+  auto scaled = [&](const Rational& c) { return one ? c : minus_one ? -c : c * k; };
+  Scratch& sc = scratch();
+  const Names vars = union_vars(a.vars_, b.vars_);
+  const size_t w = words_for(list(vars).size());
+  const u64* ra = widen(a.vars(), a.keys_, list(vars), sc.a);
+  const u64* rb = widen(b.vars(), b.keys_, list(vars), sc.b);
+  sc.res.clear();
+  sc.res_coefs.clear();
+  auto append = [&](const u64* key, const Rational& c) {
+    append_key(sc.res, key, w);
+    sc.res_coefs.push_back(c);
+  };
+  const size_t na = a.num_terms();
+  const size_t nb = b.num_terms();
+  bool cancelled = false;
+  size_t i = 0;
+  size_t j = 0;
+  while (i < na || j < nb) {
+    if (j == nb || (i < na && key_less(ra + i * w, rb + j * w, w))) {
+      append(ra + i * w, a.coefs_[i]);
+      ++i;
+    } else if (i == na || key_less(rb + j * w, ra + i * w, w)) {
+      append(rb + j * w, scaled(b.coefs_[j]));
+      ++j;
+    } else {
+      const Rational c = a.coefs_[i] + scaled(b.coefs_[j]);
+      if (c.is_zero()) {
+        cancelled = true;
+      } else {
+        append(ra + i * w, c);
+      }
+      ++i;
+      ++j;
+    }
+  }
+  out.set_terms(vars, sc.res, sc.res_coefs, cancelled);
+}
+
+void Polynomial::product(const Polynomial& a, const Polynomial& b, Polynomial& out) {
+  if (a.is_zero() || b.is_zero()) {
+    out = Polynomial();
+    return;
+  }
+  if (a.is_constant() || b.is_constant()) {
+    // Scaling by a nonzero constant keeps every term and their order.
+    const Polynomial& p = a.is_constant() ? b : a;
+    const Rational k = a.is_constant() ? a.coefs_[0] : b.coefs_[0];
+    if (&out != &p) out = p;
+    for (Rational& c : out.coefs_) c = c * k;
+    return;
+  }
+  Scratch& sc = scratch();
+  const Names vars = union_vars(a.vars_, b.vars_);
+  const size_t w = words_for(list(vars).size());
+  const u64* ra = widen(a.vars(), a.keys_, list(vars), sc.a);
+  const u64* rb = widen(b.vars(), b.keys_, list(vars), sc.b);
+  const size_t na = a.num_terms();
+  const size_t nb = b.num_terms();
+  if (a.total_degree() + b.total_degree() > 255)
+    throw OverflowError("Polynomial: degree beyond 255");
+  sc.rows.resize(na * nb * w);
+  sc.coefs.resize(na * nb);
+  for (size_t i = 0; i < na; ++i) {
+    for (size_t j = 0; j < nb; ++j) {
+      for (size_t k = 0; k < w; ++k)
+        sc.rows[(i * nb + j) * w + k] = add_bytes(add_bytes(ra[i * w + k], rb[j * w + k]), kOnes);
+      sc.coefs[i * nb + j] = a.coefs_[i] * b.coefs_[j];
+    }
+  }
+  const bool cancelled = sort_and_combine(sc, w);
+  out.set_terms(vars, sc.res, sc.res_coefs, cancelled);
 }
 
 Polynomial Polynomial::operator-() const {
-  Polynomial r;
-  for (const auto& [m, c] : terms_) r.terms_.emplace(m, -c);
+  Polynomial r = *this;
+  for (Rational& c : r.coefs_) c = -c;
   return r;
 }
 
 Polynomial Polynomial::operator+(const Polynomial& o) const {
-  Polynomial r = *this;
-  for (const auto& [m, c] : o.terms_) r.add_term(m, c);
+  Polynomial r;
+  sum(*this, o, Rational(1), r);
   return r;
 }
 
 Polynomial Polynomial::operator-(const Polynomial& o) const {
-  Polynomial r = *this;
-  for (const auto& [m, c] : o.terms_) r.add_term(m, -c);
+  Polynomial r;
+  sum(*this, o, Rational(-1), r);
   return r;
 }
 
 Polynomial Polynomial::operator*(const Polynomial& o) const {
   Polynomial r;
-  for (const auto& [ma, ca] : terms_)
-    for (const auto& [mb, cb] : o.terms_) r.add_term(ma * mb, ca * cb);
+  product(*this, o, r);
   return r;
 }
 
 Polynomial Polynomial::operator*(const Rational& s) const {
-  Polynomial r;
-  if (s.is_zero()) return r;
-  for (const auto& [m, c] : terms_) r.terms_.emplace(m, c * s);
+  if (s.is_zero()) return {};
+  Polynomial r = *this;
+  for (Rational& c : r.coefs_) c = c * s;
   return r;
 }
 
@@ -83,97 +356,191 @@ Polynomial Polynomial::pow(unsigned e) const {
   return r;
 }
 
+int Polynomial::var_index(const std::string& var) const {
+  const auto it = std::lower_bound(vars().begin(), vars().end(), var);
+  return it == vars().end() || *it != var ? -1 : static_cast<int>(it - vars().begin());
+}
+
 int Polynomial::degree_in(const std::string& var) const {
+  const int v = var_index(var);
   int d = 0;
-  for (const auto& [m, c] : terms_) d = std::max(d, m.exponent(var));
+  for (size_t t = 0; t < num_terms() && v >= 0; ++t)
+    d = std::max(d, exponent(t, static_cast<size_t>(v)));
   return d;
-}
-
-int Polynomial::total_degree() const {
-  int d = 0;
-  for (const auto& [m, c] : terms_) d = std::max(d, m.total_degree());
-  return d;
-}
-
-std::set<std::string> Polynomial::variables() const {
-  std::set<std::string> vs;
-  for (const auto& [m, c] : terms_)
-    for (const auto& [v, e] : m.factors()) vs.insert(v);
-  return vs;
 }
 
 std::vector<Polynomial> Polynomial::coefficients_in(const std::string& var) const {
+  const int v = var_index(var);
+  if (v < 0) return {*this};
+  Scratch& sc = scratch();
+  Names rest;
+  const size_t w = drop_var(vars(), keys_, static_cast<size_t>(v), sc, rest);
+  // Terms sharing var's exponent keep their order once it is removed.
   std::vector<Polynomial> coeffs(static_cast<size_t>(degree_in(var)) + 1);
-  for (const auto& [m, c] : terms_) {
-    const int e = m.exponent(var);
-    coeffs[static_cast<size_t>(e)].add_term(m.without(var), c);
+  for (size_t e = 0; e < coeffs.size(); ++e) {
+    sc.res.clear();
+    sc.res_coefs.clear();
+    for (size_t t = 0; t < num_terms(); ++t) {
+      if (exponent(t, static_cast<size_t>(v)) != static_cast<int>(e)) continue;
+      append_key(sc.res, &sc.rows[t * w], w);
+      sc.res_coefs.push_back(coefs_[t]);
+    }
+    coeffs[e].set_terms(rest, sc.res, sc.res_coefs, true);
   }
   return coeffs;
 }
 
 Polynomial Polynomial::substitute(const std::string& var, const Polynomial& value) const {
-  const auto coeffs = coefficients_in(var);
-  // Horner over the substituted value.
+  const int v = var_index(var);
+  if (v < 0) return *this;
+  if (value.is_constant()) {
+    // Horner per remaining monomial over its var-exponents, highest
+    // first: the general Horner's operations, without its polynomials.
+    const Rational x = value.constant_term();
+    const auto vv = static_cast<size_t>(v);
+    Scratch& sc = scratch();
+    Names rest;
+    const size_t w = drop_var(vars(), keys_, vv, sc, rest);
+    const u64* rows = sc.rows.data();
+    sc.order.resize(num_terms());
+    std::iota(sc.order.begin(), sc.order.end(), 0u);
+    std::sort(sc.order.begin(), sc.order.end(), [&](std::uint32_t a, std::uint32_t b) {
+      if (key_less(rows + a * w, rows + b * w, w)) return true;
+      if (key_less(rows + b * w, rows + a * w, w)) return false;
+      return exponent(a, vv) > exponent(b, vv);
+    });
+    sc.res.clear();
+    sc.res_coefs.clear();
+    for (size_t k = 0; k < sc.order.size();) {
+      const u64* key = rows + sc.order[k] * w;
+      Rational acc = coefs_[sc.order[k]];
+      for (int e = exponent(sc.order[k], vv);;) {
+        const bool same = ++k < sc.order.size() && std::equal(key, key + w, rows + sc.order[k] * w);
+        for (const int next = same ? exponent(sc.order[k], vv) : 0; e > next; --e) acc = acc * x;
+        if (!same) break;
+        acc += coefs_[sc.order[k]];
+      }
+      if (acc.is_zero()) continue;
+      append_key(sc.res, key, w);
+      sc.res_coefs.push_back(acc);
+    }
+    Polynomial r;
+    r.set_terms(rest, sc.res, sc.res_coefs, true);
+    return r;
+  }
+  if (value.num_terms() == 1) {
+    // var := c * m: term t becomes coef_t * c^e * (its monomial without
+    // var) * m^e, e its exponent of var.
+    if (total_degree() * value.total_degree() > 255)
+      throw OverflowError("Polynomial: degree beyond 255");
+    const auto vv = static_cast<size_t>(v);
+    Scratch& sc = scratch();
+    Names rest;
+    drop_var(vars(), keys_, vv, sc, rest);
+    const Names u = union_vars(rest, value.vars_);
+    const size_t w = words_for(list(u).size());
+    const u64* rk = widen(list(rest), sc.rows, list(u), sc.a);
+    const u64* mk = widen(value.vars(), value.keys_, list(u), sc.b);
+    if (rk != sc.rows.data()) sc.rows.assign(rk, rk + num_terms() * w);
+    sc.coefs.clear();
+    for (size_t t = 0; t < num_terms(); ++t) {
+      Rational c = coefs_[t];
+      for (int e = exponent(t, vv); e > 0; --e) {
+        for (size_t k = 0; k < w; ++k)
+          sc.rows[t * w + k] = add_bytes(add_bytes(sc.rows[t * w + k], mk[k]), kOnes);
+        c = c * value.coefs_[0];
+      }
+      sc.coefs.push_back(c);
+    }
+    const bool cancelled = sort_and_combine(sc, w);
+    Polynomial r;
+    r.set_terms(u, sc.res, sc.res_coefs, cancelled);
+    return r;
+  }
+  return horner(coefficients_in(var), value);
+}
+
+Polynomial Polynomial::horner(const std::vector<Polynomial>& coeffs, const Polynomial& x) {
   Polynomial r;
   for (size_t e = coeffs.size(); e-- > 0;) {
-    r = r * value + coeffs[e];
+    product(r, x, r);
+    sum(r, coeffs[e], Rational(1), r);
   }
   return r;
 }
 
 Polynomial Polynomial::derivative(const std::string& var) const {
   Polynomial r;
-  for (const auto& [m, c] : terms_) {
-    const int e = m.exponent(var);
+  const int v = var_index(var);
+  if (v < 0) return r;
+  const size_t w = words_for(nvars());
+  Scratch& sc = scratch();
+  sc.rows.clear();
+  sc.coefs.clear();
+  for (size_t t = 0; t < num_terms(); ++t) {
+    const int e = exponent(t, static_cast<size_t>(v));
     if (e == 0) continue;
-    Monomial dm = m.without(var);
-    if (e > 1) dm = dm * Monomial::var(var, e - 1);
-    r.add_term(dm, c * Rational(e));
+    append_key(sc.rows, &keys_[t * w], w);
+    u64* key = &sc.rows[sc.rows.size() - w];
+    store(key, 0, static_cast<std::uint8_t>(stored(key, 0) - 1));
+    store(key, static_cast<size_t>(v) + 1, static_cast<std::uint8_t>(e - 2));
+    sc.coefs.push_back(coefs_[t] * Rational(e));
   }
+  // Lowering one exponent can reorder terms, but never merges two.
+  sort_and_combine(sc, w);
+  r.set_terms(vars_, sc.res, sc.res_coefs, true);
   return r;
 }
 
+template <class T, class Map>
+std::vector<T> Polynomial::values_of(const Map& vals, const char* who) const {
+  std::vector<T> x;
+  for (const std::string& v : vars()) {
+    auto it = vals.find(v);
+    if (it == vals.end()) throw SpecError(std::string(who) + ": missing value for " + v);
+    x.push_back(it->second);
+  }
+  return x;
+}
+
 Rational Polynomial::eval(const std::map<std::string, Rational>& vals) const {
+  const auto x = values_of<Rational>(vals, "Polynomial::eval");
   Rational acc(0);
-  for (const auto& [m, c] : terms_) {
-    Rational t = c;
-    for (const auto& [v, e] : m.factors()) {
-      auto it = vals.find(v);
-      if (it == vals.end()) throw SpecError("Polynomial::eval: missing value for " + v);
-      for (int k = 0; k < e; ++k) t *= it->second;
-    }
-    acc += t;
+  for (size_t t = 0; t < num_terms(); ++t) {
+    Rational term = coefs_[t];
+    for (size_t v = 0; v < nvars(); ++v)
+      for (int k = 0; k < exponent(t, v); ++k) term *= x[v];
+    acc += term;
   }
   return acc;
 }
 
 i128 Polynomial::eval_i128(const std::map<std::string, i64>& vals) const {
+  const auto x = values_of<i64>(vals, "Polynomial::eval_i128");
   const i64 den = denominator_lcm();
   i128 acc = 0;
-  for (const auto& [m, c] : terms_) {
-    i128 t = checked_mul(static_cast<i128>(c.num()), den / c.den());
-    for (const auto& [v, e] : m.factors()) {
-      auto it = vals.find(v);
-      if (it == vals.end()) throw SpecError("Polynomial::eval_i128: missing value for " + v);
-      t = checked_mul(t, ipow_checked(it->second, static_cast<unsigned>(e)));
-    }
-    acc = checked_add(acc, t);
+  for (size_t t = 0; t < num_terms(); ++t) {
+    i128 term = checked_mul(static_cast<i128>(coefs_[t].num()), den / coefs_[t].den());
+    for (size_t v = 0; v < nvars(); ++v)
+      if (const int e = exponent(t, v))
+        term = checked_mul(term, ipow_checked(x[v], static_cast<unsigned>(e)));
+    acc = checked_add(acc, term);
   }
   return exact_div(acc, den);
 }
 
 i64 Polynomial::denominator_lcm() const {
   i64 l = 1;
-  for (const auto& [m, c] : terms_) l = lcm_i64(l, c.den());
+  for (const Rational& c : coefs_) l = lcm_i64(l, c.den());
   return l;
 }
 
 std::string Polynomial::str() const {
-  if (terms_.empty()) return "0";
+  if (is_zero()) return "0";
   std::string s;
   // Render highest-degree terms first for readability.
-  for (auto it = terms_.rbegin(); it != terms_.rend(); ++it) {
-    const auto& [m, c] = *it;
+  for (size_t t = num_terms(); t-- > 0;) {
+    const Rational& c = coefs_[t];
     Rational shown = c;
     if (s.empty()) {
       if (c.num() < 0) {
@@ -184,12 +551,12 @@ std::string Polynomial::str() const {
       s += c.num() >= 0 ? " + " : " - ";
       if (c.num() < 0) shown = -c;
     }
-    if (m.is_constant()) {
+    if (term_degree(t) == 0) {
       s += shown.str();
     } else if (shown == Rational(1)) {
-      s += m.str();
+      s += monomial_str(*this, t);
     } else {
-      s += shown.str() + "*" + m.str();
+      s += shown.str() + "*" + monomial_str(*this, t);
     }
   }
   return s;
@@ -197,18 +564,23 @@ std::string Polynomial::str() const {
 
 CompiledPoly::CompiledPoly(const Polynomial& p, std::span<const std::string> order) {
   den_ = p.denominator_lcm();
-  terms_.reserve(p.terms().size());
+  std::vector<int> slot;
+  for (const std::string& v : p.vars()) {
+    auto it = std::find(order.begin(), order.end(), v);
+    if (it == order.end())
+      throw SpecError("CompiledPoly: variable " + v + " missing from slot order");
+    slot.push_back(static_cast<int>(it - order.begin()));
+  }
+  terms_.reserve(p.num_terms());
   size_t nfactors = 0;
-  for (const auto& [m, c] : p.terms()) nfactors += m.factors().size();
+  for (size_t t = 0; t < p.num_terms(); ++t)
+    for (size_t v = 0; v < slot.size(); ++v) nfactors += p.exponent(t, v) != 0;
   factors_.reserve(nfactors);
-  for (const auto& [m, c] : p.terms()) {
+  for (size_t t = 0; t < p.num_terms(); ++t) {
     const auto first = static_cast<std::uint32_t>(factors_.size());
-    for (const auto& [v, e] : m.factors()) {
-      auto it = std::find(order.begin(), order.end(), v);
-      if (it == order.end())
-        throw SpecError("CompiledPoly: variable " + v + " missing from slot order");
-      factors_.emplace_back(static_cast<int>(it - order.begin()), e);
-    }
+    for (size_t v = 0; v < slot.size(); ++v)
+      if (const int e = p.exponent(t, v)) factors_.emplace_back(slot[v], e);
+    const Rational& c = p.coef(t);
     terms_.push_back({checked_mul_i64(c.num(), den_ / c.den()), first,
                       static_cast<std::uint32_t>(factors_.size())});
   }
@@ -228,17 +600,29 @@ i128 CompiledPoly::eval_i128(std::span<const i64> point) const {
   return exact_div(acc, den_);
 }
 
-double CompiledPoly::value_bound(const double* slot_bound) const {
-  double sum = 0.0;
+double CompiledPoly::value_bound(const double* lo, const double* hi) const {
+  auto widest = [](double a, double b) { return std::max(std::fabs(a), std::fabs(b)); };
   double worst = 0.0;
+  double sum_lo = 0.0;
+  double sum_hi = 0.0;
   for (const auto& t : terms_) {
-    // Factors below 1 in magnitude would shrink the product: bounding
-    // each by max(bound, 1) covers every partial product too.
-    double v = std::fabs(static_cast<double>(t.scaled_num));
-    for (std::uint32_t f = t.first; f < t.last; ++f)
-      v *= std::pow(std::max(slot_bound[factors_[f].first], 1.0), factors_[f].second);
-    sum += v;
-    worst = std::max({worst, v, sum});
+    // The term's range after each single factor, which also covers the
+    // partial products of a FlatPoly built from the same terms.
+    double v_lo = static_cast<double>(t.scaled_num);
+    double v_hi = v_lo;
+    for (std::uint32_t f = t.first; f < t.last; ++f) {
+      const auto [slot, e] = factors_[f];
+      worst = std::max(worst, std::pow(widest(lo[slot], hi[slot]), e));  // the power itself
+      for (int k = 0; k < e; ++k) {
+        const double p[] = {v_lo * lo[slot], v_lo * hi[slot], v_hi * lo[slot], v_hi * hi[slot]};
+        v_lo = *std::min_element(p, p + 4);
+        v_hi = *std::max_element(p, p + 4);
+        worst = std::max(worst, widest(v_lo, v_hi));
+      }
+    }
+    sum_lo += v_lo;
+    sum_hi += v_hi;
+    worst = std::max({worst, widest(v_lo, v_hi), widest(sum_lo, sum_hi)});
   }
   return worst;
 }

@@ -3,25 +3,37 @@
 //
 // This is the construction-time workhorse of the library: ranking Ehrhart
 // polynomials, trip-count polynomials and level-equation coefficients are
-// all nrc::Polynomial values.  Construction happens once per collapse, so
-// the representation favours clarity (ordered term map) over raw speed;
-// the runtime hot paths use CompiledPoly, which resolves variables to
-// dense slots and evaluates exactly in __int128.
+// all nrc::Polynomial values, built on every cold collapse and folded on
+// every bind.  A polynomial holds the sorted list of the variables it
+// mentions (immutable, and shared by the polynomials built over the same
+// list); each term is a key packing the term's total degree and one
+// exponent byte per listed variable into 64-bit words, and all keys sit
+// in one flat array beside the coefficients.  Keys compare as integers
+// in the term order and multiply by a bytewise add, so sums merge and
+// products sort keys in reused per-thread buffers, and no term costs a
+// node, a string or a vector of its own.  There is no global name table:
+// names live only as long as the polynomials that use them.  The runtime
+// hot paths use CompiledPoly, which resolves variables to dense slots and
+// evaluates exactly in __int128.
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <set>
 #include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "math/monomial.hpp"
 #include "math/rational.hpp"
 
 namespace nrc {
 
 /// Sparse multivariate polynomial with Rational coefficients.
+///
+/// Terms are kept in graded order: lower total degree first, then by the
+/// monomial's factor list (variable name, exponent), compared as a list.
+/// str(), print_poly_c() and CompiledPoly all walk this order.
 class Polynomial {
  public:
   /// The zero polynomial.
@@ -33,8 +45,8 @@ class Polynomial {
   /// The polynomial consisting of a single variable.
   static Polynomial variable(const std::string& name);
 
-  bool is_zero() const { return terms_.empty(); }
-  bool is_constant() const;
+  bool is_zero() const { return coefs_.empty(); }
+  bool is_constant() const { return is_zero() || (num_terms() == 1 && term_degree(0) == 0); }
   /// Constant term (coefficient of the 1 monomial).
   Rational constant_term() const;
 
@@ -45,11 +57,22 @@ class Polynomial {
   Polynomial operator*(const Rational& s) const;
   Polynomial operator/(const Rational& s) const;
 
-  Polynomial& operator+=(const Polynomial& o) { return *this = *this + o; }
-  Polynomial& operator-=(const Polynomial& o) { return *this = *this - o; }
-  Polynomial& operator*=(const Polynomial& o) { return *this = *this * o; }
+  // In place: the result reuses this polynomial's buffers.
+  Polynomial& operator+=(const Polynomial& o) { return add_scaled(o, Rational(1)); }
+  Polynomial& operator-=(const Polynomial& o) { return add_scaled(o, Rational(-1)); }
+  /// *this += k * o.
+  Polynomial& add_scaled(const Polynomial& o, const Rational& k) {
+    sum(*this, o, k, *this);
+    return *this;
+  }
+  Polynomial& operator*=(const Polynomial& o) {
+    product(*this, o, *this);
+    return *this;
+  }
 
-  bool operator==(const Polynomial& o) const { return terms_ == o.terms_; }
+  bool operator==(const Polynomial& o) const {
+    return coefs_ == o.coefs_ && keys_ == o.keys_ && vars() == o.vars();
+  }
 
   /// p^e for non-negative integer e (p^0 == 1).
   Polynomial pow(unsigned e) const;
@@ -57,10 +80,10 @@ class Polynomial {
   /// Degree in a specific variable (-1 convention: zero polynomial has
   /// degree 0 here for simplicity — callers treat it as constant).
   int degree_in(const std::string& var) const;
-  int total_degree() const;
+  int total_degree() const { return is_zero() ? 0 : term_degree(num_terms() - 1); }
 
   /// All variables mentioned by the polynomial.
-  std::set<std::string> variables() const;
+  std::set<std::string> variables() const { return {vars().begin(), vars().end()}; }
 
   /// Coefficients viewed as a univariate polynomial in `var`:
   /// result[e] is the coefficient polynomial of var^e (result has size
@@ -69,6 +92,9 @@ class Polynomial {
 
   /// Substitute `var` := `value` (a polynomial), returning the result.
   Polynomial substitute(const std::string& var, const Polynomial& value) const;
+
+  /// sum_e coeffs[e] * x^e, by Horner's rule.
+  static Polynomial horner(const std::vector<Polynomial>& coeffs, const Polynomial& x);
 
   /// Partial derivative with respect to `var`.
   Polynomial derivative(const std::string& var) const;
@@ -83,15 +109,44 @@ class Polynomial {
   /// Least common multiple of all coefficient denominators (>= 1).
   i64 denominator_lcm() const;
 
-  const std::map<Monomial, Rational>& terms() const { return terms_; }
+  // Term view, in term order: term t has coefficient coef(t) and raises
+  // vars()[v] to exponent(t, v) (0 when absent).  Every listed variable
+  // occurs in some term.
+  const std::vector<std::string>& vars() const;
+  size_t num_terms() const { return coefs_.size(); }
+  const Rational& coef(size_t t) const { return coefs_[t]; }
+  int exponent(size_t t, size_t v) const { return byte_at(t, v + 1); }
+  int term_degree(size_t t) const { return byte_at(t, 0); }
 
   /// Human-readable rendering, e.g. "1/2*i^2 + 3/2*i + 1".
   std::string str() const;
 
- private:
-  void add_term(const Monomial& m, const Rational& c);
+  /// A variable list, shared by the polynomials built over it (null when
+  /// empty).
+  using Names = std::shared_ptr<const std::vector<std::string>>;
 
-  std::map<Monomial, Rational> terms_;  // no zero coefficients stored
+ private:
+  size_t nvars() const { return vars_ ? vars_->size() : 0; }
+  /// Field i of term t's key (0: the total degree, 1 + v: the exponent
+  /// of vars_[v]); the key stores each field minus one (see the .cpp).
+  int byte_at(size_t t, size_t i) const {
+    const u64 word = keys_[t * ((nvars() + 8) / 8) + i / 8];
+    return static_cast<std::uint8_t>((word >> (56 - 8 * (i % 8))) + 1);
+  }
+  int var_index(const std::string& var) const;  ///< -1 when absent
+  template <class T, class Map>
+  std::vector<T> values_of(const Map& vals, const char* who) const;
+  /// Take the given terms, then (prune) drop the variables they no longer
+  /// mention.
+  void set_terms(const Names& vars, const std::vector<u64>& keys,
+                 const std::vector<Rational>& coefs, bool prune);
+  /// out := a + k * b and out := a * b; `out` may be an operand.
+  static void sum(const Polynomial& a, const Polynomial& b, const Rational& k, Polynomial& out);
+  static void product(const Polynomial& a, const Polynomial& b, Polynomial& out);
+
+  Names vars_;                     // sorted by name
+  std::vector<u64> keys_;          // (nvars() + 8) / 8 words per term
+  std::vector<Rational> coefs_;    // no zero coefficients stored
 };
 
 /// A polynomial pre-bound to a dense variable ordering for fast, exact
@@ -110,9 +165,11 @@ class CompiledPoly {
   /// Exact integer value at the point; throws on overflow / inexactness.
   i128 eval_i128(std::span<const i64> point) const;
 
-  /// Worst-case |value| of eval_i128's intermediates (before the final
-  /// exact division) over points with |point[s]| <= slot_bound[s].
-  double value_bound(const double* slot_bound) const;
+  /// Worst-case |value| of eval_i128's intermediates (each partial
+  /// product, factor by factor, and each partial sum, in term order,
+  /// before the final exact division) over points with
+  /// lo[s] <= point[s] <= hi[s].
+  double value_bound(const double* lo, const double* hi) const;
 
   /// Floating evaluation (long double), e.g. for Newton's derivative.
   long double eval_ld(std::span<const long double> point) const;

@@ -64,7 +64,7 @@ i64 AffineExpr::eval(const std::map<std::string, i64>& vals) const {
 
 Polynomial AffineExpr::to_poly() const {
   Polynomial p{Rational(cst_)};
-  for (const auto& [v, c] : coefs_) p += Polynomial::variable(v) * Rational(c);
+  for (const auto& [v, c] : coefs_) p.add_scaled(Polynomial::variable(v), Rational(c));
   return p;
 }
 

@@ -13,13 +13,14 @@ std::string var_ref(const std::string& name, const CPrintOptions& opt,
   return id;
 }
 
-std::string monomial_c(const Monomial& m, const CPrintOptions& opt,
+/// Term t's monomial as a product of variable references.
+std::string monomial_c(const Polynomial& p, size_t t, const CPrintOptions& opt,
                        const std::string& cast) {
   std::string s;
-  for (const auto& [v, e] : m.factors()) {
-    for (int k = 0; k < e; ++k) {
+  for (size_t v = 0; v < p.vars().size(); ++v) {
+    for (int k = 0; k < p.exponent(t, v); ++k) {
       if (!s.empty()) s += "*";
-      s += var_ref(v, opt, cast);
+      s += var_ref(p.vars()[v], opt, cast);
     }
   }
   return s;
@@ -31,8 +32,8 @@ std::string print_poly_c(const Polynomial& p, const CPrintOptions& opt, bool int
   if (p.is_zero()) return "0";
   const i64 den = p.denominator_lcm();
   std::string body;
-  for (auto it = p.terms().rbegin(); it != p.terms().rend(); ++it) {
-    const auto& [m, c] = *it;
+  for (size_t t = p.num_terms(); t-- > 0;) {
+    const Rational& c = p.coef(t);
     // Scaled integer coefficient over the common denominator.
     const i64 num = c.num() * (den / c.den());
     i64 shown = num;
@@ -46,8 +47,8 @@ std::string print_poly_c(const Polynomial& p, const CPrintOptions& opt, bool int
       if (num < 0) shown = -num;
     }
     const std::string mono =
-        monomial_c(m, opt, integer_arith ? opt.int_var_cast : opt.var_cast);
-    if (m.is_constant()) {
+        monomial_c(p, t, opt, integer_arith ? opt.int_var_cast : opt.var_cast);
+    if (p.term_degree(t) == 0) {
       body += std::to_string(shown);
     } else if (shown == 1) {
       body += mono;

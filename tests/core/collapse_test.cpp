@@ -171,6 +171,22 @@ TEST(Collapse, BindRefusesRankEvaluationsPastI128) {
     cn.recover_search(pc, ref);
     EXPECT_EQ(idx, ref) << "pc=" << pc;
   }
+
+  // Signed per-slot ranges let terms of opposite sign offset each other
+  // in the bound: S = 2.1*10^9 binds (a magnitude bound refused it from
+  // S ~ 1.87*10^9), and its recoveries are exact.
+  for (const i64 n : {5, 50}) {
+    const CollapsedEval far = col.bind({{"N", n}, {"S", 2'100'000'000}});
+    const i64 total = far.trip_count();
+    for (i64 pc = 1; pc <= total; pc += std::max<i64>(1, total / 97)) {
+      far.recover(pc, idx);
+      far.recover_search(pc, ref);
+      EXPECT_EQ(idx, ref) << "N=" << n << " pc=" << pc;
+    }
+    far.recover(total, idx);
+    far.recover_search(total, ref);
+    EXPECT_EQ(idx, ref) << "N=" << n << " pc=" << total;
+  }
 }
 
 }  // namespace

@@ -7,7 +7,8 @@
 // property the §V chunked schemes rely on to keep per-chunk recovery
 // overhead flat — and that neither does the tuple walk nrc::run drives
 // a range scheme's body with.  The quartic solver allocates nothing
-// even on a thread's first recovery.
+// even on a thread's first recovery.  It also holds the symbolic
+// ranking build to an allocation budget.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -188,6 +189,31 @@ TEST(NoAllocation, TupleWalkHotPath) {
     const long long after = g_allocations.load();
     EXPECT_EQ(after, before) << c.name << ": the tuple walk allocated";
     EXPECT_NE(sum, 0) << c.name;
+  }
+}
+
+TEST(AllocationBudget, RankingSystemBuild) {
+  // The symbolic build is not allocation-free, but its count is
+  // deterministic: flat term arrays with shared variable lists keep it
+  // near the number of polynomials built.  The budgets sit a little
+  // above the measured counts (simplex4 465, c4a 462), far below the
+  // ~3,300 allocations of the string-keyed term maps they replaced.
+  NestSpec c4a;
+  c4a.param("N")
+      .loop("i", aff::c(0), aff::v("N"))
+      .loop("j", aff::v("i"), aff::v("N"))
+      .loop("k", aff::v("j"), aff::v("N"))
+      .loop("l", aff::v("k"), aff::v("N") + 1);
+  const std::pair<const char*, NestSpec> nests[] = {{"simplex4", testutil::simplex_4d()},
+                                                    {"c4a", c4a}};
+  for (const auto& [name, nest] : nests) {
+    (void)build_ranking_system(nest);  // first use: per-thread buffers, Faulhaber cache
+    const long long before = t_allocations;
+    const RankingSystem rs = build_ranking_system(nest);
+    const long long used = t_allocations - before;
+    EXPECT_LE(used, 520) << name;
+    EXPECT_GT(used, 0) << name;
+    RecordProperty(name, static_cast<int>(used));
   }
 }
 

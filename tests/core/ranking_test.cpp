@@ -62,7 +62,7 @@ TEST(Ranking, TotalEqualsSubtreeRoot) {
   // r(lexmax) vs the S_0 nested summation.
   for (const auto& sc : testutil::closed_form_shapes()) {
     const RankingSystem rs = build_ranking_system(sc.nest);
-    EXPECT_EQ(rs.total, rs.subtree[0]) << sc.name;
+    EXPECT_EQ(rs.total, substitute_trailing_lexmax(rs.rank, rs.nest, -1)) << sc.name;
   }
 }
 

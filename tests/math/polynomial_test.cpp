@@ -8,24 +8,34 @@ namespace {
 Polynomial X() { return Polynomial::variable("x"); }
 Polynomial Y() { return Polynomial::variable("y"); }
 
-TEST(Monomial, Basics) {
-  const Monomial one;
-  EXPECT_TRUE(one.is_constant());
+TEST(Polynomial, TermView) {
+  const Polynomial one(1);
+  EXPECT_EQ(one.num_terms(), 1u);
+  EXPECT_TRUE(one.vars().empty());
+  EXPECT_EQ(one.term_degree(0), 0);
   EXPECT_EQ(one.str(), "1");
-  const Monomial x2 = Monomial::var("x", 2);
-  EXPECT_EQ(x2.exponent("x"), 2);
-  EXPECT_EQ(x2.exponent("y"), 0);
-  EXPECT_EQ(x2.total_degree(), 2);
-  EXPECT_EQ((x2 * Monomial::var("y")).str(), "x^2*y");
-  EXPECT_EQ((x2 * Monomial::var("x")).exponent("x"), 3);
-  EXPECT_EQ(x2.without("x"), one);
-  EXPECT_THROW(Monomial::var("x", 0), SpecError);
+  const Polynomial x2y = X().pow(2) * Y() * Rational(3);
+  ASSERT_EQ(x2y.vars(), (std::vector<std::string>{"x", "y"}));
+  ASSERT_EQ(x2y.num_terms(), 1u);
+  EXPECT_EQ(x2y.exponent(0, 0), 2);
+  EXPECT_EQ(x2y.exponent(0, 1), 1);
+  EXPECT_EQ(x2y.term_degree(0), 3);
+  EXPECT_EQ(x2y.coef(0), Rational(3));
+  EXPECT_EQ(x2y.str(), "3*x^2*y");
+  // A variable every term loses leaves the list.
+  EXPECT_EQ((x2y - x2y + X()).vars(), std::vector<std::string>{"x"});
+  EXPECT_TRUE(x2y.derivative("z").vars().empty());
 }
 
-TEST(Monomial, GradedOrdering) {
-  EXPECT_LT(Monomial(), Monomial::var("x"));
-  EXPECT_LT(Monomial::var("x"), Monomial::var("x", 2));
-  EXPECT_LT(Monomial::var("z"), Monomial::var("x") * Monomial::var("y"));
+TEST(Polynomial, GradedTermOrder) {
+  // Lower total degree first; within a degree the factor lists (name,
+  // exponent) compare as lists, so z < x*y, x*y < x^2 < y^2; str()
+  // prints the order reversed.
+  const Polynomial z = Polynomial::variable("z");
+  EXPECT_EQ((Polynomial(1) + X() + X().pow(2)).str(), "x^2 + x + 1");
+  EXPECT_EQ((z + X() * Y()).str(), "x*y + z");
+  EXPECT_EQ((Y().pow(2) + X().pow(2) + X() * Y()).str(), "y^2 + x^2 + x*y");
+  EXPECT_EQ((X() + Y() + z).str(), "z + y + x");
 }
 
 TEST(Polynomial, ConstructionAndZero) {
@@ -47,7 +57,8 @@ TEST(Polynomial, Arithmetic) {
 TEST(Polynomial, CancellationRemovesTerms) {
   const Polynomial p = X() - X();
   EXPECT_TRUE(p.is_zero());
-  EXPECT_TRUE(p.terms().empty());
+  EXPECT_EQ(p.num_terms(), 0u);
+  EXPECT_TRUE(p.vars().empty());
 }
 
 TEST(Polynomial, Pow) {
