@@ -222,10 +222,16 @@ int main(int argc, char** argv) {
   const int kBuilders = 2;
   const int kColdBuildsPerBuilder = smoke ? 3 : 12;
   const int kUncSamples = smoke ? 2000 : 20000;
+  // Builders keep going past their quota until the hitter holds this many
+  // contended samples: with fast cold builds the quota alone can finish
+  // before the hitter's first sample, and an empty sample set has no p99.
+  const int kMinContSamples = smoke ? 200 : 2000;
   const i64 kHotN = 3000;
   const int trials = smoke ? 1 : std::max(1, args.trials);
   i64 best_unc = -1, best_cont = -1;
   i64 cold_ns_sum = 0, cold_builds = 0;
+  // Each shift is one more distinct cold quartic structure, across trials too.
+  std::atomic<i64> shift_counter{0};
 
   for (int trial = 0; trial < trials; ++trial) {
     PlanCache shard(8, 1);  // one shard: every key contends by construction
@@ -243,15 +249,13 @@ int main(int argc, char** argv) {
     // Contended: builders force distinct cold quartic plans through the
     // same (only) shard while one hitter hammers the hot key.
     std::atomic<int> builders_left{kBuilders};
-    // Distinct across trials too, and small: each shift is one more
-    // cold quartic build.
-    std::atomic<i64> shift_counter{trial * kBuilders * kColdBuildsPerBuilder};
+    std::atomic<int> cont_taken{0};
     std::vector<std::thread> builders;
     std::atomic<i64> trial_cold_ns{0};
     std::atomic<i64> trial_cold_n{0};
     for (int b = 0; b < kBuilders; ++b)
       builders.emplace_back([&] {
-        for (int i = 0; i < kColdBuildsPerBuilder; ++i) {
+        for (int i = 0; i < kColdBuildsPerBuilder || cont_taken.load() < kMinContSamples; ++i) {
           const i64 shift = shift_counter.fetch_add(1);
           const i64 t0 = now_ns();
           const GetResult r = shard.get_with_outcome(shifted_simplex4(shift), {{"N", 40}});
@@ -272,6 +276,7 @@ int main(int argc, char** argv) {
       const i64 t0 = now_ns();
       (void)shard.get_with_outcome(triangular(), {{"N", kHotN}});
       cont.push_back(now_ns() - t0);
+      ++cont_taken;
     }
     for (auto& th : builders) th.join();
 

@@ -221,7 +221,7 @@ void emit_recovery(CodeWriter& w, const Collapsed& col) {
 
 /// The lines of an emission that depend on the Collapsed alone: the
 /// __nrc_total declaration, then the recovery (emit_recovery), at depth
-/// 0.  Rendered once per symbolic artifact (Collapsed::memo_text).
+/// 0.  Rendered once per symbolic artifact (Collapsed::emitted_recovery_text).
 std::string render_fixed_lines(const Collapsed& col) {
   CodeWriter w;
   w.line("const " + std::string(kIntT) + " __nrc_total = (" + std::string(kIntT) + ")" +
@@ -361,7 +361,7 @@ std::string emit_collapsed_function(const NestProgram& prog, const Collapsed& co
   w.out += wide_typedef_c();
   if (const int deg = max_solver_degree(col); deg >= 2) w.out += real_solver_helpers_c(deg);
   w.open(signature(prog, "collapsed"));
-  const std::string_view fixed = col.memo_text(render_fixed_lines);
+  const std::string_view fixed = col.emitted_recovery_text(render_fixed_lines);
   const std::string_view recovery = fixed.substr(fixed.find('\n') + 1);
   w.replay(fixed.substr(0, fixed.size() - recovery.size()));
   {

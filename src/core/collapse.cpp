@@ -5,6 +5,7 @@
 #include <cstring>
 #include <list>
 #include <mutex>
+#include <stdexcept>
 #include <type_traits>
 
 #include "core/real_solvers.hpp"
@@ -107,8 +108,9 @@ struct Collapsed::Impl {
   // and every plan bound from it shares the one copy.
   mutable std::once_flag describe_once;
   mutable std::string describe_text;
-  mutable std::once_flag memo_once;
-  mutable std::string memo;
+  mutable std::once_flag recovery_once;
+  mutable std::string recovery_text;
+  mutable std::string (*recovery_render)(const Collapsed&) = nullptr;
 
   std::string render_describe() const;
 };
@@ -156,9 +158,15 @@ std::string Collapsed::describe() const {
   return impl_->describe_text;
 }
 
-const std::string& Collapsed::memo_text(std::string (*render)(const Collapsed&)) const {
-  std::call_once(impl_->memo_once, [&] { impl_->memo = render(*this); });
-  return impl_->memo;
+const std::string& Collapsed::emitted_recovery_text(
+    std::string (*render)(const Collapsed&)) const {
+  std::call_once(impl_->recovery_once, [&] {
+    impl_->recovery_text = render(*this);
+    impl_->recovery_render = render;
+  });
+  if (impl_->recovery_render != render)
+    throw std::logic_error("Collapsed::emitted_recovery_text: a second renderer");
+  return impl_->recovery_text;
 }
 
 std::string Collapsed::Impl::render_describe() const {

@@ -105,11 +105,12 @@ class Collapsed {
   /// shared by every copy of this Collapsed.
   std::string describe() const;
 
-  /// Text that depends on this symbolic artifact alone, rendered by
-  /// `render` on first call and shared by every copy (the C emitter keeps
-  /// its recovery statements here).  Every call must pass the same
-  /// `render`.  Thread-safe.
-  const std::string& memo_text(std::string (*render)(const Collapsed&)) const;
+  /// The C emitter's lines that depend on this symbolic artifact alone
+  /// (its trip-count declaration and recovery block), rendered by
+  /// `render` on first call and shared by every copy.  A later call with
+  /// a different `render` throws std::logic_error rather than return the
+  /// first renderer's text.  Thread-safe.
+  const std::string& emitted_recovery_text(std::string (*render)(const Collapsed&)) const;
 
  private:
   friend Collapsed collapse(const NestSpec&, const CollapseOptions&);

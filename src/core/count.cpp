@@ -1,19 +1,11 @@
 #include "core/count.hpp"
 
+#include "core/ranking.hpp"
+
 namespace nrc {
 
 std::vector<Polynomial> subtree_counts(const NestSpec& spec) {
-  spec.validate();
-  const int c = spec.depth();
-  std::vector<Polynomial> S(static_cast<size_t>(c) + 1);
-  S[static_cast<size_t>(c)] = Polynomial(Rational(1));
-  for (int k = c - 1; k >= 0; --k) {
-    const Loop& l = spec.at(k);
-    S[static_cast<size_t>(k)] =
-        sum_over_range(S[static_cast<size_t>(k) + 1], l.var, l.lower.to_poly(),
-                       l.upper.to_poly() - Polynomial(Rational(1)));
-  }
-  return S;
+  return build_ranking_system(spec).subtree;
 }
 
 Polynomial count_polynomial(const NestSpec& spec) { return subtree_counts(spec)[0]; }

@@ -1,5 +1,6 @@
 #include "core/ranking.hpp"
 
+#include "math/faulhaber.hpp"
 #include "support/error.hpp"
 
 namespace nrc {

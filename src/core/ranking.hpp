@@ -19,7 +19,8 @@ namespace nrc {
 struct RankingSystem {
   NestSpec nest;  ///< validated collapsed sub-nest
 
-  /// S_k subtree count polynomials (see subtree_counts).
+  /// S_k for k = 0..depth: the points of loops k..depth-1, a polynomial
+  /// in loop variables 0..k-1 and the parameters (S_depth == 1).
   std::vector<Polynomial> subtree;
 
   /// r(i0..i_{c-1}): rank polynomial over loop vars + params.

@@ -66,10 +66,4 @@ std::vector<Polynomial> antiderivative(const Polynomial& P, const std::string& v
   return G;
 }
 
-Polynomial sum_over_range(const Polynomial& P, const std::string& var, const Polynomial& lo,
-                          const Polynomial& hi) {
-  const auto G = antiderivative(P, var);
-  return Polynomial::horner(G, hi) - Polynomial::horner(G, lo - Polynomial(Rational(1)));
-}
-
 }  // namespace nrc

@@ -30,11 +30,4 @@ const Polynomial& faulhaber(unsigned p);
 /// involving `var`.
 std::vector<Polynomial> antiderivative(const Polynomial& P, const std::string& var);
 
-/// Closed form of   sum_{var = lo}^{hi} P   (hi inclusive) where `lo` and
-/// `hi` are polynomials not involving `var`.  The result no longer
-/// involves `var`.  The identity assumes a non-empty range (hi >= lo-1);
-/// for hi == lo-1 the result is exactly zero, matching an empty sum.
-Polynomial sum_over_range(const Polynomial& P, const std::string& var, const Polynomial& lo,
-                          const Polynomial& hi);
-
 }  // namespace nrc

@@ -391,72 +391,7 @@ std::vector<Polynomial> Polynomial::coefficients_in(const std::string& var) cons
 }
 
 Polynomial Polynomial::substitute(const std::string& var, const Polynomial& value) const {
-  const int v = var_index(var);
-  if (v < 0) return *this;
-  if (value.is_constant()) {
-    // Horner per remaining monomial over its var-exponents, highest
-    // first: the general Horner's operations, without its polynomials.
-    const Rational x = value.constant_term();
-    const auto vv = static_cast<size_t>(v);
-    Scratch& sc = scratch();
-    Names rest;
-    const size_t w = drop_var(vars(), keys_, vv, sc, rest);
-    const u64* rows = sc.rows.data();
-    sc.order.resize(num_terms());
-    std::iota(sc.order.begin(), sc.order.end(), 0u);
-    std::sort(sc.order.begin(), sc.order.end(), [&](std::uint32_t a, std::uint32_t b) {
-      if (key_less(rows + a * w, rows + b * w, w)) return true;
-      if (key_less(rows + b * w, rows + a * w, w)) return false;
-      return exponent(a, vv) > exponent(b, vv);
-    });
-    sc.res.clear();
-    sc.res_coefs.clear();
-    for (size_t k = 0; k < sc.order.size();) {
-      const u64* key = rows + sc.order[k] * w;
-      Rational acc = coefs_[sc.order[k]];
-      for (int e = exponent(sc.order[k], vv);;) {
-        const bool same = ++k < sc.order.size() && std::equal(key, key + w, rows + sc.order[k] * w);
-        for (const int next = same ? exponent(sc.order[k], vv) : 0; e > next; --e) acc = acc * x;
-        if (!same) break;
-        acc += coefs_[sc.order[k]];
-      }
-      if (acc.is_zero()) continue;
-      append_key(sc.res, key, w);
-      sc.res_coefs.push_back(acc);
-    }
-    Polynomial r;
-    r.set_terms(rest, sc.res, sc.res_coefs, true);
-    return r;
-  }
-  if (value.num_terms() == 1) {
-    // var := c * m: term t becomes coef_t * c^e * (its monomial without
-    // var) * m^e, e its exponent of var.
-    if (total_degree() * value.total_degree() > 255)
-      throw OverflowError("Polynomial: degree beyond 255");
-    const auto vv = static_cast<size_t>(v);
-    Scratch& sc = scratch();
-    Names rest;
-    drop_var(vars(), keys_, vv, sc, rest);
-    const Names u = union_vars(rest, value.vars_);
-    const size_t w = words_for(list(u).size());
-    const u64* rk = widen(list(rest), sc.rows, list(u), sc.a);
-    const u64* mk = widen(value.vars(), value.keys_, list(u), sc.b);
-    if (rk != sc.rows.data()) sc.rows.assign(rk, rk + num_terms() * w);
-    sc.coefs.clear();
-    for (size_t t = 0; t < num_terms(); ++t) {
-      Rational c = coefs_[t];
-      for (int e = exponent(t, vv); e > 0; --e) {
-        for (size_t k = 0; k < w; ++k)
-          sc.rows[t * w + k] = add_bytes(add_bytes(sc.rows[t * w + k], mk[k]), kOnes);
-        c = c * value.coefs_[0];
-      }
-      sc.coefs.push_back(c);
-    }
-    const bool cancelled = sort_and_combine(sc, w);
-    Polynomial r;
-    r.set_terms(u, sc.res, sc.res_coefs, cancelled);
-    return r;
-  }
+  if (var_index(var) < 0) return *this;
   return horner(coefficients_in(var), value);
 }
 
@@ -470,26 +405,12 @@ Polynomial Polynomial::horner(const std::vector<Polynomial>& coeffs, const Polyn
 }
 
 Polynomial Polynomial::derivative(const std::string& var) const {
-  Polynomial r;
-  const int v = var_index(var);
-  if (v < 0) return r;
-  const size_t w = words_for(nvars());
-  Scratch& sc = scratch();
-  sc.rows.clear();
-  sc.coefs.clear();
-  for (size_t t = 0; t < num_terms(); ++t) {
-    const int e = exponent(t, static_cast<size_t>(v));
-    if (e == 0) continue;
-    append_key(sc.rows, &keys_[t * w], w);
-    u64* key = &sc.rows[sc.rows.size() - w];
-    store(key, 0, static_cast<std::uint8_t>(stored(key, 0) - 1));
-    store(key, static_cast<size_t>(v) + 1, static_cast<std::uint8_t>(e - 2));
-    sc.coefs.push_back(coefs_[t] * Rational(e));
-  }
-  // Lowering one exponent can reorder terms, but never merges two.
-  sort_and_combine(sc, w);
-  r.set_terms(vars_, sc.res, sc.res_coefs, true);
-  return r;
+  // d/dvar sum_e c_e * var^e = sum_{e >= 1} e * c_e * var^(e-1).
+  std::vector<Polynomial> coeffs = coefficients_in(var);
+  coeffs.erase(coeffs.begin());
+  for (size_t e = 0; e < coeffs.size(); ++e)
+    coeffs[e] = coeffs[e] * Rational(static_cast<i64>(e) + 1);
+  return horner(coeffs, variable(var));
 }
 
 template <class T, class Map>

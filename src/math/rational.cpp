@@ -22,21 +22,13 @@ Rational Rational::from_i128(i128 n, i128 d) {
     n = -n;
     d = -d;
   }
+  if (n == 0) return Rational();
+  const i128 g = gcd_i128(n, d);
+  n /= g;
+  d /= g;
   Rational r;
-  if (n == 0) return r;
-  if (d == 1) {
-    r.num_ = narrow_i64(n);
-  } else if (n == static_cast<i64>(n) && d == static_cast<i64>(d)) {
-    // Both fit 64 bits: reduce there, with a binary gcd.
-    const u64 abs_n = n < 0 ? u64{0} - static_cast<u64>(n) : static_cast<u64>(n);
-    const auto g = static_cast<i64>(std::gcd(abs_n, static_cast<u64>(d)));
-    r.num_ = g == 1 ? static_cast<i64>(n) : static_cast<i64>(n) / g;
-    r.den_ = g == 1 ? static_cast<i64>(d) : static_cast<i64>(d) / g;
-  } else {
-    const i128 g = gcd_i128(n, d);
-    r.num_ = narrow_i64(n / g);
-    r.den_ = narrow_i64(d / g);
-  }
+  r.num_ = narrow_i64(n);
+  r.den_ = narrow_i64(d);
   return r;
 }
 
@@ -55,7 +47,6 @@ Rational Rational::operator-() const {
 }
 
 Rational Rational::operator+(const Rational& o) const {
-  if (den_ == o.den_) return from_i128(i128{num_} + o.num_, den_);
   return from_i128(checked_add(checked_mul(num_, o.den_), checked_mul(o.num_, den_)),
                    checked_mul(den_, o.den_));
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "../test_util.hpp"
 #include "core/validate.hpp"
 
@@ -17,6 +19,18 @@ TEST(Collapse, ApiBasics) {
   const std::string d = col.describe();
   EXPECT_NE(d.find("ranking polynomial"), std::string::npos);
   EXPECT_NE(d.find("trip count"), std::string::npos);
+}
+
+std::string render_nest(const Collapsed& col) { return col.nest().str(); }
+std::string render_total(const Collapsed& col) { return col.ranking().total.str(); }
+
+TEST(Collapse, EmittedRecoveryTextIsRenderedOnceByOneRenderer) {
+  const Collapsed col = collapse(testutil::triangular_strict());
+  const Collapsed copy = col;  // shares the artifact
+  const std::string& text = col.emitted_recovery_text(render_nest);
+  EXPECT_EQ(text, col.nest().str());
+  EXPECT_EQ(&copy.emitted_recovery_text(render_nest), &text);
+  EXPECT_THROW(copy.emitted_recovery_text(render_total), std::logic_error);
 }
 
 TEST(Collapse, BindComputesTripCount) {

@@ -16,6 +16,14 @@ i128 brute_powersum(i64 x, unsigned p) {
   return acc;
 }
 
+/// sum_{var = lo}^{hi} P, hi inclusive, through the discrete
+/// antiderivative Q: Q(hi) - Q(lo - 1).
+Polynomial sum_over_range(const Polynomial& P, const std::string& var, const Polynomial& lo,
+                          const Polynomial& hi) {
+  const auto Q = antiderivative(P, var);
+  return Polynomial::horner(Q, hi) - Polynomial::horner(Q, lo - Polynomial(Rational(1)));
+}
+
 TEST(Faulhaber, KnownClosedForms) {
   // F_0(x) = x + 1
   EXPECT_EQ(faulhaber(0), Polynomial::variable("x") + Polynomial(1));
