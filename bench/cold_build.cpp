@@ -14,12 +14,18 @@
 //   shifts), and
 //   the quartic i=0..N, j=i..N+s, k=j..N+s, l=k..N+s over a shift sweep.
 //
-// Every stage runs once per trial; the tables print the median and the
-// JSON (BENCH_build.json, --out=PATH overrides) records min, median and
-// max per stage in microseconds, with the run's provenance (cpu, nproc,
-// git_sha, git_dirty) and trial count.  No floor is enforced: the
-// numbers are a per-layer record.  It exits non-zero only if the staged
-// level equations differ from collapse()'s.
+// One sample of a stage is the mean over a batch of at least
+// kMinBuilds builds and at least kMinBatchUs of timed work (a single
+// cold build lasts 5-100 us, so one build per sample would leave a
+// stage's median to a handful of timer reads).  Each bind in a batch
+// binds a freshly collapsed nest, so no bind is served from the
+// Collapsed bind memo.  Every stage takes one sample per trial; the
+// tables print the median and the JSON (BENCH_build.json, --out=PATH
+// overrides) records min, median and max over trials per stage in
+// microseconds, with the run's provenance (cpu, nproc, git_sha,
+// git_dirty), the trial count and the batch minimums.  No floor is
+// enforced: the numbers are a per-layer record.  It exits non-zero only
+// if the staged level equations differ from collapse()'s.
 //
 //   ./bench_cold_build --trials=7
 
@@ -76,27 +82,45 @@ std::vector<BuildNest> build_nests() {
 constexpr const char* kStages[] = {"ranking", "formulas", "bind", "collapse"};
 constexpr int kNumStages = 4;
 
+constexpr int kMinBuilds = 8;
+constexpr double kMinBatchUs = 4000;
+
 using Clock = std::chrono::steady_clock;
 double us_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::micro>(Clock::now() - t0).count();
 }
 
-/// One pass over every stage of `bn`'s cold build: microseconds each.
+/// Mean microseconds of `timed()` over a batch of at least kMinBuilds
+/// calls and kMinBatchUs of summed time; `setup()` runs untimed before
+/// each call.
+template <class Setup, class Timed>
+double batch_mean_us(Setup&& setup, Timed&& timed) {
+  double total = 0;
+  int n = 0;
+  while (n < kMinBuilds || total < kMinBatchUs) {
+    setup();
+    const auto t0 = Clock::now();
+    timed();
+    total += us_since(t0);
+    ++n;
+  }
+  return total / n;
+}
+
+/// One sample of every stage of `bn`'s cold build: microseconds each.
 std::vector<double> time_stages(const BuildNest& bn) {
   std::vector<double> us(kNumStages, 0.0);
   const NestSpec& nest = bn.nest;
+  const auto none = [] {};
 
-  auto t0 = Clock::now();
+  us[0] = batch_mean_us(none, [&] { (void)build_ranking_system(nest); });
+
   const RankingSystem rs = build_ranking_system(nest);
-  us[0] = us_since(t0);
+  std::vector<LevelFormula> levels;
+  us[1] = batch_mean_us(none, [&] { levels = build_level_formulas(rs, 4); });
 
-  t0 = Clock::now();
-  const std::vector<LevelFormula> levels = build_level_formulas(rs, 4);
-  us[1] = us_since(t0);
-
-  t0 = Clock::now();
-  const Collapsed col = collapse(nest);
-  us[3] = us_since(t0);
+  Collapsed col;
+  us[3] = batch_mean_us(none, [&] { col = collapse(nest); });
   for (int k = 0; k < nest.depth(); ++k)
     if (col.levels()[static_cast<size_t>(k)].coeffs != levels[static_cast<size_t>(k)].coeffs) {
       std::fprintf(stderr, "FAIL: %s level %d: staged equation differs from collapse()\n",
@@ -106,10 +130,10 @@ std::vector<double> time_stages(const BuildNest& bn) {
 
   ParamMap params;
   for (const auto& p : nest.params()) params[p] = 64;
-  t0 = Clock::now();
-  const CollapsedEval ev = col.bind(params);
-  us[2] = us_since(t0);
-  if (ev.trip_count() <= 0) std::exit(1);
+  i64 trip = 0;
+  us[2] = batch_mean_us([&] { col = collapse(nest); },
+                        [&] { trip = col.bind(params).trip_count(); });
+  if (trip <= 0) std::exit(1);
   return us;
 }
 
@@ -140,7 +164,10 @@ int main(int argc, char** argv) {
       for (int s = 0; s < kNumStages; ++s) samples[i][static_cast<size_t>(s)].push_back(us[s]);
     }
 
-  std::printf("cold build, median of %d trials, microseconds per stage\n", trials);
+  std::printf(
+      "cold build, median of %d trials, microseconds per stage (each trial the mean of a batch "
+      "of >= %d builds and >= %.0f us)\n",
+      trials, kMinBuilds, kMinBatchUs);
   std::printf("%-12s", "nest");
   for (const char* s : kStages) std::printf(" %11s", s);
   std::printf("\n");
@@ -164,9 +191,10 @@ int main(int argc, char** argv) {
   }
   std::fprintf(f,
                "{\n  \"bench\": \"cold_build\",\n  \"unit\": \"us\",\n"
-               "  \"stat\": \"[min, median, max] over trials\",\n  \"trials\": %d,\n  %s,\n"
-               "  \"nests\": [\n",
-               trials, bench::provenance_json().c_str());
+               "  \"stat\": \"[min, median, max] over trials of each trial's batch mean\",\n"
+               "  \"trials\": %d,\n  \"batch_min_builds\": %d,\n  \"batch_min_us\": %.0f,\n"
+               "  %s,\n  \"nests\": [\n",
+               trials, kMinBuilds, kMinBatchUs, bench::provenance_json().c_str());
   for (size_t i = 0; i < nests.size(); ++i) {
     std::fprintf(f, "    {\"name\": \"%s\", \"depth\": %d, \"stages\": {", nests[i].name.c_str(),
                  nests[i].nest.depth());

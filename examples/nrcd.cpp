@@ -13,13 +13,15 @@
 //
 // and receive length-prefixed responses whose header attributes the
 // request's cost (outcome=hit|symbolic|cold, build_ns).  Every plan
-// flows through nrc::plan_cache(), so concurrent clients share builds:
-// the future-based miss path guarantees one build per domain with hits
-// never queueing behind a cold bind.
+// flows through nrc::plan_cache(), keyed on the request's text and
+// parameters (a hit is never parsed), so concurrent clients share
+// builds: the future-based miss path guarantees one build per key with
+// hits never queueing behind a cold bind.
 //
 // --snapshot=PATH warm-starts the cache from PATH at boot (if the file
-// exists) and rewrites PATH on SIGINT/SIGTERM, so a restarted server
-// starts hot.  --once serves a single connection then exits (used for
+// exists; one it cannot read is skipped with a note) and rewrites PATH
+// on SIGINT/SIGTERM, so a restarted server answers the requests it
+// served before as full hits.  --once serves a single connection then exits (used for
 // smoke testing: `nrcd --once & ... | nc localhost 7711`).
 //
 // Transport is deliberately boring: one POSIX listening socket, one

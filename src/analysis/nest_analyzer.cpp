@@ -432,9 +432,17 @@ NestCertificate analyze(const CollapsePlan& plan) {
 }
 
 const NestCertificate& CollapsePlan::analyze() const {
-  std::call_once(cert_once_,
-                 [this] { cert_ = std::make_shared<const NestCertificate>(nrc::analyze(*this)); });
+  std::call_once(cert_once_, [this] {
+    auto cert = std::make_shared<const NestCertificate>(nrc::analyze(*this));
+    cert_text_ = cert->str();
+    cert_ = std::move(cert);
+  });
   return *cert_;
+}
+
+const std::string& CollapsePlan::certificate_text() const {
+  (void)analyze();
+  return cert_text_;
 }
 
 }  // namespace nrc

@@ -82,6 +82,10 @@ class CollapsePlan : public std::enable_shared_from_this<CollapsePlan> {
   /// analysis/nest_analyzer.hpp for the NestCertificate definition.
   const NestCertificate& analyze() const;
 
+  /// analyze().str(), rendered once together with the certificate
+  /// (describe() and the lint verb print it on every request).
+  const std::string& certificate_text() const;
+
   /// The symbolic report plus the pipeline lines: the bound parameters,
   /// the auto-selected schedule, the JIT kernel state for that
   /// schedule, the static certificate, and — for plans built through a
@@ -120,9 +124,11 @@ class CollapsePlan : public std::enable_shared_from_this<CollapsePlan> {
   Collapsed col_;
   CollapsedEval eval_;
   CollapseOptions opts_;
-  /// analyze()'s memo (shared_ptr: NestCertificate is incomplete here).
+  /// analyze()'s memo (shared_ptr: NestCertificate is incomplete here)
+  /// and its rendering, both set under cert_once_.
   mutable std::once_flag cert_once_;
   mutable std::shared_ptr<const NestCertificate> cert_;
+  mutable std::string cert_text_;
   /// The building cache's state, tracked weakly: plans share ownership
   /// and routinely outlive the cache (eviction hands the last reference
   /// to the holder), so describe() prints the cache-stats line only

@@ -7,6 +7,7 @@
 #include <future>
 #include <list>
 #include <mutex>
+#include <string_view>
 #include <unordered_map>
 
 #include "analysis/nest_analyzer.hpp"
@@ -57,7 +58,7 @@ std::string CollapsePlan::describe() const {
   // plus one line per diagnostic.  Deterministic for a given plan, so
   // it sits above the live cache-stats line (serve clients compare
   // everything above "plan cache:" across hits).
-  s += analyze().str();
+  s += certificate_text();
   // Plans share ownership and routinely outlive the cache that built
   // them (eviction hands the last reference to the holder), so the
   // origin is tracked weakly: the stats line appears only while the
@@ -80,19 +81,27 @@ const char* get_outcome_name(GetOutcome o) {
   return "?";
 }
 
+std::string plan_cache_key_suffix(const ParamMap& params, const CollapseOptions& opts) {
+  std::string key = "|opts:";
+  key += opts.build_closed_form ? '1' : '0';
+  key += ',';
+  key += std::to_string(opts.max_closed_degree);
+  key += "|params:";
+  for (const auto& [name, v] : params) {
+    key += name;
+    key += '=';
+    key += std::to_string(v);
+    key += ';';
+  }
+  return key;
+}
+
 std::string plan_cache_key(const NestSpec& nest, const ParamMap& params,
                            const CollapseOptions& opts) {
   // nest.str() renders every loop's bounds exactly, so two nests share a
   // key iff they are the same Fig. 5 structure; options and the sorted
   // parameter bindings (ParamMap is an ordered map) complete the key.
-  std::string key = nest.str();
-  key += "|opts:";
-  key += opts.build_closed_form ? '1' : '0';
-  key += ',';
-  key += std::to_string(opts.max_closed_degree);
-  key += "|params:";
-  for (const auto& [name, v] : params) key += name + "=" + std::to_string(v) + ";";
-  return key;
+  return nest.str() + plan_cache_key_suffix(params, opts);
 }
 
 /// The cache's whole mutable state, owned by shared_ptr so plans can
@@ -116,9 +125,12 @@ struct PlanCacheState {
   struct Shard {
     mutable std::mutex mu;
     PlanCacheStats stats;
-    /// LRU order, most recent at the front; each entry owns its future.
+    /// LRU order, most recent at the front; each entry owns its key and
+    /// its future.  The map's keys view the list nodes' key strings, so a
+    /// key is stored once (nrcd's keys carry up to 4 KiB of request
+    /// text); a node is erased from the map before it leaves the list.
     std::list<std::pair<std::string, Entry>> lru;
-    std::unordered_map<std::string, decltype(lru)::iterator> map;
+    std::unordered_map<std::string_view, decltype(lru)::iterator> map;
     std::uint64_t next_id = 0;
   };
 
@@ -145,33 +157,32 @@ struct PlanCacheState {
   mutable std::mutex hook_mu;
   std::function<void(const std::string&)> build_hook;
 
-  PlanCacheStats merged_stats() const {
+  /// Counters merged over all shards plus the cache-global
+  /// symbolic_evictions, and (when `plans` is given) the cached plan
+  /// count, taken under one lock of each shard.
+  PlanCacheStats merged_stats(size_t* plans = nullptr) const {
     PlanCacheStats total;
+    size_t n = 0;
     for (const auto& sh : shards) {
       std::lock_guard<std::mutex> lock(sh->mu);
       total += sh->stats;
+      n += sh->lru.size();
     }
+    if (plans) *plans = n;
     std::lock_guard<std::mutex> sym_lock(sym_mu);
     total.symbolic_evictions += symbolic_evictions;
     return total;
   }
-  size_t plan_count() const {
-    size_t n = 0;
-    for (const auto& sh : shards) {
-      std::lock_guard<std::mutex> lock(sh->mu);
-      n += sh->lru.size();
-    }
-    return n;
-  }
 };
 
 std::string plan_cache_state_stats_line(const PlanCacheState& st) {
-  const PlanCacheStats s = st.merged_stats();
+  size_t plans = 0;
+  const PlanCacheStats s = st.merged_stats(&plans);
   return "plan cache: " + std::to_string(s.hits) + " hits / " +
          std::to_string(s.misses) + " misses (" + std::to_string(s.symbolic_hits) +
          " symbolic hits), " + std::to_string(s.evictions) + " evictions (" +
-         std::to_string(s.symbolic_evictions) + " symbolic), " +
-         std::to_string(st.plan_count()) + " plans";
+         std::to_string(s.symbolic_evictions) + " symbolic), " + std::to_string(plans) +
+         " plans";
 }
 
 PlanCache::PlanCache(size_t capacity_per_shard, size_t shards)
@@ -187,8 +198,12 @@ PlanCache::~PlanCache() = default;
 
 GetResult PlanCache::get_with_outcome(const NestSpec& nest, const ParamMap& params,
                                       const CollapseOptions& opts) {
+  return get_keyed(plan_cache_key(nest, params, opts), [&nest] { return nest; }, params, opts);
+}
+
+GetResult PlanCache::get_keyed(const std::string& key, const std::function<NestSpec()>& nest_of,
+                               const ParamMap& params, const CollapseOptions& opts) {
   PlanCacheState& st = *state_;
-  const std::string key = plan_cache_key(nest, params, opts);
   PlanCacheState::Shard& sh =
       *st.shards[std::hash<std::string>{}(key) % st.shards.size()];
 
@@ -210,7 +225,7 @@ GetResult PlanCache::get_with_outcome(const NestSpec& nest, const ParamMap& para
       my_id = ++sh.next_id;
       fut = prom.get_future().share();
       sh.lru.emplace_front(key, PlanCacheState::Entry{my_id, fut});
-      sh.map.emplace(key, sh.lru.begin());
+      sh.map.emplace(sh.lru.front().first, sh.lru.begin());
       if (sh.lru.size() > st.capacity) {
         // Evicting an in-flight entry is safe: waiters hold their own
         // future copies and the builder resolves its promise regardless
@@ -245,8 +260,8 @@ GetResult PlanCache::get_with_outcome(const NestSpec& nest, const ParamMap& para
     return {std::move(plan), GetOutcome::Hit, waited};
   }
 
-  // Phase 2, builder path, OUTSIDE all locks: symbolic lookup/build,
-  // bind, then resolve the future.
+  // Phase 2, builder path, OUTSIDE all locks: the nest, symbolic
+  // lookup/build, bind, then resolve the future.
   try {
     {
       std::function<void(const std::string&)> hook;
@@ -257,6 +272,9 @@ GetResult PlanCache::get_with_outcome(const NestSpec& nest, const ParamMap& para
       if (hook) hook(key);
     }
 
+    // The symbolic table is keyed on structure whatever the entry key:
+    // every spelling of one nest shares one collapse().
+    const NestSpec nest = nest_of();
     const std::string sym_key = plan_cache_key(nest, {}, opts);
     Collapsed col;
     bool have_symbolic = false;
@@ -324,33 +342,36 @@ GetResult PlanCache::get_with_outcome(const NestSpec& nest, const ParamMap& para
       std::lock_guard<std::mutex> lock(sh.mu);
       if (auto it = sh.map.find(key);
           it != sh.map.end() && it->second->second.id == my_id) {
-        sh.lru.erase(it->second);
+        const auto node = it->second;
         sh.map.erase(it);
+        sh.lru.erase(node);
       }
     }
     throw;
   }
 }
 
-std::vector<std::shared_ptr<const CollapsePlan>> PlanCache::completed_plans() const {
+std::vector<std::pair<std::string, std::shared_ptr<const CollapsePlan>>>
+PlanCache::completed_entries() const {
   // Two passes so no shard lock is held while touching futures: copy
-  // the futures out under the locks, then harvest the completed ones.
-  std::vector<PlanCacheState::PlanFuture> futs;
+  // the keys and futures out under the locks, then harvest the
+  // completed ones.
+  std::vector<std::pair<std::string, PlanCacheState::PlanFuture>> futs;
   for (const auto& sh : state_->shards) {
     std::lock_guard<std::mutex> lock(sh->mu);
-    for (const auto& [key, entry] : sh->lru) futs.push_back(entry.fut);
+    for (const auto& [key, entry] : sh->lru) futs.emplace_back(key, entry.fut);
   }
-  std::vector<std::shared_ptr<const CollapsePlan>> plans;
-  plans.reserve(futs.size());
-  for (const auto& f : futs) {
+  std::vector<std::pair<std::string, std::shared_ptr<const CollapsePlan>>> entries;
+  entries.reserve(futs.size());
+  for (auto& [key, f] : futs) {
     if (f.wait_for(std::chrono::seconds(0)) != std::future_status::ready) continue;
     try {
-      plans.push_back(f.get());
+      entries.emplace_back(std::move(key), f.get());
     } catch (...) {
       // A failed build racing with uncache; skip it.
     }
   }
-  return plans;
+  return entries;
 }
 
 PlanCacheStats PlanCache::stats() const { return state_->merged_stats(); }
@@ -365,14 +386,18 @@ std::vector<PlanCacheStats> PlanCache::shard_stats() const {
   return out;
 }
 
-size_t PlanCache::size() const { return state_->plan_count(); }
+size_t PlanCache::size() const {
+  size_t plans = 0;
+  (void)state_->merged_stats(&plans);
+  return plans;
+}
 
 void PlanCache::clear() {
   PlanCacheState& st = *state_;
   for (const auto& sh : st.shards) {
     std::lock_guard<std::mutex> lock(sh->mu);
-    sh->lru.clear();
     sh->map.clear();
+    sh->lru.clear();
   }
   std::lock_guard<std::mutex> sym_lock(st.sym_mu);
   st.sym_lru.clear();

@@ -35,15 +35,31 @@
 // makes the rebind a copy rather than a re-lowering).  The symbolic
 // table is LRU-bounded the same way (symbolic_evictions).
 //
-// Persistence: snapshot() serializes every completed plan to a stream
-// and warm_start() replays such a stream through the normal get() path,
-// so a restarted server begins life with a hot cache (see
-// serve/serialization.cpp and the nrcd example).
+// Keys: an entry is found by a key its caller supplies.  Library
+// callers (get(), get_with_outcome(), tests) use plan_cache_key(): the
+// rendered nest structure, the options and the sorted parameters, so
+// two spellings of one nest share one entry.  The nrcd front end
+// (serve/protocol.cpp) calls get_keyed() with the request's own text
+// instead, so a repeated request is a hit without being parsed (on a
+// warm hit, parsing cost several times the rest of the request); the
+// nest is produced by the caller's `nest_of` only when the entry has to
+// be built.  The symbolic table stays keyed on structure either way:
+// collapse() depends on the structure alone, so a second spelling of a
+// known nest (C-for vs DSL, whitespace, comments) misses the plan
+// shards but still skips collapse() and pays only a bind (a
+// SymbolicHit), instead of a cold build per spelling.
+//
+// Persistence: snapshot() writes every completed plan with its key to a
+// stream, and warm_start() replays such a stream through get_keyed()
+// under the recorded keys, so a restarted server begins life with a hot
+// cache under the same keys it served (see serve/serialization.cpp and
+// the nrcd example).
 
 #include <functional>
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "pipeline/plan.hpp"
@@ -112,28 +128,40 @@ class PlanCache {
   GetResult get_with_outcome(const NestSpec& nest, const ParamMap& params,
                              const CollapseOptions& opts = {});
 
+  /// get_with_outcome() under a caller-supplied entry key.  `nest_of`
+  /// runs only when this request builds the entry (a miss), so a hit
+  /// never constructs the nest; whatever it throws fails the build like
+  /// a bind failure (propagated to every waiter, nothing cached).  The
+  /// caller owns the key's meaning: equal keys must always denote the
+  /// same (nest structure, params, opts).
+  GetResult get_keyed(const std::string& key, const std::function<NestSpec()>& nest_of,
+                      const ParamMap& params, const CollapseOptions& opts = {});
+
   /// get_with_outcome() without the attribution.
   std::shared_ptr<const CollapsePlan> get(const NestSpec& nest, const ParamMap& params,
                                           const CollapseOptions& opts = {}) {
     return get_with_outcome(nest, params, opts).plan;
   }
 
-  /// Serialize every completed plan to `os` (in-flight builds and
-  /// poisoned entries are skipped).  Returns the number written.  The
-  /// format is the CollapsePlan::serialize block stream warm_start()
-  /// reads.
+  /// Serialize every completed plan, each after its entry key, to `os`
+  /// (in-flight builds and poisoned entries are skipped).  Returns the
+  /// number written.  The format is the snapshot stream warm_start()
+  /// reads (serve/serialization.hpp).
   size_t snapshot(std::ostream& os) const;
 
-  /// Rebuild plans from a snapshot() stream through the normal get()
-  /// path (so counters, the symbolic table and the LRU behave as if the
-  /// requests had arrived over the wire).  Returns the number of plans
+  /// Rebuild plans from a snapshot() stream through get_keyed() under
+  /// their recorded keys (so counters, the symbolic table and the LRU
+  /// behave as if the requests had arrived over the wire, and the same
+  /// requests are full hits afterwards).  Returns the number of plans
   /// loaded.  Throws ParseError on a malformed stream; throws as bind()
   /// throws if a recorded domain no longer binds.
   size_t warm_start(std::istream& is);
 
-  /// Every completed plan currently cached (snapshot()'s enumeration;
-  /// in-flight builds are skipped, order is unspecified).
-  std::vector<std::shared_ptr<const CollapsePlan>> completed_plans() const;
+  /// Every completed entry currently cached, as (key, plan) pairs
+  /// (snapshot()'s enumeration; in-flight builds are skipped, order is
+  /// unspecified).
+  std::vector<std::pair<std::string, std::shared_ptr<const CollapsePlan>>> completed_entries()
+      const;
 
   /// Counters merged over all shards (plus the cache-global
   /// symbolic_evictions).
@@ -180,10 +208,14 @@ class PlanCache {
 /// server and anything that wants caching without owning a PlanCache).
 PlanCache& plan_cache();
 
-/// The canonical cache key: the nest structure (bounds rendered
-/// exactly), the collapse options and the sorted parameter bindings.
+/// The canonical (structure) cache key: the nest structure (bounds
+/// rendered exactly), then plan_cache_key_suffix(params, opts).
 /// Exposed for the key-aliasing tests.
 std::string plan_cache_key(const NestSpec& nest, const ParamMap& params,
                            const CollapseOptions& opts);
+
+/// The options and sorted parameter bindings every key ends with:
+/// "|opts:<closed>,<degree>|params:M=7;N=5;".
+std::string plan_cache_key_suffix(const ParamMap& params, const CollapseOptions& opts);
 
 }  // namespace nrc

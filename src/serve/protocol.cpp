@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <istream>
+#include <optional>
 #include <sstream>
 
 #include "analysis/nest_analyzer.hpp"
@@ -249,6 +250,25 @@ NestProgram parse_nest_text(const std::string& text) {
   return parse_nest_program(text);
 }
 
+namespace {
+
+/// The plan-cache key of a request whose nest text is at most
+/// kMaxTextKeyBytes: the text itself, length-prefixed, then the
+/// parameters and options as in plan_cache_key().  The "text:" prefix
+/// never starts a structure key (those start with the rendered nest).
+/// Empty for a longer text, which is keyed by structure instead.
+std::string request_key(const Request& req) {
+  if (req.nest_text.size() > kMaxTextKeyBytes) return {};
+  std::string key = "text:";
+  key += std::to_string(req.nest_text.size());
+  key += '\n';
+  key += req.nest_text;
+  key += plan_cache_key_suffix(req.params, CollapseOptions{});
+  return key;
+}
+
+}  // namespace
+
 Response handle_request(PlanCache& cache, const Request& req, const ServeLimits& limits) {
   Response resp;
   try {
@@ -263,8 +283,21 @@ Response handle_request(PlanCache& cache, const Request& req, const ServeLimits&
     if (!verb_has_nest(req.verb))
       throw ParseError("request: unknown verb '" + req.verb + "'");
 
-    const NestProgram prog = parse_nest_text(req.nest_text);
-    const NestSpec nest = prog.collapsed_nest();
+    // The nest text is parsed only when something needs the program: a
+    // plan build (a miss), emit (it prints the request's own body and
+    // declarations) and lint's uncached fallback.  A parse error is a
+    // failed build: an err reply, and no entry stays cached.
+    std::optional<NestProgram> prog;
+    auto program = [&]() -> const NestProgram& {
+      if (!prog) prog = parse_nest_text(req.nest_text);
+      return *prog;
+    };
+    auto nest_of = [&] { return program().collapsed_nest(); };
+    const std::string key = request_key(req);
+    auto get = [&] {
+      return key.empty() ? cache.get_with_outcome(nest_of(), req.params)
+                         : cache.get_keyed(key, nest_of, req.params);
+    };
 
     if (req.verb == "lint") {
       // A nest that builds is certified from its cached plan (a hit costs
@@ -275,17 +308,24 @@ Response handle_request(PlanCache& cache, const Request& req, const ServeLimits&
       // err response, and the failed build leaves no cache entry.
       std::shared_ptr<const CollapsePlan> plan;
       try {
-        GetResult got = cache.get_with_outcome(nest, req.params);
+        GetResult got = get();
         resp.outcome = get_outcome_name(got.outcome);
         resp.build_ns = got.build_ns;
         plan = std::move(got.plan);
       } catch (const Error&) {
       }
-      // A copy: the plan's own certificate stays free of serving limits.
-      NestCertificate cert = plan ? plan->analyze() : analyze_nest(nest, req.params);
       // Serving limits are analyzer diagnostics here: what run would
       // refuse, lint reports as NRC-W005 with the same numbers.
-      if (cert.bind_ok && cert.total_trip > limits.max_run_trip) {
+      auto refused = [&limits](const NestCertificate& c) {
+        return c.bind_ok && c.total_trip > limits.max_run_trip;
+      };
+      if (plan && !refused(plan->analyze())) {
+        resp.payload = plan->certificate_text();
+        return resp;
+      }
+      // A copy: the plan's own certificate stays free of serving limits.
+      NestCertificate cert = plan ? plan->analyze() : analyze_nest(nest_of(), req.params);
+      if (refused(cert)) {
         cert.diagnostics.push_back(Diagnostic{
             "NRC-W005", LintSeverity::Warn, -1,
             "run would be refused: domain has " + std::to_string(cert.total_trip) +
@@ -297,7 +337,7 @@ Response handle_request(PlanCache& cache, const Request& req, const ServeLimits&
       return resp;
     }
 
-    GetResult got = cache.get_with_outcome(nest, req.params);
+    GetResult got = get();
     resp.outcome = get_outcome_name(got.outcome);
     resp.build_ns = got.build_ns;
     const CollapsePlan& plan = *got.plan;
@@ -305,7 +345,7 @@ Response handle_request(PlanCache& cache, const Request& req, const ServeLimits&
     if (req.verb == "describe") {
       resp.payload = plan.describe();
     } else if (req.verb == "emit") {
-      NestProgram emittable = prog;
+      NestProgram emittable = program();
       if (emittable.body.empty()) emittable.body = "/* body */;";
       EmitOptions emit;
       emit.schedule = plan.auto_schedule();

@@ -56,9 +56,17 @@
 //
 // The nest text is auto-detected: lines starting with "for" or
 // "#pragma" parse as the C-for surface syntax, anything else as the
-// nest DSL.  All plans flow through one PlanCache, so repeated domains
-// are pure hits and every response header carries the outcome
-// attribution from PlanCache::get_with_outcome.
+// nest DSL.  All plans flow through one PlanCache, keyed on the request
+// itself (the nest text, the sorted parameters, the collapse options;
+// PlanCache::get_keyed), so a repeated request is a hit that never
+// parses its text: describe, run, jitrun and lint hits hash the bytes
+// and answer from the cached plan.  The text is parsed on a miss (the
+// build needs the nest), by emit (it prints the request's own body and
+// declarations), and by lint's uncached fallback.  A second spelling of
+// a cached nest is its own entry, built by a bind alone ("symbolic").
+// A nest text over kMaxTextKeyBytes is parsed on every request and
+// keyed by structure.  Every response header carries the outcome
+// attribution of the cache lookup.
 //
 // Response framing (payload is length-prefixed so clients never guess):
 //
@@ -100,6 +108,11 @@ struct Response {
 /// Bytes read_request accepts for one request, header line included.
 inline constexpr size_t kMaxRequestBytes = size_t{1} << 20;
 
+/// The longest nest text handle_request keys the plan cache by its
+/// bytes.  A longer text is parsed and keyed by structure, so padding
+/// (comments, body text) cannot pin more than this per cached entry.
+inline constexpr size_t kMaxTextKeyBytes = 4096;
+
 /// True for verbs whose request carries a nest section ("describe",
 /// "emit", "run", "jitrun", "lint"); stats/quit are header-only.
 bool verb_has_nest(const std::string& verb);
@@ -133,7 +146,8 @@ NestProgram parse_nest_text(const std::string& text);
 u64 tuple_mix(std::span<const i64> idx);
 
 /// Serve one request against `cache`.  Never throws: every nrc::Error
-/// (parse failures, empty domains, refused limits, binds refused for
+/// (parse failures — which leave no cache entry —, empty domains,
+/// refused limits, binds refused for
 /// overflow, a recovery that throws inside the parallel walk) becomes
 /// an ok=false response with the message as payload — except under lint,
 /// which certifies the cached plan and turns a failing build into

@@ -167,8 +167,10 @@ std::shared_ptr<const CollapsePlan> CollapsePlan::deserialize(const std::string&
 // -------------------------------------------------- PlanCache persistence
 
 size_t PlanCache::snapshot(std::ostream& os) const {
+  os << "nrcsnap " << serve::kSnapshotFormatVersion << "\n";
   size_t n = 0;
-  for (const auto& plan : completed_plans()) {
+  for (const auto& [key, plan] : completed_entries()) {
+    os << "key " << key.size() << "\n" << key << "\n";
     plan->serialize(os);
     ++n;
   }
@@ -176,15 +178,29 @@ size_t PlanCache::snapshot(std::ostream& os) const {
 }
 
 size_t PlanCache::warm_start(std::istream& is) {
+  std::string line;
+  if (!std::getline(is, line)) return 0;  // an empty stream holds no plans
+  if (line != "nrcsnap " + std::to_string(serve::kSnapshotFormatVersion))
+    throw ParseError("snapshot: expected 'nrcsnap " +
+                     std::to_string(serve::kSnapshotFormatVersion) + "', got '" + line + "'");
   size_t n = 0;
-  serve::PlanRecord rec;
-  while (serve::read_plan_record(is, rec)) {
-    const GetResult r = get_with_outcome(rec.nest, rec.params, rec.opts);
+  while (std::getline(is, line)) {
+    if (line.empty()) continue;
+    std::istringstream header(line);
+    std::string kw;
+    size_t len = 0;
+    if (!(header >> kw >> len) || kw != "key" || len > serve::kMaxSnapshotKeyBytes)
+      throw ParseError("snapshot: malformed key line '" + line + "'");
+    std::string key(len, '\0');
+    if (!is.read(key.data(), static_cast<std::streamsize>(len)) || is.get() != '\n')
+      throw ParseError("snapshot: truncated key");
+    serve::PlanRecord rec;
+    if (!serve::read_plan_record(is, rec)) throw ParseError("snapshot: key without a plan");
+    const GetResult r = get_keyed(key, [&rec] { return rec.nest; }, rec.params, rec.opts);
     if (r.plan->solver_kinds() != rec.solvers)
       throw SpecError(
           "warm_start: recorded solver kinds do not match this build's lowering");
     ++n;
-    rec = serve::PlanRecord{};
   }
   return n;
 }

@@ -24,11 +24,28 @@
 //   }
 //   endplan
 //
-// Records concatenate into a stream: PlanCache::snapshot() writes one
-// per cached plan and PlanCache::warm_start() replays them through the
-// normal get() path, which lands them in the symbolic table and the
-// Collapsed bind memo — a restarted server rebuilds its working set
-// without paying a single cold symbolic build twice.
+// A snapshot (PlanCache::snapshot) is a header line, then one entry
+// per cached plan: the entry's cache key, length-prefixed, then the
+// plan's record:
+//
+//   nrcsnap 2
+//   key 83                         (the key's byte count; the key bytes
+//   text:41                         follow, then one newline)
+//   for (i = 0; ...
+//   ...|opts:1,4|params:N=2000;
+//   nrcplan 1                      (the record above)
+//   ...
+//   endplan
+//
+// PlanCache::warm_start() replays each entry through get_keyed() under
+// its recorded key, which lands the plan in the symbolic table and the
+// Collapsed bind memo and makes the same requests full hits again — a
+// restarted server rebuilds its working set without paying a single
+// cold symbolic build twice.  The key stays outside the record: the
+// record's bytes also key the JIT KernelCache, which must not depend on
+// how a request spelled its nest.  A snapshot is trusted as the
+// server's own file: warm_start() does not check a key against its
+// record.
 //
 // The CollapsePlan::serialize/deserialize and PlanCache::snapshot/
 // warm_start members declared in pipeline/ are implemented here.
@@ -41,8 +58,15 @@
 
 namespace nrc::serve {
 
-/// Format version written/accepted by this build.
+/// Plan record format version written/accepted by this build.
 inline constexpr int kPlanFormatVersion = 1;
+
+/// Snapshot stream format version written/accepted by this build (1 was
+/// the bare record stream, without the header and the keys).
+inline constexpr int kSnapshotFormatVersion = 2;
+
+/// The longest entry key warm_start() accepts.
+inline constexpr size_t kMaxSnapshotKeyBytes = size_t{1} << 24;
 
 /// One parsed serialization record — the rebuild inputs plus the
 /// recorded lowering.

@@ -10,6 +10,7 @@
 // even on a thread's first recovery.  It also holds the symbolic
 // ranking build to an allocation budget.
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <atomic>
 #include <cstdlib>
@@ -215,6 +216,47 @@ TEST(AllocationBudget, RankingSystemBuild) {
     EXPECT_GT(used, 0) << name;
     RecordProperty(name, static_cast<int>(used));
   }
+}
+
+TEST(AllocationBudget, ServeHitsDoNotParse) {
+  // A warm request through handle_request is looked up by its text and
+  // never parsed.  Parsing the same text alone allocates more than any
+  // of these hits does whole, so a hit that parsed would break its
+  // budget.  The budgets sit a little above the measured counts
+  // (describe 13, lint 6, run 8; parsing alone 46).
+  const std::string text =
+      "for (i = 0; i < N; i++)\n"
+      "  for (j = i; j < N; j++)\n"
+      "    for (k = j; k < N; k++) { /* body */; }\n";
+  const long long parse_before = t_allocations;
+  (void)serve::parse_nest_text(text).collapsed_nest();
+  const long long parse = t_allocations - parse_before;
+  RecordProperty("parse", static_cast<int>(parse));
+
+  const int threads = omp_get_max_threads();
+  omp_set_num_threads(1);  // the run walk allocates on this thread only
+  PlanCache cache(16, 2);
+  const struct {
+    const char* verb;
+    long long budget;
+  } verbs[] = {{"describe", 16}, {"lint", 8}, {"run", 10}};
+  for (const auto& [verb, budget] : verbs) {
+    serve::Request req;
+    req.verb = verb;
+    req.params = {{"N", 20}};
+    req.nest_text = text;
+    (void)serve::handle_request(cache, req);  // prime: the build, lazy paths
+    (void)serve::handle_request(cache, req);
+    const long long before = t_allocations;
+    const serve::Response resp = serve::handle_request(cache, req);
+    const long long used = t_allocations - before;
+    ASSERT_TRUE(resp.ok) << verb << ": " << resp.payload;
+    EXPECT_EQ(resp.outcome, "hit") << verb;
+    EXPECT_LE(used, budget) << verb;
+    EXPECT_GT(parse, budget) << verb << ": the budget does not tell a hit from a parse";
+    RecordProperty(verb, static_cast<int>(used));
+  }
+  omp_set_num_threads(threads);
 }
 
 TEST(NoAllocation, CounterItselfWorks) {

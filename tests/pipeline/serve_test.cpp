@@ -7,6 +7,7 @@
 #include <omp.h>
 
 #include <sstream>
+#include <thread>
 
 #include "../test_util.hpp"
 #include "analysis/nest_analyzer.hpp"
@@ -35,6 +36,9 @@ serve::Request make_req(const std::string& verb, ParamMap params,
   req.nest_text = nest_text;
   return req;
 }
+
+/// Everything above describe()'s live cache-stats line.
+std::string sans_stats(const std::string& s) { return s.substr(0, s.find("plan cache:")); }
 
 TEST(ServeProtocol, RequestWireRoundTrip) {
   const serve::Request req = make_req("describe", {{"M", 7}, {"N", 2000}}, kTriCFor);
@@ -141,9 +145,6 @@ TEST(ServeHandle, DescribeAttributesColdHitSymbolic) {
   EXPECT_EQ(hit.outcome, "hit");
   // describe() ends with the LIVE cache-stats line; everything above it
   // comes from the shared immutable plan and must match exactly.
-  const auto sans_stats = [](const std::string& s) {
-    return s.substr(0, s.find("plan cache:"));
-  };
   EXPECT_EQ(sans_stats(hit.payload), sans_stats(cold.payload));
 
   const serve::Response sym =
@@ -396,6 +397,111 @@ TEST(ServeHandle, ErrorsBecomeErrResponsesNotExceptions) {
   EXPECT_NE(stats.payload.find("plan cache:"), std::string::npos);
 }
 
+/// kTriCFor with a comment of `pad` bytes between the two loop headers.
+std::string padded_tri(size_t pad, char fill) {
+  return "for (i = 0; i < N - 1; i++) /*" + std::string(pad, fill) +
+         "*/\n"
+         "  for (j = i + 1; j < N; j++) {\n"
+         "    /* body */;\n"
+         "  }\n";
+}
+
+// nrcd keys its entries on the request text, so a second spelling of a
+// cached nest misses the plan shards; the symbolic table is keyed on
+// structure, so it still skips collapse() and pays only a bind.
+TEST(ServeHandle, SecondSpellingIsASymbolicHitWithTheSameReplies) {
+  const std::string dsl = render_nest_program(parse_c_for_nest(kTriCFor));
+  const ParamMap p = {{"N", 40}};
+  for (const char* verb : {"describe", "run", "lint"}) {
+    PlanCache fresh(16, 2);
+    const serve::Response c_for = serve::handle_request(fresh, make_req(verb, p, kTriCFor));
+    const serve::Response again = serve::handle_request(fresh, make_req(verb, p, dsl));
+    ASSERT_TRUE(c_for.ok && again.ok) << verb << "\n" << c_for.payload << again.payload;
+    EXPECT_EQ(c_for.outcome, "cold") << verb;
+    EXPECT_EQ(again.outcome, "symbolic") << verb;
+    EXPECT_EQ(sans_stats(again.payload), sans_stats(c_for.payload)) << verb;
+    EXPECT_EQ(fresh.size(), 2u) << verb;
+    EXPECT_EQ(serve::handle_request(fresh, make_req(verb, p, dsl)).outcome, "hit") << verb;
+  }
+}
+
+// A text that does not parse is a failed build: an err reply each time,
+// and no entry stays behind under its text key.
+TEST(ServeHandle, MalformedTextIsAnErrReplyAndLeavesNoEntry) {
+  PlanCache cache(16, 2);
+  ASSERT_TRUE(serve::handle_request(cache, make_req("describe", {{"N", 9}}, kTriCFor)).ok);
+  const size_t before = cache.size();
+  const std::string broken = "for (i = 0; i < N; i++\n  for (j = 0; j < i; j++) { }\n";
+  for (const char* verb : {"describe", "describe", "run", "emit", "lint"}) {
+    const serve::Response r = serve::handle_request(cache, make_req(verb, {{"N", 9}}, broken));
+    EXPECT_FALSE(r.ok) << verb << ": " << r.payload;
+    EXPECT_EQ(cache.size(), before) << verb;
+  }
+}
+
+// Texts over kMaxTextKeyBytes are keyed by structure: padding cannot pin
+// more than that bound of key bytes per entry.
+TEST(ServeHandle, TextsOverTheKeyBoundShareOneStructureEntry) {
+  PlanCache cache(16, 2);
+  const ParamMap p = {{"N", 30}};
+  const std::string a = padded_tri(serve::kMaxTextKeyBytes, 'a');
+  const std::string b = padded_tri(serve::kMaxTextKeyBytes, 'b');
+  ASSERT_GT(a.size(), serve::kMaxTextKeyBytes);
+  const serve::Response first = serve::handle_request(cache, make_req("describe", p, a));
+  const serve::Response second = serve::handle_request(cache, make_req("describe", p, b));
+  ASSERT_TRUE(first.ok && second.ok) << first.payload << second.payload;
+  EXPECT_EQ(first.outcome, "cold");
+  EXPECT_EQ(second.outcome, "hit");
+  EXPECT_EQ(cache.size(), 1u);
+  const auto entries = cache.completed_entries();
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].first,
+            plan_cache_key(parse_c_for_nest(kTriCFor).collapsed_nest(), p, {}));
+
+  // At the bound, the text is the key: two paddings are two entries.
+  const size_t fit = serve::kMaxTextKeyBytes - (a.size() - serve::kMaxTextKeyBytes);
+  const std::string c = padded_tri(fit, 'c');
+  ASSERT_EQ(c.size(), serve::kMaxTextKeyBytes);
+  EXPECT_EQ(serve::handle_request(cache, make_req("describe", p, c)).outcome, "symbolic");
+  EXPECT_EQ(serve::handle_request(cache, make_req("describe", p, padded_tri(fit, 'd'))).outcome,
+            "symbolic");
+  EXPECT_EQ(cache.size(), 3u);
+  for (const auto& [key, plan] : cache.completed_entries())
+    EXPECT_LE(key.size(), serve::kMaxTextKeyBytes + plan_cache_key(plan->nest(), p, {}).size());
+}
+
+// Eight clients on one text key: one build, and every reply is the same
+// bytes (describe above its live cache-stats line).
+TEST(ServeHandle, ConcurrentHitsOnOneTextKeyAgree) {
+  PlanCache cache(16, 2);
+  const ParamMap p = {{"N", 120}};
+  const char* const verbs[] = {"describe", "run", "lint"};
+  std::string want[3];
+  for (int v = 0; v < 3; ++v) {
+    const serve::Response r = serve::handle_request(cache, make_req(verbs[v], p, kTriCFor));
+    ASSERT_TRUE(r.ok) << r.payload;
+    want[v] = sans_stats(r.payload);
+  }
+  constexpr int kThreads = 8, kRounds = 40;
+  std::vector<std::string> bad(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (int r = 0; r < kRounds; ++r) {
+        const int v = (r + t) % 3;
+        const serve::Response resp =
+            serve::handle_request(cache, make_req(verbs[v], p, kTriCFor));
+        if (!resp.ok || resp.outcome != "hit" || sans_stats(resp.payload) != want[v])
+          bad[static_cast<size_t>(t)] = std::string(verbs[v]) + " " + resp.outcome + "\n" +
+                                        resp.payload;
+      }
+    });
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(bad[static_cast<size_t>(t)], "") << t;
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.stats().misses, 1);
+}
+
 TEST(ServeSerialization, RoundTripIsByteIdenticalOnEveryKernelNest) {
   for (const auto& sc : testutil::closed_form_shapes()) {
     const ParamMap p = testutil::uniform_params(sc.nest, 7);
@@ -483,10 +589,61 @@ TEST(ServeSerialization, SnapshotWarmStartRoundTripsTheCache) {
   EXPECT_EQ(b.get_with_outcome(testutil::tetrahedral_fig6(), {{"N", 9}}).outcome,
             GetOutcome::Hit);
 
-  // Warm-starting from a corrupt stream throws rather than half-loading.
-  std::istringstream bad("nrcplan 99\n");
+  // Warm-starting from a corrupt stream throws rather than half-loading,
+  // and so does a stream of bare records (the keyless format 1).
   PlanCache c(16, 2);
+  std::istringstream bad("nrcplan 99\n");
   EXPECT_THROW(c.warm_start(bad), ParseError);
+  std::istringstream keyless(CollapsePlan::build(testutil::triangular_strict(), {{"N", 50}})
+                                 ->serialize());
+  EXPECT_THROW(c.warm_start(keyless), ParseError);
+  std::string cut = snap.str();
+  cut.resize(cut.find("nrcplan"));
+  std::istringstream truncated(cut);
+  EXPECT_THROW(c.warm_start(truncated), ParseError);
+  std::istringstream empty("");
+  EXPECT_EQ(c.warm_start(empty), 0u);
+}
+
+// A snapshot keeps each entry's key: the restarted cache answers the
+// same wire requests as full hits, with the same replies.
+TEST(ServeSerialization, WarmStartServesTheSameWireRequestsAsHits) {
+  const std::string dsl = render_nest_program(parse_c_for_nest(kTriCFor));
+  const struct {
+    const char* verb;
+    std::string text;
+    ParamMap params;
+  } reqs[] = {{"describe", kTriCFor, {{"N", 70}}},
+              {"run", kTriCFor, {{"N", 70}}},
+              {"lint", dsl, {{"N", 71}}},
+              {"describe", padded_tri(serve::kMaxTextKeyBytes, 'x'), {{"N", 72}}}};
+  PlanCache a(16, 2);
+  std::vector<std::string> replies;
+  for (const auto& r : reqs) {
+    const serve::Response resp = serve::handle_request(a, make_req(r.verb, r.params, r.text));
+    ASSERT_TRUE(resp.ok) << resp.payload;
+    replies.push_back(sans_stats(resp.payload));
+  }
+  a.get(testutil::tetrahedral_fig6(), {{"N", 9}});  // a library (structure) key
+  std::stringstream snap;
+  EXPECT_EQ(a.snapshot(snap), 4u);
+
+  PlanCache b(16, 2);
+  EXPECT_EQ(b.warm_start(snap), 4u);
+  EXPECT_EQ(b.stats().misses, 4);
+  for (size_t i = 0; i < std::size(reqs); ++i) {
+    for (const char* verb : {"describe", "run", "lint"}) {
+      const serve::Response resp =
+          serve::handle_request(b, make_req(verb, reqs[i].params, reqs[i].text));
+      ASSERT_TRUE(resp.ok) << resp.payload;
+      EXPECT_EQ(resp.outcome, "hit") << verb << " on request " << i;
+      if (verb == std::string(reqs[i].verb))
+        EXPECT_EQ(sans_stats(resp.payload), replies[i]) << verb << " on request " << i;
+    }
+  }
+  EXPECT_EQ(b.get_with_outcome(testutil::tetrahedral_fig6(), {{"N", 9}}).outcome,
+            GetOutcome::Hit);
+  EXPECT_EQ(b.stats().misses, 4);
 }
 
 }  // namespace
