@@ -18,14 +18,15 @@
 // kMinBuilds builds and at least kMinBatchUs of timed work (a single
 // cold build lasts 5-100 us, so one build per sample would leave a
 // stage's median to a handful of timer reads).  Each bind in a batch
-// binds a freshly collapsed nest, so no bind is served from the
-// Collapsed bind memo.  Every stage takes one sample per trial; the
-// tables print the median and the JSON (BENCH_build.json, --out=PATH
-// overrides) records min, median and max over trials per stage in
-// microseconds, with the run's provenance (cpu, nproc, git_sha,
-// git_dirty), the trial count and the batch minimums.  No floor is
-// enforced: the numbers are a per-layer record.  It exits non-zero only
-// if the staged level equations differ from collapse()'s.
+// binds a freshly collapsed nest, as a cold build does, so it starts
+// from the caches a collapse() leaves.  Every stage takes one sample
+// per trial; the tables print the median and the JSON
+// (BENCH_build.json, --out=PATH overrides) records min, median and max
+// over trials per stage in microseconds, with the run's provenance
+// (cpu, nproc, git_sha, git_dirty), the trial count and the batch
+// minimums.  No floor is enforced: the numbers are a per-layer record.
+// It exits non-zero only if the staged level equations differ from
+// collapse()'s.
 //
 //   ./bench_cold_build --trials=7
 

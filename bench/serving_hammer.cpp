@@ -98,7 +98,7 @@ NestSpec triangular(i64 /*unused*/ = 0) {
 /// A 4-deep simplex whose outermost level equation is quartic — the
 /// most expensive bind in the kernel set.  `shift` perturbs the
 /// innermost upper bound so every value is a DISTINCT nest structure:
-/// a guaranteed cold collapse+bind (no symbolic reuse, no bind memo).
+/// a guaranteed cold collapse+bind (no symbolic reuse).
 NestSpec shifted_simplex4(i64 shift) {
   NestSpec nest;
   nest.param("N")

@@ -21,8 +21,13 @@
 // --snapshot=PATH warm-starts the cache from PATH at boot (if the file
 // exists; one it cannot read is skipped with a note) and rewrites PATH
 // on SIGINT/SIGTERM, so a restarted server answers the requests it
-// served before as full hits.  --once serves a single connection then exits (used for
-// smoke testing: `nrcd --once & ... | nc localhost 7711`).
+// served before as full hits.  The signal stops the accept loop at
+// once: the handler is installed without SA_RESTART, connection threads
+// block the two signals so the accepting thread is the one interrupted,
+// and the handler also shuts the listener down, which fails an accept()
+// entered just after the loop checked for the stop.  --once serves a
+// single connection then exits (used for smoke testing:
+// `nrcd --once & ... | nc localhost 7711`).
 //
 // Transport is deliberately boring: one POSIX listening socket, one
 // detached thread per connection, a streambuf over the fd so the
@@ -36,11 +41,12 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <pthread.h>
+#include <signal.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
-#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -88,7 +94,11 @@ bool send_all(int fd, const std::string& reply) {
 }
 
 std::atomic<bool> g_stop{false};
-void on_signal(int) { g_stop.store(true); }
+std::atomic<int> g_listener{-1};
+void on_signal(int) {
+  g_stop.store(true);
+  if (const int fd = g_listener.load(); fd >= 0) ::shutdown(fd, SHUT_RDWR);
+}
 
 void serve_connection(int fd) {
   FdStreambuf buf(fd);
@@ -139,8 +149,12 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "nrcd: warm start failed (%s); starting cold\n", e.what());
       }
     }
-    std::signal(SIGINT, on_signal);
-    std::signal(SIGTERM, on_signal);
+    struct sigaction sa {};
+    sa.sa_handler = on_signal;
+    sigemptyset(&sa.sa_mask);
+    sa.sa_flags = 0;  // no SA_RESTART: the signal interrupts accept()
+    ::sigaction(SIGINT, &sa, nullptr);
+    ::sigaction(SIGTERM, &sa, nullptr);
   }
 
   const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -163,6 +177,7 @@ int main(int argc, char** argv) {
     std::perror("nrcd: listen");
     return 1;
   }
+  g_listener.store(listener);
   std::fprintf(stderr, "nrcd: listening on 127.0.0.1:%d\n", port);
 
   while (!g_stop.load()) {
@@ -177,8 +192,16 @@ int main(int argc, char** argv) {
       serve_connection(fd);
       break;
     }
+    // The thread inherits the blocked mask; this thread restores its own.
+    sigset_t stop, old;
+    sigemptyset(&stop);
+    sigaddset(&stop, SIGINT);
+    sigaddset(&stop, SIGTERM);
+    ::pthread_sigmask(SIG_BLOCK, &stop, &old);
     std::thread(serve_connection, fd).detach();
+    ::pthread_sigmask(SIG_SETMASK, &old, nullptr);
   }
+  g_listener.store(-1);
   ::close(listener);
 
   if (!snapshot_path.empty()) {

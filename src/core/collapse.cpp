@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <list>
 #include <mutex>
 #include <stdexcept>
 #include <type_traits>
@@ -93,16 +92,6 @@ struct Collapsed::Impl {
   std::vector<LevelFormula> levels;
   std::vector<std::string> slots;
   CollapseOptions opts;
-
-  // Parameter-keyed bind memo: re-binding the same parameters (cache
-  // eviction rebuilds, deserialized plans, warm starts) copies the
-  // memoized pristine evaluator — sharing nothing mutable, FlatPoly
-  // layouts and the f64-guard proof included — instead of redoing the
-  // lowering.  Small and linearly scanned; LRU beyond capacity.
-  static constexpr size_t kBindMemoCapacity = 8;
-  mutable std::mutex bind_mu;
-  mutable std::list<std::pair<ParamMap, std::shared_ptr<const CollapsedEval>>> bind_memo;
-  mutable size_t bind_reuses = 0;
 
   // describe()'s text, rendered on first use: the artifact is immutable,
   // and every plan bound from it shares the one copy.
@@ -199,32 +188,6 @@ std::string Collapsed::Impl::render_describe() const {
 
 CollapsedEval Collapsed::bind(const ParamMap& params) const {
   const Impl& im = *impl_;
-  {
-    std::lock_guard<std::mutex> lock(im.bind_mu);
-    for (auto it = im.bind_memo.begin(); it != im.bind_memo.end(); ++it) {
-      if (it->first == params) {
-        im.bind_memo.splice(im.bind_memo.begin(), im.bind_memo, it);
-        ++im.bind_reuses;
-        return *it->second;
-      }
-    }
-  }
-  CollapsedEval ev = bind_fresh(params);
-  {
-    std::lock_guard<std::mutex> lock(im.bind_mu);
-    im.bind_memo.emplace_front(params, std::make_shared<const CollapsedEval>(ev));
-    if (im.bind_memo.size() > Impl::kBindMemoCapacity) im.bind_memo.pop_back();
-  }
-  return ev;
-}
-
-size_t Collapsed::bind_reuses() const {
-  std::lock_guard<std::mutex> lock(impl_->bind_mu);
-  return impl_->bind_reuses;
-}
-
-CollapsedEval Collapsed::bind_fresh(const ParamMap& params) const {
-  const Impl& im = *impl_;
   const NestSpec& spec = im.rs.nest;
   const int c = spec.depth();
 
@@ -249,13 +212,10 @@ CollapsedEval Collapsed::bind_fresh(const ParamMap& params) const {
   }
 
   // Rank polynomials get the parameters folded in (fewer terms, no
-  // runtime parameter powers) and, when small enough, a flat
-  // multiply-add form that skips the generic power loop entirely.
-  for (int k = 0; k < c; ++k) {
-    const Polynomial folded = fold_params(im.rs.prefix_rank[static_cast<size_t>(k)], params);
-    ev.prank_.emplace_back(folded, im.slots);
-    ev.prank_flat_.push_back(FlatPoly::build(folded, im.slots));
-  }
+  // runtime parameter factors).
+  for (int k = 0; k < c; ++k)
+    ev.prank_.emplace_back(fold_params(im.rs.prefix_rank[static_cast<size_t>(k)], params),
+                           im.slots);
 
   // Lower every level's recovery into the cheapest exact engine.  The
   // scaled coefficients A_e = D * a_e (D = common denominator) have
@@ -272,34 +232,25 @@ CollapsedEval Collapsed::bind_fresh(const ParamMap& params) const {
     try {
       i64 den = 1;
       for (const auto& a : lf.coeffs) den = lcm_i64(den, a.denominator_lcm());
-      for (const auto& a : lf.coeffs) {
-        const Polynomial pe = fold_params(a * Rational(den), params);
-        // Flat multiply-add fast path for the guard coefficients (most
-        // A_e are low-degree after folding); CompiledPoly stays the
-        // exact fallback when the flat form doesn't fit.
-        if (sv.scaled.size() < sv.flat.size())
-          sv.flat[sv.scaled.size()] = FlatPoly::build(pe, im.slots);
-        sv.scaled.emplace_back(pe, im.slots);
-      }
+      for (const auto& a : lf.coeffs)
+        sv.scaled.emplace_back(fold_params(a * Rational(den), params), im.slots);
     } catch (const OverflowError&) {
       // Scaling left the exact int64 coefficient range; without guard
       // coefficients no specialized solver can run, so this level
       // degrades to exact binary search — and solver_kind() reports it
       // truthfully (solve_level's early exit handles empty scaled).
       sv.scaled.clear();
-      sv.flat = {};
       sv.kind = LevelSolverKind::Search;
     }
   }
 
-  std::map<std::string, i64> pv(params.begin(), params.end());
   // Overflow-checked trip count with a structured refusal instead of the
   // raw narrowing error: adversarial parameter magnitudes must produce a
   // diagnostic naming the analyzer code (NRC-W001), never signed-overflow
   // UB or a cryptic conversion message.  eval_i128 is itself checked, so
   // a domain whose *intermediates* leave i128 surfaces the same way.
   try {
-    ev.total_ = narrow_i64(im.rs.total.eval_i128(pv));
+    ev.total_ = narrow_i64(im.rs.total.eval_i128(params));
   } catch (const OverflowError&) {
     throw SpecError(
         "bind: total trip count overflows i64 for these parameters "
@@ -310,14 +261,15 @@ CollapsedEval Collapsed::bind_fresh(const ParamMap& params) const {
     throw SpecError("bind: the iteration domain is empty for these parameters");
 
   // Prove the exact-double guard path: conservative per-slot magnitude
-  // bounds (every point the recovery evaluates keeps loop slots inside
+  // bounds B (every point the recovery evaluates keeps loop slots inside
   // their clamped level bounds and the pc slot inside [1, total]), then
   // enable plain-double evaluation wherever every intermediate provably
-  // stays far below the 2^53 exact-integer limit of double.  Levels
-  // whose coefficients and Horner guard all pass run their solves
-  // without any 128-bit arithmetic, bit-exact either way.
+  // stays far below the 2^53 exact-integer limit of double over the box
+  // [-B, B].  Levels whose coefficients and Horner guard all pass run
+  // their solves without any 128-bit arithmetic, bit-exact either way.
   {
     double B[kMaxSlots] = {0.0};
+    double negB[kMaxSlots] = {0.0};
     for (size_t s = 0; s < ev.nslots_; ++s)
       B[s] = std::fabs(static_cast<double>(ev.base_[s]));
     B[ev.pc_slot_] = static_cast<double>(ev.total_);
@@ -336,6 +288,7 @@ CollapsedEval Collapsed::bind_fresh(const ParamMap& params) const {
           std::max(bound_abs(ev.bounds_lo_[static_cast<size_t>(k)], k),
                    bound_abs(ev.bounds_hi_[static_cast<size_t>(k)], k)) +
           2.0;  // margin for the guard's x+1 probes
+    for (size_t s = 0; s < ev.nslots_; ++s) negB[s] = -B[s];
 
     // Every recovery evaluates rank prefixes exactly, in checked i128
     // (the innermost level, and search wherever a closed form gives
@@ -378,29 +331,18 @@ CollapsedEval Collapsed::bind_fresh(const ParamMap& params) const {
     }
 
     for (int k = 0; k < c; ++k) {
-      ev.prank_flat_[static_cast<size_t>(k)].enable_f64(B);
+      ev.prank_[static_cast<size_t>(k)].enable_f64(negB, B);
       CollapsedEval::LevelSolver& sv = ev.solvers_[static_cast<size_t>(k)];
       const int deg = static_cast<int>(sv.scaled.size()) - 1;
       if (deg < 1) continue;
       bool ok = true;
       double horner = 0.0;
-      for (int e = deg; e >= 0; --e) {
-        const FlatPoly& f = sv.flat[static_cast<size_t>(e)];
-        if (!f.usable()) {
-          ok = false;
-          break;
-        }
-        sv.flat[static_cast<size_t>(e)].enable_f64(B);
-        if (!f.exact_f64()) {
-          ok = false;
-          break;
-        }
+      for (int e = deg; e >= 0 && ok; --e) {
+        CompiledPoly& a = sv.scaled[static_cast<size_t>(e)];
+        a.enable_f64(negB, B);
         // Worst-case Horner intermediate |A_deg*t^... + A_e| at |t| <= B_k.
-        horner = horner * B[static_cast<size_t>(k)] + f.value_bound(B);
-        if (horner >= 1.0e15) {
-          ok = false;
-          break;
-        }
+        horner = horner * B[static_cast<size_t>(k)] + a.value_bound(negB, B);
+        ok = a.exact_f64() && horner < 1.0e15;
       }
       sv.guards_f64 = ok;
     }
@@ -408,17 +350,11 @@ CollapsedEval Collapsed::bind_fresh(const ParamMap& params) const {
   return ev;
 }
 
-i128 CollapsedEval::eval_rank(int k, const i64* pt) const {
-  const FlatPoly& f = prank_flat_[static_cast<size_t>(k)];
-  if (f.usable()) return f.eval_i128(pt);
-  return prank_[static_cast<size_t>(k)].eval_i128(std::span<const i64>(pt, nslots_));
-}
-
 i64 CollapsedEval::rank(std::span<const i64> idx) const {
   std::array<i64, kMaxSlots> pt;
   std::memcpy(pt.data(), base_.data(), nslots_ * sizeof(i64));
   for (int k = 0; k < c_; ++k) pt[static_cast<size_t>(k)] = idx[static_cast<size_t>(k)];
-  return narrow_i64(eval_rank(c_ - 1, pt.data()));
+  return narrow_i64(prank_[static_cast<size_t>(c_ - 1)].eval_i128({pt.data(), nslots_}));
 }
 
 i64 CollapsedEval::search_level(int k, std::span<i64> pt, i64 pc) const {
@@ -426,7 +362,7 @@ i64 CollapsedEval::search_level(int k, std::span<i64> pt, i64 pc) const {
   const i64 ub = bounds_hi_[static_cast<size_t>(k)].eval(pt.data());
   auto rank_at = [&](i64 t) {
     pt[static_cast<size_t>(k)] = t;
-    return eval_rank(k, pt.data());
+    return prank_[static_cast<size_t>(k)].eval_i128(pt);
   };
   i64 lo = lb;
   i64 hi = ub - 1;
@@ -514,8 +450,7 @@ bool CollapsedEval::closed_level(int k, std::span<i64> pt, RecoveryStats* stats)
     i64 est;
     if (sv.guards_f64 && f64_guards_) {
       double Ad[5];
-      for (int e = 0; e <= deg; ++e)
-        Ad[e] = sv.flat[static_cast<size_t>(e)].eval_f64(pt.data());
+      for (int e = 0; e <= deg; ++e) Ad[e] = sv.scaled[static_cast<size_t>(e)].eval_f64(pt);
       if (sv.kind != LevelSolverKind::ExactDivision)
         return estimate_level<double>(k, Ad, lb, ub, &est) &&
                guard_level(k, pt, est, lb, ub, Ad, deg, stats);
@@ -524,11 +459,7 @@ bool CollapsedEval::closed_level(int k, std::span<i64> pt, RecoveryStats* stats)
       A[0] = static_cast<i128>(Ad[0]);
       A[1] = static_cast<i128>(Ad[1]);
     } else {
-      const std::span<const i64> pts(pt.data(), nslots_);
-      for (int e = 0; e <= deg; ++e)
-        A[e] = sv.flat[static_cast<size_t>(e)].usable()
-                   ? sv.flat[static_cast<size_t>(e)].eval_i128(pt.data())
-                   : sv.scaled[static_cast<size_t>(e)].eval_i128(pts);
+      for (int e = 0; e <= deg; ++e) A[e] = sv.scaled[static_cast<size_t>(e)].eval_i128(pt);
       if (sv.kind != LevelSolverKind::ExactDivision)
         return estimate_level<long double>(k, A, lb, ub, &est) &&
                guard_level(k, pt, est, lb, ub, A, deg, stats);
@@ -563,10 +494,9 @@ void CollapsedEval::recover_innermost(std::span<i64> pt, std::span<i64> idx, i64
   const int kl = c_ - 1;
   const i64 lb = bounds_lo_[static_cast<size_t>(kl)].eval(pt.data());
   pt[static_cast<size_t>(kl)] = lb;
-  const FlatPoly& flat = prank_flat_[static_cast<size_t>(kl)];
-  const i64 r0 = f64_guards_ && flat.exact_f64()
-                     ? static_cast<i64>(flat.eval_f64(pt.data()))
-                     : narrow_i64(eval_rank(kl, pt.data()));
+  const CompiledPoly& rank = prank_[static_cast<size_t>(kl)];
+  const i64 r0 = f64_guards_ && rank.exact_f64() ? static_cast<i64>(rank.eval_f64(pt))
+                                                 : narrow_i64(rank.eval_i128(pt));
   idx[static_cast<size_t>(kl)] = lb + (pc - r0);
 }
 

@@ -37,7 +37,6 @@
 #include <string>
 #include <vector>
 
-#include "core/flat_poly.hpp"
 #include "core/folded_bound.hpp"
 #include "core/ranking.hpp"
 #include "core/runtime_limits.hpp"
@@ -85,19 +84,10 @@ class Collapsed {
   /// and OverflowError where the slot-magnitude bounds cannot show that
   /// the rank evaluations recovery needs stay inside i128 (a far shift
   /// of a deep nest: its expanded rank terms grow with the shift to the
-  /// depth's power, so every recover() there would throw).
-  ///
-  /// Re-binding the same parameters on the same Collapsed (an evicted
-  /// cache entry rebuilt, a deserialized plan re-bound, a warm_start)
-  /// returns a copy of the memoized evaluator instead of re-folding
-  /// bounds, rebuilding FlatPoly layouts and re-running the f64-guard
-  /// proof (the memo stores the pristine evaluator; the per-instance
-  /// settings of a returned copy do not reach it).  Thread-safe.
+  /// depth's power, so every recover() there would throw).  Each call
+  /// lowers afresh; the plan cache is what keeps bound evaluators.
+  /// Thread-safe.
   CollapsedEval bind(const ParamMap& params) const;
-
-  /// How many bind() calls were served from the parameter memo (the
-  /// FlatPoly-reuse fast path) over this Collapsed's lifetime.
-  size_t bind_reuses() const;
 
   /// Human-readable report: ranking polynomial, trip count, per-level
   /// equation coefficients and the solver each level lowers to at bind
@@ -114,7 +104,6 @@ class Collapsed {
 
  private:
   friend Collapsed collapse(const NestSpec&, const CollapseOptions&);
-  CollapsedEval bind_fresh(const ParamMap& params) const;
   struct Impl;
   std::shared_ptr<const Impl> impl_;
 };
@@ -264,8 +253,6 @@ class CollapsedEval {
     LevelSolverKind kind = LevelSolverKind::Search;
     std::vector<CompiledPoly> scaled;  ///< A_0..A_deg, exact integer-valued,
                                        ///< parameters pre-folded
-    std::array<FlatPoly, 5> flat{};    ///< flat multiply-add forms of the
-                                       ///< low-degree A_e (else unusable)
     bool guards_f64 = false;           ///< coefficients and guard may run in
                                        ///< proven-exact double (all engines)
   };
@@ -311,8 +298,6 @@ class CollapsedEval {
   template <class F, class TA>
   bool estimate_level(int k, const TA* A, i64 lb, i64 ub, i64* est) const;
   void recover_innermost(std::span<i64> pt, std::span<i64> idx, i64 pc) const;
-  /// Exact rank-prefix evaluation through the flat form when available.
-  i128 eval_rank(int k, const i64* pt) const;
   int c_ = 0;
   size_t nslots_ = 0;
   size_t pc_slot_ = 0;
@@ -321,7 +306,6 @@ class CollapsedEval {
   std::array<i64, kMaxSlots> base_{};  // params pre-filled, rest zero
   std::vector<Bound> bounds_lo_, bounds_hi_;
   std::vector<CompiledPoly> prank_;        // per level, parameters pre-folded
-  std::vector<FlatPoly> prank_flat_;       // flat forms of prank_ (else unusable)
   std::vector<LevelSolver> solvers_;   // per level
   bool f64_guards_ = true;             // see set_f64_guards()
   static constexpr int kMaxCorrection = 16;

@@ -164,7 +164,7 @@ std::shared_ptr<const JitKernel> KernelCache::get(
 
 std::shared_ptr<const JitKernel> KernelCache::peek(const CollapsePlan& plan,
                                                    const Schedule& s) const {
-  // An empty cache holds no kernel for any key: skip serializing the plan.
+  // An empty cache holds no kernel for any key: skip building one.
   if (state_->entries.load(std::memory_order_relaxed) == 0) return nullptr;
   const std::string key = kernel_key(plan, s);
   const KernelCacheState::Shard& sh = state_->shard_for(key);

@@ -10,7 +10,8 @@
 // concurrent requests join the first requester's future, and every
 // caller receives the same shared immutable kernel.
 //
-// Keys: plan serialization + the schedule's emission-relevant fragment
+// Keys: the plan record (CollapsePlan::serialize(), rendered once per
+// plan) + the schedule's emission-relevant fragment
 // + the kernel ABI version (JitKernel::schedule_key), so two plans that
 // rebuild bit-identically share a kernel and an ABI bump invalidates
 // cleanly.  Fallback kernels (no toolchain, compile failure, refused

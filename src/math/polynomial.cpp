@@ -485,40 +485,23 @@ std::string Polynomial::str() const {
 
 CompiledPoly::CompiledPoly(const Polynomial& p, std::span<const std::string> order) {
   den_ = p.denominator_lcm();
-  std::vector<int> slot;
+  std::vector<i64> slot;
   for (const std::string& v : p.vars()) {
     auto it = std::find(order.begin(), order.end(), v);
     if (it == order.end())
       throw SpecError("CompiledPoly: variable " + v + " missing from slot order");
-    slot.push_back(static_cast<int>(it - order.begin()));
+    slot.push_back(it - order.begin());
   }
-  terms_.reserve(p.num_terms());
-  size_t nfactors = 0;
-  for (size_t t = 0; t < p.num_terms(); ++t)
-    for (size_t v = 0; v < slot.size(); ++v) nfactors += p.exponent(t, v) != 0;
-  factors_.reserve(nfactors);
+  size_t size = 0;
+  for (size_t t = 0; t < p.num_terms(); ++t) size += 2 + static_cast<size_t>(p.term_degree(t));
+  code_.reserve(size);
   for (size_t t = 0; t < p.num_terms(); ++t) {
-    const auto first = static_cast<std::uint32_t>(factors_.size());
-    for (size_t v = 0; v < slot.size(); ++v)
-      if (const int e = p.exponent(t, v)) factors_.emplace_back(slot[v], e);
     const Rational& c = p.coef(t);
-    terms_.push_back({checked_mul_i64(c.num(), den_ / c.den()), first,
-                      static_cast<std::uint32_t>(factors_.size())});
+    code_.push_back(checked_mul_i64(c.num(), den_ / c.den()));
+    code_.push_back(p.term_degree(t));
+    for (size_t v = 0; v < slot.size(); ++v)
+      code_.insert(code_.end(), static_cast<size_t>(p.exponent(t, v)), slot[v]);
   }
-}
-
-i128 CompiledPoly::eval_i128(std::span<const i64> point) const {
-  i128 acc = 0;
-  for (const auto& t : terms_) {
-    i128 v = t.scaled_num;
-    for (std::uint32_t f = t.first; f < t.last; ++f) {
-      const i64 x = point[static_cast<size_t>(factors_[f].first)];
-      const int e = factors_[f].second;
-      v = checked_mul(v, e == 1 ? i128{x} : ipow_checked(x, static_cast<unsigned>(e)));
-    }
-    acc = checked_add(acc, v);
-  }
-  return exact_div(acc, den_);
 }
 
 double CompiledPoly::value_bound(const double* lo, const double* hi) const {
@@ -526,48 +509,30 @@ double CompiledPoly::value_bound(const double* lo, const double* hi) const {
   double worst = 0.0;
   double sum_lo = 0.0;
   double sum_hi = 0.0;
-  for (const auto& t : terms_) {
-    // The term's range after each single factor, which also covers the
-    // partial products of a FlatPoly built from the same terms.
-    double v_lo = static_cast<double>(t.scaled_num);
+  for_each_term([&](i64 coef, const i64* f, const i64* end) {
+    // The term's range after each factor.
+    double v_lo = static_cast<double>(coef);
     double v_hi = v_lo;
-    for (std::uint32_t f = t.first; f < t.last; ++f) {
-      const auto [slot, e] = factors_[f];
-      worst = std::max(worst, std::pow(widest(lo[slot], hi[slot]), e));  // the power itself
-      for (int k = 0; k < e; ++k) {
-        const double p[] = {v_lo * lo[slot], v_lo * hi[slot], v_hi * lo[slot], v_hi * hi[slot]};
-        v_lo = *std::min_element(p, p + 4);
-        v_hi = *std::max_element(p, p + 4);
-        worst = std::max(worst, widest(v_lo, v_hi));
-      }
+    for (; f < end; ++f) {
+      const double p[] = {v_lo * lo[*f], v_lo * hi[*f], v_hi * lo[*f], v_hi * hi[*f]};
+      v_lo = *std::min_element(p, p + 4);
+      v_hi = *std::max_element(p, p + 4);
+      worst = std::max(worst, widest(v_lo, v_hi));
     }
     sum_lo += v_lo;
     sum_hi += v_hi;
     worst = std::max({worst, widest(v_lo, v_hi), widest(sum_lo, sum_hi)});
-  }
+  });
   return worst;
-}
-
-u64 CompiledPoly::slot_mask() const {
-  u64 mask = 0;
-  for (const auto& [slot, exp] : factors_) mask |= u64{1} << std::min(slot, 63);
-  return mask;
 }
 
 long double CompiledPoly::eval_ld(std::span<const long double> point) const {
   long double acc = 0.0L;
-  for (const auto& t : terms_) {
-    long double v = static_cast<long double>(t.scaled_num);
-    for (std::uint32_t f = t.first; f < t.last; ++f) {
-      // x^exp by repeated multiplication: exact, and so equal to std::pow,
-      // whenever the power fits the 64-bit mantissa.
-      const long double x = point[static_cast<size_t>(factors_[f].first)];
-      long double xp = x;
-      for (int e = 1; e < factors_[f].second; ++e) xp *= x;
-      v *= xp;
-    }
+  for_each_term([&](i64 coef, const i64* f, const i64* end) {
+    long double v = static_cast<long double>(coef);
+    for (; f < end; ++f) v *= point[static_cast<size_t>(*f)];
     acc += v;
-  }
+  });
   return acc / static_cast<long double>(den_);
 }
 

@@ -14,7 +14,7 @@
 // node, a string or a vector of its own.  There is no global name table:
 // names live only as long as the polynomials that use them.  The runtime
 // hot paths use CompiledPoly, which resolves variables to dense slots and
-// evaluates exactly in __int128.
+// evaluates exactly, in checked __int128 or in proven-exact double.
 
 #include <cstdint>
 #include <map>
@@ -22,7 +22,6 @@
 #include <set>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "math/rational.hpp"
@@ -150,44 +149,79 @@ class Polynomial {
 };
 
 /// A polynomial pre-bound to a dense variable ordering for fast, exact
-/// evaluation on integer points.  Terms are stored with integer
-/// coefficients over a common denominator; evaluation accumulates in
-/// __int128 with overflow checks and performs one exact division at the
-/// end (ranking polynomials are integer-valued on integer points).
+/// evaluation on integer points.  Coefficients are scaled to integers
+/// over a common denominator and each monomial is expanded into the
+/// slots of its factors (x^2*y reads slots x, x, y), so an evaluation is
+/// one multiply-add stream followed by one exact division (ranking
+/// polynomials are integer-valued on integer points).  The stream runs
+/// in three arithmetics:
+///   * eval_i128: checked __int128, exact; throws on overflow;
+///   * eval_f64: plain double, bit-equal to eval_i128 at points of the
+///     box enable_f64() proved (every intermediate an integer far below
+///     2^53, where double arithmetic on integers is exact);
+///   * eval_ld: long double, for Newton's derivative.
 class CompiledPoly {
  public:
   CompiledPoly() = default;
 
   /// `order` maps slot index -> variable name.  Every variable of `p`
-  /// must appear in `order`; unused slots are permitted.
+  /// must appear in `order` (SpecError otherwise); unused slots are
+  /// permitted.  Throws OverflowError when a scaled coefficient leaves
+  /// the i64 range.
   CompiledPoly(const Polynomial& p, std::span<const std::string> order);
 
   /// Exact integer value at the point; throws on overflow / inexactness.
-  i128 eval_i128(std::span<const i64> point) const;
+  i128 eval_i128(std::span<const i64> point) const {
+    i128 acc = 0;
+    for_each_term([&](i64 coef, const i64* f, const i64* end) {
+      i128 v = coef;
+      for (; f < end; ++f) v = checked_mul(v, point[static_cast<size_t>(*f)]);
+      acc = checked_add(acc, v);
+    });
+    return exact_div(acc, den_);
+  }
 
-  /// Worst-case |value| of eval_i128's intermediates (each partial
+  /// Worst-case |value| of the stream's intermediates (each partial
   /// product, factor by factor, and each partial sum, in term order,
   /// before the final exact division) over points with
   /// lo[s] <= point[s] <= hi[s].
   double value_bound(const double* lo, const double* hi) const;
 
+  /// Prove eval_f64() exact over the box [lo, hi]: every intermediate
+  /// stays below 1e15, an order of magnitude of margin under 2^53.
+  void enable_f64(const double* lo, const double* hi) { f64_ = value_bound(lo, hi) < 1.0e15; }
+  /// True when enable_f64() proved its box.
+  bool exact_f64() const { return f64_; }
+
+  /// The stream in plain double arithmetic: eval_i128's value, bit for
+  /// bit, when exact_f64() and the point lies in the proven box (every
+  /// intermediate, and the final division's quotient, is then an
+  /// integer below 2^53).
+  double eval_f64(std::span<const i64> point) const {
+    double acc = 0.0;
+    for_each_term([&](i64 coef, const i64* f, const i64* end) {
+      double v = static_cast<double>(coef);
+      for (; f < end; ++f) v *= static_cast<double>(point[static_cast<size_t>(*f)]);
+      acc += v;
+    });
+    return acc / static_cast<double>(den_);
+  }
+
   /// Floating evaluation (long double), e.g. for Newton's derivative.
   long double eval_ld(std::span<const long double> point) const;
 
-  i64 denominator() const { return den_; }
-  bool empty() const { return terms_.empty(); }
-
-  /// Bit s set when a term reads slot s (slots from 64 on share bit 63).
-  u64 slot_mask() const;
-
  private:
-  struct Term {
-    i64 scaled_num = 0;         // coefficient * (den_/coeff_den)
-    std::uint32_t first, last;  // its factors: factors_[first, last)
-  };
-  std::vector<Term> terms_;
-  std::vector<std::pair<int, int>> factors_;  // (slot, exponent), term by term
+  /// fn(coef, f, end) per term, in term order: the coefficient times
+  /// den_ and the term's factor slots [f, end).
+  template <class Fn>
+  void for_each_term(Fn&& fn) const {
+    for (const i64 *p = code_.data(), *end = p + code_.size(); p < end; p += 2 + p[1])
+      fn(p[0], p + 2, p + 2 + p[1]);
+  }
+
+  std::vector<i64> code_;  // per term: coefficient, factor count, slots
   i64 den_ = 1;
+  bool f64_ = false;
 };
 
 }  // namespace nrc

@@ -102,17 +102,16 @@ class CollapsePlan : public std::enable_shared_from_this<CollapsePlan> {
   /// integrity record: deserialize() re-derives them and rejects a
   /// mismatch) — as a self-delimiting text block.  Plans are pure
   /// values, so rebuild-from-record is exact; serialize() is stable
-  /// (serialize(deserialize(s)) == s).  Implemented in
-  /// serve/serialization.cpp.
+  /// (serialize(deserialize(s)) == s).  Rendered on the first call and
+  /// kept, like certificate_text(): the KernelCache keys every jit
+  /// lookup on it.  Implemented in serve/serialization.cpp.
   void serialize(std::ostream& os) const;
-  std::string serialize() const;
+  const std::string& serialize() const;
 
   /// Rebuild a plan from one serialize() block: parse, collapse, bind,
   /// then verify the recorded per-level solver kinds match what this
   /// build chose (throws SpecError on mismatch, ParseError on a
-  /// malformed block).  Rebinding a nest whose symbolic artifact is
-  /// still alive reuses its FlatPoly layouts via the Collapsed bind
-  /// memo.
+  /// malformed block).
   static std::shared_ptr<const CollapsePlan> deserialize(std::istream& is);
   static std::shared_ptr<const CollapsePlan> deserialize(const std::string& s);
 
@@ -129,6 +128,9 @@ class CollapsePlan : public std::enable_shared_from_this<CollapsePlan> {
   mutable std::once_flag cert_once_;
   mutable std::shared_ptr<const NestCertificate> cert_;
   mutable std::string cert_text_;
+  /// serialize()'s record, set under record_once_.
+  mutable std::once_flag record_once_;
+  mutable std::string record_;
   /// The building cache's state, tracked weakly: plans share ownership
   /// and routinely outlive the cache (eviction hands the last reference
   /// to the holder), so describe() prints the cache-stats line only

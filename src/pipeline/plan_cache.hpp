@@ -31,9 +31,10 @@
 //
 // Eviction: per-shard LRU with a fixed capacity; an evicted key is
 // simply rebuilt on next use — plans are pure values, so a rebuilt plan
-// is byte-identical to the evicted one (tested; the Collapsed bind memo
-// makes the rebind a copy rather than a re-lowering).  The symbolic
-// table is LRU-bounded the same way (symbolic_evictions).
+// is byte-identical to the evicted one (tested).  While the structure's
+// symbolic artifact is still in the symbolic table, the rebuild is a
+// bind alone.  The symbolic table is LRU-bounded the same way
+// (symbolic_evictions).
 //
 // Keys: an entry is found by a key its caller supplies.  Library
 // callers (get(), get_with_outcome(), tests) use plan_cache_key(): the

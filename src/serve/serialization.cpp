@@ -137,14 +137,15 @@ bool read_plan_record(std::istream& is, PlanRecord& out) {
 
 // ------------------------------------------------ CollapsePlan persistence
 
-void CollapsePlan::serialize(std::ostream& os) const {
-  write_record(os, nest(), params(), options(), solver_kinds());
-}
+void CollapsePlan::serialize(std::ostream& os) const { os << serialize(); }
 
-std::string CollapsePlan::serialize() const {
-  std::ostringstream os;
-  serialize(os);
-  return os.str();
+const std::string& CollapsePlan::serialize() const {
+  std::call_once(record_once_, [this] {
+    std::ostringstream os;
+    write_record(os, nest(), params(), options(), solver_kinds());
+    record_ = os.str();
+  });
+  return record_;
 }
 
 std::shared_ptr<const CollapsePlan> CollapsePlan::deserialize(std::istream& is) {

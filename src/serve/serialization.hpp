@@ -2,8 +2,8 @@
 // Plan serialization: the persistence half of the serving layer.
 //
 // A CollapsePlan is a pure value of (nest, CollapseOptions, params) —
-// everything else (ranking polynomials, level formulas, FlatPoly
-// layouts, the f64-guard proof) is deterministically re-derivable.  So
+// everything else (ranking polynomials, level formulas, the compiled
+// polynomials, the f64-guard proof) is deterministically re-derivable.  So
 // a plan serializes as a small self-delimiting text record of exactly
 // those inputs, plus the per-level solver kinds bind() chose as an
 // integrity check: deserialization re-runs the pipeline and rejects a
@@ -38,10 +38,10 @@
 //   endplan
 //
 // PlanCache::warm_start() replays each entry through get_keyed() under
-// its recorded key, which lands the plan in the symbolic table and the
-// Collapsed bind memo and makes the same requests full hits again — a
-// restarted server rebuilds its working set without paying a single
-// cold symbolic build twice.  The key stays outside the record: the
+// its recorded key, which lands the plan in the plan shards and its
+// structure in the symbolic table and makes the same requests full hits
+// again — a restarted server rebuilds its working set without paying a
+// single cold symbolic build twice.  The key stays outside the record: the
 // record's bytes also key the JIT KernelCache, which must not depend on
 // how a request spelled its nest.  A snapshot is trusted as the
 // server's own file: warm_start() does not check a key against its

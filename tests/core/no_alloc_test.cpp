@@ -8,7 +8,7 @@
 // overhead flat — and that neither does the tuple walk nrc::run drives
 // a range scheme's body with.  The quartic solver allocates nothing
 // even on a thread's first recovery.  It also holds the symbolic
-// ranking build to an allocation budget.
+// ranking build, a fresh bind and warm serve hits to allocation budgets.
 #include <gtest/gtest.h>
 #include <omp.h>
 
@@ -218,12 +218,30 @@ TEST(AllocationBudget, RankingSystemBuild) {
   }
 }
 
+TEST(AllocationBudget, FreshBind) {
+  // bind() lowers every call afresh into one compiled form per bound
+  // polynomial and keeps no copy.  The budget sits a little above the
+  // measured count (362); two heap arrays per compiled polynomial and a
+  // kept copy of every bound evaluator read 408 and break it.
+  const Collapsed col = collapse(testutil::simplex_4d());
+  (void)col.bind({{"N", 30}});  // first use: per-thread buffers
+  const long long before = t_allocations;
+  const CollapsedEval ev = col.bind({{"N", 31}});
+  const long long used = t_allocations - before;
+  EXPECT_EQ(ev.solver_kind(0), LevelSolverKind::Quartic);
+  EXPECT_LE(used, 375);
+  RecordProperty("simplex4", static_cast<int>(used));
+}
+
 TEST(AllocationBudget, ServeHitsDoNotParse) {
   // A warm request through handle_request is looked up by its text and
   // never parsed.  Parsing the same text alone allocates more than any
   // of these hits does whole, so a hit that parsed would break its
   // budget.  The budgets sit a little above the measured counts
-  // (describe 13, lint 6, run 8; parsing alone 46).
+  // (describe 13, lint 6, run 8, jitrun 13 or, on the fallback kernel
+  // of a host without a C toolchain, 16; parsing alone 46).  A warm
+  // jitrun hit keys the kernel cache on the plan's record, rendered once
+  // per plan; rendering it on every lookup reads 28.
   const std::string text =
       "for (i = 0; i < N; i++)\n"
       "  for (j = i; j < N; j++)\n"
@@ -239,7 +257,7 @@ TEST(AllocationBudget, ServeHitsDoNotParse) {
   const struct {
     const char* verb;
     long long budget;
-  } verbs[] = {{"describe", 16}, {"lint", 8}, {"run", 10}};
+  } verbs[] = {{"describe", 16}, {"lint", 8}, {"run", 10}, {"jitrun", 18}};
   for (const auto& [verb, budget] : verbs) {
     serve::Request req;
     req.verb = verb;

@@ -452,6 +452,11 @@ TEST(RecoveryEngine, F64GuardsByteIdenticalToI128OnEveryKernelNest) {
     if (!has_no_empty_ranges(sc.nest, p)) continue;
     check(collapse(sc.nest).bind(p), sc.name);
   }
+  // Depth 5: the constant coefficient A_0 of levels 1-3 has degree 5,
+  // and those levels prove and run the double path as well.
+  const CollapsedEval simplex5 = collapse(testutil::simplex_5d()).bind({{"N", 12}});
+  for (int k = 1; k <= 3; ++k) EXPECT_TRUE(simplex5.guards_provably_f64(k)) << "level " << k;
+  check(simplex5, "simplex_5d");
   // The policy must actually engage somewhere, or this test is vacuous.
   EXPECT_GT(proven_levels, 0);
 }

@@ -1,9 +1,15 @@
 // Representation-independent checks of Polynomial: seeded random
 // polynomials in up to six variables and of total degree <= 4, checked
 // by exact evaluation at random integer points, and the str() of a fixed
-// list of such polynomials.
+// list of such polynomials.  CompiledPoly is checked against Polynomial
+// on seeded polynomials of up to 60 terms and degree 8, coefficients up
+// to the i64 edge included: its checked-i128, proven-double and bound
+// paths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -170,6 +176,194 @@ TEST(PolynomialProperty, StrOfAFixedList) {
   };
   ASSERT_EQ(fixed.size(), expected.size());
   for (size_t k = 0; k < fixed.size(); ++k) EXPECT_EQ(fixed[k].str(), expected[k]) << k;
+}
+
+// ------------------------------------------------------------ CompiledPoly
+
+/// Slot layout for the compiled polynomials: the variables in another
+/// order than the polynomial's own, and one slot no term reads.
+const std::vector<std::string>& slot_order() {
+  static const std::vector<std::string> v = {"pc", "j", "unused", "i", "b", "a", "N"};
+  return v;
+}
+
+/// A polynomial for the compiled-form checks: up to `terms` monomials of
+/// degree up to `deg`; a quarter of the rounds draw coefficients near
+/// the i64 edge, integer or over a small denominator.  Arithmetic that
+/// overflows while summing is redrawn.
+Polynomial random_wide_poly(Rng& rng, int terms, int deg) {
+  for (;;) {
+    try {
+      const bool edge = rng.in(0, 3) == 0;
+      Polynomial p;
+      const int n = static_cast<int>(rng.in(1, terms));
+      for (int t = 0; t < n; ++t) {
+        const i64 num = edge ? (rng.in(0, 1) ? 1 : -1) *
+                                   (std::numeric_limits<i64>::max() - rng.in(0, 1000))
+                             : rng.in(-9, 9);
+        Polynomial m(Rational(num, edge ? rng.in(1, 3) : rng.in(1, 4)));
+        const int d = static_cast<int>(rng.in(0, deg));
+        for (int k = 0; k < d; ++k)
+          m *= Polynomial::variable(names()[static_cast<size_t>(rng.in(0, 5))]);
+        p += m;
+      }
+      return p;
+    } catch (const OverflowError&) {
+    }
+  }
+}
+
+/// A point over slot_order(): mostly small values, sometimes values
+/// large enough that a degree-8 term leaves i128.
+std::vector<i64> random_slots(Rng& rng) {
+  const i64 mag = rng.in(0, 3) == 0 ? (i64{1} << rng.in(8, 40)) : 5;
+  std::vector<i64> pt;
+  for (size_t s = 0; s < slot_order().size(); ++s) pt.push_back(rng.in(-mag, mag));
+  return pt;
+}
+
+std::map<std::string, i64> by_name(const std::vector<i64>& pt) {
+  std::map<std::string, i64> m;
+  for (size_t s = 0; s < pt.size(); ++s) m[slot_order()[s]] = pt[s];
+  return m;
+}
+
+/// The largest |intermediate| of the compiled stream at `x`, in its
+/// documented order: per term (term order) the scaled coefficient times
+/// each factor of each variable (variable order), then the running sum.
+/// Long double, so a stream past i128 reads as a value >= 2^127.
+long double stream_peak(const Polynomial& p, const std::map<std::string, i64>& x) {
+  const long double den = static_cast<long double>(p.denominator_lcm());
+  long double peak = 0.0L;
+  long double sum = 0.0L;
+  for (size_t t = 0; t < p.num_terms(); ++t) {
+    long double v = static_cast<long double>(p.coef(t).num()) * (den / p.coef(t).den());
+    peak = std::max(peak, std::fabs(v));
+    for (size_t k = 0; k < p.vars().size(); ++k)
+      for (int e = 0; e < p.exponent(t, k); ++e) {
+        v *= static_cast<long double>(x.at(p.vars()[k]));
+        peak = std::max(peak, std::fabs(v));
+      }
+    sum += v;
+    peak = std::max(peak, std::fabs(sum));
+  }
+  return peak;
+}
+
+enum class Outcome { Value, Overflow, Inexact };
+
+template <class F>
+Outcome outcome_of(F&& f, i128* value) {
+  try {
+    *value = f();
+    return Outcome::Value;
+  } catch (const OverflowError&) {
+    return Outcome::Overflow;
+  } catch (const SolveError&) {
+    return Outcome::Inexact;
+  }
+}
+
+TEST(CompiledPolyProperty, EvalI128AgreesWithPolynomialOrOverflows) {
+  Rng rng{11};
+  int wide = 0, deep = 0, values = 0, overflows = 0, refused = 0;
+  for (int round = 0; round < 600; ++round) {
+    const Polynomial p = random_wide_poly(rng, 60, 8);
+    wide += p.num_terms() > 32;
+    deep += p.total_degree() > 4;
+    CompiledPoly cp;
+    try {
+      cp = CompiledPoly(p, slot_order());
+    } catch (const OverflowError&) {
+      ++refused;  // a scaled coefficient left i64: checked below
+      bool leaves = false;
+      const i64 den = p.denominator_lcm();
+      for (size_t t = 0; t < p.num_terms(); ++t) {
+        const i128 scaled = i128{p.coef(t).num()} * (den / p.coef(t).den());
+        leaves |= scaled > std::numeric_limits<i64>::max() ||
+                  scaled < std::numeric_limits<i64>::min();
+      }
+      EXPECT_TRUE(leaves) << p.str();
+      continue;
+    }
+    for (int k = 0; k < 6; ++k) {
+      const std::vector<i64> pt = random_slots(rng);
+      const auto named = by_name(pt);
+      i128 got = 0, want = 0;
+      const Outcome g = outcome_of([&] { return cp.eval_i128(pt); }, &got);
+      const Outcome w = outcome_of([&] { return p.eval_i128(named); }, &want);
+      const long double peak = stream_peak(p, named);
+      if (g == Outcome::Value) {
+        ++values;
+        // Polynomial raises each power on its own, so a zero factor
+        // before a power past i128 overflows there and not here.
+        if (w == Outcome::Value) EXPECT_TRUE(got == want) << p.str();
+        else EXPECT_EQ(w, Outcome::Overflow) << p.str();
+        EXPECT_LT(peak, 0x1p127L) << p.str();
+      } else if (g == Outcome::Overflow) {
+        ++overflows;
+        EXPECT_EQ(w, Outcome::Overflow) << p.str();
+        EXPECT_GE(peak, 0x1p126L) << p.str();  // a true overflow, not a false alarm
+      } else {
+        EXPECT_EQ(w, Outcome::Inexact) << p.str();  // not integer-valued here
+      }
+    }
+  }
+  // Every kind of case must occur, or the checks above prove nothing.
+  EXPECT_GT(wide, 0);
+  EXPECT_GT(deep, 0);
+  EXPECT_GT(values, 0);
+  EXPECT_GT(overflows, 0);
+  EXPECT_GT(refused, 0);
+}
+
+TEST(CompiledPolyProperty, ValueBoundCoversTheStreamAndProvesF64) {
+  Rng rng{12};
+  int proven = 0, unproven = 0;
+  for (int round = 0; round < 600; ++round) {
+    // Integer coefficients: the polynomial is integer-valued everywhere,
+    // so every point of the box has an exact value to compare.
+    Polynomial p = random_wide_poly(rng, 60, 8);
+    try {
+      p = p * Rational(p.denominator_lcm());
+    } catch (const OverflowError&) {
+      continue;
+    }
+    CompiledPoly cp;
+    try {
+      cp = CompiledPoly(p, slot_order());
+    } catch (const OverflowError&) {
+      continue;
+    }
+    // A box per slot, signed and asymmetric, sometimes wide.
+    std::vector<double> lo, hi;
+    const i64 mag = rng.in(0, 2) == 0 ? 100000 : 6;
+    for (size_t s = 0; s < slot_order().size(); ++s) {
+      const i64 a = rng.in(-mag, mag);
+      const i64 b = rng.in(-mag, mag);
+      lo.push_back(static_cast<double>(std::min(a, b)));
+      hi.push_back(static_cast<double>(std::max(a, b)));
+    }
+    const double bound = cp.value_bound(lo.data(), hi.data());
+    cp.enable_f64(lo.data(), hi.data());
+    EXPECT_EQ(cp.exact_f64(), bound < 1.0e15);
+    ++(cp.exact_f64() ? proven : unproven);
+    for (int k = 0; k < 8; ++k) {
+      std::vector<i64> pt;
+      for (size_t s = 0; s < slot_order().size(); ++s)
+        pt.push_back(rng.in(static_cast<i64>(lo[s]), static_cast<i64>(hi[s])));
+      const auto named = by_name(pt);
+      const long double peak = stream_peak(p, named);
+      EXPECT_LE(peak, static_cast<long double>(bound) * (1.0L + 1e-12L)) << p.str();
+      if (!cp.exact_f64()) continue;
+      const i128 exact = cp.eval_i128(pt);
+      const double f = cp.eval_f64(pt);
+      EXPECT_EQ(f, static_cast<double>(exact)) << p.str();
+      EXPECT_TRUE(static_cast<i128>(f) == exact) << p.str();
+    }
+  }
+  EXPECT_GT(proven, 0);
+  EXPECT_GT(unproven, 0);
 }
 
 }  // namespace
