@@ -107,12 +107,22 @@ inline void rule(int width = 118) {
   std::putchar('\n');
 }
 
-/// Fastest and slowest of a column's per-trial timings.
+/// Fastest, slowest and median of a column's per-trial timings.
 struct Spread {
   double min = 1e300, max = 0;
+  std::vector<double> samples;
   void add(double v) {
     min = std::min(min, v);
     max = std::max(max, v);
+    samples.push_back(v);
+  }
+  /// The middle sample (the mean of the middle two for an even count).
+  double median() const {
+    if (samples.empty()) return 0;
+    std::vector<double> s = samples;
+    std::sort(s.begin(), s.end());
+    const size_t n = s.size();
+    return n % 2 ? s[n / 2] : 0.5 * (s[n / 2 - 1] + s[n / 2]);
   }
 };
 

@@ -5,16 +5,17 @@
 // non-rectangular nest under
 //   * original nest, outermost loop schedule(static),
 //   * original nest, outermost loop schedule(dynamic),
-//   * collapsed loop, schedule(static) with per-thread recovery (§V),
-//     and the same chunks claimed from one counter (coll-dyn),
+//   * collapsed loop under the production pick, Schedule::auto_select
+//     (guided dynamic claims, one recovery per claim: coll-auto),
+//   * collapsed loop, one contiguous block per thread (§V, coll-pt),
 // and reports gain = (t_baseline - t_collapsed) / t_baseline — one table
 // row per bar pair of the paper's figure.  benchmark/'s paper_kernels
-// workload reads the static collapsed variant only.
+// workload times the same production pick.
 //
 // Measurement: minimum over `reps` runs per trial, min-merged over
 // `trials` whole-suite passes (spaced repetitions ride out the
 // multi-second vCPU interference bursts of shared hosts); the JSON adds
-// each column's slowest trial and the host.
+// each column's median and slowest trial and the host.
 //
 // Expected shape (paper §VII): large positive gains vs static
 // everywhere; vs dynamic mostly positive or near zero (tiled variants
@@ -40,15 +41,14 @@ struct Column { Variant v; const char* key; const char* head; };
 constexpr Column kColumns[] = {
     {Variant::OuterStatic, "t_static", "static[s]"},
     {Variant::OuterDynamic, "t_dynamic", "dynamic[s]"},
-    {Variant::CollapsedStatic, "t_collapsed_chunked", "coll-ck[s]"},
-    {Variant::CollapsedDynamicChunks, "t_collapsed_dynamic_chunks", "coll-dyn[s]"},
+    {Variant::CollapsedStatic, "t_collapsed_auto", "coll-auto[s]"},
     {Variant::CollapsedStaticBlock, "t_collapsed_block", "coll-pt[s]"},
 };
 constexpr size_t kCols = std::size(kColumns);
-enum { kStatic, kDynamic, kChunked, kDynChunks };
+enum { kStatic, kDynamic, kAuto };
 
 struct Row {
-  bench::Spread t[kCols];  ///< per column: fastest and slowest trial, seconds
+  bench::Spread t[kCols];  ///< per column: every trial's time, seconds
   bool ok = true;
   /// (t_baseline - t_collapsed) / t_baseline over the fastest trials.
   double gain(int base, int coll) const { return (t[base].min - t[coll].min) / t[base].min; }
@@ -59,7 +59,7 @@ struct Row {
 int main(int argc, char** argv) {
   const bench::Args args = bench::Args::parse(argc, argv);
 
-  std::printf("== Figure 9: gains of collapsed(static) over original schedules ==\n");
+  std::printf("== Figure 9: gains of the collapsed loop over original schedules ==\n");
   std::printf("threads=%d scale=%.2f reps=%d trials=%d (min-merged)\n\n", args.threads,
               args.scale, args.reps, args.trials);
 
@@ -86,33 +86,32 @@ int main(int argc, char** argv) {
   }
 
   std::printf("%-18s", "kernel");
-  for (const Column& col : kColumns) std::printf(" %11s", col.head);
-  std::printf(" %12s %11s %11s  %s\n", "gain-vs-stat", "gain-vs-dyn", "dyn-vs-dyn", "check");
-  bench::rule(134);
+  for (const Column& col : kColumns) std::printf(" %12s", col.head);
+  std::printf(" %12s %11s  %s\n", "gain-vs-stat", "gain-vs-dyn", "check");
+  bench::rule(110);
   int bad = 0;
   for (const auto& kernel : kernels) {
     const Row& row = rows[kernel->info().name];
     if (!row.ok) ++bad;
     std::printf("%-18s", kernel->info().name.c_str());
-    for (const bench::Spread& t : row.t) std::printf(" %11.4f", t.min);
-    std::printf(" %11.1f%% %10.1f%% %10.1f%%  %s\n", 100.0 * row.gain(kStatic, kChunked),
-                100.0 * row.gain(kDynamic, kChunked), 100.0 * row.gain(kDynamic, kDynChunks),
-                row.ok ? "ok" : "MISMATCH");
+    for (const bench::Spread& t : row.t) std::printf(" %12.4f", t.min);
+    std::printf(" %11.1f%% %10.1f%%  %s\n", 100.0 * row.gain(kStatic, kAuto),
+                100.0 * row.gain(kDynamic, kAuto), row.ok ? "ok" : "MISMATCH");
   }
-  bench::rule(134);
+  bench::rule(110);
   std::printf(
-      "coll-ck = §V chunked scheme, chunks dealt round-robin (headline, used for\n"
-      "the gains); coll-dyn = the same chunks claimed from one counter;\n"
+      "coll-auto = the production pick, Schedule::auto_select (guided dynamic\n"
+      "claims, one recovery per claim; headline, used for the gains);\n"
       "coll-pt = §V per-thread block scheme.\n"
-      "gain = (t_baseline - t_collapsed_chunked) / t_baseline; dyn-vs-dyn is the\n"
-      "same with coll-dyn against the dynamic baseline.  Positive means the\n"
-      "collapsed loop is faster.  Paper shape: collapsed wins clearly vs\n"
-      "static; vs dynamic it wins or ties except ltmp.\n");
+      "gain = (t_baseline - t_collapsed_auto) / t_baseline over the fastest\n"
+      "trials.  Positive means the collapsed loop is faster.  Paper shape:\n"
+      "collapsed wins clearly vs static; vs dynamic it wins or ties except ltmp.\n");
 
   // JSON artifact for the perf-trajectory dashboard (bench/trajectory.py
   // merges it next to BENCH_recovery.json so end-to-end kernel
   // regressions surface alongside the solver microbenchmarks).  Each
-  // column's spread is its fastest and slowest trial.
+  // column's spread is its fastest and slowest trial, and "median" its
+  // median trial.
   const std::string out_path = args.out.empty() ? "BENCH_fig9.json" : args.out;
   if (FILE* f = std::fopen(out_path.c_str(), "w")) {
     std::fprintf(f,
@@ -124,20 +123,23 @@ int main(int argc, char** argv) {
     size_t i = 0;
     for (const auto& kernel : kernels) {
       const Row& row = rows[kernel->info().name];
-      std::string times;
+      std::string times, medians;
       std::vector<std::pair<const char*, bench::Spread>> spread;
       for (size_t c = 0; c < kCols; ++c) {
         char buf[96];
         std::snprintf(buf, sizeof buf, "\"%s\": %.6f, ", kColumns[c].key, row.t[c].min);
         times += buf;
+        std::snprintf(buf, sizeof buf, "%s\"%s\": %.6f", c ? ", " : "", kColumns[c].key,
+                      row.t[c].median());
+        medians += buf;
         spread.emplace_back(kColumns[c].key, row.t[c]);
       }
       std::fprintf(f,
                    "    {\"name\": \"%s\", %s\"gain_vs_static\": %.4f, "
-                   "\"gain_vs_dynamic\": %.4f, \"gain_dynamic_chunks_vs_dynamic\": %.4f, "
-                   "\"spread\": {%s}, \"checksum_ok\": %s}%s\n",
-                   kernel->info().name.c_str(), times.c_str(), row.gain(kStatic, kChunked),
-                   row.gain(kDynamic, kChunked), row.gain(kDynamic, kDynChunks),
+                   "\"gain_vs_dynamic\": %.4f, \"median\": {%s}, \"spread\": {%s}, "
+                   "\"checksum_ok\": %s}%s\n",
+                   kernel->info().name.c_str(), times.c_str(), row.gain(kStatic, kAuto),
+                   row.gain(kDynamic, kAuto), medians.c_str(),
                    bench::spread_json(spread, 6).c_str(),
                    row.ok ? "true" : "false", ++i < kernels.size() ? "," : "");
     }

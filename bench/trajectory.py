@@ -101,7 +101,7 @@ def main():
             k["name"]: {
                 "gain_vs_static": k.get("gain_vs_static"),
                 "gain_vs_dynamic": k.get("gain_vs_dynamic"),
-                "t_collapsed_chunked": k.get("t_collapsed_chunked"),
+                "t_collapsed": k.get("t_collapsed_auto"),
                 "checksum_ok": bool(k.get("checksum_ok", False)),
             }
             for k in fig9["kernels"]
@@ -248,7 +248,8 @@ def main():
             "",
             "## Kernel suite trajectory (fig9_gains)",
             "",
-            "gain = (t_baseline - t_collapsed_chunked) / t_baseline; "
+            "gain = (t_baseline - t_collapsed_auto) / t_baseline, the "
+            "collapsed loop under the production pick (auto_select); "
             "✗ marks a checksum mismatch (correctness, enforced by the "
             "bench's exit status).",
             "",

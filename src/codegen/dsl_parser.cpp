@@ -89,7 +89,8 @@ struct AffParser {
     if (at < s.size() && std::isdigit(static_cast<unsigned char>(s[at]))) {
       i64 v = 0;
       while (at < s.size() && std::isdigit(static_cast<unsigned char>(s[at]))) {
-        v = v * 10 + (s[at] - '0');
+        if (__builtin_mul_overflow(v, 10, &v) || __builtin_add_overflow(v, s[at] - '0', &v))
+          fail("integer literal exceeds INT64_MAX");
         ++at;
       }
       return AffineExpr(v);

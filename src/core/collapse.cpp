@@ -134,7 +134,7 @@ Collapsed collapse(const NestSpec& nest, const CollapseOptions& opts) {
   // Without closed forms the degrees still get computed, so describe()
   // and codegen stay useful.
   impl->levels =
-      build_level_formulas(impl->rs, opts.build_closed_form ? opts.max_closed_degree : 0);
+      build_level_formulas(impl->rs, opts.build_closed_form ? kMaxClosedDegree : 0);
 
   Collapsed col;
   col.impl_ = std::move(impl);
@@ -446,10 +446,10 @@ bool CollapsedEval::closed_level(int k, std::span<i64> pt, RecoveryStats* stats)
   try {
     const i64 lb = bounds_lo_[static_cast<size_t>(k)].eval(pt.data());
     const i64 ub = bounds_hi_[static_cast<size_t>(k)].eval(pt.data());
-    i128 A[5];
+    i128 A[kMaxClosedDegree + 1];
     i64 est;
     if (sv.guards_f64 && f64_guards_) {
-      double Ad[5];
+      double Ad[kMaxClosedDegree + 1];
       for (int e = 0; e <= deg; ++e) Ad[e] = sv.scaled[static_cast<size_t>(e)].eval_f64(pt);
       if (sv.kind != LevelSolverKind::ExactDivision)
         return estimate_level<double>(k, Ad, lb, ub, &est) &&
@@ -543,7 +543,7 @@ bool CollapsedEval::recover_closed_raw(i64 pc, std::span<i64> idx) const {
       const LevelSolver& sv = solvers_[static_cast<size_t>(k)];
       const int deg = static_cast<int>(sv.scaled.size()) - 1;
       if (deg < 1) return false;
-      i128 A[5];
+      i128 A[kMaxClosedDegree + 1];
       for (int e = 0; e <= deg; ++e) A[e] = sv.scaled[static_cast<size_t>(e)].eval_i128(pts);
       i64 x;
       if (sv.kind == LevelSolverKind::ExactDivision) {

@@ -46,12 +46,16 @@
 
 namespace nrc {
 
+/// Highest level-equation degree inverted in closed form (paper limit:
+/// 4); deeper levels recover by exact search.  The runtime solvers hold
+/// at most kMaxClosedDegree + 1 coefficients per level, so this is a
+/// constant, not an option.
+inline constexpr int kMaxClosedDegree = 4;
+
 struct CollapseOptions {
   /// Build closed-form recoveries (paper §IV).  When false, recovery
   /// always uses exact binary search.
   bool build_closed_form = true;
-  /// Maximum level-equation degree inverted in closed form (paper limit: 4).
-  int max_closed_degree = 4;
   /// Parameter values at which collapse() checks that no loop range is
   /// empty (the model the ranking polynomial needs); empty: the uniform
   /// values 6, 8, 5, 7, ... 64, any one of which may pass.  It decides

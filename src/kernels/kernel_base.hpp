@@ -28,21 +28,22 @@ class KernelBase : public IKernel {
     eval_.emplace(col_.bind(params));
   }
 
-  /// Run one of the six collapsed Variants through nrc::run; the
+  /// Run one of the five collapsed Variants through nrc::run; the
   /// other three are the kernel's own loops and do nothing here.
   /// `best` is the kernel's fastest body: a row-segment body (§VI-A)
   /// where the innermost loop should vectorize, else the tuple body.
-  /// `tuple` is the tuple body.  The Fig. 10 serial protocol and the
-  /// three chunked/blocked schemes take `best`, so segment kernels run
-  /// the row-segment schemes and tuple kernels the §V scalar ones; the
-  /// scalar Fig. 10 variant and the per-iteration dynamic scheme take
-  /// `tuple`.  CollapsedDynamicChunks is CollapsedStatic's chunk and
-  /// body with chunks claimed from one counter instead of dealt.
+  /// `tuple` is the tuple body.  The Fig. 10 serial protocol, the
+  /// production pick and the per-thread block scheme take `best`, so
+  /// segment kernels run row segments and tuple kernels the §V scalar
+  /// walk; the scalar Fig. 10 variant and the per-iteration dynamic
+  /// scheme take `tuple`.  CollapsedStatic runs the partition a caller
+  /// with no preference gets, Schedule::auto_select: guided dynamic
+  /// claims with one recovery each at >= 2 threads, one per-thread walk
+  /// at 1 thread.
   template <class Best, class Tuple>
   void run_collapsed(Variant v, int threads, int sims, Best& best, Tuple& tuple) const {
     constexpr bool seg = detail::is_segment_body_v<Best>;
     const CollapsedEval& cn = *eval_;
-    const i64 chunk = default_chunk(cn.trip_count(), threads);
     switch (v) {
       case Variant::SerialCollapsedSim:
         nrc::run(cn, Schedule::serial_sim(sims), best);
@@ -51,15 +52,8 @@ class KernelBase : public IKernel {
         nrc::run(cn, Schedule::serial_sim(sims), tuple);
         break;
       case Variant::CollapsedStatic:
-      case Variant::CollapsedDynamicChunks: {
-        const OmpSchedule o = v == Variant::CollapsedStatic ? OmpSchedule::Static
-                                                            : OmpSchedule::Dynamic;
-        nrc::run(cn,
-                 seg ? Schedule::row_segments_chunked(chunk, {threads}, o)
-                     : Schedule::chunked(chunk, {threads}, o),
-                 best);
+        nrc::run(cn, Schedule::auto_select(cn, {threads}), best);
         break;
-      }
       case Variant::CollapsedStaticBlock:
         nrc::run(cn, seg ? Schedule::row_segments({threads}) : Schedule::per_thread({threads}),
                  best);

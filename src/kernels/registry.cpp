@@ -27,9 +27,7 @@ const char* variant_name(Variant v) {
     case Variant::OuterDynamic:
       return "outer-dynamic";
     case Variant::CollapsedStatic:
-      return "collapsed-static";
-    case Variant::CollapsedDynamicChunks:
-      return "collapsed-dynamic-chunks";
+      return "collapsed-auto";
     case Variant::CollapsedStaticBlock:
       return "collapsed-static-block";
     case Variant::CollapsedDynamic:

@@ -29,6 +29,7 @@ class SkewedStencilKernel final : public KernelBase {
 
  private:
   void body(i64 i, i64 j);
+  void row(i64 i, i64 j0, i64 j1);  ///< body(i, j) for j in [j0, j1)
 
   static constexpr i64 kTaps = 48;
   i64 t_ = 0;  ///< number of rows (outer trip count)

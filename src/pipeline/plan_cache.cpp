@@ -85,7 +85,7 @@ std::string plan_cache_key_suffix(const ParamMap& params, const CollapseOptions&
   std::string key = "|opts:";
   key += opts.build_closed_form ? '1' : '0';
   key += ',';
-  key += std::to_string(opts.max_closed_degree);
+  key += std::to_string(kMaxClosedDegree);
   key += "|params:";
   for (const auto& [name, v] : params) {
     key += name;

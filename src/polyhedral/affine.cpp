@@ -29,12 +29,7 @@ AffineExpr AffineExpr::operator+(const AffineExpr& o) const {
   return r;
 }
 
-AffineExpr AffineExpr::operator-() const {
-  AffineExpr r;
-  r.cst_ = -cst_;
-  for (const auto& [v, c] : coefs_) r.coefs_.emplace(v, -c);
-  return r;
-}
+AffineExpr AffineExpr::operator-() const { return *this * -1; }
 
 AffineExpr AffineExpr::operator-(const AffineExpr& o) const { return *this + (-o); }
 

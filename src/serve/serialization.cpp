@@ -32,7 +32,7 @@ void write_record(std::ostream& os, const NestSpec& nest, const ParamMap& params
                   const std::vector<LevelSolverKind>& solvers) {
   os << "nrcplan " << serve::kPlanFormatVersion << "\n";
   os << "opts build_closed_form=" << (opts.build_closed_form ? 1 : 0)
-     << " max_closed_degree=" << opts.max_closed_degree << "\n";
+     << " max_closed_degree=" << kMaxClosedDegree << "\n";
   for (const auto& [name, v] : opts.model_params) os << "model " << name << "=" << v << "\n";
   for (const auto& [name, v] : params) os << "param " << name << "=" << v << "\n";
   os << "solvers";
@@ -88,8 +88,11 @@ bool read_plan_record(std::istream& is, PlanRecord& out) {
         const auto [name, v] = parse_binding(tok, "option");
         if (name == "build_closed_form")
           rec.opts.build_closed_form = v != 0;
-        else if (name == "max_closed_degree")
-          rec.opts.max_closed_degree = static_cast<int>(v);
+        else if (name == "max_closed_degree") {
+          if (v != kMaxClosedDegree)
+            throw ParseError("plan record: max_closed_degree must be " +
+                             std::to_string(kMaxClosedDegree) + ", got " + std::to_string(v));
+        }
         else
           throw ParseError("plan record: unknown option '" + name + "'");
       }

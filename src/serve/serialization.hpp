@@ -12,6 +12,8 @@
 //
 //   nrcplan 1
 //   opts build_closed_form=1 max_closed_degree=4
+//                                  (always kMaxClosedDegree = 4; a
+//                                  record with any other value is refused)
 //   model N=3                      (0+ lines; CollapseOptions::model_params)
 //   param N=2000                   (0+ lines; the bound parameters)
 //   solvers guarded-quadratic innermost-linear

@@ -52,6 +52,21 @@ TEST(ParseAffine, Errors) {
   EXPECT_THROW(parse_affine("i 1"), ParseError);  // trailing garbage
 }
 
+TEST(ParseAffine, LiteralsPastInt64MaxAreParseErrors) {
+  EXPECT_EQ(parse_affine("9223372036854775807"), aff::c(INT64_MAX));
+  EXPECT_EQ(parse_affine("-9223372036854775807 - 1"), aff::c(INT64_MIN));
+  EXPECT_THROW(parse_affine("9223372036854775808"), ParseError);
+  EXPECT_THROW(parse_affine("N + 99999999999999999999"), ParseError);
+  // Both nest syntaxes read their bounds through parse_affine.
+  EXPECT_THROW(parse_c_for_nest("for (i = 0; i < 18446744073709551616; i++) {\n}\n"),
+               ParseError);
+}
+
+TEST(ParseAffine, NegatingInt64MinIsAnError) {
+  EXPECT_THROW(parse_affine("-(-9223372036854775807 - 1)"), OverflowError);
+  EXPECT_THROW(parse_affine("0 - (-9223372036854775807 - 1)"), OverflowError);
+}
+
 TEST(ParseProgram, Correlation) {
   const NestProgram prog = parse_nest_program(kCorrelationDsl);
   EXPECT_EQ(prog.name, "correlation");

@@ -566,6 +566,22 @@ TEST(ServeSerialization, CorruptRecordsAreRejected) {
   EXPECT_THROW(CollapsePlan::deserialize(record.substr(0, record.size() / 2)), ParseError);
 }
 
+// The closed-form degree limit is fixed at 4 (the solvers' coefficient
+// arrays hold five), so records keep writing it and refuse any other value.
+TEST(ServeSerialization, RecordsRefuseAnyOtherClosedDegree) {
+  const auto plan = CollapsePlan::build(testutil::triangular_strict(), {{"N", 20}});
+  const std::string record = plan->serialize();
+  const std::string opts = "opts build_closed_form=1 max_closed_degree=4\n";
+  const size_t pos = record.find(opts);
+  ASSERT_NE(pos, std::string::npos) << record;
+  for (const char* degree : {"5", "3", "0", "-1"}) {
+    std::string tampered = record;
+    tampered.replace(pos, opts.size(),
+                     std::string("opts build_closed_form=1 max_closed_degree=") + degree + "\n");
+    EXPECT_THROW(CollapsePlan::deserialize(tampered), ParseError) << degree;
+  }
+}
+
 TEST(ServeSerialization, SnapshotWarmStartRoundTripsTheCache) {
   PlanCache a(16, 2);
   a.get(testutil::triangular_strict(), {{"N", 50}});

@@ -74,5 +74,13 @@ TEST(AffineExpr, OverflowChecked) {
   EXPECT_THROW(big.eval({{"i", 2}}), OverflowError);
 }
 
+TEST(AffineExpr, NegationChecked) {
+  const AffineExpr min_cst(INT64_MIN);
+  EXPECT_THROW(-min_cst, OverflowError);
+  EXPECT_THROW(AffineExpr(0) - min_cst, OverflowError);
+  EXPECT_THROW(-(aff::v("i") * INT64_MIN), OverflowError);
+  EXPECT_EQ(-AffineExpr(INT64_MAX), AffineExpr(-INT64_MAX));
+}
+
 }  // namespace
 }  // namespace nrc
