@@ -18,9 +18,9 @@
 //   OuterStatic          — original nest, outermost loop omp schedule(static)
 //   OuterDynamic         — original nest, outermost loop omp schedule(dynamic)
 //   CollapsedStatic      — collapsed loop under the production pick,
-//                          Schedule::auto_select: guided dynamic claims of
-//                          row segments, one recovery per claim (>= 2
-//                          threads); one per-thread walk (1 thread)
+//                          Schedule::auto_select: guided dynamic claims,
+//                          one recovery per claim (>= 2 threads); one
+//                          per-thread walk (1 thread)
 //   CollapsedStaticBlock — collapsed loop, §V per-thread scheme
 //                          (one contiguous block and one recovery per thread)
 //   CollapsedDynamic     — collapsed loop, per-iteration recovery, dynamic
